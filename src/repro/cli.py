@@ -194,7 +194,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         tracer=tracer,
         gencache=_make_gencache(args, registry),
         engine=_make_engine(args, device, registry=registry),
-        concurrent_streams=not args.serial_streams,
         events=events,
         recorder=recorder,
         memoise_pages=not args.no_page_memo,
@@ -274,7 +273,6 @@ def _serve_multiworker(args: argparse.Namespace) -> int:
             tracer=tracer,
             gencache=gencache,
             engine=_make_engine(args, device, registry=registry, tracer=tracer),
-            concurrent_streams=not args.serial_streams,
             events=events,
             memoise_pages=not args.no_page_memo,
             priorities_enabled=not args.no_priorities,
@@ -936,12 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--pages", nargs="+", default=list(PAGES), metavar="PAGE")
     serve.add_argument("--no-gen-ability", action="store_true", help="run as a naive HTTP/2 server")
     serve.add_argument("--push", action="store_true", help="server-push generated assets to naive clients")
-    serve.add_argument(
-        "--serial-streams",
-        action="store_true",
-        help="disable the concurrent stream scheduler (serve one request at "
-             "a time on the event loop, the paper's seed behaviour)",
-    )
     serve.add_argument(
         "--no-telemetry",
         action="store_true",

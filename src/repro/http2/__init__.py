@@ -12,8 +12,10 @@ ourselves rather than depending on the ``h2`` package:
 * stream state machine (:mod:`repro.http2.streams`),
 * connection & stream flow control (:mod:`repro.http2.flow_control`),
 * a sans-io connection engine usable for both client and server roles
-  (:mod:`repro.http2.connection`), and
-* asyncio TCP / in-memory transports (:mod:`repro.http2.transport`).
+  (:mod:`repro.http2.connection`),
+* asyncio TCP / in-memory transports (:mod:`repro.http2.transport`), and
+* the endpoint runtime every asyncio server and client in the repo is
+  built on (:mod:`repro.http2.endpoint`).
 """
 
 from repro.http2.errors import ErrorCode, H2Error, ProtocolError, FrameError

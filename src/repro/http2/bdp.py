@@ -113,10 +113,11 @@ class BdpEstimator:
 class AdaptiveReceiveWindow:
     """Applies a :class:`BdpEstimator` to one connection's receive side.
 
-    The owner calls :meth:`on_data` for every DataReceived event instead
-    of hand-rolling ``increment_flow_control_window`` calls; the tuner
-    replenishes the consumed credit (stream + connection) and, when the
-    estimator says the path deserves more, raises the advertised windows.
+    :class:`~repro.http2.endpoint.ClientConnection` calls :meth:`on_data`
+    for every DataReceived event in place of the plain
+    ``acknowledge_received_data``; the tuner returns the same credit and,
+    when the estimator says the path deserves more, raises the advertised
+    windows.
     """
 
     def __init__(self, conn: H2Connection, estimator: BdpEstimator) -> None:
@@ -132,10 +133,7 @@ class AdaptiveReceiveWindow:
         """Account received DATA; returns the window size after tuning."""
         if flow_controlled_length > 0:
             self.estimator.on_data(flow_controlled_length)
-            self.conn.increment_flow_control_window(flow_controlled_length)
-            stream = self.conn.streams.get(stream_id)
-            if stream is not None and not stream.closed:
-                self.conn.increment_flow_control_window(flow_controlled_length, stream_id)
+            self.conn.acknowledge_received_data(flow_controlled_length, stream_id)
         return self._maybe_resize()
 
     def _maybe_resize(self) -> int:

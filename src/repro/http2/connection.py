@@ -475,6 +475,19 @@ class H2Connection:
             stream.inbound_window.replenish(increment)
         self._emit_frame(WindowUpdateFrame(stream_id=stream_id, increment=increment))
 
+    def acknowledge_received_data(self, acknowledged_size: int, stream_id: int) -> None:
+        """Return the credit one received DATA frame consumed.
+
+        The one replenishment rule: the connection window always (a
+        long-lived multi-stream connection must never starve the peer),
+        the stream window while the stream can still receive (a body
+        larger than one stream window deadlocks without it).
+        """
+        self.increment_flow_control_window(acknowledged_size)
+        stream = self.streams.get(stream_id)
+        if stream is not None and stream.can_receive_data:
+            self.increment_flow_control_window(acknowledged_size, stream_id)
+
     def acknowledge_settings(self) -> None:
         self._emit_frame(SettingsFrame(ack=True))
 
@@ -827,7 +840,6 @@ class H2Connection:
                     operation="receive",
                 ).inc()
             raise
-        stream.received_data += frame.data
         events: list[Event] = [
             DataReceived(
                 stream_id=frame.stream_id,

@@ -87,14 +87,10 @@ class AsyncH2Transport:
     The transport owns the read loop: :meth:`run` reads from the socket,
     feeds the engine and dispatches events to the ``handler`` coroutine
     (one call per event). Writers call engine methods then :meth:`flush`.
-
-    For concurrent response streaming the transport also carries a
-    writer-wakeup signal: producers (stream tasks enqueueing bodies, the
-    read loop surfacing WINDOW_UPDATE credit) call :meth:`wake_writer`,
-    and a dedicated writer task parks in :meth:`wait_writable` between
-    scheduling rounds. Socket backpressure is the asyncio native kind —
-    :meth:`flush` awaits ``drain()``, so a slow peer suspends the writer
-    task instead of ballooning the outbound buffer.
+    Socket backpressure is the asyncio native kind — :meth:`flush` awaits
+    ``drain()``, so a slow peer suspends the flushing task instead of
+    ballooning the outbound buffer. Who flushes when, and everything else
+    about a connection's lifetime, belongs to :mod:`repro.http2.endpoint`.
     """
 
     def __init__(
@@ -107,18 +103,6 @@ class AsyncH2Transport:
         self.reader = reader
         self.writer = writer
         self.closed = asyncio.Event()
-        self._write_wakeup = asyncio.Event()
-
-    def wake_writer(self) -> None:
-        """Signal the writer task that there may be work (new body bytes
-        queued, or fresh flow-control credit)."""
-        self._write_wakeup.set()
-
-    async def wait_writable(self) -> None:
-        """Park until the next :meth:`wake_writer` (level-triggered: a wake
-        that arrives mid-pump is not lost, the next wait returns at once)."""
-        await self._write_wakeup.wait()
-        self._write_wakeup.clear()
 
     async def flush(self) -> None:
         data = self.conn.data_to_send()
@@ -158,14 +142,8 @@ class AsyncH2Transport:
                     await handler(event)
                 await self.flush()
         finally:
-            self.wake_writer()  # unblock a parked writer task so it can exit
             if close_on_exit:
-                self.closed.set()
-                self.writer.close()
-                try:
-                    await self.writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
+                await self.close()
 
     async def close(self) -> None:
         self.closed.set()

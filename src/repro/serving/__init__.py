@@ -25,8 +25,9 @@ changing any of them:
   tier;
 * :mod:`repro.serving.protocol` — the length-prefixed JSON control-pipe
   frames workers ship telemetry over;
-* :mod:`repro.serving.h2util` — a minimal respond-only HTTP/2 server
-  loop shared by the cache tier and the master admin plane.
+* :mod:`repro.serving.h2util` — the respond-only request/response
+  shapes the cache tier and the master admin plane share, on the
+  :mod:`repro.http2.endpoint` server driver.
 """
 
 from repro.serving.arbiter import Arbiter, ArbiterConfig

@@ -1,21 +1,11 @@
-"""A minimal respond-only HTTP/2 server loop over the repo's own stack.
+"""A respond-only HTTP/2 server for the cache tier and the master admin.
 
-The cache tier and the arbiter's master admin plane both need the same
-small thing: accept connections, aggregate each request stream's headers
-and body, call an async handler once the stream ends, and ship the
-response through the flow-control-aware :class:`ConnectionWriter`. The
-full :class:`~repro.sww.server.GenerativeServer` brings negotiation,
-generation pipelines and wide events along — none of which a cache or
-admin endpoint wants — so this module is the thin alternative: the same
-engine (:class:`~repro.http2.connection.H2Connection`), the same
-transport, no content semantics.
-
-Flow-control notes: request bodies replenish the *connection-level*
-window as they arrive (per-stream windows start at the engine's 16 MiB
-initial size and streams here are one-shot, so stream-level top-ups are
-unnecessary — the admin-fetch client takes the same view). Response
-bodies go through the writer so a slow peer parks the stream instead of
-blocking the loop.
+Both need the same small thing: aggregate each request stream's headers
+and body, call an async handler once the stream ends, ship what it
+returns. The connection itself — handshake, credit return, the writer
+task, drain and close — is the shared
+:class:`~repro.http2.endpoint.ServerConnection` driver; what is left here
+is request-body aggregation and the handler→500 guard.
 """
 
 from __future__ import annotations
@@ -25,18 +15,16 @@ import logging
 from dataclasses import dataclass, field
 
 from repro.http2.connection import (
-    ConnectionTerminated,
     DataReceived,
+    Event,
     H2Connection,
     RequestReceived,
     Role,
     StreamEnded,
     StreamReset,
-    WindowUpdated,
 )
+from repro.http2.endpoint import ServerConnection
 from repro.http2.errors import H2Error
-from repro.http2.transport import AsyncH2Transport
-from repro.http2.writer import ConnectionWriter
 
 logger = logging.getLogger("repro.serving.h2util")
 
@@ -93,16 +81,10 @@ class MiniH2Server:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         conn = H2Connection(Role.SERVER, gen_ability=False, registry=self.registry)
-        transport = AsyncH2Transport(conn, reader, writer)
-        conn.initiate_connection()
-        try:
-            await transport.flush()
-        except (ConnectionError, OSError):
-            await transport.close()
-            return
-        out = ConnectionWriter(conn)
-        streams: dict[int, MiniRequest] = {}
-        tasks: set[asyncio.Task] = set()
+        driver = ServerConnection(conn, reader, writer)
+        #: Requests still receiving their body (a bytearray until the
+        #: stream ends, so aggregation stays linear).
+        receiving: dict[int, MiniRequest] = {}
 
         async def respond(request: MiniRequest) -> None:
             try:
@@ -112,79 +94,36 @@ class MiniH2Server:
                 response = MiniResponse(
                     status=500, body=b"handler error", content_type="text/plain"
                 )
+            if driver.closed:
+                return
             try:
                 conn.send_headers(request.stream_id, response.header_list())
-                out.enqueue(request.stream_id, response.body, end_stream=True)
+                driver.writer.enqueue(request.stream_id, response.body, end_stream=True)
             except H2Error:
                 logger.warning("stream %d died under its response", request.stream_id)
                 return
-            transport.wake_writer()
+            driver.wake()
 
-        async def dispatch(event) -> None:
+        def on_event(event: Event) -> None:
             if isinstance(event, RequestReceived):
                 headers = dict(event.headers)
-                streams[event.stream_id] = MiniRequest(
+                receiving[event.stream_id] = MiniRequest(
                     method=headers.get(b":method", b"GET").decode("utf-8", "replace"),
                     path=headers.get(b":path", b"/").decode("utf-8", "replace"),
                     authority=headers.get(b":authority", b"").decode("utf-8", "replace"),
-                    body=b"",
+                    body=bytearray(),
                     stream_id=event.stream_id,
                 )
             elif isinstance(event, DataReceived):
-                request = streams.get(event.stream_id)
+                request = receiving.get(event.stream_id)
                 if request is not None:
                     request.body += event.data
-                if event.flow_controlled_length > 0:
-                    # Keep the connection-level window topped up; stream
-                    # windows are 16 MiB fresh per one-shot stream.
-                    conn.increment_flow_control_window(event.flow_controlled_length)
             elif isinstance(event, StreamEnded):
-                request = streams.pop(event.stream_id, None)
+                request = receiving.pop(event.stream_id, None)
                 if request is not None:
-                    task = asyncio.create_task(respond(request))
-                    tasks.add(task)
-                    task.add_done_callback(tasks.discard)
-            elif isinstance(event, (WindowUpdated, ConnectionTerminated)):
-                transport.wake_writer()
+                    request.body = bytes(request.body)
+                    driver.spawn(respond(request))
             elif isinstance(event, StreamReset):
-                streams.pop(event.stream_id, None)
-                transport.wake_writer()
+                receiving.pop(event.stream_id, None)
 
-        async def pump() -> None:
-            while not transport.closed.is_set():
-                await transport.wait_writable()
-                while not out.idle:
-                    wrote = out.pump()
-                    try:
-                        await transport.flush()
-                    except (ConnectionError, OSError):
-                        return
-                    if wrote == 0:
-                        break
-
-        pump_task = asyncio.create_task(pump())
-        try:
-            await transport.run(dispatch, close_on_exit=False)
-            # Let queued responses leave before the socket closes.
-            for task in list(tasks):
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-            while not out.idle:
-                if out.pump() == 0:
-                    break
-                try:
-                    await transport.flush()
-                except (ConnectionError, OSError):
-                    break
-        finally:
-            pump_task.cancel()
-            try:
-                await pump_task
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                pass
-            for task in tasks:
-                task.cancel()
-            out.abort_pending()
-            await transport.close()
+        await driver.run(on_event)

@@ -9,13 +9,13 @@ tier in where the in-process cache used to sit, without the generator
 learning anything changed.
 
 Concurrency model: one daemon thread runs a private event loop holding
-one persistent HTTP/2 connection to the tier. Every blocking call
-submits its own coroutine with ``run_coroutine_threadsafe`` — calls are
-*not* serialised, because a ``GET`` parked on a cross-worker flight
-(long-poll) must not block a concurrent ``PUT`` for a different key on
-the same connection. Streams multiplex by id; all engine operations are
-loop-confined and each request allocates its stream id and sends its
-HEADERS without an intervening await, so no lock is needed.
+one persistent :class:`~repro.http2.endpoint.ClientConnection` to the
+tier. Every blocking call submits its own coroutine with
+``run_coroutine_threadsafe`` — calls are *not* serialised, because a
+``GET`` parked on a cross-worker flight (long-poll) must not block a
+concurrent ``PUT`` for a different key on the same connection; they
+multiplex as streams, and the connection is loop-confined so no lock is
+needed.
 
 Failure model: degrade, never break. A tier that is down, slow, or
 resetting streams makes ``lookup`` return ``None`` (the worker
@@ -30,17 +30,8 @@ import logging
 import threading
 
 from repro.gencache.store import HIT_LOOKUP_TIME_S, CachedGeneration, GenCacheStats
-from repro.http2.connection import (
-    ConnectionTerminated,
-    DataReceived,
-    H2Connection,
-    ResponseReceived,
-    Role,
-    SettingsAcknowledged,
-    StreamEnded,
-    StreamReset,
-)
-from repro.http2.transport import AsyncH2Transport
+from repro.http2.connection import H2Connection, Role
+from repro.http2.endpoint import ClientConnection, H2Response
 from repro.serving.cachetier import (
     CACHE_AUTHORITY,
     DEFAULT_FLIGHT_TIMEOUT_S,
@@ -52,35 +43,6 @@ logger = logging.getLogger("repro.serving.remote")
 
 #: Ordinary round-trip budget (connect + handshake + respond).
 DEFAULT_CALL_TIMEOUT_S = 15.0
-
-
-class _Stream:
-    __slots__ = ("future", "status", "headers", "body")
-
-    def __init__(self, future: asyncio.Future) -> None:
-        self.future = future
-        self.status = 0
-        self.headers: dict[bytes, bytes] = {}
-        self.body = bytearray()
-
-
-class _Channel:
-    __slots__ = ("conn", "transport", "run_task", "ready", "dead", "streams")
-
-    def __init__(self, conn: H2Connection, transport: AsyncH2Transport) -> None:
-        self.conn = conn
-        self.transport = transport
-        self.run_task: asyncio.Task | None = None
-        self.ready = asyncio.Event()
-        self.dead = False
-        self.streams: dict[int, _Stream] = {}
-
-    def fail_all(self, exc: Exception) -> None:
-        self.dead = True
-        for stream in self.streams.values():
-            if not stream.future.done():
-                stream.future.set_exception(exc)
-        self.streams.clear()
 
 
 class RemoteGenerationCache:
@@ -113,7 +75,7 @@ class RemoteGenerationCache:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._start_lock = threading.Lock()
-        self._channel: _Channel | None = None
+        self._client: ClientConnection | None = None
         self._connect_lock: asyncio.Lock | None = None
         self._closed = False
 
@@ -125,22 +87,22 @@ class RemoteGenerationCache:
         """Tier lookup. Hit/coalesced → a record; miss (we lead) or any
         tier failure → None (the caller generates)."""
         try:
-            status, headers, body = self._call(
+            response = self._call(
                 "GET", f"/gencache/{key.digest}", timeout=self.lookup_timeout_s
             )
         except Exception as exc:
             self._degraded("lookup", exc)
             return None
-        if status != 200:
+        if response.status != 200:
             with self._stats_lock:
                 self.stats.misses += 1
             return None
         try:
-            doc = decode_envelope(bytes(body))
+            doc = decode_envelope(response.body)
         except (ValueError, KeyError) as exc:
             self._degraded("decode", exc)
             return None
-        outcome = headers.get(b"x-sww-cache", b"hit")
+        outcome = dict(response.headers).get(b"x-sww-cache", b"hit")
         with self._stats_lock:
             if outcome == b"coalesced":
                 self.stats.coalesced += 1
@@ -166,9 +128,7 @@ class RemoteGenerationCache:
         """Publish a generated result to the tier (wakes parked waiters)."""
         envelope = encode_envelope(payload, text, sim_time_s, energy_wh)
         try:
-            status, _headers, _body = self._call(
-                "PUT", f"/gencache/{key.digest}", body=envelope
-            )
+            status = self._call("PUT", f"/gencache/{key.digest}", body=envelope).status
         except Exception as exc:
             self._degraded("insert", exc)
             return False
@@ -201,13 +161,13 @@ class RemoteGenerationCache:
         """The tier's authoritative stats document (``GET /stats``)."""
         import json
 
-        status, _headers, body = self._call("GET", "/stats")
-        if status != 200:
-            raise RuntimeError(f"cache tier /stats returned {status}")
-        return json.loads(bytes(body).decode("utf-8"))
+        response = self._call("GET", "/stats")
+        if response.status != 200:
+            raise RuntimeError(f"cache tier /stats returned {response.status}")
+        return json.loads(response.body.decode("utf-8"))
 
     def close(self) -> None:
-        """Tear down the channel and the background loop thread."""
+        """Tear down the connection and the background loop thread."""
         self._closed = True
         loop = self._loop
         if loop is None:
@@ -240,7 +200,7 @@ class RemoteGenerationCache:
 
     def _call(
         self, method: str, path: str, body: bytes | None = None, timeout: float | None = None
-    ) -> tuple[int, dict[bytes, bytes], bytes]:
+    ) -> H2Response:
         if self._closed:
             raise ConnectionError("remote cache closed")
         self._start()
@@ -249,116 +209,45 @@ class RemoteGenerationCache:
         )
         return future.result(timeout if timeout is not None else self.call_timeout_s)
 
-    async def _request(
-        self, method: str, path: str, body: bytes | None
-    ) -> tuple[int, dict[bytes, bytes], bytes]:
-        last_error: Exception | None = None
-        for attempt in range(2):
-            try:
-                channel = await self._ensure_channel()
-                return await self._issue(channel, method, path, body)
-            except (ConnectionError, OSError) as exc:
-                last_error = exc
-                self._channel = None
-        raise last_error if last_error is not None else ConnectionError("cache tier unreachable")
+    async def _request(self, method: str, path: str, body: bytes | None) -> H2Response:
+        try:
+            return await self._attempt(method, path, body)
+        except (ConnectionError, OSError):
+            # One reconnect per call; a second failure degrades the call.
+            return await self._attempt(method, path, body)
 
-    async def _ensure_channel(self) -> _Channel:
+    async def _attempt(self, method: str, path: str, body: bytes | None) -> H2Response:
+        client = await self._ensure_client()
+        try:
+            return await client.request(
+                method, path, [(b"user-agent", b"sww-cache-client/1.0")], body
+            )
+        except (ConnectionError, OSError):
+            if self._client is client:
+                self._client = None
+            await client.close()
+            raise
+
+    async def _ensure_client(self) -> ClientConnection:
         if self._connect_lock is None:
             self._connect_lock = asyncio.Lock()
         async with self._connect_lock:
-            channel = self._channel
-            if channel is not None and not channel.dead:
-                return channel
-            return await self._connect()
-
-    async def _connect(self) -> _Channel:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        conn = H2Connection(Role.CLIENT, gen_ability=False)
-        transport = AsyncH2Transport(conn, reader, writer)
-        conn.initiate_connection()
-        await transport.flush()
-        channel = _Channel(conn, transport)
-        channel.run_task = asyncio.ensure_future(self._drive(channel))
-        try:
-            await asyncio.wait_for(channel.ready.wait(), self.call_timeout_s)
-        except asyncio.TimeoutError as exc:
-            channel.fail_all(ConnectionError("cache tier handshake timed out"))
-            await transport.close()
-            raise ConnectionError("cache tier handshake timed out") from exc
-        self._channel = channel
-        return channel
-
-    async def _drive(self, channel: _Channel) -> None:
-        conn = channel.conn
-
-        async def on_event(event) -> None:
-            if isinstance(event, SettingsAcknowledged):
-                channel.ready.set()
-            elif isinstance(event, ResponseReceived):
-                stream = channel.streams.get(event.stream_id)
-                if stream is not None:
-                    stream.headers = dict(event.headers)
-                    stream.status = int(stream.headers.get(b":status", b"0"))
-            elif isinstance(event, DataReceived):
-                stream = channel.streams.get(event.stream_id)
-                if stream is not None:
-                    stream.body.extend(event.data)
-                if event.flow_controlled_length > 0:
-                    conn.increment_flow_control_window(event.flow_controlled_length)
-            elif isinstance(event, StreamEnded):
-                stream = channel.streams.pop(event.stream_id, None)
-                if stream is not None and not stream.future.done():
-                    stream.future.set_result(
-                        (stream.status, stream.headers, bytes(stream.body))
-                    )
-            elif isinstance(event, StreamReset):
-                stream = channel.streams.pop(event.stream_id, None)
-                if stream is not None and not stream.future.done():
-                    stream.future.set_exception(
-                        ConnectionError(f"cache tier reset stream {event.stream_id}")
-                    )
-            elif isinstance(event, ConnectionTerminated):
-                channel.fail_all(ConnectionError("cache tier sent GOAWAY"))
-
-        try:
-            await channel.transport.run(on_event)
-        except (ConnectionError, OSError) as exc:
-            channel.fail_all(ConnectionError(str(exc)))
-        finally:
-            channel.fail_all(ConnectionError("cache tier connection closed"))
-
-    async def _issue(
-        self, channel: _Channel, method: str, path: str, body: bytes | None
-    ) -> tuple[int, dict[bytes, bytes], bytes]:
-        conn = channel.conn
-        loop = asyncio.get_running_loop()
-        # Stream-id allocation through send_headers happens with no await
-        # in between, so concurrent _issue coroutines can't interleave ids.
-        stream_id = conn.get_next_available_stream_id()
-        stream = _Stream(loop.create_future())
-        channel.streams[stream_id] = stream
-        headers = [
-            (b":method", method.encode("ascii")),
-            (b":path", path.encode("utf-8")),
-            (b":scheme", b"https"),
-            (b":authority", self.authority.encode("ascii")),
-            (b"user-agent", b"sww-cache-client/1.0"),
-        ]
-        conn.send_headers(stream_id, headers, end_stream=body is None)
-        if body is not None:
-            conn.send_data(stream_id, body, end_stream=True)
-        await channel.transport.flush()
-        return await stream.future
+            client = self._client
+            if client is None or client.closed:
+                client = await ClientConnection.open(
+                    self.host,
+                    self.port,
+                    H2Connection(Role.CLIENT, gen_ability=False),
+                    self.authority,
+                )
+                await client.settled(self.call_timeout_s)
+                self._client = client
+            return client
 
     async def _shutdown(self) -> None:
-        channel = self._channel
-        self._channel = None
-        if channel is None:
-            return
-        channel.fail_all(ConnectionError("remote cache closed"))
-        if channel.run_task is not None:
-            channel.run_task.cancel()
-        await channel.transport.close()
+        client, self._client = self._client, None
+        if client is not None:
+            await client.close()
 
     def _degraded(self, operation: str, exc: Exception) -> None:
         with self._stats_lock:

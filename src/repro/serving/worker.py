@@ -241,7 +241,7 @@ async def _amain(listen_sock, pipe_fd: int, options: WorkerOptions, runtime_fact
                     "type": "heartbeat",
                     "worker_id": options.worker_id,
                     "requests": server.requests_served,
-                    "inflight": sum(len(session._tasks) for session in sessions),
+                    "inflight": sum(session.inflight for session in sessions),
                     "connections": len(sessions),
                     "generation_sim_s": generation_sim_s(),
                 }

@@ -40,16 +40,8 @@ import json
 import logging
 from urllib.parse import parse_qs, urlsplit
 
-from repro.http2.connection import (
-    DataReceived,
-    H2Connection,
-    ResponseReceived,
-    Role,
-    SettingsAcknowledged,
-    StreamEnded,
-    StreamReset,
-)
-from repro.http2.transport import AsyncH2Transport
+from repro.http2.connection import H2Connection, Role
+from repro.http2.endpoint import ClientConnection
 from repro.obs import MetricsRegistry, to_openmetrics
 from repro.obs.profiler import WallClockProfiler
 from repro.obs.slo import SLOTracker
@@ -257,8 +249,8 @@ class AdminPlane:
         worst_ever = self.registry.value(
             "sww_server_loop_stall_max_seconds", layer="sww", operation="loop"
         )
-        inflight = sum(len(s._tasks) for s in sessions)
-        draining = sum(1 for s in sessions if s._draining)
+        inflight = sum(s.inflight for s in sessions)
+        draining = sum(1 for s in sessions if s.draining)
         slo_report = self.slo.report() if self.slo is not None else {}
         slo_healthy = self.slo.healthy if self.slo is not None else True
         degraded: list[str] = []
@@ -319,63 +311,20 @@ async def admin_fetch(
     """GET one admin route over TCP; returns ``(status, body)``.
 
     A deliberately thin client: no generation pipeline, no SWW headers —
-    just the handshake, one stream, and connection-window replenishment
-    (profile/timeseries bodies are bigger than the default 64 KiB
-    window, so without top-ups the response would stall mid-body).
+    one stream on a :class:`~repro.http2.endpoint.ClientConnection`, which
+    returns flow-control credit as the body arrives (profile/timeseries
+    bodies outgrow a default window) and raises ``ConnectionError`` if the
+    server goes away mid-response.
     """
-    conn = H2Connection(Role.CLIENT, gen_ability=False)
-    reader, writer = await asyncio.open_connection(host, port)
-    transport = AsyncH2Transport(conn, reader, writer)
-    conn.initiate_connection()
-    await transport.flush()
-
-    settings_acked = asyncio.Event()
-    done = asyncio.Event()
-    status = 0
-    body = bytearray()
-    stream_holder: dict[str, int] = {}
-
-    async def handler(event) -> None:
-        nonlocal status
-        if isinstance(event, SettingsAcknowledged):
-            settings_acked.set()
-        elif isinstance(event, ResponseReceived) and event.stream_id == stream_holder.get("id"):
-            status = int(dict(event.headers).get(b":status", b"0"))
-        elif isinstance(event, DataReceived):
-            if event.stream_id == stream_holder.get("id"):
-                body.extend(event.data)
-            if event.flow_controlled_length > 0:
-                conn.increment_flow_control_window(event.flow_controlled_length)
-        elif isinstance(event, (StreamEnded, StreamReset)):
-            if event.stream_id == stream_holder.get("id"):
-                done.set()
-
-    run_task = asyncio.create_task(transport.run(handler))
+    client = await ClientConnection.open(
+        host, port, H2Connection(Role.CLIENT, gen_ability=False), authority
+    )
     try:
-        await settings_acked.wait()
-        stream_id = conn.get_next_available_stream_id()
-        stream_holder["id"] = stream_id
-        conn.send_headers(
-            stream_id,
-            [
-                (b":method", b"GET"),
-                (b":path", path.encode("utf-8")),
-                (b":scheme", b"https"),
-                (b":authority", authority.encode("utf-8")),
-                (b"user-agent", b"sww-admin-client/1.0"),
-            ],
-            end_stream=True,
-        )
-        await transport.flush()
-        await done.wait()
+        await client.settled()
+        response = await client.request("GET", path, [(b"user-agent", b"sww-admin-client/1.0")])
     finally:
-        await transport.close()
-        run_task.cancel()
-        try:
-            await run_task
-        except (asyncio.CancelledError, ConnectionError):
-            pass
-    return status, bytes(body)
+        await client.close()
+    return response.status, response.body
 
 
 async def admin_fetch_json(

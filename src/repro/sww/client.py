@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -24,18 +25,16 @@ from repro.devices.profiles import DeviceProfile, LAPTOP
 from repro.genai.pipeline import GenerationPipeline
 from repro.html import parse_html, serialize
 from repro.html.dom import Document
+from repro.http2.bdp import AdaptiveReceiveWindow, BdpEstimator
 from repro.http2.connection import (
     DataReceived,
-    GenAbilityNegotiated,
     H2Connection,
     PushPromiseReceived,
     ResponseReceived,
     Role,
-    SettingsAcknowledged,
-    StreamEnded,
-    StreamReset,
 )
-from repro.http2.transport import AsyncH2Transport, InMemoryTransportPair
+from repro.http2.endpoint import ClientConnection, H2Response
+from repro.http2.transport import InMemoryTransportPair
 from repro.obs import MetricsRegistry, Tracer, get_event_log, get_registry, get_tracer
 from repro.sww.media_generator import MediaGenerator
 from repro.sww.page_processor import PageProcessor, ProcessReport
@@ -44,19 +43,6 @@ from repro.sww.renderer import render_text
 logger = logging.getLogger("repro.sww.client")
 
 HeaderList = list[tuple[bytes, bytes]]
-
-
-@dataclass
-class _TcpStream:
-    """Per-stream receive state for the TCP transport (request or push)."""
-
-    path: str
-    #: Request stream the server promised this push on (0 for requests).
-    parent: int = 0
-    status: int = 0
-    headers: HeaderList = field(default_factory=list)
-    body: bytearray = field(default_factory=bytearray)
-    done: asyncio.Event = field(default_factory=asyncio.Event)
 
 
 @dataclass
@@ -184,10 +170,22 @@ class GenerativeClient:
     # ------------------------------------------------------------------ #
 
     def _finish(
-        self, path: str, status: int, headers: HeaderList, body: bytes, transport: str = "memory"
+        self, path: str, response: H2Response, transport: str, pair: InMemoryTransportPair | None = None
     ) -> FetchResult:
-        header_map = {name: value for name, value in headers}
+        """Received page → generated, rendered result (both transports)."""
+        status, body = response.status, response.body
+        header_map = dict(response.headers)
         sww_mode = header_map.get(b"x-sww-content") == b"prompts"
+        if status == 200 and sww_mode and self.gen_ability:
+            self.generator.provide_assets(response.pushed)
+            if pair is not None:
+                # §2.2 upscale items reference small stored originals: fetch
+                # any that were not pushed, before generation runs.
+                for src in self._upscale_sources(body):
+                    if src not in self.generator.asset_sources:
+                        fetched = self._get_via_pair(pair, src)
+                        if fetched.status == 200:
+                            self.generator.provide_assets({src: fetched.body})
         html = body.decode("utf-8", "replace")
         result = FetchResult(
             path=path,
@@ -195,6 +193,7 @@ class GenerativeClient:
             received_html=html,
             wire_bytes=len(body),
             sww_mode=sww_mode,
+            pushed_assets=dict(response.pushed),
         )
         record = self.events.begin(
             "client.fetch",
@@ -322,49 +321,35 @@ class GenerativeClient:
         :class:`~repro.sww.server.ServerSession` attached to the same
         engine; see :func:`connect_in_memory`.
         """
-        conn = pair.client.conn
-        self.server_gen_ability = conn.peer_gen_ability
+        self.server_gen_ability = pair.client.conn.peer_gen_ability
         logger.debug("fetch %s (server gen-ability=%s)", path, self.server_gen_ability)
         with self.tracer.span("client.fetch", page=path, transport="memory"):
             with self.tracer.span("client.request", page=path):
-                stream_id = conn.get_next_available_stream_id()
-                conn.send_headers(stream_id, self.request_headers(path), end_stream=True)
-                pair.pump()
-            status = 0
-            headers: HeaderList = []
-            body = bytearray()
-            promised_paths: dict[int, str] = {}
-            pushed_bodies: dict[int, bytearray] = {}
-            for event in pair.client.take_events():
-                if isinstance(event, ResponseReceived) and event.stream_id == stream_id:
-                    headers = event.headers
-                    status = int(dict(headers).get(b":status", b"0"))
-                elif isinstance(event, DataReceived) and event.stream_id == stream_id:
-                    body += event.data
-                elif isinstance(event, PushPromiseReceived):
-                    promised_path = dict(event.headers).get(b":path", b"").decode("utf-8", "replace")
-                    promised_paths[event.promised_stream_id] = promised_path
-                    pushed_bodies[event.promised_stream_id] = bytearray()
-                elif isinstance(event, DataReceived) and event.stream_id in pushed_bodies:
-                    pushed_bodies[event.stream_id] += event.data
-            pushed = {
-                promised_paths[promised_id]: bytes(data)
-                for promised_id, data in pushed_bodies.items()
-            }
-            # §2.2 upscale items reference small stored originals: fetch any
-            # that were not pushed, before generation runs.
-            header_map = dict(headers)
-            if status == 200 and header_map.get(b"x-sww-content") == b"prompts" and self.gen_ability:
-                self.generator.provide_assets(pushed)
-                for src in self._upscale_sources(bytes(body)):
-                    if src in self.generator.asset_sources:
-                        continue
-                    fetched = self._fetch_raw(pair, src)
-                    if fetched is not None:
-                        self.generator.provide_assets({src: fetched})
-            result = self._finish(path, status, headers, bytes(body), transport="memory")
-        result.pushed_assets.update(pushed)
-        return result
+                response = self._get_via_pair(pair, path)
+            return self._finish(path, response, "memory", pair)
+
+    def _get_via_pair(self, pair: InMemoryTransportPair, path: str) -> H2Response:
+        """One GET over the shared in-memory connection, pushes included."""
+        conn = pair.client.conn
+        stream_id = conn.get_next_available_stream_id()
+        conn.send_headers(stream_id, self.request_headers(path), end_stream=True)
+        pair.pump()
+        response = H2Response()
+        bodies: dict[int, bytearray] = {stream_id: bytearray()}
+        promised_paths: dict[int, str] = {}
+        for event in pair.client.take_events():
+            if isinstance(event, ResponseReceived) and event.stream_id == stream_id:
+                response.headers = event.headers
+                response.status = int(dict(event.headers).get(b":status", b"0"))
+            elif isinstance(event, PushPromiseReceived):
+                promised_path = dict(event.headers).get(b":path", b"").decode("utf-8", "replace")
+                promised_paths[event.promised_stream_id] = promised_path
+                bodies[event.promised_stream_id] = bytearray()
+            elif isinstance(event, DataReceived) and event.stream_id in bodies:
+                bodies[event.stream_id] += event.data
+        response.body = bytes(bodies.pop(stream_id))
+        response.pushed = {promised_paths[sid]: bytes(data) for sid, data in bodies.items()}
+        return response
 
     @staticmethod
     def _upscale_sources(body: bytes) -> list[str]:
@@ -382,21 +367,6 @@ class GenerativeClient:
                 sources.append(item.upscale_src)
         return sources
 
-    def _fetch_raw(self, pair: InMemoryTransportPair, path: str) -> bytes | None:
-        """One plain GET over the shared connection; returns body or None."""
-        conn = pair.client.conn
-        stream_id = conn.get_next_available_stream_id()
-        conn.send_headers(stream_id, self.request_headers(path), end_stream=True)
-        pair.pump()
-        status = 0
-        body = bytearray()
-        for event in pair.client.take_events():
-            if isinstance(event, ResponseReceived) and event.stream_id == stream_id:
-                status = int(dict(event.headers).get(b":status", b"0"))
-            elif isinstance(event, DataReceived) and event.stream_id == stream_id:
-                body += event.data
-        return bytes(body) if status == 200 else None
-
     def fetch_assets_via_pair(self, pair: InMemoryTransportPair, result: FetchResult) -> dict[str, bytes]:
         """Fetch every ``<img src>`` the (possibly rewritten) page references.
 
@@ -412,19 +382,9 @@ class GenerativeClient:
             src = img.get("src")
             if not src or src in assets or src in local or src in result.pushed_assets:
                 continue
-            conn = pair.client.conn
-            stream_id = conn.get_next_available_stream_id()
-            conn.send_headers(stream_id, self.request_headers(src), end_stream=True)
-            pair.pump()
-            body = bytearray()
-            status = 0
-            for event in pair.client.take_events():
-                if isinstance(event, ResponseReceived) and event.stream_id == stream_id:
-                    status = int(dict(event.headers).get(b":status", b"0"))
-                elif isinstance(event, DataReceived) and event.stream_id == stream_id:
-                    body += event.data
-            if status == 200:
-                assets[src] = bytes(body)
+            response = self._get_via_pair(pair, src)
+            if response.status == 200:
+                assets[src] = response.body
         return assets
 
     # ------------------------------------------------------------------ #
@@ -475,110 +435,39 @@ class GenerativeClient:
         collect every response (and pushed asset), and finish each page."""
         with self.tracer.span("client.connect", host=host, port=port):
             conn = self.new_connection()
-            reader, writer = await asyncio.open_connection(host, port)
-            transport = AsyncH2Transport(conn, reader, writer)
-            conn.initiate_connection()
-            await transport.flush()
-
-        adaptive = None
-        if self.adaptive_window:
-            from repro.http2.bdp import AdaptiveReceiveWindow, BdpEstimator
-
-            import time as _time
-
-            adaptive = AdaptiveReceiveWindow(
-                conn,
-                BdpEstimator(
-                    _time.monotonic,
-                    rtt_s=self.rtt_hint_s,
-                    min_window=conn.local_settings.initial_window_size,
-                ),
-            )
-
-        streams: dict[int, _TcpStream] = {}
-        promised: dict[int, _TcpStream] = {}
-        settings_acked = asyncio.Event()
-        negotiated = asyncio.Event()
-
-        async def handler(event) -> None:
-            if isinstance(event, SettingsAcknowledged):
-                settings_acked.set()
-            elif isinstance(event, GenAbilityNegotiated):
-                negotiated.set()
-            elif isinstance(event, ResponseReceived):
-                state = streams.get(event.stream_id) or promised.get(event.stream_id)
-                if state is not None:
-                    state.headers = event.headers
-                    state.status = int(dict(event.headers).get(b":status", b"0"))
-            elif isinstance(event, PushPromiseReceived):
-                pushed_path = dict(event.headers).get(b":path", b"").decode("utf-8", "replace")
-                promised[event.promised_stream_id] = _TcpStream(
-                    path=pushed_path, parent=event.stream_id
+            tuner = None
+            if self.adaptive_window:
+                tuner = AdaptiveReceiveWindow(
+                    conn,
+                    BdpEstimator(
+                        time.monotonic,
+                        rtt_s=self.rtt_hint_s,
+                        min_window=conn.local_settings.initial_window_size,
+                    ),
                 )
-            elif isinstance(event, DataReceived):
-                state = streams.get(event.stream_id) or promised.get(event.stream_id)
-                if state is not None:
-                    state.body += event.data
-                # Replenish the consumed credit — the connection window
-                # always (a long-lived multi-stream connection must never
-                # starve the server), and the stream window while the
-                # stream is still open (with BDP-sized small windows, a
-                # response larger than one stream window deadlocks without
-                # this). The adaptive tuner also feeds its rate estimator
-                # and may grow the advertised windows as it learns the path.
-                if event.flow_controlled_length > 0:
-                    if adaptive is not None:
-                        adaptive.on_data(event.stream_id, event.flow_controlled_length)
-                    else:
-                        conn.increment_flow_control_window(event.flow_controlled_length)
-                        stream = conn.streams.get(event.stream_id)
-                        if stream is not None and not stream.closed:
-                            conn.increment_flow_control_window(
-                                event.flow_controlled_length, event.stream_id
-                            )
-            elif isinstance(event, (StreamEnded, StreamReset)):
-                state = streams.get(event.stream_id) or promised.get(event.stream_id)
-                if state is not None:
-                    state.done.set()
-
-        run_task = asyncio.create_task(transport.run(handler))
+            client = await ClientConnection.open(host, port, conn, tuner=tuner)
         try:
             with self.tracer.span("client.negotiate") as negotiate_span:
-                # §5.2 ordering: wait for the real settings exchange — the
-                # server's SETTINGS (carrying SETTINGS_GEN_ABILITY) and its
-                # ACK of ours — before any request goes out. A bare yield
-                # here raced the exchange and could read a stale capability.
-                await settings_acked.wait()
-                await negotiated.wait()
+                # §5.2 ordering: the real settings exchange — the server's
+                # SETTINGS (carrying SETTINGS_GEN_ABILITY) and its ACK of
+                # ours — completes before any request goes out.
+                await client.settled()
                 self.server_gen_ability = conn.peer_gen_ability
                 negotiate_span.annotate(
                     advertised=self.gen_ability,
                     server_gen_ability=self.server_gen_ability,
                 )
-            order: list[int] = []
+            pending = []
             for index, path in enumerate(paths):
                 with self.tracer.span("client.request", page=path):
-                    stream_id = conn.get_next_available_stream_id()
-                    streams[stream_id] = _TcpStream(path=path)
-                    order.append(stream_id)
                     priority = priorities[index] if priorities else None
-                    conn.send_headers(
-                        stream_id,
-                        self.request_headers(path, host, priority=priority),
-                        end_stream=True,
+                    pending.append(
+                        client.submit(self.request_headers(path, host, priority=priority))
                     )
-            await transport.flush()
-            await asyncio.gather(*(streams[sid].done.wait() for sid in order))
-            # Every PUSH_PROMISE precedes its parent stream's END_STREAM, so
-            # by now ``promised`` is complete; wait out the pushed bodies.
-            await asyncio.gather(*(state.done.wait() for state in promised.values()))
+            await client.flush()
+            responses = await asyncio.gather(*pending)
         finally:
-            await transport.close()
-            run_task.cancel()
-            try:
-                await run_task
-            except (asyncio.CancelledError, ConnectionError):
-                pass
+            await client.close()
 
         logger.info(
             "fetched %d page(s) from %s:%d (server gen-ability=%s)",
@@ -587,27 +476,7 @@ class GenerativeClient:
             port,
             self.server_gen_ability,
         )
-        results = []
-        for sid in order:
-            state = streams[sid]
-            pushed = {
-                push.path: bytes(push.body)
-                for push in promised.values()
-                if push.parent == sid
-            }
-            header_map = dict(state.headers)
-            if (
-                state.status == 200
-                and header_map.get(b"x-sww-content") == b"prompts"
-                and self.gen_ability
-            ):
-                self.generator.provide_assets(pushed)
-            result = self._finish(
-                state.path, state.status, state.headers, bytes(state.body), transport="tcp"
-            )
-            result.pushed_assets.update(pushed)
-            results.append(result)
-        return results
+        return [self._finish(path, response, "tcp") for path, response in zip(paths, responses)]
 
 
 def connect_in_memory(client: GenerativeClient, server) -> InMemoryTransportPair:

@@ -34,16 +34,12 @@ from repro.http2.connection import (
     ConnectionTerminated,
     Event,
     H2Connection,
-    PriorityUpdated,
-    RemoteSettingsChanged,
     RequestReceived,
     Role,
     StreamRefused,
-    StreamReset,
-    WindowUpdated,
 )
+from repro.http2.endpoint import ServerConnection
 from repro.http2.errors import H2Error
-from repro.http2.transport import AsyncH2Transport
 from repro.http2.writer import ConnectionWriter
 from repro.obs import MetricsRegistry, Tracer, get_event_log, get_registry, get_tracer
 from repro.obs.events import annotate_current
@@ -540,11 +536,7 @@ class GenerativeServer:
             registry=self.registry,
             max_concurrent_streams=self.max_concurrent_streams,
         )
-        session = self.attach(conn)
-        transport = AsyncH2Transport(conn, reader, writer)
-        conn.initiate_connection()
-        await transport.flush()
-        await session.run(transport, concurrent=self.concurrent_streams)
+        await self.attach(conn).serve(reader, writer)
 
     async def serve_forever(self, host: str = "127.0.0.1", port: int = 0) -> asyncio.AbstractServer:
         """Listen on TCP; each connection gets its own engine + session.
@@ -563,34 +555,42 @@ class GenerativeServer:
 
 
 class ServerSession:
-    """Per-connection state: applies request events to the engine.
+    """Per-connection SWW semantics: request parsing, admin routing, wide
+    events, executor offload and push, applied to one engine.
 
     Two driving modes share the request logic:
 
     * :meth:`handle_event` — synchronous, used by the in-memory transport
       (tests, benchmarks, the CLI demo). One request is served start to
       finish, body shipped in one ``send_data`` call.
-    * :meth:`run` — the asyncio mode. The read loop dispatches each
-      ``RequestReceived`` into its own task (:meth:`_serve_stream`), the
-      CPU-heavy request logic runs on a thread executor so the event loop
-      never blocks, and finished bodies are queued on a
-      :class:`~repro.http2.writer.ConnectionWriter` whose dedicated task
-      interleaves DATA frames round-robin within flow-control credit,
-      waking on WINDOW_UPDATE. On peer GOAWAY/EOF the session drains
-      in-flight streams before the socket closes.
+    * :meth:`serve` — the asyncio mode, on the shared
+      :class:`~repro.http2.endpoint.ServerConnection` driver (handshake,
+      credit return, the writer task, drain and close are the driver's).
+      Each ``RequestReceived`` becomes its own task
+      (:meth:`_serve_stream`), the CPU-heavy request logic runs on a
+      thread executor so the event loop never blocks, and finished bodies
+      are queued on the driver's writer, which interleaves DATA frames
+      within flow-control credit.
     """
 
     def __init__(self, server: GenerativeServer, conn: H2Connection) -> None:
         self.server = server
         self.conn = conn
-        self.responses: list[ServedResponse] = []
-        self.writer: ConnectionWriter | None = None
+        self.responses_sent = 0
+        #: The connection driver, once :meth:`serve` bound a socket.
+        self.driver: ServerConnection | None = None
         #: Peak event-loop stall the probe observed on this connection.
         self.max_stall_s = 0.0
-        self._transport: AsyncH2Transport | None = None
-        self._tasks: set[asyncio.Task] = set()
-        self._draining = False
         server._sessions.add(self)
+
+    @property
+    def inflight(self) -> int:
+        """Request streams still being served on this connection."""
+        return self.driver.inflight if self.driver is not None else 0
+
+    @property
+    def draining(self) -> bool:
+        return self.driver is not None and self.driver.draining
 
     # ------------------------------------------------------------------ #
     # Shared request plumbing
@@ -631,7 +631,7 @@ class ServerSession:
                 # Admin traffic never lands in the wide-event ring, same
                 # as it never counts under sww_requests_total.
                 response = admin.respond(path)
-                self.responses.append(response)
+                self.responses_sent += 1
                 self.conn.send_headers(event.stream_id, response.headers)
                 self.conn.send_data(event.stream_id, response.body, end_stream=True)
                 return
@@ -650,7 +650,7 @@ class ServerSession:
                 record.finish(status=500, error=type(exc).__name__)
                 raise
             record.set(body_bytes=len(response.body))
-            self.responses.append(response)
+            self.responses_sent += 1
             try:
                 self.conn.send_headers(event.stream_id, response.headers)
                 if self._should_push(response):
@@ -695,40 +695,38 @@ class ServerSession:
     # Concurrent asyncio mode
     # ------------------------------------------------------------------ #
 
-    async def run(self, transport: AsyncH2Transport, concurrent: bool = True) -> None:
+    async def serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         """Drive one connection to completion over the asyncio transport."""
-        self._transport = transport
-        self.writer = ConnectionWriter(
+        server = self.server
+        self.driver = ServerConnection(
             self.conn,
-            registry=self.server.registry,
-            priorities_enabled=self.server.priorities_enabled,
+            reader,
+            writer,
+            registry=server.registry,
+            priorities_enabled=server.priorities_enabled,
         )
-        writer_task = asyncio.create_task(self._writer_loop())
         probe_task = asyncio.create_task(self._stall_probe())
-        dispatch = self._dispatch_concurrent if concurrent else self._dispatch_serial
         try:
-            await transport.run(dispatch, close_on_exit=False)
-            await self.drain()
+            await self.driver.run(
+                self._dispatch_concurrent if server.concurrent_streams else self._dispatch_serial
+            )
         finally:
-            for task in (probe_task, writer_task):
-                task.cancel()
-            for task in (probe_task, writer_task):
-                try:
-                    await task
-                except (asyncio.CancelledError, ConnectionError, OSError):
-                    pass
-            # Any response still queued when the connection dies must not
-            # leave its wide event open (leaked ring entries): finish each
-            # with a connection-closed error.
-            if self.writer is not None:
-                self.writer.abort_pending()
-            await transport.close()
+            probe_task.cancel()
+            try:
+                await probe_task
+            except asyncio.CancelledError:
+                pass
 
-    async def _dispatch_serial(self, event: Event) -> None:
+    async def shutdown(self, timeout_s: float = 30.0) -> None:
+        """Server-initiated graceful close (worker drain path): in-flight
+        streams finish and queued bytes flush before the socket closes."""
+        if self.driver is not None:
+            await self.driver.shutdown(timeout_s)
+
+    def _dispatch_serial(self, event: Event) -> None:
         """Seed behaviour: handle everything inline on the event loop."""
         self.handle_event(event)
         if isinstance(event, ConnectionTerminated):
-            self._draining = True
             self._note_termination(event)
 
     def _note_termination(self, event: ConnectionTerminated) -> None:
@@ -739,41 +737,22 @@ class ServerSession:
                 f"connection terminated with GOAWAY error code {int(event.error_code)}",
             )
 
-    async def _dispatch_concurrent(self, event: Event) -> None:
+    def _dispatch_concurrent(self, event: Event) -> None:
         if isinstance(event, RequestReceived):
-            if self._draining:
+            if self.driver.draining:
                 logger.info("ignoring stream %d received after GOAWAY", event.stream_id)
                 return
-            task = asyncio.create_task(self._serve_stream(event))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-        elif isinstance(event, (WindowUpdated, RemoteSettingsChanged)):
-            # Fresh flow-control credit: resume any parked response stream.
-            self._transport.wake_writer()
+            self.driver.spawn(self._serve_stream(event))
         elif isinstance(event, ConnectionTerminated):
-            self._draining = True
             self._note_termination(event)
-        elif isinstance(event, StreamReset):
-            # The writer drops the queue for a dead stream on its next
-            # scheduling round; just make sure that round happens.
-            self._transport.wake_writer()
-        elif isinstance(event, PriorityUpdated):
-            # Mid-response reprioritisation: move the queued body between
-            # urgency buckets and pump — a promotion should take effect on
-            # the very next frame.
-            if self.writer is not None and self.writer.reprioritize(
-                event.stream_id, event.urgency, event.incremental
-            ):
-                self._transport.wake_writer()
         elif isinstance(event, StreamRefused):
             logger.info(
                 "refused stream %d over MAX_CONCURRENT_STREAMS", event.stream_id
             )
         elif isinstance(event, AbuseDetected):
-            # The engine already sent GOAWAY(ENHANCE_YOUR_CALM); surface
-            # the incident to the flight recorder and stop taking streams.
+            # The engine already sent GOAWAY(ENHANCE_YOUR_CALM) and the
+            # driver stopped taking streams; surface the incident.
             logger.warning("abusive peer: %s after %d occurrences", event.kind, event.count)
-            self._draining = True
             if self.server.recorder is not None:
                 self.server.recorder.note(
                     "protocol-error", f"abuse detected: {event.kind} x{event.count}"
@@ -839,11 +818,12 @@ class ServerSession:
         finally:
             if inflight is not None:
                 inflight.dec()
-        if self._transport is None or self._transport.closed.is_set():
+        driver = self.driver
+        if driver.closed:
             if record is not None:
                 record.finish(status=response.status, error="connection-closed")
             return
-        self.responses.append(response)
+        self.responses_sent += 1
         if record is not None:
             # Status and body size are known now; the writer annotates the
             # wire-side fields and closes the event when the last frame
@@ -852,91 +832,36 @@ class ServerSession:
         try:
             self.conn.send_headers(stream_id, response.headers)
             if self._should_push(response):
-                self._push_generated_assets(stream_id, path, authority, writer=self.writer)
-            self.writer.enqueue(stream_id, response.body, end_stream=True, event=record)
+                self._push_generated_assets(stream_id, path, authority, writer=driver.writer)
+            driver.writer.enqueue(stream_id, response.body, end_stream=True, event=record)
         except H2Error as exc:
             logger.warning("stream %d closed under its response; dropping", stream_id)
             if record is not None:
                 record.finish(status=response.status, error=type(exc).__name__)
             return
-        self._transport.wake_writer()
+        driver.wake()
 
     def _handle_in_thread(
         self, record, path: str, stream_id: int, gen_ability: bool, client_models, trace_context
     ) -> ServedResponse:
-        binding = record.bind() if record is not None else None
         with self.server.tracer.span(
             "server.stream", remote=trace_context, page=path, stream=stream_id
         ):
-            if binding is None:
+            with record.bind():
                 return self.server.handle_request(path, gen_ability, client_models, trace_context)
-            with binding:
-                return self.server.handle_request(path, gen_ability, client_models, trace_context)
-
-    async def _writer_loop(self) -> None:
-        """Dedicated writer task: pump the scheduler, honour backpressure."""
-        transport = self._transport
-        while not transport.closed.is_set():
-            await transport.wait_writable()
-            while not self.writer.idle:
-                wrote = self.writer.pump()
-                try:
-                    await transport.flush()
-                except (ConnectionError, OSError):
-                    return
-                if wrote == 0:
-                    # Every queued stream is parked on flow control; sleep
-                    # until WINDOW_UPDATE (or new work) wakes us.
-                    break
-
-    async def drain(self, timeout_s: float = 30.0) -> None:
-        """Graceful close: finish in-flight streams, flush queued bytes."""
-        self._draining = True
-        if self._tasks:
-            pending = {task for task in self._tasks if not task.done()}
-            if pending:
-                done, still_pending = await asyncio.wait(pending, timeout=timeout_s)
-                for task in still_pending:
-                    task.cancel()
-        # Give the writer a last chance to move whatever credit allows.
-        deadline = asyncio.get_running_loop().time() + timeout_s
-        while self.writer is not None and not self.writer.idle:
-            wrote = self.writer.pump()
-            try:
-                await self._transport.flush()
-            except (ConnectionError, OSError):
-                return
-            if wrote == 0 or asyncio.get_running_loop().time() >= deadline:
-                break
-        try:
-            await self._transport.flush()
-        except (ConnectionError, OSError):
-            pass
-
-    async def shutdown(self, timeout_s: float = 30.0) -> None:
-        """Server-initiated graceful close (worker drain path).
-
-        Marks the session draining so late streams are refused, reuses
-        :meth:`drain` to finish in-flight streams and flush every queued
-        writer byte within flow-control credit, then closes the transport —
-        which unblocks the read loop so :meth:`run` returns.
-        """
-        await self.drain(timeout_s)
-        if self._transport is not None:
-            await self._transport.close()
 
     def debug_state(self) -> dict:
         """Live connection state for the admin plane's ``/debug/streams``."""
         state: dict = {
             "gen_ability_negotiated": self.conn.gen_ability_negotiated,
             "connection_window": self.conn.outbound_window.available,
-            "draining": self._draining,
-            "inflight_tasks": len(self._tasks),
-            "responses_sent": len(self.responses),
+            "draining": self.draining,
+            "inflight_tasks": self.inflight,
+            "responses_sent": self.responses_sent,
             "max_stall_s": round(self.max_stall_s, 6),
         }
-        if self.writer is not None:
-            state["writer"] = self.writer.debug_state()
+        if self.driver is not None:
+            state["writer"] = self.driver.writer.debug_state()
         return state
 
     async def _stall_probe(self) -> None:
@@ -966,6 +891,10 @@ class ServerSession:
         while True:
             before = loop.time()
             await asyncio.sleep(_STALL_PROBE_INTERVAL_S)
+            if self.draining:
+                # The connection is on its way out: whatever holds the
+                # loop from here on is not this connection being served.
+                return
             stall = max(0.0, loop.time() - before - _STALL_PROBE_INTERVAL_S)
             if stall > self.max_stall_s:
                 self.max_stall_s = stall
