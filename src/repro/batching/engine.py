@@ -6,9 +6,9 @@ compatible request that arrives within ``max_wait_s`` (up to
 ``max_batch``). Compatibility is the batch slot — same model, device,
 step count, resolution and content type — because the batched kernels
 stack the whole group into one ``(B, H, W, 3)`` pass. Groups execute
-serially on the dispatcher (one accelerator), while PNG encodes are
-pipelined onto a small worker pool so the next batch does not wait for
-compression.
+serially on the dispatcher (one accelerator), while PNG encodes start on
+the process-wide encode pool (:func:`repro.genai.image.encode_png_async`)
+so the next batch does not wait for compression.
 
 Admission composes with single-flight: a request submitted with a
 content key that is already in flight does not enter the queue at all —
@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from repro.devices.profiles import DeviceProfile
@@ -91,7 +91,6 @@ class BatchingEngine:
         max_batch: int = DEFAULT_MAX_BATCH,
         max_wait_s: float = DEFAULT_MAX_WAIT_S,
         alpha: float = DEFAULT_ALPHA,
-        encode_workers: int = 2,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         events=None,
@@ -119,9 +118,6 @@ class BatchingEngine:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._closed = False
-        self._encode_pool = ThreadPoolExecutor(
-            max_workers=max(1, encode_workers), thread_name_prefix="batch-encode"
-        )
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="batch-dispatch", daemon=True
         )
@@ -291,10 +287,10 @@ class BatchingEngine:
             self.stats.saved_sim_s += saved
         self._observe_execution(size, saved)
         # Pipeline the PNG encodes: the dispatcher moves on to the next
-        # window while workers compress (png_bytes is thread-safe and
-        # idempotent, so a consumer racing the pool costs nothing).
+        # window while the shared pool compresses (png_future is
+        # idempotent, so a consumer asking first costs nothing).
         for result in results:
-            self._encode_pool.submit(result.png_bytes)
+            result.png_future()
 
     def _forget_keys(self, group: list[_PendingRequest]) -> None:
         with self._lock:
@@ -305,14 +301,13 @@ class BatchingEngine:
     # -------------------------------------------------------------- closing
 
     def close(self) -> None:
-        """Stop admission, drain queued requests, release the encode pool."""
+        """Stop admission and drain queued requests."""
         with self._cond:
             if self._closed:
                 return
             self._closed = True
             self._cond.notify_all()
         self._dispatcher.join()
-        self._encode_pool.shutdown(wait=True)
 
     def __enter__(self) -> BatchingEngine:
         return self

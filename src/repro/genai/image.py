@@ -21,7 +21,10 @@ Every output is a real image: an (H, W, 3) uint8 array encodable to PNG.
 
 from __future__ import annotations
 
+import contextvars
+import os
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +43,43 @@ from repro.media.png import encode_png
 from repro.obs import MetricsRegistry, Tracer, get_registry, get_tracer
 
 DEFAULT_STEPS = 15  # Table 1 evaluates at 15 inference steps
+
+#: Upper bound on the encode pool; below it the pool has one thread per
+#: CPU, since zlib releases the GIL and more threads than cores only queue.
+_ENCODE_POOL_CAP = 8
+_encode_pool: ThreadPoolExecutor | None = None
+_encode_pool_lock = threading.Lock()
+
+
+def _forget_encode_pool() -> None:
+    """Post-fork, in the child: the parent's pool threads did not survive
+    ``fork()``, and the lock may have been held by one of them."""
+    global _encode_pool, _encode_pool_lock
+    _encode_pool = None
+    _encode_pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_encode_pool)
+
+
+def encode_png_async(pixels: np.ndarray) -> Future[bytes]:
+    """Start ``encode_png(pixels)`` on the process-wide encode pool.
+
+    Every deferred PNG encode in the process goes through here: the pool
+    is created on first use, owned by this module, never closed (idle
+    threads cost nothing and exit with the interpreter) and shared by all
+    generators and engines. The encode runs in a copy of the caller's
+    context, and ``Future.result()`` re-raises whatever it raised.
+    """
+    global _encode_pool
+    with _encode_pool_lock:
+        if _encode_pool is None:
+            _encode_pool = ThreadPoolExecutor(
+                max_workers=min(_ENCODE_POOL_CAP, os.cpu_count() or 1),
+                thread_name_prefix="png-encode",
+            )
+        pool = _encode_pool
+    return pool.submit(contextvars.copy_context().run, encode_png, pixels)
 
 
 @dataclass(frozen=True)
@@ -103,21 +143,24 @@ class ImageResult:
     sim_time_s: float
     energy_wh: float
 
-    _png_cache: bytes | None = None
+    _png_future: Future | None = field(default=None, repr=False, compare=False)
     _png_lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
-    def png_bytes(self) -> bytes:
-        """Encode (and cache) the pixels as real PNG bytes.
+    def png_future(self) -> Future[bytes]:
+        """Start the PNG encode on the shared pool; returns its future.
 
-        Thread-safe: the batching engine pipelines encodes on a worker
-        pool while page processors may request the same bytes, so the
-        cache fill is guarded — exactly one encode per result.
+        Thread-safe and idempotent: every caller gets the same future, so
+        there is exactly one encode per result however many consumers
+        (page processors, the batching dispatcher, edges) ask for it.
         """
-        if self._png_cache is None:
-            with self._png_lock:
-                if self._png_cache is None:
-                    self._png_cache = encode_png(self.pixels)
-        return self._png_cache
+        with self._png_lock:
+            if self._png_future is None:
+                self._png_future = encode_png_async(self.pixels)
+            return self._png_future
+
+    def png_bytes(self) -> bytes:
+        """The pixels as real PNG bytes, encoded once (see :meth:`png_future`)."""
+        return self.png_future().result()
 
 
 def _content_vector(prompt: str, fidelity: float, seed: int) -> np.ndarray:

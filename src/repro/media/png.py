@@ -57,23 +57,29 @@ def encode_png(pixels: np.ndarray, compress_level: int = 6) -> bytes:
     # decode fast; AVERAGE/PAETH remain supported on decode for externally
     # produced PNGs. All three filters are whole-image shifts, so the
     # candidates for every row are computed in one numpy shot instead of a
-    # per-row python loop.
-    left = np.zeros_like(raw)
-    left[:, bpp:] = raw[:, :-bpp]
-    prior = np.zeros_like(raw)
-    prior[1:] = raw[:-1]
-    wide = raw.astype(np.int16)
-    candidates = np.stack(
-        [raw, (wide - left).astype(np.uint8), (wide - prior).astype(np.uint8)]
-    )  # (filter, H, stride) in filter-type order NONE, SUB, UP
-    # Minimum sum of absolute differences heuristic (PNG spec §12.8);
-    # integer sums are exact, and argmin's first-minimum rule matches the
-    # old dict-iteration tie-break (NONE before SUB before UP).
-    costs = np.abs(candidates.astype(np.int8).astype(np.int16)).sum(axis=2)
+    # per-row python loop; uint8 subtraction wraps mod 256, which is the
+    # filter arithmetic.
+    sub = raw.copy()
+    sub[:, bpp:] -= raw[:, :-bpp]
+    up = raw.copy()
+    up[1:] -= raw[:-1]
+    candidates = (raw, sub, up)  # in filter-type order NONE, SUB, UP
+    # Minimum sum of absolute differences heuristic (PNG spec §12.8): a
+    # byte x read as signed has magnitude min(x, 256 - x), and 256 - x is
+    # uint8 negation. Integer sums are exact, and argmin's first-minimum
+    # rule matches the old dict-iteration tie-break (NONE before SUB
+    # before UP).
+    costs = np.stack(
+        [np.minimum(c, np.negative(c)).sum(axis=1, dtype=np.uint32) for c in candidates]
+    )
     best = np.argmin(costs, axis=0)
     filtered = np.empty((height, stride + 1), dtype=np.uint8)
     filtered[:, 0] = best
-    filtered[:, 1:] = np.take_along_axis(candidates, best[None, :, None], axis=0)[0]
+    body = filtered[:, 1:]
+    body[:] = raw
+    for filter_type in (_FILTER_SUB, _FILTER_UP):
+        rows = best == filter_type
+        body[rows] = candidates[filter_type][rows]
 
     ihdr = struct.pack(">LLBBBBB", width, height, 8, 2, 0, 0, 0)
     idat = zlib.compress(filtered.tobytes(), compress_level)

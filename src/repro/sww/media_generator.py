@@ -19,15 +19,23 @@ to the cache's "saved" counters (never to the cold numbers — see
 docs/PERFORMANCE.md for the warm-vs-cold reporting rules). Accounting is
 lock-guarded so the single-flight scheduler may call ``generate`` from
 several workers at once.
+
+Generation is split in two so a page can pipeline: :meth:`~MediaGenerator.begin`
+runs the item's kernel and hands an image's pixels to the shared PNG
+encode pool (:func:`repro.genai.image.encode_png_async`);
+:meth:`~MediaGenerator.complete` waits for the bytes. ``generate`` is the
+two back to back.
 """
 
 from __future__ import annotations
 
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 
 from repro.devices.profiles import DeviceProfile
 from repro.gencache import GenerationCache, GenerationKey, key_for_item
+from repro.genai.image import encode_png_async, generate_image
 from repro.genai.ollama_api import OllamaClient, OllamaEndpoint
 from repro.genai.pipeline import GenerationPipeline
 from repro.genai.registry import get_image_model, get_text_model
@@ -52,6 +60,16 @@ class GenerationOutput:
     cache_hit: bool = False
     #: True when this output rode another item's in-flight generation.
     coalesced: bool = False
+
+
+@dataclass
+class PendingGeneration:
+    """An item whose kernel has run; an image's PNG may still be encoding."""
+
+    output: GenerationOutput
+    #: The in-flight encode whose bytes become ``output.payload``; None
+    #: for text, cache hits and images whose bytes have been collected.
+    encode: Future | None = None
 
 
 class MediaGenerator:
@@ -114,7 +132,15 @@ class MediaGenerator:
         return self.content_key(item)
 
     def generate(self, item: GeneratedContent) -> GenerationOutput:
-        """Parse the item's metadata and invoke the right subroutine.
+        """Parse the item's metadata and invoke the right subroutine."""
+        return self.complete(self.begin(item))
+
+    def begin(self, item: GeneratedContent) -> PendingGeneration:
+        """Run the item's kernel; an image's PNG encode is left in flight.
+
+        Everything simulated — RNG draws, seconds, energy, counters,
+        spans — happens here, so callers that ``begin`` items in document
+        order get the serial path's numbers whenever they ``complete``.
 
         Consults the generation cache first when one is attached: a hit
         returns the memoised bytes at lookup cost and skips the
@@ -124,12 +150,16 @@ class MediaGenerator:
         if key is not None:
             hit = self._from_cache(key, item)
             if hit is not None:
-                return hit
+                return PendingGeneration(hit)
         if item.content_type == ContentType.IMAGE:
-            output = self._generate_image(item)
+            pending = self._generate_image(item)
         else:
-            output = self._generate_text(item)
+            pending = PendingGeneration(self._generate_text(item))
         if key is not None:
+            # The insert reads the bytes, so with a cache attached each
+            # encode is awaited before the next item's lookup: hit, miss,
+            # LRU and eviction order are the serial path's.
+            output = self.complete(pending)
             self.cache.insert(
                 key,
                 payload=output.payload,
@@ -137,8 +167,16 @@ class MediaGenerator:
                 sim_time_s=output.sim_time_s,
                 energy_wh=output.energy_wh,
             )
-        self._account(output)
-        return output
+        self._account(pending.output)
+        return pending
+
+    @staticmethod
+    def complete(pending: PendingGeneration) -> GenerationOutput:
+        """Wait for the item's bytes; re-raises what the encode raised."""
+        if pending.encode is not None:
+            pending.output.payload = pending.encode.result()
+            pending.encode = None
+        return pending.output
 
     def _from_cache(self, key: GenerationKey, item: GeneratedContent) -> GenerationOutput | None:
         """Try the content-addressed store; returns a hit output or None."""
@@ -199,7 +237,7 @@ class MediaGenerator:
     def _asset_path(item: GeneratedContent) -> str:
         return f"/generated/{item.name}.png" if item.content_type == ContentType.IMAGE else ""
 
-    def _generate_image(self, item: GeneratedContent) -> GenerationOutput:
+    def _generate_image(self, item: GeneratedContent) -> PendingGeneration:
         if item.upscale_src is not None:
             return self._upscale_image(item)
         model = get_image_model(item.model) if item.model else self.pipeline.image_model
@@ -234,8 +272,6 @@ class MediaGenerator:
         elif model is not self.pipeline.image_model:
             # Honour a per-item model override by generating directly; the
             # pipeline still provides device context and load accounting.
-            from repro.genai.image import generate_image
-
             self.pipeline._maybe_reload()
             self.pipeline.invocations += 1
             result = generate_image(
@@ -257,20 +293,24 @@ class MediaGenerator:
                 item.metadata.get("steps"),
                 item.metadata.get("seed"),
             )
-        png = result.png_bytes()
-        return GenerationOutput(
+        return self._pending_image(item, result, result.png_future())
+
+    def _pending_image(self, item: GeneratedContent, result, encode: Future) -> PendingGeneration:
+        """An image output whose payload arrives with ``encode``."""
+        output = GenerationOutput(
             item=item,
-            payload=png,
+            payload=b"",
             text="",
             sim_time_s=result.sim_time_s,
             energy_wh=result.energy_wh,
             asset_path=self._asset_path(item),
         )
+        return PendingGeneration(output, encode)
 
-    def _upscale_image(self, item: GeneratedContent) -> GenerationOutput:
+    def _upscale_image(self, item: GeneratedContent) -> PendingGeneration:
         """§2.2 upscale path: small stored original → large local image."""
         from repro.genai.upscale import ONE_STEP_SR, upscale_image
-        from repro.media.png import decode_png, encode_png
+        from repro.media.png import decode_png
 
         source = self.asset_sources.get(item.upscale_src)
         if source is None:
@@ -279,14 +319,7 @@ class MediaGenerator:
             )
         pixels = decode_png(source)
         result = upscale_image(ONE_STEP_SR, self.device, pixels, item.scale)
-        return GenerationOutput(
-            item=item,
-            payload=encode_png(result.pixels),
-            text="",
-            sim_time_s=result.sim_time_s,
-            energy_wh=result.energy_wh,
-            asset_path=self._asset_path(item),
-        )
+        return self._pending_image(item, result, encode_png_async(result.pixels))
 
     def _generate_text(self, item: GeneratedContent) -> GenerationOutput:
         model_name = item.model or self.pipeline.text_model.name

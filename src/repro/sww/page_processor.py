@@ -15,11 +15,12 @@ become paragraph text. Generated image bytes are collected in an asset map
 
 from __future__ import annotations
 
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 from repro.html.dom import Document, Element, Text
 from repro.sww.content import CSS_CLASS, ContentError, ContentType, GeneratedContent
-from repro.sww.media_generator import GenerationOutput, MediaGenerator
+from repro.sww.media_generator import GenerationOutput, MediaGenerator, PendingGeneration
 
 
 @dataclass
@@ -54,8 +55,9 @@ class PageProcessor:
         self.strict = strict
         #: Optional :class:`~repro.gencache.SingleFlightScheduler`: items
         #: generate concurrently on its worker pool, duplicate keys ride
-        #: one in-flight generation. Without it, items run sequentially
-        #: (the paper's prototype behaviour) — unless the generator has a
+        #: one in-flight generation. Without it, kernels run sequentially
+        #: in document order (the paper's prototype behaviour; only the
+        #: PNG encodes overlap them) — unless the generator has a
         #: batching engine attached, in which case sequential submission
         #: would starve the engine's admission window, so a scheduler
         #: sized to the window is created automatically.
@@ -105,7 +107,7 @@ class PageProcessor:
     def _generate_all(self, items: list[tuple[Element, GeneratedContent]]) -> list[GenerationOutput]:
         """Generate every item, sequentially or via the scheduler."""
         if self.scheduler is None:
-            return [self.generator.generate(item) for _element, item in items]
+            return self._generate_pipelined([item for _element, item in items])
 
         def thunk(item: GeneratedContent):
             return lambda: self.generator.generate(item)
@@ -119,6 +121,22 @@ class PageProcessor:
             else:
                 outputs.append(result.value)
         return outputs
+
+    def _generate_pipelined(self, items: list[GeneratedContent]) -> list[GenerationOutput]:
+        """Every kernel in document order, then every item's bytes.
+
+        Each image's PNG encode starts on the shared pool as its kernel
+        finishes and overlaps the kernels after it. A kernel's or an
+        encode's exception leaves as itself, once no encode this page
+        started is still running.
+        """
+        pending: list[PendingGeneration] = []
+        try:
+            for item in items:
+                pending.append(self.generator.begin(item))
+            return [self.generator.complete(handle) for handle in pending]
+        finally:
+            wait([handle.encode for handle in pending if handle.encode is not None])
 
     @staticmethod
     def _rewrite_image(element: Element, item: GeneratedContent, output: GenerationOutput) -> None:
