@@ -73,7 +73,7 @@ def run_session(engine: BatchingEngine | None):
     # Per-lane client and server: lanes share only the engine (and the
     # engine is the one simulated accelerator everything batches on).
     clients = [
-        GenerativeClient(device=LAPTOP, engine=engine, gen_workers=MAX_BATCH)
+        GenerativeClient(device=LAPTOP, engine=engine)
         for _ in range(USERS)
     ]
     servers = [GenerativeServer(build_site()) for _ in range(USERS)]

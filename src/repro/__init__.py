@@ -63,7 +63,7 @@ from repro.sww.client import connect_in_memory
 
 # Imported after repro.sww: gencache key derivation reads repro.sww.content,
 # so loading it first would re-enter repro.sww mid-initialisation.
-from repro.gencache import GenerationCache, GenerationKey, SingleFlightScheduler
+from repro.gencache import GenerationCache, GenerationKey
 from repro.workloads import (
     build_news_article,
     build_travel_blog,
@@ -85,7 +85,6 @@ __all__ = [
     "get_text_model",
     "GenerationCache",
     "GenerationKey",
-    "SingleFlightScheduler",
     "H2Connection",
     "SETTINGS_GEN_ABILITY",
     "MetricsRegistry",

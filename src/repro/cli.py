@@ -311,7 +311,6 @@ def cmd_fetch(args: argparse.Namespace) -> int:
         gen_ability=not args.no_gen_ability,
         tracer=tracer,
         gencache=_make_gencache(args),
-        gen_workers=args.gen_workers,
         engine=engine,
         send_priorities=not args.no_priorities,
         adaptive_window=not args.no_bdp,
@@ -392,7 +391,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
         device=device,
         tracer=tracer,
         gencache=gencache,
-        gen_workers=args.gen_workers,
         engine=engine,
         send_priorities=not args.no_priorities,
         adaptive_window=not args.no_bdp,
@@ -1049,8 +1047,6 @@ def build_parser() -> argparse.ArgumentParser:
     fetch.add_argument("--device", default="laptop", choices=sorted(DEVICES))
     fetch.add_argument("--no-gen-ability", action="store_true", help="fetch as a naive client")
     fetch.add_argument("--trace", action="store_true", help="print the span tree of the fetch")
-    fetch.add_argument("--gen-workers", type=int, default=1, metavar="N",
-                       help="worker pool width for page generation (single-flight when > 1)")
     fetch.add_argument("--no-priorities", action="store_true",
                        help="do not send RFC 9218 priority signals")
     fetch.add_argument("--no-bdp", action="store_true",
@@ -1073,8 +1069,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--device", default="laptop", choices=sorted(DEVICES))
     demo.add_argument("--render", action="store_true", help="print the rendered page")
     demo.add_argument("--trace", action="store_true", help="print the span tree of the flow")
-    demo.add_argument("--gen-workers", type=int, default=1, metavar="N",
-                      help="worker pool width for page generation (single-flight when > 1)")
     demo.add_argument("--no-priorities", action="store_true",
                       help="disable RFC 9218 priority signalling and scheduling")
     demo.add_argument("--no-bdp", action="store_true",

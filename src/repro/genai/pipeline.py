@@ -84,9 +84,15 @@ class GenerationPipeline:
         self.overhead_time_s += self.load_cost.load_time_s(self.device)
         self.overhead_energy_wh += self.load_cost.load_energy_wh(self.device)
 
-    def _maybe_reload(self) -> None:
+    def note_invocation(self) -> None:
+        """Count one use of the held weights (a reload first, unless preloaded).
+
+        Load accounting is a device property: a caller that runs the
+        kernel elsewhere (the batching engine) still reports the use here.
+        """
         if not self.preloaded:
             self._account_load()
+        self.invocations += 1
 
     def generate_image(
         self,
@@ -95,12 +101,16 @@ class GenerationPipeline:
         height: int = 256,
         steps: int | None = None,
         seed: int | None = None,
+        model: ImageModel | None = None,
     ) -> ImageResult:
-        """Generate an image; uses the held (or freshly loaded) weights."""
-        self._maybe_reload()
-        self.invocations += 1
+        """Generate an image; uses the held (or freshly loaded) weights.
+
+        ``model`` honours a per-item override; the pipeline still provides
+        device context and load accounting.
+        """
+        self.note_invocation()
         return generate_image(
-            self.image_model,
+            model or self.image_model,
             self.device,
             prompt,
             width,
@@ -113,8 +123,7 @@ class GenerationPipeline:
 
     def expand_text(self, prompt: str, target_words: int, topic: str = "technology") -> TextResult:
         """Expand bullet points to prose via the held text model."""
-        self._maybe_reload()
-        self.invocations += 1
+        self.note_invocation()
         return expand_text(
             self.text_model,
             self.device,

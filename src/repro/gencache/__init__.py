@@ -1,16 +1,14 @@
-"""Content-addressed generation caching and scheduling (``repro.gencache``).
+"""Content-addressed generation caching (``repro.gencache``).
 
 The paper's own numbers make generation the bottleneck (Table 2: up to
 ~310 simulated seconds for ~20 kB of prompts), and §2.2 argues the result
-should be amortised across users. This subsystem provides the three
+should be amortised across users. This subsystem provides the two
 pieces and every layer wires them the same way:
 
 * :mod:`repro.gencache.key` — a stable content-addressed identity for a
   generation: ``(model, prompt, seed, steps, width×height, content-type)``;
 * :mod:`repro.gencache.store` — a byte-accounted LRU memoising outputs
-  together with the simulated cost they would have re-paid;
-* :mod:`repro.gencache.scheduler` — a bounded worker pool with in-flight
-  single-flight coalescing for the divisions of a page.
+  together with the simulated cost they would have re-paid.
 
 Warm-vs-cold rule: the cache is opt-in at every layer and a disabled
 cache is byte-identical to the seed behaviour, so the paper's cold
@@ -18,7 +16,6 @@ reproduction numbers are never perturbed (docs/PERFORMANCE.md).
 """
 
 from repro.gencache.key import GenerationKey, image_key, key_for_item, text_key
-from repro.gencache.scheduler import DEFAULT_WORKERS, ScheduledResult, SingleFlightScheduler
 from repro.gencache.store import (
     DEFAULT_GENCACHE_BYTES,
     HIT_LOOKUP_TIME_S,
@@ -30,13 +27,10 @@ from repro.gencache.store import (
 __all__ = [
     "CachedGeneration",
     "DEFAULT_GENCACHE_BYTES",
-    "DEFAULT_WORKERS",
     "GenCacheStats",
     "GenerationCache",
     "GenerationKey",
     "HIT_LOOKUP_TIME_S",
-    "ScheduledResult",
-    "SingleFlightScheduler",
     "image_key",
     "key_for_item",
     "text_key",

@@ -50,7 +50,8 @@ class GenCacheStats:
 
     hits: int = 0
     misses: int = 0
-    #: In-flight duplicates absorbed by the single-flight scheduler.
+    #: Duplicates that rode a generation still in flight (a page item onto
+    #: a pending engine kernel; a tier lookup parked on another worker's).
     coalesced: int = 0
     insertions: int = 0
     rejected: int = 0

@@ -21,8 +21,9 @@ Wire protocol (all under the reserved authority):
     leader publishes, then 200, ``x-sww-cache: coalesced`` with the
     leader's envelope. This is the gencache's single-flight leadership
     extended across process boundaries. A parked waiter whose leader
-    never publishes (crashed worker) is promoted to leader after
-    ``flight_timeout_s``: 404, ``x-sww-cache: lead``.
+    never publishes (crashed worker) waits out what is left of the
+    leader's ``flight_timeout_s``; the first expiry promotes exactly one
+    waiter (404, ``x-sww-cache: lead``) and the rest re-park on it.
 
 * ``PUT /gencache/<digest>`` — publish a generated result: inserts into
   the cache and wakes every parked waiter. 204.
@@ -57,7 +58,7 @@ logger = logging.getLogger("repro.serving.cachetier")
 CACHE_AUTHORITY = "sww-cache.internal"
 
 #: A flight whose leader has not published within this window is assumed
-#: dead; the next parked waiter is promoted to leader.
+#: dead; one parked waiter is promoted to leader.
 DEFAULT_FLIGHT_TIMEOUT_S = 60.0
 
 _JSON = "application/json"
@@ -96,12 +97,14 @@ def decode_envelope(body: bytes) -> dict:
 class _Flight:
     """One in-flight generation: a leader somewhere, waiters parked here."""
 
-    __slots__ = ("published", "envelope", "waiters")
+    __slots__ = ("published", "envelope", "deadline")
 
-    def __init__(self) -> None:
+    def __init__(self, timeout_s: float) -> None:
         self.published = asyncio.Event()
         self.envelope: bytes | None = None
-        self.waiters = 0
+        #: Loop time at which the leader is presumed dead. Waiters wait
+        #: only what is left of it, however late they parked.
+        self.deadline = asyncio.get_running_loop().time() + timeout_s
 
 
 class CacheTierServer:
@@ -151,43 +154,41 @@ class CacheTierServer:
     # ------------------------------------------------------------------ #
 
     async def _lookup(self, digest: str) -> MiniResponse:
-        # Flight check FIRST: a live flight means the entry is not yet
-        # cached (publish inserts and clears the flight atomically on
-        # this loop), and a parked waiter must count only ``coalesced``
-        # — never a miss — to match in-process single-flight accounting.
-        flight = self._flights.get(digest)
-        if flight is None:
-            record = self.cache.lookup(_DigestKey(digest))
-            if record is not None:
+        while True:
+            # Flight check FIRST: a live flight means the entry is not yet
+            # cached (publish inserts and clears the flight atomically on
+            # this loop), and a parked waiter must count only ``coalesced``
+            # — never a miss — to match in-process single-flight accounting.
+            flight = self._flights.get(digest)
+            if flight is None:
+                record = self.cache.lookup(_DigestKey(digest))
+                if record is not None:
+                    return MiniResponse(
+                        body=encode_envelope(
+                            record.payload, record.text, record.sim_time_s, record.energy_wh
+                        ),
+                        content_type=_JSON,
+                        headers=[(_OUTCOME, b"hit")],
+                    )
+                # Miss (counted by lookup): this requester leads.
+                self._flights[digest] = _Flight(self.flight_timeout_s)
+                self._gauge_flights()
                 return MiniResponse(
-                    body=encode_envelope(
-                        record.payload, record.text, record.sim_time_s, record.energy_wh
-                    ),
-                    content_type=_JSON,
-                    headers=[(_OUTCOME, b"hit")],
+                    status=404, body=b"", content_type=_JSON, headers=[(_OUTCOME, b"lead")]
                 )
-            # Miss (counted by lookup): this requester leads.
-            self._flights[digest] = _Flight()
-            self._gauge_flights()
-            return MiniResponse(
-                status=404, body=b"", content_type=_JSON, headers=[(_OUTCOME, b"lead")]
-            )
-        flight.waiters += 1
-        try:
-            await asyncio.wait_for(flight.published.wait(), self.flight_timeout_s)
-        except asyncio.TimeoutError:
-            # Leader presumed dead. Promote this waiter: replace the stale
-            # flight (if still current) so later requests park on a live
-            # one, and count the miss its original lookup skipped.
-            if self._flights.get(digest) is flight and not flight.published.is_set():
-                self._flights[digest] = _Flight()
-            self.cache.lookup(_DigestKey(digest))
-            return MiniResponse(
-                status=404, body=b"", content_type=_JSON, headers=[(_OUTCOME, b"lead")]
-            )
-        finally:
-            flight.waiters -= 1
-            self._gauge_flights()
+            remaining = flight.deadline - asyncio.get_running_loop().time()
+            try:
+                await asyncio.wait_for(flight.published.wait(), max(0.0, remaining))
+            except asyncio.TimeoutError:
+                pass
+            if flight.published.is_set():
+                break
+            # Leader presumed dead. The first waiter to get here drops the
+            # stale flight and goes round to lead through the miss path
+            # (counting the miss its parked lookup skipped); the others
+            # find it replaced and park on the promoted leader's flight.
+            if self._flights.get(digest) is flight:
+                del self._flights[digest]
         # Hand the published envelope straight from the flight — never
         # re-lookup, which would count a hit instead of a coalesce.
         envelope = flight.envelope or b"{}"

@@ -98,7 +98,6 @@ class GenerativeClient:
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         gencache=None,
-        gen_workers: int = 1,
         engine=None,
         events=None,
         send_priorities: bool = True,
@@ -132,21 +131,12 @@ class GenerativeClient:
         #: clients/layers (repro.gencache). None keeps the paper's cold
         #: regenerate-everything behaviour byte-for-byte.
         self.gencache = gencache
-        #: Optional shared micro-batching engine (repro.batching). Image
-        #: items are admitted to its window; a page's items must then be
-        #: submitted concurrently or nothing can batch, so the worker
-        #: count follows the engine's window unless explicitly set.
+        #: Optional shared micro-batching engine (repro.batching): a
+        #: page's image items are all admitted to its window before the
+        #: first is awaited, so one page load can fill a batch.
         self.engine = engine
-        if engine is not None and gen_workers == 1:
-            gen_workers = engine.max_batch
         self.generator = MediaGenerator(self.pipeline, cache=gencache, engine=engine)
-        scheduler = None
-        if gen_workers > 1:
-            from repro.gencache import SingleFlightScheduler
-
-            scheduler = SingleFlightScheduler(gen_workers, registry=self.registry)
-        self.scheduler = scheduler
-        self.processor = PageProcessor(self.generator, scheduler=scheduler)
+        self.processor = PageProcessor(self.generator)
         self.server_gen_ability: bool | None = None
         #: §7 model negotiation: what this client advertises via the
         #: sww-models header. Defaults to the pipeline's loaded models.

@@ -17,25 +17,27 @@ memoised under content-addressed keys: a hit returns the identical bytes
 at lookup cost instead of step cost, and the avoided time/energy accrues
 to the cache's "saved" counters (never to the cold numbers — see
 docs/PERFORMANCE.md for the warm-vs-cold reporting rules). Accounting is
-lock-guarded so the single-flight scheduler may call ``generate`` from
-several workers at once.
+lock-guarded so a server may materialise several pages at once, one per
+request thread.
 
 Generation is split in two so a page can pipeline: :meth:`~MediaGenerator.begin`
-runs the item's kernel and hands an image's pixels to the shared PNG
-encode pool (:func:`repro.genai.image.encode_png_async`);
-:meth:`~MediaGenerator.complete` waits for the bytes. ``generate`` is the
-two back to back.
+starts the item and never waits for an image — solo, it runs the kernel and
+hands the pixels to the shared PNG encode pool
+(:func:`repro.genai.image.encode_png_async`); with a batching engine it
+admits the image to the engine's window, so one thread fills a batch.
+:meth:`~MediaGenerator.complete` waits for what is outstanding.
+``generate`` is the two back to back.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, replace
 
 from repro.devices.profiles import DeviceProfile
 from repro.gencache import GenerationCache, GenerationKey, key_for_item
-from repro.genai.image import encode_png_async, generate_image
+from repro.genai.image import encode_png_async
 from repro.genai.ollama_api import OllamaClient, OllamaEndpoint
 from repro.genai.pipeline import GenerationPipeline
 from repro.genai.registry import get_image_model, get_text_model
@@ -64,12 +66,24 @@ class GenerationOutput:
 
 @dataclass
 class PendingGeneration:
-    """An item whose kernel has run; an image's PNG may still be encoding."""
+    """A started item; an image's kernel or PNG may still be in flight."""
 
     output: GenerationOutput
     #: The in-flight encode whose bytes become ``output.payload``; None
     #: for text, cache hits and images whose bytes have been collected.
     encode: Future | None = None
+    #: The batching engine's future of the image's kernel result, until
+    #: :meth:`MediaGenerator.complete` collects it; None on the solo path.
+    kernel: Future | None = None
+    #: Where ``complete`` memoises an engine-backed result (None: no cache).
+    key: GenerationKey | None = None
+
+    def settle(self) -> None:
+        """Wait until nothing this item started is still running; never raises."""
+        if self.kernel is not None and self.kernel.exception() is None:  # blocks until done
+            self.encode = self.kernel.result().png_future()
+        if self.encode is not None:
+            wait([self.encode])
 
 
 class MediaGenerator:
@@ -136,11 +150,13 @@ class MediaGenerator:
         return self.complete(self.begin(item))
 
     def begin(self, item: GeneratedContent) -> PendingGeneration:
-        """Run the item's kernel; an image's PNG encode is left in flight.
+        """Start the item; an image's PNG encode is left in flight.
 
-        Everything simulated — RNG draws, seconds, energy, counters,
+        Solo, everything simulated — RNG draws, seconds, energy, counters,
         spans — happens here, so callers that ``begin`` items in document
         order get the serial path's numbers whenever they ``complete``.
+        With an engine attached an image is only admitted here; its cost
+        is known, and booked, when ``complete`` collects the batch.
 
         Consults the generation cache first when one is attached: a hit
         returns the memoised bytes at lookup cost and skips the
@@ -155,28 +171,49 @@ class MediaGenerator:
             pending = self._generate_image(item)
         else:
             pending = PendingGeneration(self._generate_text(item))
-        if key is not None:
-            # The insert reads the bytes, so with a cache attached each
-            # encode is awaited before the next item's lookup: hit, miss,
-            # LRU and eviction order are the serial path's.
-            output = self.complete(pending)
+        pending.key = key
+        if pending.kernel is None:
+            if key is not None:
+                # The insert reads the bytes, so with a cache attached each
+                # encode is awaited before the next item's lookup: hit, miss,
+                # LRU and eviction order are the serial path's.
+                self.complete(pending)
+            self._book(pending)
+        return pending
+
+    def complete(self, pending: PendingGeneration) -> GenerationOutput:
+        """Wait for what the item still has in flight; re-raises its error."""
+        output = pending.output
+        kernel = pending.kernel
+        if kernel is not None:
+            result = kernel.result()
+            pending.kernel = None
+            # The engine stamped the batch this generation rode onto the
+            # future before resolving it; surface it on the request event.
+            batch_id = getattr(kernel, "batch_id", None)
+            if batch_id is not None:
+                annotate_current(batch_id=batch_id, batch_size=getattr(kernel, "batch_size", 1))
+            output.sim_time_s, output.energy_wh = result.sim_time_s, result.energy_wh
+            pending.encode = result.png_future()
+        if pending.encode is not None:
+            encode, pending.encode = pending.encode, None
+            output.payload = encode.result()
+        if kernel is not None:
+            self._book(pending)
+        return output
+
+    def _book(self, pending: PendingGeneration) -> None:
+        """Memoise (when a cache is attached) and account a generated item."""
+        output = pending.output
+        if pending.key is not None:
             self.cache.insert(
-                key,
+                pending.key,
                 payload=output.payload,
                 text=output.text,
                 sim_time_s=output.sim_time_s,
                 energy_wh=output.energy_wh,
             )
-        self._account(pending.output)
-        return pending
-
-    @staticmethod
-    def complete(pending: PendingGeneration) -> GenerationOutput:
-        """Wait for the item's bytes; re-raises what the encode raised."""
-        if pending.encode is not None:
-            pending.output.payload = pending.encode.result()
-            pending.encode = None
-        return pending.output
+        self._account(output)
 
     def _from_cache(self, key: GenerationKey, item: GeneratedContent) -> GenerationOutput | None:
         """Try the content-addressed store; returns a hit output or None."""
@@ -241,71 +278,32 @@ class MediaGenerator:
         if item.upscale_src is not None:
             return self._upscale_image(item)
         model = get_image_model(item.model) if item.model else self.pipeline.image_model
-        annotate_current(
-            model=model.name,
-            steps=item.metadata.get("steps") or model.default_steps,
-        )
-        if self.engine is not None:
-            # Micro-batched path: admit to the engine's window and wait.
-            # The pipeline still accounts the invocation (preload/reload
-            # semantics are a device property, not a batching one).
-            self.pipeline._maybe_reload()
-            self.pipeline.invocations += 1
-            future = self.engine.submit_image(
-                model,
-                item.prompt,
-                item.width,
-                item.height,
-                item.metadata.get("steps"),
-                item.metadata.get("seed"),
-                key=self.content_key(item),
-            )
-            result = future.result()
-            # The engine stamped the batch this generation rode onto the
-            # future before resolving it; surface it on the request event.
-            batch_id = getattr(future, "batch_id", None)
-            if batch_id is not None:
-                annotate_current(
-                    batch_id=batch_id,
-                    batch_size=getattr(future, "batch_size", 1),
-                )
-        elif model is not self.pipeline.image_model:
-            # Honour a per-item model override by generating directly; the
-            # pipeline still provides device context and load accounting.
-            self.pipeline._maybe_reload()
-            self.pipeline.invocations += 1
-            result = generate_image(
-                model,
-                self.device,
-                item.prompt,
-                item.width,
-                item.height,
-                item.metadata.get("steps"),
-                item.metadata.get("seed"),
-                registry=self.pipeline.registry,
-                tracer=self.pipeline.tracer,
-            )
-        else:
+        steps, seed = item.metadata.get("steps"), item.metadata.get("seed")
+        annotate_current(model=model.name, steps=steps or model.default_steps)
+        if self.engine is None:
             result = self.pipeline.generate_image(
-                item.prompt,
-                item.width,
-                item.height,
-                item.metadata.get("steps"),
-                item.metadata.get("seed"),
+                item.prompt, item.width, item.height, steps, seed, model=model
             )
-        return self._pending_image(item, result, result.png_future())
+            return PendingGeneration(self._image_output(item, result), result.png_future())
+        # Micro-batched path: admit to the engine's window and return. The
+        # pipeline still accounts the invocation (preload/reload semantics
+        # are a device property, not a batching one).
+        self.pipeline.note_invocation()
+        kernel = self.engine.submit_image(
+            model, item.prompt, item.width, item.height, steps, seed, key=self.content_key(item)
+        )
+        return PendingGeneration(self._image_output(item), kernel=kernel)
 
-    def _pending_image(self, item: GeneratedContent, result, encode: Future) -> PendingGeneration:
-        """An image output whose payload arrives with ``encode``."""
-        output = GenerationOutput(
+    def _image_output(self, item: GeneratedContent, result=None) -> GenerationOutput:
+        """An image output whose payload (and, without ``result``, cost) arrives later."""
+        return GenerationOutput(
             item=item,
             payload=b"",
             text="",
-            sim_time_s=result.sim_time_s,
-            energy_wh=result.energy_wh,
+            sim_time_s=result.sim_time_s if result is not None else 0.0,
+            energy_wh=result.energy_wh if result is not None else 0.0,
             asset_path=self._asset_path(item),
         )
-        return PendingGeneration(output, encode)
 
     def _upscale_image(self, item: GeneratedContent) -> PendingGeneration:
         """§2.2 upscale path: small stored original → large local image."""
@@ -319,7 +317,7 @@ class MediaGenerator:
             )
         pixels = decode_png(source)
         result = upscale_image(ONE_STEP_SR, self.device, pixels, item.scale)
-        return self._pending_image(item, result, encode_png_async(result.pixels))
+        return PendingGeneration(self._image_output(item, result), encode_png_async(result.pixels))
 
     def _generate_text(self, item: GeneratedContent) -> GenerationOutput:
         model_name = item.model or self.pipeline.text_model.name

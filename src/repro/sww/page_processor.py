@@ -15,11 +15,11 @@ become paragraph text. Generated image bytes are collected in an asset map
 
 from __future__ import annotations
 
-from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 from repro.html.dom import Document, Element, Text
 from repro.sww.content import CSS_CLASS, ContentError, ContentType, GeneratedContent
+from repro.gencache import GenerationKey
 from repro.sww.media_generator import GenerationOutput, MediaGenerator, PendingGeneration
 
 
@@ -48,46 +48,32 @@ class ProcessReport:
 class PageProcessor:
     """Rewrites generated-content divisions into concrete content."""
 
-    def __init__(self, generator: MediaGenerator, strict: bool = False, scheduler=None) -> None:
+    def __init__(self, generator: MediaGenerator, strict: bool = False) -> None:
         self.generator = generator
         #: In strict mode malformed divisions raise; otherwise they are
         #: left in place untouched (a browser would render them empty).
         self.strict = strict
-        #: Optional :class:`~repro.gencache.SingleFlightScheduler`: items
-        #: generate concurrently on its worker pool, duplicate keys ride
-        #: one in-flight generation. Without it, kernels run sequentially
-        #: in document order (the paper's prototype behaviour; only the
-        #: PNG encodes overlap them) — unless the generator has a
-        #: batching engine attached, in which case sequential submission
-        #: would starve the engine's admission window, so a scheduler
-        #: sized to the window is created automatically.
-        if scheduler is None and getattr(generator, "engine", None) is not None:
-            from repro.gencache.scheduler import SingleFlightScheduler
 
-            scheduler = SingleFlightScheduler(
-                max(2, generator.engine.max_batch),
-                registry=generator.engine.registry,
-            )
-        self.scheduler = scheduler
-
-    def find_items(self, document: Document) -> list[tuple[Element, GeneratedContent]]:
-        """Locate and parse every well-formed generated-content division."""
+    def find_items(self, document: Document) -> tuple[list[tuple[Element, GeneratedContent]], int]:
+        """Parse every well-formed generated-content division, in one walk;
+        also returns how many malformed ones were left in place."""
         found: list[tuple[Element, GeneratedContent]] = []
+        malformed = 0
         for element in document.find_by_class(CSS_CLASS):
             try:
                 found.append((element, GeneratedContent.from_element(element)))
             except ContentError:
                 if self.strict:
                     raise
-        return found
+                malformed += 1
+        return found, malformed
 
     def process(self, document: Document) -> ProcessReport:
         """Generate all content in the document and rewrite it in place."""
         report = ProcessReport()
-        malformed = len(document.find_by_class(CSS_CLASS))
-        items = self.find_items(document)
-        report.skipped_malformed = malformed - len(items)
-        for (element, item), output in zip(items, self._generate_all(items)):
+        items, report.skipped_malformed = self.find_items(document)
+        outputs = self._generate_all([item for _element, item in items])
+        for (element, item), output in zip(items, outputs):
             report.outputs.append(output)
             report.sim_time_s += output.sim_time_s
             report.energy_wh += output.energy_wh
@@ -104,39 +90,43 @@ class PageProcessor:
                 report.generated_texts += 1
         return report
 
-    def _generate_all(self, items: list[tuple[Element, GeneratedContent]]) -> list[GenerationOutput]:
-        """Generate every item, sequentially or via the scheduler."""
-        if self.scheduler is None:
-            return self._generate_pipelined([item for _element, item in items])
+    def _generate_all(self, items: list[GeneratedContent]) -> list[GenerationOutput]:
+        """``begin`` every item in document order, then ``complete`` in order.
 
-        def thunk(item: GeneratedContent):
-            return lambda: self.generator.generate(item)
-
-        tasks = [(self.generator.content_key(item), thunk(item)) for _element, item in items]
-        scheduled = self.scheduler.run(tasks)
-        outputs: list[GenerationOutput] = []
-        for (_element, item), result in zip(items, scheduled):
-            if result.coalesced:
-                outputs.append(self.generator.adopt_coalesced(item, result.value))
-            else:
-                outputs.append(result.value)
-        return outputs
-
-    def _generate_pipelined(self, items: list[GeneratedContent]) -> list[GenerationOutput]:
-        """Every kernel in document order, then every item's bytes.
-
-        Each image's PNG encode starts on the shared pool as its kernel
-        finishes and overlaps the kernels after it. A kernel's or an
-        encode's exception leaves as itself, once no encode this page
+        Solo, each kernel runs inside ``begin`` and its PNG encode overlaps
+        the kernels after it; with a batching engine ``begin`` only admits
+        the image, so this one thread fills the engine's window. An item
+        whose content key matches an earlier item of this page that is
+        still waiting on the engine rides that kernel instead of starting
+        (checked before ``begin``, so the duplicate never touches the
+        cache and lands in exactly one ledger outcome). A kernel's or an
+        encode's exception leaves as itself, once nothing this page
         started is still running.
         """
-        pending: list[PendingGeneration] = []
+        generator = self.generator
+        batched = generator.engine is not None
+        #: Per item: the handle it waits on, and whether that is another item's.
+        handles: list[tuple[PendingGeneration, bool]] = []
+        in_flight: dict[GenerationKey, PendingGeneration] = {}
         try:
             for item in items:
-                pending.append(self.generator.begin(item))
-            return [self.generator.complete(handle) for handle in pending]
+                key = generator.content_key(item) if batched else None
+                leader = in_flight.get(key)
+                if leader is not None:
+                    handles.append((leader, True))
+                    continue
+                handle = generator.begin(item)
+                if key is not None and handle.kernel is not None:
+                    in_flight[key] = handle
+                handles.append((handle, False))
+            outputs = []
+            for item, (handle, rides) in zip(items, handles):
+                output = generator.complete(handle)
+                outputs.append(generator.adopt_coalesced(item, output) if rides else output)
+            return outputs
         finally:
-            wait([handle.encode for handle in pending if handle.encode is not None])
+            for handle, _rides in handles:
+                handle.settle()
 
     @staticmethod
     def _rewrite_image(element: Element, item: GeneratedContent, output: GenerationOutput) -> None:

@@ -72,7 +72,7 @@ class PageResource:
 
     @property
     def has_prompts(self) -> bool:
-        return 'class="generated-content"' in self.sww_html or "generated-content" in self.sww_html
+        return "generated-content" in self.sww_html
 
 
 @dataclass
@@ -121,6 +121,9 @@ class ServedResponse:
     #: Simulated server-side generation cost, when mode == SERVER_GENERATED.
     sim_time_s: float = 0.0
     energy_wh: float = 0.0
+    #: The media materialised for the page (path → PNG bytes), when mode ==
+    #: SERVER_GENERATED: what a pushing session promises alongside it.
+    generated_assets: dict[str, bytes] = field(default_factory=dict)
 
 
 def _content_type_for(path: str) -> str:
@@ -328,7 +331,7 @@ class GenerativeServer:
                         headers.append((b"x-sww-manifests", manifests))
                 return ServedResponse(200, headers, body, mode)
         if mode == ServeMode.SERVER_GENERATED:
-            html, _assets, gen_time, gen_energy = self._materialise(page)
+            html, assets, gen_time, gen_energy = self._materialise(page)
             annotate_current(sim_time_s=gen_time, energy_wh=gen_energy)
             body = html.encode("utf-8")
             return ServedResponse(
@@ -338,6 +341,7 @@ class GenerativeServer:
                 mode,
                 sim_time_s=gen_time,
                 energy_wh=gen_energy,
+                generated_assets=assets,
             )
         html = page.traditional_html if page.traditional_html is not None else page.sww_html
         body = html.encode("utf-8")
@@ -657,7 +661,7 @@ class ServerSession:
                     # Push the freshly generated media before closing the
                     # page stream, so the naive client never issues
                     # follow-up GETs.
-                    self._push_generated_assets(event.stream_id, path, authority)
+                    self._push_generated_assets(event.stream_id, response, authority)
                 self.conn.send_data(event.stream_id, response.body, end_stream=True)
             except H2Error as exc:
                 record.finish(status=response.status, error=type(exc).__name__)
@@ -665,15 +669,15 @@ class ServerSession:
             record.finish(status=response.status)
 
     def _push_generated_assets(
-        self, stream_id: int, page_path: str, authority: bytes, writer: ConnectionWriter | None = None
+        self,
+        stream_id: int,
+        response: ServedResponse,
+        authority: bytes,
+        writer: ConnectionWriter | None = None,
     ) -> None:
-        """Promise and send generated assets; bodies go through ``writer``
-        (flow-controlled, interleaved) when one is provided."""
-        cached = self.server._server_generated.get(page_path)
-        if cached is None:
-            return
-        _html, assets, _time, _energy = cached
-        for asset_path, data in assets.items():
+        """Promise and send the response's generated assets; bodies go
+        through ``writer`` (flow-controlled, interleaved) when one is provided."""
+        for asset_path, data in response.generated_assets.items():
             request_headers = [
                 (b":method", b"GET"),
                 (b":path", asset_path.encode("utf-8")),
@@ -832,7 +836,7 @@ class ServerSession:
         try:
             self.conn.send_headers(stream_id, response.headers)
             if self._should_push(response):
-                self._push_generated_assets(stream_id, path, authority, writer=driver.writer)
+                self._push_generated_assets(stream_id, response, authority, writer=driver.writer)
             driver.writer.enqueue(stream_id, response.body, end_stream=True, event=record)
         except H2Error as exc:
             logger.warning("stream %d closed under its response; dropping", stream_id)

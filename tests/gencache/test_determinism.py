@@ -3,7 +3,7 @@
 The simulators derive their default seed from the generation inputs, so
 the same ``(model, prompt, seed, steps, resolution)`` always produces the
 same PNG. These tests pin the property end to end: through the cache
-(hits), around it (no cache), and through the single-flight scheduler.
+(hits) and around it (no cache).
 """
 
 from repro.devices import LAPTOP
@@ -42,20 +42,10 @@ def test_cache_hit_bytes_identical_to_regeneration():
     assert warm_html == baseline_html
 
 
-def test_scheduler_output_identical_to_sequential():
-    page = build_travel_blog()
-    sequential, seq_html = _assets_and_html(_fetch(GenerativeClient(device=LAPTOP), page))
-    pooled, pooled_html = _assets_and_html(
-        _fetch(GenerativeClient(device=LAPTOP, gen_workers=4), page)
-    )
-    assert pooled == sequential
-    assert pooled_html == seq_html
-
-
 def test_gencache_off_is_seed_identical():
     """--gencache-off semantics: no cache object means the exact cold path."""
     page = build_travel_blog()
-    off = GenerativeClient(device=LAPTOP, gencache=None, gen_workers=1)
+    off = GenerativeClient(device=LAPTOP, gencache=None)
     first = _fetch(off, page)
     second = _fetch(off, page)
     # No memoisation between fetches: both pay full cost, bytes agree.

@@ -58,29 +58,6 @@ def test_server_fallback_path_consults_the_shared_cache():
     assert cache.stats.hits > hits_before
 
 
-def test_scheduler_coalesces_duplicate_divs_on_one_page():
-    from repro.sww.content import GeneratedContent
-    from repro.workloads.corpus import _element_html
-
-    prompt = "a watercolor of a lighthouse on a basalt headland"
-    divs = "".join(
-        _element_html(GeneratedContent.image(prompt, name=f"dup-{i}", width=256, height=256))
-        for i in range(3)
-    )
-    html = f"<!DOCTYPE html><html><body>{divs}</body></html>"
-    store = SiteStore()
-    store.add_page(PageResource("/dups", html))
-    server = GenerativeServer(store)
-    client = GenerativeClient(device=LAPTOP, gen_workers=2)
-    result = client.fetch_via_pair(connect_in_memory(client, server), "/dups")
-    assert result.report is not None
-    assert result.report.generated_images == 3
-    assert result.report.coalesced == 2
-    # All three divs carry identical payload bytes.
-    payloads = set(result.report.assets.values())
-    assert len(result.report.assets) == 3 and len(payloads) == 1
-
-
 def _catalog():
     catalog = OriginCatalog()
     for i in range(3):

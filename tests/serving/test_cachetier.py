@@ -1,11 +1,13 @@
 """The shared gencache tier: cross-process single-flight over HTTP/2."""
 
 import asyncio
+import json
 import threading
 
 from repro.gencache.store import CachedGeneration, GenerationCache
 from repro.obs import MetricsRegistry
-from repro.serving.cachetier import CacheTierServer
+from repro.serving.cachetier import CacheTierServer, encode_envelope
+from repro.serving.h2util import MiniRequest
 from repro.serving.remote import RemoteGenerationCache
 
 
@@ -116,6 +118,50 @@ def test_flight_timeout_promotes_waiter_to_leader():
     assert promoted is None  # promoted waiter leads (counted as a miss)
     assert stats["misses"] == 2 and stats["coalesced"] == 0
     assert hit is not None and hit.payload == b"x"
+
+
+def test_dead_leader_promotes_one_waiter_and_the_rest_ride_it():
+    """Three waiters park late on a silent leader: they wait only what is
+    left of its budget, exactly one is told to lead, and the other two
+    coalesce onto the promoted leader's publish."""
+    timeout_s = 0.3
+
+    async def main():
+        tier = CacheTierServer(flight_timeout_s=timeout_s)
+        loop = asyncio.get_running_loop()
+
+        def request(method, path, body=b""):
+            return tier.handle(MiniRequest(method, path, "sww-cache.internal", body, 1))
+
+        async def outcome():
+            response = await request("GET", "/gencache/dead")
+            return dict(response.headers)[b"x-sww-cache"], loop.time()
+
+        assert (await outcome())[0] == b"lead"  # the leader that then goes silent
+        await asyncio.sleep(0.25)
+        parked_at = loop.time()
+        waiters = [asyncio.create_task(outcome()) for _ in range(3)]
+        done, _ = await asyncio.wait(waiters, timeout=2, return_when=asyncio.FIRST_COMPLETED)
+        assert len(done) == 1, "exactly one waiter is promoted"
+        promoted_outcome, promoted_at = done.pop().result()
+        assert promoted_outcome == b"lead"
+        # It waited the remainder of the dead leader's budget, not a fresh one.
+        assert promoted_at - parked_at < timeout_s - 0.1
+        await asyncio.sleep(0.02)
+        assert sum(task.done() for task in waiters) == 1  # the others re-parked
+        published = await request(
+            "PUT", "/gencache/dead", encode_envelope(b"bytes", "", 2.0, 0.01)
+        )
+        assert published.status == 204
+        results = await asyncio.wait_for(asyncio.gather(*waiters), 2)
+        assert loop.time() - parked_at <= timeout_s
+        stats = json.loads((await request("GET", "/stats")).body)
+        return sorted(result[0] for result in results), stats
+
+    outcomes, stats = asyncio.run(main())
+    assert outcomes == [b"coalesced", b"coalesced", b"lead"]
+    assert stats["misses"] == 2 and stats["coalesced"] == 2 and stats["hits"] == 0
+    assert stats["insertions"] == 1 and stats["flights"] == 0
 
 
 def test_remote_cache_degrades_without_tier():

@@ -1,10 +1,14 @@
-"""The default page path overlaps PNG encodes with the kernels after them.
+"""The one page path: ``begin`` every item in document order, then ``complete``.
 
-Only wall-clock order may change: every output, simulated cost, counter
-and cache decision must equal what the same page yields when each encode
+Solo, it overlaps PNG encodes with the kernels after them, and only
+wall-clock order may change: every output, simulated cost, counter and
+cache decision must equal what the same page yields when each encode
 runs inline, right after its kernel — the order the code had before the
 shared encode pool existed. The inline reference is built by swapping
 ``encode_png_async`` for a stub that encodes on the calling thread.
+
+With a batching engine attached the same loop, on the same one thread,
+fills the engine's window; bytes never depend on engine or cache.
 """
 
 import contextvars
@@ -15,10 +19,12 @@ from concurrent.futures import Future
 
 import pytest
 
+import repro.batching.engine as engine_module
 import repro.genai.image as image_module
 import repro.sww.media_generator as generator_module
+from repro.batching import BatchingEngine
 from repro.devices import LAPTOP, WORKSTATION
-from repro.gencache import GenerationCache
+from repro.gencache import DEFAULT_GENCACHE_BYTES, GenerationCache
 from repro.genai.image import encode_png_async, generate_image
 from repro.genai.pipeline import GenerationPipeline
 from repro.genai.registry import SD3_MEDIUM
@@ -96,14 +102,19 @@ class RecordingCache(GenerationCache):
         return stored
 
 
-def _fetch(site: str, cache_bytes: int | None = None) -> dict:
+def _fetch(site: str, cache_bytes: int | None = None, max_batch: int | None = None) -> dict:
     """Fetch one page on a fresh client; everything the page path produced."""
     store, path = SITES[site]()
     registry = MetricsRegistry()
     cache = RecordingCache(cache_bytes, registry=registry) if cache_bytes is not None else None
-    client = GenerativeClient(device=LAPTOP, registry=registry, gencache=cache)
+    engine = BatchingEngine(LAPTOP, max_batch, registry=registry) if max_batch is not None else None
+    client = GenerativeClient(device=LAPTOP, registry=registry, gencache=cache, engine=engine)
     pair = connect_in_memory(client, GenerativeServer(store))
-    result = client.fetch_via_pair(pair, path)
+    try:
+        result = client.fetch_via_pair(pair, path)
+    finally:
+        if engine is not None:
+            engine.close()
     assert result.status == 200 and result.sww_mode
     report, generator = result.report, client.generator
     counters = {
@@ -158,6 +169,18 @@ def test_tiny_cache_sees_the_serial_hit_miss_eviction_sequence(site, monkeypatch
         assert pipelined[field] == reference[field], field
 
 
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_bytes_do_not_depend_on_engine_or_cache(site):
+    reference = _fetch(site)
+    for max_batch in (None, 1, 8):
+        for cache_bytes in (None, DEFAULT_GENCACHE_BYTES):
+            if max_batch is None and cache_bytes is None:
+                continue
+            page = _fetch(site, cache_bytes, max_batch)
+            assert page["final_html"] == reference["final_html"], (max_batch, cache_bytes)
+            assert page["assets"] == reference["assets"], (max_batch, cache_bytes)
+
+
 class _CountingEncoder:
     """An ``encode_png`` that counts calls and the most running at once."""
 
@@ -181,14 +204,24 @@ class _CountingEncoder:
                 self.running -= 1
 
 
-def _six_image_page() -> tuple[PageProcessor, str]:
-    """A bare processor and a page of six small images (fast to encode)."""
+def _image_page(prompts, engine=None, cache=None) -> tuple[PageProcessor, str]:
+    """A bare processor and a page of small images (fast to encode)."""
     divisions = [
-        serialize(GeneratedContent.image(f"harbour view {n}", name=f"view-{n}", width=64, height=64).to_element())
-        for n in range(6)
+        serialize(GeneratedContent.image(prompt, name=f"view-{n}", width=64, height=64).to_element())
+        for n, prompt in enumerate(prompts)
     ]
     html = f"<html><body>{''.join(divisions)}</body></html>"
-    return PageProcessor(MediaGenerator(GenerationPipeline(LAPTOP))), html
+    generator = MediaGenerator(GenerationPipeline(LAPTOP), cache=cache, engine=engine)
+    return PageProcessor(generator), html
+
+
+def _six_image_page(engine=None, cache=None) -> tuple[PageProcessor, str]:
+    return _image_page([f"harbour view {n}" for n in range(6)], engine, cache)
+
+
+def _full_window(size: int) -> BatchingEngine:
+    """An engine whose batch closes the moment ``size`` requests are in."""
+    return BatchingEngine(LAPTOP, max_batch=size, max_wait_s=10.0)
 
 
 @pytest.mark.skipif(POOL_SIZE < 2, reason="the pool has one thread per CPU; one CPU never overlaps")
@@ -217,7 +250,97 @@ def test_thread_count_is_stable_across_pages():
     assert 1 <= _encode_threads() <= POOL_SIZE
 
 
+def test_one_thread_fills_the_engine_window():
+    solo_processor, html = _six_image_page()
+    solo = solo_processor.process(parse_html(html))
+    with _full_window(6) as engine:
+        processor, _ = _six_image_page(engine)
+        others = threading.active_count() - _encode_threads()
+        report = processor.process(parse_html(html))
+        assert threading.active_count() - _encode_threads() == others, "the page started a thread"
+        assert (engine.stats.batches, engine.stats.largest_batch) == (1, 6)
+    assert list(report.assets.items()) == list(solo.assets.items())
+    assert report.sim_time_s < solo.sim_time_s  # amortised: one batch of six
+
+
+def test_engine_with_cache_misses_then_hits():
+    solo_processor, html = _six_image_page()
+    solo = solo_processor.process(parse_html(html))
+    cache = GenerationCache()
+    with _full_window(6) as engine:
+        processor, _ = _six_image_page(engine, cache)
+        first = processor.process(parse_html(html))
+        assert (cache.stats.misses, cache.stats.insertions, cache.stats.hits) == (6, 6, 0)
+        again = processor.process(parse_html(html))
+        assert (cache.stats.misses, cache.stats.insertions, cache.stats.hits) == (6, 6, 6)
+        assert again.cache_hits == 6 and engine.stats.requests == 6
+    assert list(first.assets.items()) == list(again.assets.items()) == list(solo.assets.items())
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["nocache", "cache"])
+@pytest.mark.parametrize("batched", [False, True], ids=["solo", "engine"])
+def test_duplicate_prompts_land_in_one_outcome_each(batched, cached):
+    """[A, A, B, A]: the cache dedupes into hits, the page only onto a
+    kernel still pending at the engine, and nothing dedupes solo."""
+    prompts = ["a lighthouse", "a lighthouse", "fishing boats", "a lighthouse"]
+    reference_processor, html = _image_page(prompts)
+    reference = reference_processor.process(parse_html(html))
+    cache = GenerationCache() if cached else None
+    engine = _full_window(2) if batched else None
+    try:
+        processor, _ = _image_page(prompts, engine, cache)
+        report = processor.process(parse_html(html))
+    finally:
+        if engine is not None:
+            engine.close()
+    assert list(report.assets.items()) == list(reference.assets.items())
+    payloads = list(report.assets.values())
+    assert payloads[0] == payloads[1] == payloads[3] != payloads[2]
+    outcomes = [(output.cache_hit, output.coalesced) for output in report.outputs]
+    generated, hit, rode = (False, False), (True, False), (True, True)
+    if batched:
+        assert outcomes == [generated, rode, generated, rode]
+        assert engine.stats.requests == 2 and engine.stats.coalesced == 0
+    elif cached:
+        assert outcomes == [generated, hit, generated, hit]
+    else:
+        assert outcomes == [generated] * 4
+        assert report.sim_time_s == reference.sim_time_s
+    assert processor.generator.generated_count == 4
+    assert processor.generator.pipeline.invocations == sum(o == generated for o in outcomes)
+    if cached:
+        stats = cache.stats
+        assert (stats.hits, stats.coalesced) == ((0, 2) if batched else (2, 0))
+        assert stats.hits + stats.misses + stats.coalesced == 4
+        assert stats.misses == stats.insertions == 2
+
+
 class TestFailures:
+    def test_engine_batch_failure_surfaces_and_the_engine_survives(self, monkeypatch):
+        boom = RuntimeError("kernel fault in batch 2")
+        real, batches = engine_module.generate_image_batch, []
+
+        def failing_second_batch(*args, **kwargs):
+            batches.append(None)
+            if len(batches) == 2:
+                raise boom
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "generate_image_batch", failing_second_batch)
+        encoder = _CountingEncoder(hold_s=0.02)
+        monkeypatch.setattr(image_module, "encode_png", encoder)
+        with _full_window(2) as engine:
+            processor, html = _six_image_page(engine)
+            with pytest.raises(RuntimeError) as caught:
+                processor.process(parse_html(html))
+            assert caught.value is boom
+            # Batches 1 and 3 ran and encoded; nothing is left running.
+            assert len(batches) == 3 and engine.stats.batches == 2
+            assert encoder.calls == 4 and encoder.running == 0
+            assert processor.generator.generated_count == 2
+            assert len(processor.process(parse_html(html)).assets) == 6
+
+
     def test_encode_failure_surfaces_as_the_original_exception(self, monkeypatch):
         boom = ValueError("encoder rejected the pixels")
         real, seen = image_module.encode_png, []

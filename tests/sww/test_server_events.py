@@ -242,6 +242,44 @@ class TestConcurrentMode:
         assert events.open_count == 0
 
 
+class TestEngineBackedRequest:
+    """Generation annotates the request's own event: nothing about a page
+    leaves the request's thread, with or without a batching engine."""
+
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_materialisation_event_names_model_steps_and_batch(self, transport):
+        from repro.batching.engine import BatchingEngine
+
+        events = EventLog()
+        naive = GenerativeClient(device=LAPTOP, gen_ability=False)
+        # The blog's three images fill the window: the batch closes at once.
+        with BatchingEngine(WORKSTATION, max_batch=3, max_wait_s=5.0, events=events) as engine:
+            server = GenerativeServer(_store(), engine=engine, events=events)
+            if transport == "memory":
+                result = naive.fetch_via_pair(connect_in_memory(naive, server), PAGE)
+            else:
+
+                async def fetch():
+                    listener = await server.serve_forever("127.0.0.1", 0)
+                    port = listener.sockets[0].getsockname()[1]
+                    try:
+                        return await asyncio.wait_for(naive.fetch_tcp("127.0.0.1", port, PAGE), 30)
+                    finally:
+                        listener.close()
+                        await listener.wait_closed()
+
+                result = asyncio.run(fetch())
+        assert result.status == 200
+        by_kind = {e.fields["event"]: e.to_dict() for e in events.events()}
+        batch, request = by_kind["batch.execute"], by_kind["server.request"]
+        assert request["serve_mode"] == "server-generated"
+        assert request["model"] == batch["model"]
+        assert request["steps"] == batch["steps"]
+        assert request["batch_id"] == batch["batch_id"]
+        assert request["batch_size"] == batch["batch_size"] == 3
+        assert events.open_count == 0
+
+
 def _wait_for(predicate, timeout_s: float = 10.0, interval_s: float = 0.01):
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:

@@ -1,5 +1,7 @@
 """Tests for HTTP/2 server push of generated assets (RFC 9113 §8.4)."""
 
+import asyncio
+
 import pytest
 
 from repro.devices import LAPTOP
@@ -81,6 +83,36 @@ class TestSwwPush:
         assert len(result.pushed_assets) == 3  # the three stock images
         assert all(p.startswith("/generated/") for p in result.pushed_assets)
         assert all(b.startswith(b"\x89PNG") for b in result.pushed_assets.values())
+
+    @pytest.mark.parametrize("memoise_pages", [True, False])
+    @pytest.mark.parametrize(
+        "transport, concurrent_streams", [("memory", True), ("tcp", True), ("tcp", False)]
+    )
+    def test_push_does_not_depend_on_the_page_memo(self, memoise_pages, transport, concurrent_streams):
+        """The session pushes what this response materialised, not what the
+        server's page memo happens to hold (--push with --no-page-memo)."""
+        server = make_pushing_server(
+            memoise_pages=memoise_pages, concurrent_streams=concurrent_streams
+        )
+        client = GenerativeClient(device=LAPTOP, gen_ability=False)
+        path = "/blog/ridgeline-hike"
+        if transport == "memory":
+            results = [client.fetch_via_pair(connect_in_memory(client, server), path) for _ in range(2)]
+        else:
+
+            async def fetch_twice():
+                listener = await server.serve_forever("127.0.0.1", 0)
+                port = listener.sockets[0].getsockname()[1]
+                try:
+                    return [await client.fetch_tcp("127.0.0.1", port, path) for _ in range(2)]
+                finally:
+                    listener.close()
+                    await listener.wait_closed()
+
+            results = asyncio.run(fetch_twice())
+        first, second = (result.pushed_assets for result in results)
+        assert len(first) == 3 and all(b.startswith(b"\x89PNG") for b in first.values())
+        assert second == first  # memo hit or fresh materialisation: same media
 
     def test_pushed_assets_not_refetched(self):
         server = make_pushing_server()
