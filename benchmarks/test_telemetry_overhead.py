@@ -141,7 +141,11 @@ def run_load(telemetry: bool):
             wall_s = time.perf_counter() - start
 
             if plane is not None:
-                # One last poll after the load so the artifacts cover it.
+                # One tick and one poll after the load so the artifacts
+                # cover it however short the load was: the background
+                # sampler's second tick is only due SAMPLE_INTERVAL_S in,
+                # and the loaded phase is about that long.
+                plane.sampler.tick()
                 captured["timeseries"] = await admin_fetch_json(
                     "127.0.0.1", port, "/debug/timeseries"
                 )

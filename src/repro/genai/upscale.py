@@ -76,11 +76,6 @@ class UpscaleResult:
     sim_time_s: float
     energy_wh: float
 
-    def png_bytes(self) -> bytes:
-        from repro.media.png import encode_png
-
-        return encode_png(self.pixels)
-
 
 def upscale_image(
     model: UpscaleModel,

@@ -19,6 +19,7 @@ the property the determinism tests in ``tests/gencache`` pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro._util.hashing import stable_hash
 from repro.sww.content import ContentType, GeneratedContent
@@ -45,9 +46,13 @@ class GenerationKey:
     #: words and topic for text items.
     extra: tuple[tuple[str, str], ...] = field(default=())
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """Stable hex digest used as the store/wire key."""
+        """Stable hex digest used as the store/wire key.
+
+        Hashed once per key: the cache reads it on every peek, lookup and
+        insert, and a frozen key's fields cannot change under the memo.
+        """
         return stable_hash(
             "gencache-key",
             self.model,

@@ -16,6 +16,13 @@ import numpy as np
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
+#: The one deflate effort every PNG in the repo is written at, chosen by
+#: measurement (docs/PERFORMANCE.md): filtered scanlines of generated
+#: images are ``[noise, 0, small]`` byte triples, so deflate's hash chains
+#: are long and zlib's default 6 walks 128 probes per position where level
+#: 4 walks 16 — over 3x the encode time for the last 6 % of ratio.
+DEFLATE_LEVEL = 4
+
 _FILTER_NONE = 0
 _FILTER_SUB = 1
 _FILTER_UP = 2
@@ -23,9 +30,10 @@ _FILTER_AVERAGE = 3
 _FILTER_PAETH = 4
 
 
-def _chunk(chunk_type: bytes, data: bytes) -> bytes:
-    crc = zlib.crc32(chunk_type + data) & 0xFFFFFFFF
-    return struct.pack(">L", len(data)) + chunk_type + data + struct.pack(">L", crc)
+def _chunk(chunk_type: bytes, data: bytes) -> tuple[bytes, bytes, bytes, bytes]:
+    """The four parts of one chunk; the CRC is chained so ``data`` is not copied."""
+    crc = zlib.crc32(data, zlib.crc32(chunk_type))
+    return struct.pack(">L", len(data)), chunk_type, data, struct.pack(">L", crc)
 
 
 def _paeth(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -41,7 +49,7 @@ def _paeth(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out.astype(np.uint8)
 
 
-def encode_png(pixels: np.ndarray, compress_level: int = 6) -> bytes:
+def encode_png(pixels: np.ndarray, compress_level: int = DEFLATE_LEVEL) -> bytes:
     """Encode an (H, W, 3) uint8 array as PNG bytes."""
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3) RGB array, got shape {pixels.shape}")
@@ -82,8 +90,10 @@ def encode_png(pixels: np.ndarray, compress_level: int = 6) -> bytes:
         body[rows] = candidates[filter_type][rows]
 
     ihdr = struct.pack(">LLBBBBB", width, height, 8, 2, 0, 0, 0)
-    idat = zlib.compress(filtered.tobytes(), compress_level)
-    return PNG_SIGNATURE + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
+    idat = zlib.compress(filtered, compress_level)
+    return b"".join(
+        (PNG_SIGNATURE, *_chunk(b"IHDR", ihdr), *_chunk(b"IDAT", idat), *_chunk(b"IEND", b""))
+    )
 
 
 def png_dimensions(data: bytes) -> tuple[int, int]:

@@ -1,5 +1,8 @@
 """Content-addressed key identity and stability."""
 
+import dataclasses
+import pickle
+
 from repro.gencache import GenerationKey, image_key, key_for_item, text_key
 from repro.sww.content import GeneratedContent
 
@@ -76,3 +79,24 @@ def test_item_model_overrides_the_default():
 def test_upscale_items_are_uncacheable():
     item = GeneratedContent.upscaled_image("a pier at dusk", "/thumbs/pier.jpg", 4)
     assert key_for_item(item, "img", "txt") is None
+
+
+def test_digest_is_memoised_without_becoming_part_of_the_identity():
+    key = image_key("sd3-medium", "a red barn", 256, 256, steps=15)
+    fresh = image_key("sd3-medium", "a red barn", 256, 256, steps=15)
+    assert key.digest == "5cf322cea191b3257243e3b50935a42d"  # warms key's memo only
+    # A warm key and a cold one are the same key: the memo is not a field.
+    assert key == fresh and hash(key) == hash(fresh)
+    assert key.digest is key.digest
+    assert fresh.digest == key.digest
+
+    # `replace` builds a new key, so it hashes its own fields.
+    other = dataclasses.replace(key, prompt="a blue barn")
+    assert other.digest == image_key("sd3-medium", "a blue barn", 256, 256, steps=15).digest
+    assert other.digest != key.digest
+
+    # A pickled key keeps its identity whether or not its memo was warm.
+    for original in (key, image_key("sd3-medium", "a red barn", 256, 256, steps=15)):
+        copy = pickle.loads(pickle.dumps(original))
+        assert copy == original and hash(copy) == hash(original)
+        assert copy.digest == original.digest
