@@ -141,6 +141,9 @@ def plan_placement(problem: PlacementProblem) -> PlacementResult:
 #: lower variance in both load split and rebalancing churn.
 DEFAULT_VNODES = 128
 
+#: Keys whose walk a ring remembers; one more and it starts over empty.
+_WALK_MEMO_KEYS = 4096
+
 
 class HashRing:
     """Consistent-hash ring with virtual nodes and a bounded-load walk.
@@ -150,7 +153,9 @@ class HashRing:
     ``stable_u64("ring-point", node, i)`` — process-independent, so the
     same fleet always produces the same placement (the property that
     lets a router and a cache agree without talking). Keys map to the
-    first point clockwise from ``stable_u64("ring-key", key)``.
+    first point clockwise from ``stable_u64("ring-key", key)``. A key's
+    walk depends only on membership, so it is derived once per key and
+    forgotten whenever a node joins or leaves.
     """
 
     def __init__(self, nodes: Iterable[str] = (), vnodes: int = DEFAULT_VNODES) -> None:
@@ -160,6 +165,8 @@ class HashRing:
         #: Sorted (point, node) pairs — the circle.
         self._points: list[tuple[int, str]] = []
         self._nodes: set[str] = set()
+        #: key → all nodes in clockwise order from the key (bounded memo).
+        self._walks: dict[str, list[str]] = {}
         for node in nodes:
             self.add(node)
 
@@ -181,6 +188,7 @@ class HashRing:
         if node in self._nodes:
             raise ValueError(f"node {node!r} already on the ring")
         self._nodes.add(node)
+        self._walks.clear()
         for i in range(self.vnodes):
             insort(self._points, (stable_u64("ring-point", node, i), node))
 
@@ -188,6 +196,7 @@ class HashRing:
         if node not in self._nodes:
             raise KeyError(f"node {node!r} not on the ring")
         self._nodes.discard(node)
+        self._walks.clear()
         self._points = [(p, n) for p, n in self._points if n != node]
 
     # ------------------------------------------------------------------ #
@@ -206,9 +215,11 @@ class HashRing:
         uniform, backup order — unlike a static "next edge" rule that
         would double the successor's load).
         """
+        walk = self._walks.get(key)
+        if walk is not None:
+            return walk[: max(k, 0)]
         if not self._points:
             raise LookupError("hash ring is empty")
-        k = min(k, len(self._nodes))
         # (h,) sorts before any (h, node) pair, so this lands on the first
         # ring point at or clockwise-after the key's position.
         start = bisect_right(self._points, (stable_u64("ring-key", key),))
@@ -217,9 +228,12 @@ class HashRing:
             node = self._points[(start + i) % len(self._points)][1]
             if node not in seen:
                 seen.append(node)
-                if len(seen) == k:
+                if len(seen) == len(self._nodes):
                     break
-        return seen
+        if len(self._walks) >= _WALK_MEMO_KEYS:
+            self._walks.clear()
+        self._walks[key] = seen
+        return seen[: max(k, 0)]
 
     def owner_bounded(
         self, key: str, load: Mapping[str, float], capacity: float

@@ -24,6 +24,7 @@ byte flows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from repro.devices.energy import transmission_energy_wh
@@ -211,7 +212,10 @@ class OpenLoopStats:
 
     def observe(self, result: FleetServeResult) -> None:
         self.requests += 1
-        self.tiers.setdefault(result.tier, TierStats()).observe(result.latency_s)
+        tier = self.tiers.get(result.tier)
+        if tier is None:
+            tier = self.tiers[result.tier] = TierStats()
+        tier.observe(result.latency_s)
         self.latencies.append(result.latency_s)
         if result.queue_s > 0:
             self.queue_s.append(result.queue_s)
@@ -281,10 +285,11 @@ class OpenLoopSession:
     """Replays the per-region open-loop tape against an edge fleet.
 
     One instance owns the workload definition (regions, catalog keys,
-    duration, seed); each :meth:`run` replays the *same* key sequence
-    shifted forward in simulated time, so pass 2 measures warm-cache
-    behaviour over an identical stream — the replay discipline the
-    gencache warm benchmark established.
+    duration, seed), read-only once constructed; each :meth:`run` replays
+    the *same* key sequence shifted forward in simulated time, so pass 2
+    measures warm-cache behaviour over an identical stream — the replay
+    discipline the gencache warm benchmark established. The tape is a
+    pure function of that definition, so it is drawn once, on first use.
     """
 
     def __init__(
@@ -297,29 +302,39 @@ class OpenLoopSession:
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         self.fleet = fleet
-        self.regions = list(regions)
-        self.duration_s = duration_s
-        self.seed = seed
+        self._regions = tuple(regions)
+        self._duration_s = duration_s
+        self._seed = seed
         self._catalog_keys = sorted(fleet.catalog.items)
         self._passes = 0
 
-    def tape(self, start_s: float = 0.0) -> list[OpenLoopRequest]:
-        requests = open_loop_requests(
-            self.regions, self._catalog_keys, self.duration_s, seed=self.seed
+    # What the memoised tape is a function of: readable, never assignable.
+    regions = property(lambda self: self._regions)
+    duration_s = property(lambda self: self._duration_s)
+    seed = property(lambda self: self._seed)
+
+    @cached_property
+    def _base_tape(self) -> list[OpenLoopRequest]:
+        return open_loop_requests(
+            self._regions, self._catalog_keys, self._duration_s, seed=self._seed
         )
+
+    def tape(self, start_s: float = 0.0) -> list[OpenLoopRequest]:
+        """A fresh list of the pass's requests, shifted to start at ``start_s``."""
         if not start_s:
-            return requests
+            return list(self._base_tape)
         return [
             OpenLoopRequest(
                 time_s=r.time_s + start_s, region=r.region, user_id=r.user_id, key=r.key
             )
-            for r in requests
+            for r in self._base_tape
         ]
 
     def run(self) -> OpenLoopStats:
         """Replay one pass; successive passes continue the fleet's clock."""
         stats = OpenLoopStats()
-        for req in self.tape(start_s=self._passes * self.duration_s):
-            stats.observe(self.fleet.serve(req.region, req.key, req.time_s))
+        start_s = self._passes * self._duration_s
+        for req in self._base_tape:
+            stats.observe(self.fleet.serve(req.region, req.key, req.time_s + start_s))
         self._passes += 1
         return stats

@@ -26,6 +26,7 @@ of millions) into a single time-ordered request tape for
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import merge
 from typing import Sequence, TypeVar
@@ -128,14 +129,8 @@ def zipf_requests(
     requests: list[_T] = []
     for _ in range(count):
         point = rng.random() * total
-        lo, hi = 0, len(cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cumulative[mid] <= point:
-                lo = mid + 1
-            else:
-                hi = mid
-        requests.append(items[lo])
+        # First rank whose cumulative weight exceeds the point.
+        requests.append(items[min(bisect_right(cumulative, point), len(cumulative) - 1)])
     return requests
 
 

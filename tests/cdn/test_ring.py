@@ -123,3 +123,77 @@ class TestBoundedLoad:
             HashRing(["edge-a"]).assign_bounded(["k"], load_factor=1.0)
         with pytest.raises(LookupError):
             HashRing().assign_bounded(["k"])
+
+
+class TestWalkMemo:
+    """The ring remembers each key's walk; nothing observable may change."""
+
+    def test_long_lived_ring_matches_fresh_ring_through_churn(self):
+        import random
+
+        rng = random.Random(20)
+        pool = [f"edge-{i:02d}" for i in range(8)]
+        members = set(pool[:3])
+        ring = HashRing(sorted(members), vnodes=16)
+        keys = sample_keys(60)
+        for _ in range(300):
+            move = rng.random()
+            if move < 0.1 and len(members) < len(pool):
+                node = rng.choice(sorted(set(pool) - members))
+                members.add(node)
+                ring.add(node)
+            elif move < 0.2 and len(members) > 1:
+                node = rng.choice(sorted(members))
+                members.discard(node)
+                ring.remove(node)
+            key = rng.choice(keys)
+            fresh = HashRing(sorted(members), vnodes=16)
+            for k in range(len(pool) + 2):
+                assert ring.preference(key, k) == fresh.preference(key, k)
+            assert ring.preference(key, 1) == [ring.owner(key)]
+            assert ring.owner(key) == fresh.owner(key)
+            load = {node: rng.uniform(0.0, 10.0) for node in members}
+            for capacity in (0.0, 5.0, 20.0):
+                assert ring.owner_bounded(key, load, capacity) == fresh.owner_bounded(key, load, capacity)
+
+    def test_repeat_lookup_hashes_nothing(self, monkeypatch):
+        from repro.cdn import placement
+
+        ring = HashRing(["edge-a", "edge-b", "edge-c"])
+        first = (ring.owner("key"), ring.preference("key", 3), ring.owner_bounded("key", {}, 1.0))
+        calls = []
+        monkeypatch.setattr(placement, "stable_u64", lambda *parts: calls.append(parts))
+        assert (ring.owner("key"), ring.preference("key", 3), ring.owner_bounded("key", {}, 1.0)) == first
+        assert calls == []
+
+    def test_membership_change_forgets_every_walk(self, monkeypatch):
+        from repro.cdn import placement
+
+        ring = HashRing(["edge-a", "edge-b"])
+        ring.owner("key")
+        real, calls = placement.stable_u64, []
+        monkeypatch.setattr(placement, "stable_u64", lambda *parts: calls.append(parts) or real(*parts))
+        ring.add("edge-c")
+        calls.clear()
+        ring.owner("key")
+        ring.remove("edge-c")
+        ring.owner("key")
+        assert calls == [("ring-key", "key")] * 2
+
+    def test_memo_stays_bounded_over_many_distinct_keys(self):
+        from repro.cdn.placement import _WALK_MEMO_KEYS
+
+        ring = HashRing(["edge-a", "edge-b", "edge-c"], vnodes=8)
+        for i in range(100_000):
+            ring.owner(f"digest-{i}")
+            assert len(ring._walks) <= _WALK_MEMO_KEYS
+        assert ring.owner("digest-0") == HashRing(["edge-a", "edge-b", "edge-c"], vnodes=8).owner("digest-0")
+
+    def test_returned_list_is_the_callers_to_mutate(self):
+        ring = HashRing(["edge-a", "edge-b", "edge-c"])
+        walk = ring.preference("key", 3)
+        expected = list(walk)
+        walk.reverse()
+        walk.append("edge-z")
+        assert ring.preference("key", 3) == expected
+        assert ring.owner("key") == expected[0]

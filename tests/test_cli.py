@@ -517,3 +517,26 @@ class TestFleet:
         assert len(payload["passes"]) == 1
         assert payload["passes"][0]["requests"] > 0
         assert set(payload["fleet"]["edges"]) == {"edge-00", "edge-01"}
+
+    def test_fleet_json_is_the_same_bytes_under_any_hash_salt(self):
+        """The fleet iterates a set of edge names and keeps str-keyed
+        memos; none of it may leak ``PYTHONHASHSEED`` into a number."""
+        import os
+        import subprocess
+        import sys
+
+        repo_src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+        outputs = set()
+        for salt in ("0", "1", "77"):
+            done = subprocess.run(
+                [
+                    sys.executable, "-m", "repro.cli", "fleet", "--edges", "4", "--regions", "4",
+                    "--duration", "30", "--catalog", "40", "--passes", "2", "--json",
+                ],
+                env=dict(os.environ, PYTHONPATH=repo_src, PYTHONHASHSEED=salt),
+                capture_output=True,
+                timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1 and outputs.pop().startswith(b"{")

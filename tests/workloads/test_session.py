@@ -120,6 +120,67 @@ class TestOpenLoopSession:
         with pytest.raises(ValueError):
             self.make_session(duration_s=0.0)
 
+    def reference_passes(self, session, passes):
+        """What the session replaced: redraw the tape every pass and
+        shift a copy of it, on a second fleet built the same way."""
+        from repro.workloads.session import OpenLoopStats
+        from repro.workloads.traffic import OpenLoopRequest, open_loop_requests
+
+        twin = self.make_session()
+        keys = sorted(twin.fleet.catalog.items)
+        for n in range(passes):
+            start_s = n * session.duration_s
+            tape = open_loop_requests(session.regions, keys, session.duration_s, seed=session.seed)
+            if start_s:
+                tape = [
+                    OpenLoopRequest(time_s=r.time_s + start_s, region=r.region, user_id=r.user_id, key=r.key)
+                    for r in tape
+                ]
+            stats = OpenLoopStats()
+            for req in tape:
+                stats.observe(twin.fleet.serve(req.region, req.key, req.time_s))
+            yield tape, stats.summary()
+
+    def test_kept_tape_replays_exactly_what_a_redrawn_one_did(self, monkeypatch):
+        from repro.workloads import session as session_module
+
+        draws = []
+        real = session_module.open_loop_requests
+        monkeypatch.setattr(
+            session_module, "open_loop_requests",
+            lambda *args, **kwargs: draws.append(args) or real(*args, **kwargs),
+        )
+        session = self.make_session()
+        for n, (tape, summary) in enumerate(self.reference_passes(session, 3)):
+            assert session.tape(start_s=n * session.duration_s) == tape
+            assert session.run().summary() == summary  # simulated seconds included
+        assert len(draws) == 1
+
+    def test_tape_hands_out_lists_the_caller_may_ruin(self):
+        session = self.make_session()
+        (tape, cold), (_, warm) = self.reference_passes(session, 2)
+        first, second = session.tape(), session.tape()
+        assert first == second == tape and first is not second
+        first.clear()
+        second.reverse()
+        session.tape(start_s=session.duration_s).clear()
+        assert session.run().summary() == cold
+        session.tape().pop()
+        assert session.run().summary() == warm
+        assert session.tape() == tape
+
+    def test_workload_definition_is_read_only(self):
+        import pytest
+
+        from repro.workloads.traffic import default_regions
+
+        session = self.make_session()
+        for name, value in (("seed", 6), ("regions", default_regions(2)), ("duration_s", 60.0)):
+            with pytest.raises(AttributeError):
+                setattr(session, name, value)
+        with pytest.raises(AttributeError):
+            session.regions.append(default_regions(1)[0])
+
 
 class TestLatencyPercentile:
     def test_nearest_rank(self):
