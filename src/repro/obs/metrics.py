@@ -212,6 +212,9 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._families: dict[str, tuple[str, str]] = {}  # name -> (kind, help)
         self._instruments: dict[tuple[str, LabelKey], Instrument] = {}
+        #: Call-site spelling -> instrument, filled only under ``_lock`` with
+        #: what the registration path returned (see :meth:`_get`).
+        self._memo: dict[tuple, Instrument] = {}
 
     # ------------------------------------------------------------------ #
     # Instrument accessors
@@ -230,23 +233,29 @@ class MetricsRegistry:
         buckets: tuple[float, ...] = DEFAULT_BUCKETS,
         **labels: str,
     ) -> Histogram:
-        key = (name, _label_key(labels))
-        with self._lock:
-            self._register_family(name, "histogram", help)
-            instrument = self._instruments.get(key)
-            if instrument is None:
-                instrument = Histogram(name, key[1], buckets)
-                self._instruments[key] = instrument
-            return instrument  # type: ignore[return-value]
+        return self._get(Histogram, name, help, labels, buckets)
 
-    def _get(self, cls: type, name: str, help: str, labels: dict[str, str]) -> Instrument:
+    def _get(self, cls: type, name: str, help: str, labels: dict[str, str], *args) -> Instrument:
+        # Hot path: a call site that repeats itself (same kind, name, help,
+        # labels in the same order) is one dict hit — no sort, no lock.
+        spelling = (cls, name, help, args, *labels.items())
+        try:
+            return self._memo[spelling]
+        except KeyError:
+            # Only str label values are memoised: 1, 1.0 and True are the
+            # same dict key yet three different labels.
+            memoise = all(type(value) is str for value in labels.values())
+        except TypeError:  # an unhashable label value or bucket list
+            memoise = False
         key = (name, _label_key(labels))
         with self._lock:
             self._register_family(name, cls.kind, help)
             instrument = self._instruments.get(key)
             if instrument is None:
-                instrument = cls(name, key[1])
+                instrument = cls(name, key[1], *args)
                 self._instruments[key] = instrument
+            if memoise:
+                self._memo[spelling] = instrument
             return instrument
 
     def _register_family(self, name: str, kind: str, help: str) -> None:
@@ -312,6 +321,7 @@ class MetricsRegistry:
         with self._lock:
             self._families.clear()
             self._instruments.clear()
+            self._memo.clear()
 
 
 class _NullInstrument:

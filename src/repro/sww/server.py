@@ -43,8 +43,10 @@ from repro.http2.errors import H2Error
 from repro.http2.writer import ConnectionWriter
 from repro.obs import MetricsRegistry, Tracer, get_event_log, get_registry, get_tracer
 from repro.obs.events import annotate_current
+from repro.obs.propagation import TRACEPARENT_HEADER, parse_traceparent
 from repro.sww.capability import NegotiationOutcome, ServeMode, ServePolicy, decide_serve_mode
 from repro.sww.media_generator import MediaGenerator
+from repro.sww.model_negotiation import MODELS_HEADER, negotiate_models, parse_models_header
 from repro.sww.page_processor import PageProcessor
 
 logger = logging.getLogger("repro.sww.server")
@@ -310,8 +312,6 @@ class GenerativeServer:
         if mode == ServeMode.GENERATIVE:
             html = page.sww_html
             if client_models is not None:
-                from repro.sww.model_negotiation import negotiate_models
-
                 html, negotiation = negotiate_models(html, client_models)
                 if not negotiation.compatible:
                     # The client can generate, but not this page's
@@ -346,6 +346,33 @@ class GenerativeServer:
         html = page.traditional_html if page.traditional_html is not None else page.sww_html
         body = html.encode("utf-8")
         return ServedResponse(200, self._headers("text/html; charset=utf-8", len(body)), body, mode)
+
+    def _answers_from_memory(
+        self, path: str, client_gen_ability: bool, client_models: list[str] | None
+    ) -> bool:
+        """Whether :meth:`handle_request` will only hand back bytes it holds.
+
+        True for a stored asset, an unknown path, stored HTML served as-is
+        and a page-memo hit; False — conservatively — for anything that
+        may generate, parse HTML, negotiate models, sign, wait on another
+        request's materialisation or reach the gencache / cache tier. The
+        asyncio session serves the former on the event loop and sends the
+        latter to the executor. Memo entries are never evicted and assets
+        are only ever added, so a True answer still holds when the handler
+        runs (no ``await`` separates the two).
+        """
+        if path in self.store.assets:
+            return True
+        page = self.store.pages.get(path)
+        if page is None:
+            return True
+        outcome = NegotiationOutcome(client_supports=client_gen_ability, server_supports=self.gen_ability)
+        mode = decide_serve_mode(outcome, self.policy, has_prompts=page.has_prompts)
+        if mode == ServeMode.GENERATIVE:
+            return client_models is None and self.trust_authority is None
+        if mode == ServeMode.SERVER_GENERATED:
+            return self.memoise_pages and path in self._server_generated
+        return True
 
     def _count_fallback(self, reason: str) -> None:
         if self.registry.enabled:
@@ -560,7 +587,8 @@ class GenerativeServer:
 
 class ServerSession:
     """Per-connection SWW semantics: request parsing, admin routing, wide
-    events, executor offload and push, applied to one engine.
+    events, push, and the choice of where a request runs, applied to one
+    engine.
 
     Two driving modes share the request logic:
 
@@ -571,10 +599,12 @@ class ServerSession:
       :class:`~repro.http2.endpoint.ServerConnection` driver (handshake,
       credit return, the writer task, drain and close are the driver's).
       Each ``RequestReceived`` becomes its own task
-      (:meth:`_serve_stream`), the CPU-heavy request logic runs on a
-      thread executor so the event loop never blocks, and finished bodies
-      are queued on the driver's writer, which interleaves DATA frames
-      within flow-control credit.
+      (:meth:`_serve_stream`). Answers already in memory
+      (:meth:`GenerativeServer._answers_from_memory`) are served on the
+      loop; anything that generates, parses, signs or waits runs on a
+      thread executor so the event loop never blocks. Either way the
+      finished body is queued on the driver's writer, which interleaves
+      DATA frames within flow-control credit.
     """
 
     def __init__(self, server: GenerativeServer, conn: H2Connection) -> None:
@@ -603,9 +633,6 @@ class ServerSession:
     @staticmethod
     def _parse_request(event: RequestReceived):
         """Extract (path, authority, client_models, trace_context)."""
-        from repro.obs import TRACEPARENT_HEADER, parse_traceparent
-        from repro.sww.model_negotiation import MODELS_HEADER, parse_models_header
-
         headers = dict(event.headers)
         path = headers.get(b":path", b"/").decode("utf-8", "replace")
         authority = headers.get(b":authority", b"sww.example")
@@ -788,25 +815,27 @@ class ServerSession:
                 "server.request", path=path, stream_id=stream_id, transport="tcp"
             )
         try:
-            # The request logic (including server-side materialisation) is
-            # CPU work: run it off the loop so other streams — and other
-            # connections — keep flowing. Concurrent materialisations meet
-            # in the BatchingEngine window / gencache single-flight. Admin
-            # routes take the same executor path: /debug/profile blocks its
-            # thread for the sampling window without touching the loop.
+            # Answers already in memory (stored assets, 404s, stored HTML,
+            # page-memo hits) are served right here: a dict lookup should
+            # not queue for a pool thread and a second loop wake-up.
+            # Anything that generates, parses, signs or waits runs off the
+            # loop so other streams — and other connections — keep flowing;
+            # concurrent materialisations meet in the BatchingEngine window
+            # / gencache single-flight. Admin routes always take the
+            # executor: /debug/profile blocks its thread for the sampling
+            # window without touching the loop.
+            request = (record, path, stream_id, gen_ability, client_models, trace_context)
             if is_admin:
                 response = await loop.run_in_executor(None, admin.respond, path)
+            elif self.server._answers_from_memory(path, gen_ability, client_models):
+                response = self._handle(*request)
             else:
-                response = await loop.run_in_executor(
-                    None,
-                    self._handle_in_thread,
-                    record,
-                    path,
-                    stream_id,
-                    gen_ability,
-                    client_models,
-                    trace_context,
-                )
+                response = await loop.run_in_executor(None, self._handle, *request)
+        except asyncio.CancelledError:
+            # Drain timed out under this stream: the wide event still closes.
+            if record is not None:
+                record.finish(error="cancelled")
+            raise
         except Exception as exc:
             logger.exception("stream %d (%s) failed; responding 500", stream_id, path)
             if record is not None:
@@ -845,7 +874,7 @@ class ServerSession:
             return
         driver.wake()
 
-    def _handle_in_thread(
+    def _handle(
         self, record, path: str, stream_id: int, gen_ability: bool, client_models, trace_context
     ) -> ServedResponse:
         with self.server.tracer.span(

@@ -121,6 +121,145 @@ class TestRegistry:
         assert c.value == 40_000
 
 
+class TestLookupMemo:
+    """A repeat lookup is answered from a memo keyed on how the call site
+    spelled it; the memo may never change *which* instrument comes back."""
+
+    def test_warm_lookup_builds_no_label_key(self, monkeypatch):
+        import repro.obs.metrics as metrics
+
+        reg = MetricsRegistry()
+        cold = [
+            reg.counter("hits_total", "Hits", layer="sww", operation="hit"),
+            reg.gauge("depth", "Depth", layer="http2"),
+            reg.histogram("seconds", "Seconds", buckets=(0.1, 1.0), layer="sww"),
+        ]
+        sorts = []
+        original = metrics._label_key
+        monkeypatch.setattr(metrics, "_label_key", lambda labels: sorts.append(labels) or original(labels))
+        warm = [
+            reg.counter("hits_total", "Hits", layer="sww", operation="hit"),
+            reg.gauge("depth", "Depth", layer="http2"),
+            reg.histogram("seconds", "Seconds", buckets=(0.1, 1.0), layer="sww"),
+        ]
+        assert all(a is b for a, b in zip(cold, warm))
+        assert sorts == []
+        # A new spelling of a known instrument is a miss, and finds the same one.
+        assert reg.counter("hits_total", "Hits", operation="hit", layer="sww") is cold[0]
+        assert len(sorts) == 1
+
+    def test_keyword_order_does_not_split_an_instrument(self):
+        reg = MetricsRegistry()
+        for _ in range(3):  # cold, then both spellings warm
+            a = reg.counter("x_total", layer="sww", operation="hit")
+            b = reg.counter("x_total", operation="hit", layer="sww")
+            assert a is b
+        assert len(reg) == 1
+
+    def test_kind_clash_still_raises_after_the_name_was_memoised(self):
+        reg = MetricsRegistry()
+        assert reg.counter("x") is reg.counter("x")
+        with pytest.raises(ValueError):
+            reg.gauge("x")
+        with pytest.raises(ValueError):
+            reg.histogram("x")
+
+    def test_later_help_still_back_fills(self):
+        reg = MetricsRegistry()
+        bare = reg.counter("x_total", layer="sww")
+        assert reg.counter("x_total", layer="sww") is bare
+        assert reg.counter("x_total", "What x counts", layer="sww") is bare
+        assert [help for _name, _kind, help, _members in reg.collect()] == ["What x counts"]
+
+    def test_reset_forgets_memoised_instruments(self):
+        reg = MetricsRegistry()
+        before = reg.counter("x_total", layer="sww")
+        reg.counter("x_total", layer="sww").inc(5)
+        reg.reset()
+        after = reg.counter("x_total", layer="sww")
+        assert after is not before
+        assert after.value == 0
+        assert reg.value("x_total", layer="sww") == 0
+        assert reg.counter("x_total", layer="sww") is after
+
+    def test_label_values_of_equal_str_share_one_instrument(self):
+        reg = MetricsRegistry()
+        for _ in range(2):
+            assert reg.counter("x_total", stream=7) is reg.counter("x_total", stream="7")
+        assert len(reg) == 1
+
+    def test_equal_hashing_values_of_different_str_stay_apart(self):
+        reg = MetricsRegistry()
+        for _ in range(2):
+            labelled = {reg.counter("x_total", flag=value).labels for value in (1, 1.0, True)}
+            assert labelled == {(("flag", "1"),), (("flag", "1.0"),), (("flag", "True"),)}
+
+    def test_unhashable_label_value_and_bucket_list_still_work(self):
+        reg = MetricsRegistry()
+        for _ in range(2):
+            assert reg.counter("x_total", shape=[1, 2]).labels == (("shape", "[1, 2]"),)
+            assert reg.histogram("seconds", buckets=[0.1, 1.0]).buckets == (0.1, 1.0)
+        assert len(reg) == 2
+
+    def test_racing_get_or_create_ends_with_one_instrument_per_name(self):
+        import sys
+
+        reg = MetricsRegistry()
+        names = [f"metric_{i}_total" for i in range(1000)]
+        workers = 8
+        barrier = threading.Barrier(workers)
+
+        def work():
+            barrier.wait(timeout=10)
+            for name in names:
+                reg.counter(name, "Racing", layer="obs", operation="race").inc()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(reg) == len(names)
+        assert all(reg.value(n, layer="obs", operation="race") == workers for n in names)
+
+    def test_read_side_is_unchanged_by_warm_lookups(self):
+        def drive(reg, rounds):
+            for _ in range(rounds):
+                reg.counter("hits_total", "Hits", layer="sww", operation="hit").inc()
+                reg.counter("hits_total", "Hits", operation="miss", layer="sww").inc(2)
+                reg.gauge("depth", layer="http2").set(3)
+                reg.histogram("seconds", "Seconds", layer="sww").observe(0.2)
+
+        from repro.obs import to_openmetrics
+
+        reg = MetricsRegistry()
+        drive(reg, 5)
+        once = [MetricsRegistry() for _ in range(5)]
+        for fresh in once:
+            drive(fresh, 1)  # every lookup cold
+        assert reg.value("hits_total", layer="sww", operation="hit") == 5
+        assert reg.total("hits_total") == 15 == sum(r.total("hits_total") for r in once)
+        assert reg.count("seconds") == 5
+        assert [(n, k, h, [i.labels for i in m]) for n, k, h, m in reg.collect()] == [
+            (n, k, h, [i.labels for i in m]) for n, k, h, m in once[0].collect()
+        ]
+        snap = reg.snapshot()
+        assert to_openmetrics(snap) == to_openmetrics(reg)
+        snap.counter("hits_total", "Hits", layer="sww", operation="hit").inc()
+        assert reg.value("hits_total", layer="sww", operation="hit") == 5
+
+    def test_null_registry_memoises_nothing(self):
+        null = NullRegistry()
+        assert null.counter("x", layer="sww") is null.histogram("y", layer="sww")
+        assert len(null) == 0 and null._memo == {}
+
+
 class TestNullRegistry:
     def test_disabled_flag(self):
         assert NULL_REGISTRY.enabled is False

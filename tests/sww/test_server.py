@@ -205,3 +205,95 @@ class TestMaterialiseSingleFlight:
         second = server._materialise(page)
         assert second[0] == first[0]
         assert second[2] == 0.0  # cached repeat is free
+
+
+class _Reached(Exception):
+    """A tripwire: the handler got to work that must not run on the event loop."""
+
+
+class TestAnswersFromMemory:
+    """``_answers_from_memory`` decides where the asyncio session runs the
+    handler (on the loop, or in the executor) without the two drifting
+    apart: wherever it says True the handler finishes with every
+    generating / parsing / negotiating / signing / cache entry point armed
+    to raise, and wherever the handler reaches one it had said False."""
+
+    ASSET, UNKNOWN, PLAIN = "/photos/stored.jpg", "/nope", "/plain"
+    COMPATIBLE, INCOMPATIBLE = ["sd-3-medium", "llama-3.2"], ["llama-3.2"]
+
+    def _server(self, trusted, policy, memoise_pages, server_gen_ability):
+        from repro.gencache import GenerationCache
+        from repro.sww.trust import TrustAuthority
+        from repro.workloads.corpus import build_uniform_pages
+
+        prompts_only, with_variant = build_uniform_pages(2, side=32)
+        store = SiteStore()
+        store.add_asset(AssetResource(self.ASSET, b"\xff\xd8stored", "image/jpeg"))
+        store.add_page(PageResource(prompts_only.path, prompts_only.sww_html))
+        store.add_page(
+            PageResource(with_variant.path, with_variant.sww_html, with_variant.traditional_html)
+        )
+        store.add_page(PageResource(self.PLAIN, "<p>plain</p>"))
+        server = GenerativeServer(
+            store,
+            policy=policy,
+            gen_ability=server_gen_ability,
+            trust_authority=TrustAuthority(b"k" * 16) if trusted else None,
+            gencache=GenerationCache(),
+            memoise_pages=memoise_pages,
+        )
+        return server, [self.ASSET, self.UNKNOWN, self.PLAIN, prompts_only.path, with_variant.path]
+
+    @staticmethod
+    def _arm(monkeypatch, server):
+        def tripwire(*args, **kwargs):
+            raise _Reached()
+
+        monkeypatch.setattr("repro.sww.server.parse_html", tripwire)
+        monkeypatch.setattr("repro.sww.server.negotiate_models", tripwire)
+        monkeypatch.setattr(server, "_materialise_cold", tripwire)
+        monkeypatch.setattr(server, "_sign_page", tripwire)
+        monkeypatch.setattr(server.gencache, "lookup", tripwire)
+
+    @pytest.mark.parametrize("server_gen_ability", [True, False], ids=["gen-server", "naive-server"])
+    @pytest.mark.parametrize("memoise_pages", [True, False], ids=["memo", "no-memo"])
+    @pytest.mark.parametrize(
+        "policy", [ServePolicy(), ServePolicy(prefer_performance=True)], ids=["default", "no-generative"]
+    )
+    @pytest.mark.parametrize("trusted", [False, True], ids=["unsigned", "signed"])
+    def test_predicate_and_handler_agree(
+        self, monkeypatch, trusted, policy, memoise_pages, server_gen_ability
+    ):
+        server, paths = self._server(trusted, policy, memoise_pages, server_gen_ability)
+        inline = offloaded = 0
+        for memo in ("cold", "warm"):
+            with monkeypatch.context() as patch:
+                self._arm(patch, server)
+                for path in paths:
+                    for client_gen_ability in (True, False):
+                        for client_models in (None, self.COMPATIBLE, self.INCOMPATIBLE):
+                            case = (memo, path, client_gen_ability, client_models)
+                            said = server._answers_from_memory(path, client_gen_ability, client_models)
+                            try:
+                                server.handle_request(path, client_gen_ability, client_models)
+                            except _Reached:
+                                assert not said, f"would have blocked the event loop: {case}"
+                                offloaded += 1
+                            else:
+                                # The predicate may be conservative, never wrong.
+                                inline += said
+            # Warm: every page has been materialised once for a naive client.
+            for path in paths[2:]:
+                server.handle_request(path, client_gen_ability=False)
+        assert inline and (offloaded or not server_gen_ability)
+
+    def test_memo_hit_is_inline_only_while_the_memo_is_on(self):
+        for memoise_pages in (False, True):
+            server, paths = self._server(False, ServePolicy(), memoise_pages, True)
+            page = paths[3]
+            assert not server._answers_from_memory(page, False, None)
+            server.handle_request(page, client_gen_ability=False)
+            assert server._answers_from_memory(page, False, None) is memoise_pages
+        # Switched off on a warm server, the handler re-materialises: so must the answer.
+        server.memoise_pages = False
+        assert not server._answers_from_memory(page, False, None)

@@ -242,6 +242,39 @@ class TestConcurrentMode:
         assert events.open_count == 0
 
 
+    def test_stream_cancelled_by_drain_closes_its_event(self):
+        """``ServerConnection.drain`` cancels streams still pending at its
+        timeout; the cancelled stream's wide event must not stay open."""
+        events = EventLog()
+        entered, release = threading.Event(), threading.Event()
+
+        async def body(server, port):
+            def parked_cold(page):
+                entered.set()
+                release.wait(timeout=10)
+                raise RuntimeError("released after the stream was cancelled")
+
+            server._materialise_cold = parked_cold
+            naive = GenerativeClient(device=LAPTOP, gen_ability=False)
+            fetch = asyncio.ensure_future(naive.fetch_tcp("127.0.0.1", port, PAGE))
+            loop = asyncio.get_running_loop()
+            await loop.run_in_executor(None, entered.wait, 10)
+            (session,) = server.sessions()
+            try:
+                await asyncio.wait_for(session.shutdown(timeout_s=0.05), timeout=10)
+                assert events.open_count == 0
+            finally:
+                release.set()
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(fetch, timeout=10)
+
+        self._serve(body, events=events)
+        (fields,) = [e.to_dict() for e in events.events() if e.fields["event"] == "server.request"]
+        assert fields["error"] == "cancelled"
+        assert fields["status"] == 0
+        assert events.open_count == 0
+
+
 class TestEngineBackedRequest:
     """Generation annotates the request's own event: nothing about a page
     leaves the request's thread, with or without a batching engine."""

@@ -1,0 +1,88 @@
+"""What one request costs may only fall.
+
+The surface ratchet's sibling (ROADMAP item 3(b)): each ceiling is an
+exact, host-independent count of work the program does for one scripted
+op, taken at the commit that last changed it. Counts do not drown in host
+noise the way wall time does, so a regression fails here, in tier-1,
+rather than waiting for a bench run. Lower a ceiling whenever the count
+drops; raising one belongs in a diff a reviewer sees.
+
+First rows: one warm page-memo hit (the bench's ``hits_small`` op) served
+over loopback by a real ``ServerSession`` with metrics, wide events and
+tracing on, one request at a time.
+"""
+
+import asyncio
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import repro.obs.metrics as metrics
+from repro.http2.connection import H2Connection, Role
+from repro.http2.endpoint import ClientConnection
+from repro.obs import EventLog, MetricsRegistry, Tracer
+from repro.sww.server import GenerativeServer, PageResource, SiteStore
+from repro.workloads import build_news_article
+
+MEMO_HIT_CEILINGS = {
+    "executor_submissions": 0,
+    "threads_started": 0,
+    "label_key_sorts": 0,
+    # 22 of the 46 are the writer's gauges (11, twice); ROADMAP item 7.
+    "registry_lookups": 46,
+}
+HITS = 20
+
+
+def _counting(monkeypatch, owner, name: str, counts: dict, key: str) -> None:
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_warm_memo_hit_costs_no_more_than_it_did(monkeypatch):
+    page = build_news_article()
+    store = SiteStore()
+    store.add_page(PageResource(page.path, page.sww_html))
+    registry = MetricsRegistry()
+    server = GenerativeServer(
+        store,
+        registry=registry,
+        events=EventLog(registry=registry),
+        tracer=Tracer(registry=registry),
+    )
+    warm = server.handle_request(page.path, client_gen_ability=False)
+    counts = dict.fromkeys(MEMO_HIT_CEILINGS, 0)
+
+    async def scenario():
+        listener = await server.serve_forever("127.0.0.1", 0)
+        port = listener.sockets[0].getsockname()[1]
+        connection = await ClientConnection.open(
+            "127.0.0.1", port, H2Connection(Role.CLIENT, gen_ability=False)
+        )
+        try:
+            await connection.settled()
+            # The first hits on a connection register its instruments.
+            for _ in range(3):
+                await asyncio.wait_for(connection.request("GET", page.path), 30)
+            with monkeypatch.context() as patch:
+                _counting(patch, ThreadPoolExecutor, "submit", counts, "executor_submissions")
+                _counting(patch, threading.Thread, "start", counts, "threads_started")
+                _counting(patch, metrics, "_label_key", counts, "label_key_sorts")
+                _counting(patch, MetricsRegistry, "_get", counts, "registry_lookups")
+                for _ in range(HITS):
+                    hit = await asyncio.wait_for(connection.request("GET", page.path), 30)
+                    assert (hit.status, hit.body) == (200, warm.body)
+        finally:
+            await connection.close()
+            listener.close()
+            await listener.wait_closed()
+
+    asyncio.run(scenario())
+    per_hit = {name: count / HITS for name, count in counts.items()}
+    assert counts["registry_lookups"] > 0, "the counting wrappers saw nothing"
+    for name, ceiling in MEMO_HIT_CEILINGS.items():
+        assert per_hit[name] <= ceiling, f"{name}: {per_hit[name]} per memo hit, ceiling {ceiling}"
