@@ -1,23 +1,25 @@
 """Server concurrency benchmark — the PR-5 stream scheduler headline.
 
 Eight naive clients hit one generative server at the same instant, two
-pages each over a single multiplexed connection per client. The
-**serial** scenario is the seed behaviour (``concurrent_streams=False``):
-every request is handled inline on the event loop, so the sixteen
-materialisations run one after another and the shared
-:class:`~repro.batching.BatchingEngine` only ever sees batches of one.
-The **concurrent** scenario runs the same load through the task-per-stream
-scheduler: request logic on executor threads, responses through the
-flow-control writer, and the sixteen in-flight materialisations meet in
-the engine's admission window where amortisation
+pages each over a single multiplexed connection per client. Both
+scenarios run the one task-per-stream scheduler (request logic on
+executor threads, responses through the flow-control writer); the
+benchmark builds its own reference arm. The **serial** scenario gives
+the shared :class:`~repro.batching.BatchingEngine` a window of one
+(``max_batch=1``), so the sixteen materialisations each pay a solo
+generation — the simulated cost of the seed server that handled one
+request at a time (the name is kept because ``ci.yml`` reads it; its
+wall-clock fields are context, not a baseline: nothing blocks the loop
+in either arm). In the **concurrent** scenario the sixteen in-flight
+materialisations meet in a window of eight, where amortisation
 ``(1 + α·(B−1))/B`` takes over.
 
 The throughput comparison is on *simulated* generation seconds — the
 deterministic quantity batching governs — with wall time and per-client
 completion latency recorded for context. Responses must be byte-identical
 between the scenarios, and the event-loop stall probe must stay under the
-50 ms acceptance bar in concurrent mode (``BENCH_server_concurrency.json``,
-CI-gated at ≥ 2× pages per simulated second).
+50 ms acceptance bar (``BENCH_server_concurrency.json``, CI-gated at ≥ 2×
+pages per simulated second).
 """
 
 import asyncio
@@ -71,22 +73,18 @@ def build_site() -> SiteStore:
     return store
 
 
-def run_scenario(concurrent: bool):
+def run_scenario(max_batch: int):
     """Fire all eight clients simultaneously; return the measurements."""
     registry = MetricsRegistry()
     engine = BatchingEngine(
-        WORKSTATION, max_batch=MAX_BATCH, max_wait_s=BATCH_WAIT_S, registry=registry
+        WORKSTATION, max_batch=max_batch, max_wait_s=BATCH_WAIT_S, registry=registry
     )
     paths = sorted(build_site().pages)
     lanes = [paths[i * PAGES_PER_CLIENT : (i + 1) * PAGES_PER_CLIENT] for i in range(CLIENTS)]
 
     async def scenario():
         server = GenerativeServer(
-            build_site(),
-            gen_ability=True,
-            engine=engine,
-            registry=registry,
-            concurrent_streams=concurrent,
+            build_site(), gen_ability=True, engine=engine, registry=registry
         )
         listener = await server.serve_forever("127.0.0.1", 0)
         port = listener.sockets[0].getsockname()[1]
@@ -137,8 +135,8 @@ def run_scenario(concurrent: bool):
 
 
 def run_both():
-    serial = run_scenario(concurrent=False)
-    concurrent = run_scenario(concurrent=True)
+    serial = run_scenario(max_batch=1)
+    concurrent = run_scenario(max_batch=MAX_BATCH)
     return serial, concurrent
 
 
@@ -152,7 +150,7 @@ def test_concurrent_scheduler_vs_serial(benchmark):
 
     print_table(
         f"Stream scheduler: {CLIENTS} clients x {PAGES_PER_CLIENT} pages, one socket each",
-        ["metric", "serial (seed)", f"concurrent (window {MAX_BATCH})"],
+        ["metric", "serial (window 1)", f"concurrent (window {MAX_BATCH})"],
         [
             ["wall time", f"{serial['wall_s']:.2f} s", f"{concurrent['wall_s']:.2f} s"],
             ["simulated generation", f"{serial['sim_s']:.1f} s", f"{concurrent['sim_s']:.1f} s"],
@@ -168,15 +166,15 @@ def test_concurrent_scheduler_vs_serial(benchmark):
 
     # Byte-identical pages: the scheduler must be invisible in the payload.
     assert concurrent["pages"] == serial["pages"]
-    # Serial handling can never form a batch; the scheduler's overlapping
-    # streams must actually meet in the engine window.
+    # A window of one can never form a batch; the scheduler's overlapping
+    # streams must actually meet in the window of eight.
     assert serial["stats"].largest_batch == 1
     assert concurrent["stats"].largest_batch >= 4
     # The acceptance bars: ≥ 2× pages per simulated second at concurrency
     # 8, with the event loop never blocked past 50 ms.
     assert speedup >= 2.0, f"concurrent speedup {speedup:.2f}x below the 2x gate"
     assert concurrent["max_stall_s"] < STALL_BAR_S, (
-        f"event loop stalled {concurrent['max_stall_s'] * 1000:.1f} ms in concurrent mode"
+        f"event loop stalled {concurrent['max_stall_s'] * 1000:.1f} ms under concurrency"
     )
 
     record_bench(

@@ -83,7 +83,6 @@ def run_load(telemetry: bool):
             gen_ability=True,
             engine=engine,
             registry=registry,
-            concurrent_streams=True,
             events=events,
         )
         plane = None

@@ -79,22 +79,13 @@ def _add_gencache_flags(cmd: argparse.ArgumentParser) -> None:
         help="capacity of the content-addressed generation cache "
              f"(default {DEFAULT_GENCACHE_BYTES})",
     )
-    cmd.add_argument(
-        "--gencache-off",
-        action="store_true",
-        help="disable the generation cache (regenerate everything, the paper's cold behaviour)",
-    )
 
 
 def _make_gencache(args: argparse.Namespace, registry: MetricsRegistry | None = None):
-    """Build the shared generation cache the flags describe (or None)."""
-    if args.gencache_off:
-        return None
+    """Build the shared generation cache the flags describe."""
     from repro.gencache import GenerationCache
 
-    if registry is not None:
-        return GenerationCache(args.gencache_bytes, registry=registry)
-    return GenerationCache(args.gencache_bytes)
+    return GenerationCache(args.gencache_bytes, registry=registry)
 
 
 def _add_batching_flags(cmd: argparse.ArgumentParser) -> None:
@@ -121,13 +112,12 @@ def _make_engine(args: argparse.Namespace, device, registry=None, tracer=None):
         return None
     from repro.batching import BatchingEngine
 
-    kwargs = {}
-    if registry is not None:
-        kwargs["registry"] = registry
-    if tracer is not None:
-        kwargs["tracer"] = tracer
     return BatchingEngine(
-        device, max_batch=args.max_batch, max_wait_s=args.batch_wait_ms / 1000.0, **kwargs
+        device,
+        max_batch=args.max_batch,
+        max_wait_s=args.batch_wait_ms / 1000.0,
+        registry=registry,
+        tracer=tracer,
     )
 
 
@@ -154,37 +144,19 @@ def _build_store(page_names: list[str]) -> SiteStore:
     return store
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    if args.workers > 1:
-        return _serve_multiworker(args)
-    store = _build_store(args.pages)
-    device = get_device(args.device)
-    registry = None
-    admin = None
-    events = None
-    recorder = None
-    tracer = None
-    if not args.no_telemetry:
-        from repro.obs import (
-            EventLog,
-            FlightRecorder,
-            SLOTracker,
-            TailSampler,
-            TimeSeriesSampler,
-        )
-        from repro.sww.admin import AdminPlane
+def _build_server(
+    args: argparse.Namespace, store: SiteStore, device, worker_id=None, gencache=None
+):
+    """The one telemetry + server wiring ``serve`` runs, in the single
+    process and in each forked worker alike: registry, event log, tracer
+    and engine all report into the same place. Returns (server, sampler).
+    """
+    from repro.obs import EventLog, TailSampler, TimeSeriesSampler
 
-        registry = MetricsRegistry()
-        events = EventLog(registry=registry)
-        tracer = Tracer(registry=registry, tail=TailSampler(registry=registry))
-        sampler = TimeSeriesSampler(registry, interval_s=args.sample_interval)
-        slo = SLOTracker(registry)
-        recorder = FlightRecorder(
-            registry=registry, events=events, tracer=tracer, slo=slo
-        ).attach(sampler)
-        admin = AdminPlane(
-            registry, sampler=sampler, slo=slo, events=events, recorder=recorder
-        )
+    registry = MetricsRegistry()
+    events = EventLog(registry=registry, worker_id=worker_id)
+    tracer = Tracer(registry=registry, tail=TailSampler(registry=registry))
+    sampler = TimeSeriesSampler(registry, interval_s=args.sample_interval)
     server = GenerativeServer(
         store,
         device=device,
@@ -192,18 +164,34 @@ def cmd_serve(args: argparse.Namespace) -> int:
         push_assets=args.push,
         registry=registry,
         tracer=tracer,
-        gencache=_make_gencache(args, registry),
-        engine=_make_engine(args, device, registry=registry),
+        gencache=gencache if gencache is not None else _make_gencache(args, registry),
+        engine=_make_engine(args, device, registry=registry, tracer=tracer),
         events=events,
-        recorder=recorder,
         memoise_pages=not args.no_page_memo,
-        priorities_enabled=not args.no_priorities,
         max_concurrent_streams=args.max_concurrent_streams,
     )
-    if admin is not None:
-        admin.bind(server)
-    if recorder is not None:
-        recorder.server = server
+    return server, sampler
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    if args.workers > 1:
+        return _serve_multiworker(args)
+    from repro.obs import FlightRecorder, SLOTracker
+    from repro.sww.admin import AdminPlane
+
+    store = _build_store(args.pages)
+    server, sampler = _build_server(args, store, get_device(args.device))
+    registry, events = server.registry, server.events
+    slo = SLOTracker(registry)
+    recorder = FlightRecorder(
+        registry=registry, events=events, tracer=server.tracer, slo=slo
+    ).attach(sampler)
+    admin = AdminPlane(
+        registry, sampler=sampler, slo=slo, events=events, recorder=recorder
+    )
+    admin.bind(server)
+    server.recorder = recorder
+    recorder.server = server
 
     async def run() -> None:
         listener = await server.serve_forever(args.host, args.port)
@@ -211,11 +199,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         paths = ", ".join(sorted(store.pages))
         print(f"sww generative server on {args.host}:{port} (device={args.device}, "
               f"gen_ability={server.gen_ability}); pages: {paths}", flush=True)
-        if admin is not None:
-            print(f"telemetry plane on :authority={admin.authority} "
-                  "(/metrics /healthz /debug/streams /debug/timeseries /debug/profile "
-                  "/debug/events /incidents); "
-                  f"watch live with: sww top --port {port}", flush=True)
+        print(f"telemetry plane on :authority={admin.authority} "
+              "(/metrics /healthz /debug/streams /debug/timeseries /debug/profile "
+              "/debug/events /incidents); "
+              f"watch live with: sww top --port {port}", flush=True)
         async with listener:
             await listener.serve_forever()
 
@@ -236,50 +223,25 @@ def _serve_multiworker(args: argparse.Namespace) -> int:
     """
     import os
 
-    from repro.serving import Arbiter, ArbiterConfig
+    from repro.serving import Arbiter, ArbiterConfig, RemoteGenerationCache
     from repro.serving.worker import WorkerRuntime
 
     store = _build_store(args.pages)
     device = get_device(args.device)
-    cache_tier = not (args.no_cache_tier or args.gencache_off)
 
     def runtime_factory(worker_id: int, cache_address):
-        registry = None
-        events = None
-        tracer = None
-        sampler = None
-        if not args.no_telemetry:
-            from repro.obs import EventLog, TailSampler, TimeSeriesSampler
-
-            registry = MetricsRegistry()
-            # Key the event stream by pid: merged jsonl orders by
-            # (worker, seq) and respawned workers never collide.
-            events = EventLog(registry=registry, worker_id=os.getpid())
-            tracer = Tracer(registry=registry, tail=TailSampler(registry=registry))
-            sampler = TimeSeriesSampler(registry, interval_s=args.sample_interval)
-        remote = None
-        if cache_address is not None:
-            from repro.serving import RemoteGenerationCache
-
-            gencache = remote = RemoteGenerationCache(cache_address[0], cache_address[1])
-        else:
-            gencache = _make_gencache(args, registry)
-        server = GenerativeServer(
-            store,
-            device=device,
-            gen_ability=not args.no_gen_ability,
-            push_assets=args.push,
-            registry=registry,
-            tracer=tracer,
-            gencache=gencache,
-            engine=_make_engine(args, device, registry=registry, tracer=tracer),
-            events=events,
-            memoise_pages=not args.no_page_memo,
-            priorities_enabled=not args.no_priorities,
-            max_concurrent_streams=args.max_concurrent_streams,
+        remote = RemoteGenerationCache(cache_address[0], cache_address[1])
+        # Key the event stream by pid: merged jsonl orders by
+        # (worker, seq) and respawned workers never collide.
+        server, sampler = _build_server(
+            args, store, device, worker_id=os.getpid(), gencache=remote
         )
         return WorkerRuntime(
-            server=server, registry=registry, events=events, sampler=sampler, gencache=remote
+            server=server,
+            registry=server.registry,
+            events=server.events,
+            sampler=sampler,
+            gencache=remote,
         )
 
     config = ArbiterConfig(
@@ -292,7 +254,6 @@ def _serve_multiworker(args: argparse.Namespace) -> int:
         connection_limit=args.worker_connections,
         admin_host=args.host,
         admin_port=args.admin_port,
-        cache_tier=cache_tier,
         cache_port=args.cache_port,
         cache_capacity_bytes=args.gencache_bytes,
     )
@@ -312,8 +273,6 @@ def cmd_fetch(args: argparse.Namespace) -> int:
         tracer=tracer,
         gencache=_make_gencache(args),
         engine=engine,
-        send_priorities=not args.no_priorities,
-        adaptive_window=not args.no_bdp,
     )
 
     async def run():
@@ -375,26 +334,13 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    try:
-        page = PAGES[args.page]()
-    except KeyError:
-        raise SystemExit(f"unknown page {args.page!r}; available: {sorted(PAGES)}")
-    store = SiteStore()
-    store.add_page(PageResource(page.path, page.sww_html, page.traditional_html))
-    populate_traditional_assets(store, page)
+    page = PAGES[args.page]()
     tracer = Tracer() if args.trace else None
     gencache = _make_gencache(args)
     device = get_device(args.device)
     engine = _make_engine(args, device, tracer=tracer)
-    server = GenerativeServer(store, tracer=tracer, priorities_enabled=not args.no_priorities)
-    client = GenerativeClient(
-        device=device,
-        tracer=tracer,
-        gencache=gencache,
-        engine=engine,
-        send_priorities=not args.no_priorities,
-        adaptive_window=not args.no_bdp,
-    )
+    server = GenerativeServer(_build_store([args.page]), tracer=tracer)
+    client = GenerativeClient(device=device, tracer=tracer, gencache=gencache, engine=engine)
     pair = connect_in_memory(client, server)
     result = client.fetch_via_pair(pair, page.path)
     account = page.account
@@ -408,7 +354,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
               f"{result.report.generated_texts} texts on the {args.device}")
         print(f"generation cost  : {result.generation_time_s:.1f} simulated s, "
               f"{result.generation_energy_wh:.3f} Wh (cold)")
-    if gencache is not None and result.report:
+    if result.report:
         # A second fetch of the same page: every item now hits the cache.
         # The cold line above is untouched; warm cost is reported beside it.
         warm = client.fetch_via_pair(connect_in_memory(client, server), page.path)
@@ -671,15 +617,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     """
     if args.watch:
         return _stats_watch(args)
-    try:
-        page = PAGES[args.page]()
-    except KeyError:
-        raise SystemExit(f"unknown page {args.page!r}; available: {sorted(PAGES)}")
+    page = PAGES[args.page]()
     registry = MetricsRegistry()
     tracer = Tracer()
-    store = SiteStore()
-    store.add_page(PageResource(page.path, page.sww_html, page.traditional_html))
-    populate_traditional_assets(store, page)
+    store = _build_store([args.page])
     print(f"measuring one capable and one naive fetch of {page.path}...", file=sys.stderr)
     # One cache shared by the capable client and the server's fallback
     # path: the naive fetch's server-side materialisation reuses what the
@@ -721,19 +662,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
     the propagation path end to end. Seeded id sources keep trace/span
     ids identical run to run.
     """
-    try:
-        page = PAGES[args.page]()
-    except KeyError:
-        raise SystemExit(f"unknown page {args.page!r}; available: {sorted(PAGES)}")
-    path = args.path or page.path
+    path = args.path or PAGES[args.page]().path
     registry = MetricsRegistry()
     client_tracer = Tracer(ids=IdSource(args.seed), sample_rate=args.sample_rate, registry=registry)
     server_tracer = Tracer(ids=IdSource(args.seed + 1), registry=registry)
 
-    store = SiteStore()
-    store.add_page(PageResource(page.path, page.sww_html, page.traditional_html))
-    populate_traditional_assets(store, page)
-    server = GenerativeServer(store, registry=registry, tracer=server_tracer, push_assets=True)
+    server = GenerativeServer(
+        _build_store([args.page]), registry=registry, tracer=server_tracer, push_assets=True
+    )
 
     print(f"tracing a generative and a naive fetch of {path}...", file=sys.stderr)
     capable = GenerativeClient(device=get_device(args.device), registry=registry, tracer=client_tracer)
@@ -933,11 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-gen-ability", action="store_true", help="run as a naive HTTP/2 server")
     serve.add_argument("--push", action="store_true", help="server-push generated assets to naive clients")
     serve.add_argument(
-        "--no-telemetry",
-        action="store_true",
-        help="disable the metrics registry, admin plane and time-series sampler",
-    )
-    serve.add_argument(
         "--sample-interval",
         type=float,
         default=1.0,
@@ -997,22 +928,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared gencache tier port (multi-worker only; 0 = ephemeral)",
     )
     serve.add_argument(
-        "--no-cache-tier",
-        action="store_true",
-        help="multi-worker: give each worker its own process-local gencache "
-             "instead of the arbiter's shared tier",
-    )
-    serve.add_argument(
         "--no-page-memo",
         action="store_true",
         help="disable the server-generated page memo (every request "
              "re-materialises through the gencache)",
-    )
-    serve.add_argument(
-        "--no-priorities",
-        action="store_true",
-        help="ignore RFC 9218 priority signals (restore the flat "
-             "round-robin writer schedule)",
     )
     serve.add_argument(
         "--max-concurrent-streams",
@@ -1047,11 +966,6 @@ def build_parser() -> argparse.ArgumentParser:
     fetch.add_argument("--device", default="laptop", choices=sorted(DEVICES))
     fetch.add_argument("--no-gen-ability", action="store_true", help="fetch as a naive client")
     fetch.add_argument("--trace", action="store_true", help="print the span tree of the fetch")
-    fetch.add_argument("--no-priorities", action="store_true",
-                       help="do not send RFC 9218 priority signals")
-    fetch.add_argument("--no-bdp", action="store_true",
-                       help="disable BDP-adaptive receive-window tuning "
-                            "(keep the fixed initial window)")
     _add_gencache_flags(fetch)
     _add_batching_flags(fetch)
     fetch.set_defaults(func=cmd_fetch)
@@ -1069,10 +983,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--device", default="laptop", choices=sorted(DEVICES))
     demo.add_argument("--render", action="store_true", help="print the rendered page")
     demo.add_argument("--trace", action="store_true", help="print the span tree of the flow")
-    demo.add_argument("--no-priorities", action="store_true",
-                      help="disable RFC 9218 priority signalling and scheduling")
-    demo.add_argument("--no-bdp", action="store_true",
-                      help="disable BDP-adaptive receive-window tuning")
     _add_gencache_flags(demo)
     _add_batching_flags(demo)
     demo.set_defaults(func=cmd_demo)

@@ -27,7 +27,7 @@ the advertised window to cover it:
 
 Everything takes an injected ``clock`` so the estimator runs identically
 on the simulated RTT clock in tests/benchmarks and on wall time in the
-live client (``--no-bdp`` falls back to the fixed default windows).
+live client.
 """
 
 from __future__ import annotations

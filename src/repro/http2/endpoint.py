@@ -68,11 +68,10 @@ class ServerConnection:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         registry: MetricsRegistry | None = None,
-        priorities_enabled: bool = True,
     ) -> None:
         self.conn = conn
         self.transport = AsyncH2Transport(conn, reader, writer)
-        self.writer = ConnectionWriter(conn, registry=registry, priorities_enabled=priorities_enabled)
+        self.writer = ConnectionWriter(conn, registry=registry)
         #: The peer sent GOAWAY (or was cut off for abuse) or a drain
         #: began: the consumer should take no new streams.
         self.draining = False

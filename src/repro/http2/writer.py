@@ -107,8 +107,8 @@ class ConnectionWriter:
         self.conn = conn
         self.registry = registry if registry is not None else get_registry()
         #: False restores the flat equal-share round robin (every stream
-        #: forced to the default bucket, incremental) — the ``--no-priorities``
-        #: comparison path.
+        #: forced to the default bucket, incremental) — the reference arm
+        #: ``benchmarks/test_priority_scheduling.py`` builds directly.
         self.priorities_enabled = priorities_enabled
         self.starvation_interval = max(1, starvation_interval)
         self._queues: dict[int, _SendQueue] = {}

@@ -44,6 +44,9 @@ logger = logging.getLogger("repro.sww.client")
 
 HeaderList = list[tuple[bytes, bytes]]
 
+#: Seed RTT for the BDP estimator before real samples arrive.
+_RTT_SEED_S = 0.05
+
 
 @dataclass
 class FetchResult:
@@ -100,24 +103,9 @@ class GenerativeClient:
         gencache=None,
         engine=None,
         events=None,
-        send_priorities: bool = True,
-        adaptive_window: bool = True,
-        initial_window_size: int | None = None,
-        rtt_hint_s: float = 0.05,
     ) -> None:
         self.device = device
         self.gen_ability = gen_ability
-        #: RFC 9218: attach a ``priority`` header to each request, derived
-        #: from the page-aware policy in :mod:`repro.sww.priorities`
-        #: (``--no-priorities`` turns this off for A/B comparison).
-        self.send_priorities = send_priorities
-        #: BDP autotuning of the receive windows (``--no-bdp`` disables).
-        self.adaptive_window = adaptive_window
-        #: Starting per-stream receive window; None keeps the engine's
-        #: default. Small values + adaptive_window exercise window growth.
-        self.initial_window_size = initial_window_size
-        #: Seed RTT for the BDP estimator before real samples arrive.
-        self.rtt_hint_s = rtt_hint_s
         #: Observability sinks (no-ops unless injected or configured).
         self.registry = registry if registry is not None else get_registry()
         self.tracer = tracer if tracer is not None else get_tracer()
@@ -148,12 +136,7 @@ class GenerativeClient:
         self.trust_authority = trust_authority
 
     def new_connection(self) -> H2Connection:
-        kwargs = {}
-        if self.initial_window_size is not None:
-            kwargs["initial_window_size"] = self.initial_window_size
-        return H2Connection(
-            Role.CLIENT, gen_ability=self.gen_ability, registry=self.registry, **kwargs
-        )
+        return H2Connection(Role.CLIENT, gen_ability=self.gen_ability, registry=self.registry)
 
     # ------------------------------------------------------------------ #
     # Shared post-receive path
@@ -275,16 +258,17 @@ class GenerativeClient:
             (b":authority", authority.encode("utf-8")),
             (b"user-agent", b"sww-generative-client/1.0"),
         ]
-        if self.send_priorities:
+        # RFC 9218: every request carries its urgency, from the page-aware
+        # policy in repro.sww.priorities unless the caller pinned one.
+        if priority is None:
             from repro.sww.priorities import priority_for_path
 
-            if priority is None:
-                priority = priority_for_path(path)
-            encoded = priority.serialize()
-            if encoded:
-                # An empty field value means all-defaults (RFC 9218 §4);
-                # omitting the header says the same in zero bytes.
-                headers.append((b"priority", encoded))
+            priority = priority_for_path(path)
+        encoded = priority.serialize()
+        if encoded:
+            # An empty field value means all-defaults (RFC 9218 §4);
+            # omitting the header says the same in zero bytes.
+            headers.append((b"priority", encoded))
         if self.gen_ability and self.installed_models:
             from repro.sww.model_negotiation import MODELS_HEADER, encode_models_header
 
@@ -425,16 +409,14 @@ class GenerativeClient:
         collect every response (and pushed asset), and finish each page."""
         with self.tracer.span("client.connect", host=host, port=port):
             conn = self.new_connection()
-            tuner = None
-            if self.adaptive_window:
-                tuner = AdaptiveReceiveWindow(
-                    conn,
-                    BdpEstimator(
-                        time.monotonic,
-                        rtt_s=self.rtt_hint_s,
-                        min_window=conn.local_settings.initial_window_size,
-                    ),
-                )
+            tuner = AdaptiveReceiveWindow(
+                conn,
+                BdpEstimator(
+                    time.monotonic,
+                    rtt_s=_RTT_SEED_S,
+                    min_window=conn.local_settings.initial_window_size,
+                ),
+            )
             client = await ClientConnection.open(host, port, conn, tuner=tuner)
         try:
             with self.tracer.span("client.negotiate") as negotiate_span:

@@ -156,11 +156,9 @@ class GenerativeServer:
         tracer: Tracer | None = None,
         gencache=None,
         engine=None,
-        concurrent_streams: bool = True,
         events=None,
         recorder=None,
         memoise_pages: bool = True,
-        priorities_enabled: bool = True,
         max_concurrent_streams: int | None = None,
     ) -> None:
         self.store = store
@@ -198,15 +196,6 @@ class GenerativeServer:
         self.engine = engine
         self._generator = MediaGenerator(self.pipeline, cache=gencache, engine=engine)
         self._processor = PageProcessor(self._generator)
-        #: Stream scheduling mode for the asyncio transport: True (default)
-        #: runs each request as its own task with generation offloaded to a
-        #: thread executor and responses interleaved by the flow-control
-        #: writer; False is the serial seed behaviour (one request at a
-        #: time, handled synchronously on the event loop).
-        self.concurrent_streams = concurrent_streams
-        #: RFC 9218 urgency-bucket scheduling in the connection writer;
-        #: False restores the flat round robin (``--no-priorities``).
-        self.priorities_enabled = priorities_enabled
         #: Advertised SETTINGS_MAX_CONCURRENT_STREAMS; excess new streams
         #: are refused with REFUSED_STREAM. None leaves it unlimited.
         self.max_concurrent_streams = max_concurrent_streams
@@ -572,11 +561,9 @@ class GenerativeServer:
     async def serve_forever(self, host: str = "127.0.0.1", port: int = 0) -> asyncio.AbstractServer:
         """Listen on TCP; each connection gets its own engine + session.
 
-        With :attr:`concurrent_streams` (the default) every request stream
-        becomes its own asyncio task, generation runs off the event loop,
-        and responses interleave through the flow-control-aware
-        :class:`~repro.http2.writer.ConnectionWriter`. Setting it to False
-        restores the serial seed behaviour for baseline comparisons.
+        Every request stream becomes its own asyncio task, generation runs
+        off the event loop, and responses interleave through the
+        flow-control-aware :class:`~repro.http2.writer.ConnectionWriter`.
         """
         if self.admin is not None:
             # Start the telemetry plane's background sampling alongside the
@@ -728,19 +715,12 @@ class ServerSession:
 
     async def serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         """Drive one connection to completion over the asyncio transport."""
-        server = self.server
         self.driver = ServerConnection(
-            self.conn,
-            reader,
-            writer,
-            registry=server.registry,
-            priorities_enabled=server.priorities_enabled,
+            self.conn, reader, writer, registry=self.server.registry
         )
         probe_task = asyncio.create_task(self._stall_probe())
         try:
-            await self.driver.run(
-                self._dispatch_concurrent if server.concurrent_streams else self._dispatch_serial
-            )
+            await self.driver.run(self._dispatch)
         finally:
             probe_task.cancel()
             try:
@@ -754,12 +734,6 @@ class ServerSession:
         if self.driver is not None:
             await self.driver.shutdown(timeout_s)
 
-    def _dispatch_serial(self, event: Event) -> None:
-        """Seed behaviour: handle everything inline on the event loop."""
-        self.handle_event(event)
-        if isinstance(event, ConnectionTerminated):
-            self._note_termination(event)
-
     def _note_termination(self, event: ConnectionTerminated) -> None:
         """A non-clean GOAWAY is a pushed flight-recorder trigger."""
         if self.server.recorder is not None and int(event.error_code) != 0:
@@ -768,7 +742,7 @@ class ServerSession:
                 f"connection terminated with GOAWAY error code {int(event.error_code)}",
             )
 
-    def _dispatch_concurrent(self, event: Event) -> None:
+    def _dispatch(self, event: Event) -> None:
         if isinstance(event, RequestReceived):
             if self.driver.draining:
                 logger.info("ignoring stream %d received after GOAWAY", event.stream_id)
@@ -900,9 +874,9 @@ class ServerSession:
     async def _stall_probe(self) -> None:
         """Sample event-loop responsiveness while the connection lives.
 
-        A sleep that oversleeps by Δ means something held the loop for ~Δ;
-        the serial baseline shows generation-sized stalls here, while the
-        concurrent scheduler must stay under the 50 ms acceptance bar.
+        A sleep that oversleeps by Δ means something held the loop for ~Δ
+        (an on-loop answer that blocks shows here at its full length); the
+        stream scheduler must stay under the 50 ms acceptance bar.
         """
         loop = asyncio.get_running_loop()
         registry = self.server.registry

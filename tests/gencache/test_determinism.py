@@ -43,7 +43,7 @@ def test_cache_hit_bytes_identical_to_regeneration():
 
 
 def test_gencache_off_is_seed_identical():
-    """--gencache-off semantics: no cache object means the exact cold path."""
+    """No cache object (the constructor default) means the exact cold path."""
     page = build_travel_blog()
     off = GenerativeClient(device=LAPTOP, gencache=None)
     first = _fetch(off, page)

@@ -110,8 +110,8 @@ class TestUrgencyOrdering:
         assert data_order(pair)[:6] == [first, second, first, second, first, second]
 
     def test_priorities_disabled_ignores_signals(self):
-        """--no-priorities: explicit signals are flattened back onto the
-        equal-share round robin."""
+        """The benchmark reference arm: explicit signals are flattened back
+        onto the equal-share round robin."""
         pair = make_pair()
         bulk = open_request(pair, b"/a", priority=b"u=7, i")
         urgent = open_request(pair, b"/b", priority=b"u=0")

@@ -5,8 +5,9 @@ Three properties of the PR-5 scheduler, end to end:
 * the client's settings negotiation is race-free — no request leaves the
   socket before the server's SETTINGS (and its ACK of ours) arrived;
 * N concurrent streams on one connection return pages byte-identical to
-  serial fetches against a fresh server (determinism extends from the
-  batching layer all the way through the wire);
+  one-at-a-time fetches against a fresh server, and to the synchronous
+  in-memory driver (determinism extends from the batching layer all the
+  way through the wire);
 * responses interleave — a small page completes while a large response
   is still mid-stream, and multiplexed fetches all finish.
 """
@@ -21,6 +22,7 @@ from repro import (
     SiteStore,
     build_news_article,
     build_travel_blog,
+    connect_in_memory,
 )
 from repro.http2.connection import H2Connection, RequestReceived, Role, StreamEnded
 
@@ -97,13 +99,11 @@ class TestSettingsNegotiationRace:
         assert client.server_gen_ability is True
 
 
-def serve_and_fetch(paths, concurrent_server: bool, many: bool):
+def serve_and_fetch(paths, many: bool):
     """Fresh server + naive client; fetch ``paths`` and return results."""
 
     async def scenario():
-        server = GenerativeServer(
-            build_site(), gen_ability=True, concurrent_streams=concurrent_server
-        )
+        server = GenerativeServer(build_site(), gen_ability=True)
         listener = await server.serve_forever("127.0.0.1", 0)
         port = listener.sockets[0].getsockname()[1]
         try:
@@ -129,23 +129,33 @@ def serve_and_fetch(paths, concurrent_server: bool, many: bool):
 
 class TestConcurrencyDeterminism:
     def test_concurrent_fetches_byte_identical_to_serial(self):
-        """Concurrency-N against a fresh concurrent server must produce the
-        same bytes as serial fetches against a fresh serial server: the
-        scheduler (task interleaving, thread offload, single-flight
-        materialise, batched generation) is invisible in the payload."""
+        """Concurrency-N against a fresh server must produce the same bytes
+        as one-at-a-time fetches against another fresh server, and as the
+        synchronous in-memory driver (``handle_event``, the reference the
+        request logic is written against): the scheduler (task
+        interleaving, thread offload, single-flight materialise, batched
+        generation) is invisible in the payload."""
         paths = [build_travel_blog().path, build_news_article().path]
         # Request each page twice concurrently: the duplicate exercises the
         # single-flight materialise path under real races.
         concurrent_paths = paths + paths
-        serial = serve_and_fetch(paths, concurrent_server=False, many=False)
-        concurrent = serve_and_fetch(concurrent_paths, concurrent_server=True, many=True)
+        serial = serve_and_fetch(paths, many=False)
+        concurrent = serve_and_fetch(concurrent_paths, many=True)
+
+        reference_server = GenerativeServer(build_site(), gen_ability=True)
+        reference_client = GenerativeClient(device=LAPTOP, gen_ability=False)
+        in_memory = {
+            path: reference_client.fetch_via_pair(
+                connect_in_memory(reference_client, reference_server), path
+            )
+            for path in paths
+        }
 
         by_path = {r.path: r for r in serial}
         for result in concurrent:
-            want = by_path[result.path]
             assert result.status == 200
-            assert result.received_html == want.received_html
-            assert result.received_html.encode() == want.received_html.encode()
+            for want in (by_path[result.path], in_memory[result.path]):
+                assert result.received_html.encode() == want.received_html.encode()
 
     def test_duplicate_streams_materialise_once(self):
         """Same page requested 4x concurrently: every response is served,

@@ -19,7 +19,8 @@ from repro.sww.admin import (
     admin_fetch,
     admin_fetch_json,
 )
-from repro.sww.client import GenerativeClient
+from repro.http2.connection import DataReceived
+from repro.sww.client import GenerativeClient, connect_in_memory
 from repro.sww.server import GenerativeServer, PageResource, SiteStore
 from repro.devices import LAPTOP
 from repro.workloads import build_travel_blog
@@ -223,14 +224,13 @@ class TestEventAndIncidentRoutes:
 
 
 class TestOverTcp:
-    def _serve(self, scenario, concurrent=True):
+    def _serve(self, scenario):
         async def runner():
             registry = MetricsRegistry()
             sampler = TimeSeriesSampler(registry, interval_s=0.05)
             slo = SLOTracker(registry)
             store = _store()
             server = GenerativeServer(store, registry=registry)
-            server.concurrent_streams = concurrent
             plane = AdminPlane(registry, sampler=sampler, slo=slo).bind(server)
             listener = await server.serve_forever("127.0.0.1", 0)
             port = listener.sockets[0].getsockname()[1]
@@ -312,11 +312,30 @@ class TestOverTcp:
         assert admin == 2.0
 
     def test_admin_routing_in_serial_mode(self):
+        """The synchronous in-memory driver (``handle_event``: one request,
+        start to finish) routes the reserved authority like the socket does."""
         async def scenario(registry, plane, port):
             return await admin_fetch_json("127.0.0.1", port, "/healthz")
 
-        body = self._serve(scenario, concurrent=False)
+        over_tcp = self._serve(scenario)
+
+        registry = MetricsRegistry()
+        server = GenerativeServer(_store(), registry=registry)
+        AdminPlane(registry).bind(server)
+        client = GenerativeClient(device=LAPTOP)
+        pair = connect_in_memory(client, server)
+        conn = pair.client.conn
+        stream_id = conn.get_next_available_stream_id()
+        conn.send_headers(
+            stream_id, client.request_headers("/healthz", ADMIN_AUTHORITY), end_stream=True
+        )
+        pair.pump()
+        data = [e for e in pair.client.take_events(DataReceived) if e.stream_id == stream_id]
+        body = json.loads(b"".join(e.data for e in data))
         assert body["status"] in ("ok", "degraded")
+        assert body.keys() == over_tcp.keys()
+        # Admin traffic stays out of the serving metrics on this driver too.
+        assert not registry.value("sww_requests_total", layer="sww")
 
     def test_large_profile_body_crosses_flow_control_windows(self):
         async def scenario(registry, plane, port):

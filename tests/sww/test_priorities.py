@@ -87,11 +87,6 @@ class TestClientSignalling:
         headers = dict(client.request_headers("/x.png", priority=AGENT))
         assert headers[b"priority"] == b"u=0"
 
-    def test_no_priorities_flag_omits_header(self):
-        client = GenerativeClient(device=LAPTOP, send_priorities=False)
-        headers = client.request_headers("/blog/ridgeline-hike")
-        assert all(name != b"priority" for name, _ in headers)
-
     def test_default_priority_serializes_to_nothing_and_is_omitted(self):
         # urgency 3, non-incremental is the protocol default: zero bytes.
         from repro.http2.priority import Priority
@@ -131,12 +126,3 @@ class TestEndToEnd:
             s.urgency for s in pair.server.conn.streams.values() if s.priority_signalled
         }
         assert PAGE.urgency in urgencies
-
-    def test_no_priorities_client_leaves_streams_unsignalled(self):
-        client = GenerativeClient(device=LAPTOP, send_priorities=False)
-        server = make_server()
-        pair = connect_in_memory(client, server)
-        client.fetch_via_pair(pair, "/blog/ridgeline-hike")
-        assert not any(
-            s.priority_signalled for s in pair.server.conn.streams.values()
-        )

@@ -85,15 +85,13 @@ class TestSwwPush:
         assert all(b.startswith(b"\x89PNG") for b in result.pushed_assets.values())
 
     @pytest.mark.parametrize("memoise_pages", [True, False])
-    @pytest.mark.parametrize(
-        "transport, concurrent_streams", [("memory", True), ("tcp", True), ("tcp", False)]
-    )
-    def test_push_does_not_depend_on_the_page_memo(self, memoise_pages, transport, concurrent_streams):
+    # The "-True" in the ids is the column that used to pick the dispatcher;
+    # there is one now, and the ids stay so recorded results line up.
+    @pytest.mark.parametrize("transport", ["memory", "tcp"], ids=["memory-True", "tcp-True"])
+    def test_push_does_not_depend_on_the_page_memo(self, memoise_pages, transport):
         """The session pushes what this response materialised, not what the
         server's page memo happens to hold (--push with --no-page-memo)."""
-        server = make_pushing_server(
-            memoise_pages=memoise_pages, concurrent_streams=concurrent_streams
-        )
+        server = make_pushing_server(memoise_pages=memoise_pages)
         client = GenerativeClient(device=LAPTOP, gen_ability=False)
         path = "/blog/ridgeline-hike"
         if transport == "memory":

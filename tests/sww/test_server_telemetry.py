@@ -33,13 +33,19 @@ def _store() -> SiteStore:
 
 
 class TestLoopStallHeartbeat:
-    def _run_with_blocking_handler(self, block_s: float, concurrent: bool):
-        """Serve one request whose handler blocks the thread for block_s."""
+    def _run_with_blocking_handler(
+        self, block_s: float, path: str = "/blog/ridgeline-hike", status: int = 200
+    ):
+        """Serve one request whose handler blocks the thread for block_s.
+
+        The default path is a capable client's page fetch (model
+        negotiation → thread executor); an unknown path is a 404 the
+        session answers on the event loop itself.
+        """
         registry = MetricsRegistry()
 
         async def scenario():
             server = GenerativeServer(_store(), registry=registry)
-            server.concurrent_streams = concurrent
             original = server.handle_request
 
             def slow_handle(path, *args, **kwargs):
@@ -52,10 +58,10 @@ class TestLoopStallHeartbeat:
             try:
                 client = GenerativeClient(device=LAPTOP)
                 result = await asyncio.wait_for(
-                    client.fetch_tcp("127.0.0.1", port, "/blog/ridgeline-hike"),
+                    client.fetch_tcp("127.0.0.1", port, path),
                     timeout=30,
                 )
-                assert result.status == 200
+                assert result.status == status
                 # Give the heartbeat a few more 20 ms probe intervals so the
                 # oversleep caused by the block is definitely recorded.
                 await asyncio.sleep(0.08)
@@ -67,12 +73,13 @@ class TestLoopStallHeartbeat:
         return registry
 
     def test_serial_blocking_handler_trips_the_stall_gauges(self):
-        registry = self._run_with_blocking_handler(0.08, concurrent=False)
+        # A 404 is answered inline on the event loop (_answers_from_memory),
+        # one request at a time: an 80 ms handler there holds the loop and
+        # the probe's sleep oversleeps by most of it.
+        registry = self._run_with_blocking_handler(0.08, path="/no-such-page", status=404)
         worst = registry.value(
             "sww_server_loop_stall_max_seconds", layer="sww", operation="loop"
         )
-        # An 80 ms synchronous handler holds the loop; the probe's sleep
-        # oversleeps by most of it.
         assert worst >= 0.05
         # The histogram saw the same stall (value == sum of observations).
         assert (
@@ -83,16 +90,16 @@ class TestLoopStallHeartbeat:
         )
 
     def test_concurrent_mode_offloads_the_same_blocking_handler(self):
-        # The same 80 ms handler runs on an executor thread in concurrent
-        # mode, so the event loop itself stays responsive.
-        registry = self._run_with_blocking_handler(0.08, concurrent=True)
+        # The same 80 ms handler on a request that negotiates models runs
+        # on an executor thread, so the event loop itself stays responsive.
+        registry = self._run_with_blocking_handler(0.08)
         worst = registry.value(
             "sww_server_loop_stall_max_seconds", layer="sww", operation="loop"
         )
         assert worst < 0.05
 
     def test_probe_records_even_on_idle_connections(self):
-        registry = self._run_with_blocking_handler(0.0, concurrent=True)
+        registry = self._run_with_blocking_handler(0.0)
         # Heartbeat ran: the histogram family exists with observations
         # (a zero-ish sum but a live instrument).
         families = {name for name, _, _, _ in registry.collect()}

@@ -273,6 +273,68 @@ class TestServeFetch:
             thread.join(timeout=5)
 
 
+class TestServeWiring:
+    """`serve` builds one telemetry set per process, and everything that
+    reports — server, pipeline, batching engine, gencache — reports into it."""
+
+    ARGV = ["serve", "--pages", "news", "--max-batch", "4"]
+
+    @staticmethod
+    def _assert_one_sink(server, sampler):
+        try:
+            assert server.engine is not None
+            for part in (server.pipeline, server.engine):
+                # The engine's batching.* spans reach the server's tail
+                # sampler (and so /debug/* and incident bundles) only if
+                # it holds the server's tracer, not the global no-op.
+                assert part.tracer is server.tracer
+                assert part.registry is server.registry
+            assert server.gencache is not None
+            assert server.events.enabled and server.registry.enabled
+            assert sampler.registry is server.registry
+        finally:
+            server.engine.close()
+
+    def test_single_process_serve_shares_one_tracer_and_registry(self):
+        from repro.cli import _build_server, _build_store
+        from repro.devices import get_device
+
+        args = build_parser().parse_args(self.ARGV)
+        server, sampler = _build_server(
+            args, _build_store(args.pages), get_device(args.device)
+        )
+        assert server.gencache.registry is server.registry
+        self._assert_one_sink(server, sampler)
+
+    def test_worker_factory_shares_one_tracer_and_registry(self, monkeypatch):
+        import os
+
+        import repro.serving
+        from repro.cli import cmd_serve
+        from repro.serving import RemoteGenerationCache
+
+        built = {}
+
+        class CapturingArbiter:
+            def __init__(self, config, runtime_factory):
+                built.update(config=config, factory=runtime_factory)
+
+            def run(self):
+                return 0
+
+        monkeypatch.setattr(repro.serving, "Arbiter", CapturingArbiter)
+        assert cmd_serve(build_parser().parse_args(self.ARGV + ["--workers", "2"])) == 0
+        assert built["config"].workers == 2 and built["config"].cache_tier
+        # The facade connects lazily: no tier needs to listen here.
+        runtime = built["factory"](0, ("127.0.0.1", 1))
+        assert isinstance(runtime.server.gencache, RemoteGenerationCache)
+        assert runtime.gencache is runtime.server.gencache
+        assert runtime.registry is runtime.server.registry
+        assert runtime.events is runtime.server.events
+        assert runtime.events.worker_id == os.getpid()
+        self._assert_one_sink(runtime.server, runtime.sampler)
+
+
 class TestTopAndStatsWatch:
     @pytest.fixture
     def telemetry_port(self):
