@@ -42,25 +42,37 @@ UNIFORM_PAGES = 24
 FLEETS = (1, 2, 4)
 STARTUP_TIMEOUT_S = 60.0
 
-# Run every fleet size through the arbiter itself (``_serve_multiworker``
-# handles workers=1 fine; the CLI's single-process fast path is bypassed
-# on purpose so fleet size is the only variable).
-_RUNNER = (
-    "import sys\n"
-    "from repro.cli import _serve_multiworker, build_parser\n"
-    "sys.exit(_serve_multiworker(build_parser().parse_args(['serve'] + sys.argv[1:])))\n"
-)
+
+def _runner(memoise_pages: bool) -> str:
+    """Run every fleet size through the arbiter itself (``_serve_multiworker``
+    handles workers=1 fine; the CLI's single-process fast path is bypassed
+    on purpose so fleet size is the only variable). ``memoise_pages=False``
+    switches the page memo off on the server each worker builds — the
+    tier replay's reference arm, which no CLI option offers."""
+    return (
+        "import sys\n"
+        "from repro import cli\n"
+        "build = cli._build_server\n"
+        "def build_server(*args, **kwargs):\n"
+        "    server, sampler = build(*args, **kwargs)\n"
+        f"    server.memoise_pages = {memoise_pages}\n"
+        "    return server, sampler\n"
+        "cli._build_server = build_server\n"
+        "sys.exit(cli._serve_multiworker(cli.build_parser().parse_args(['serve'] + sys.argv[1:])))\n"
+    )
 
 
 class ArbiterBench:
     """A ``serve --workers N`` arbiter subprocess and its parsed banner."""
 
-    def __init__(self, workers: int, pages: list[str], extra_args: list[str]):
+    def __init__(
+        self, workers: int, pages: list[str], extra_args: list[str], memoise_pages: bool = True
+    ):
         repo_src = os.path.join(os.path.dirname(__file__), "..", "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(repo_src), PYTHONUNBUFFERED="1")
         self.proc = subprocess.Popen(
             [
-                sys.executable, "-c", _RUNNER,
+                sys.executable, "-c", _runner(memoise_pages),
                 "--workers", str(workers), "--port", "0", "--host", "127.0.0.1",
                 "--heartbeat-interval", str(HEARTBEAT_S),
                 "--pages", *pages,
@@ -193,7 +205,7 @@ def run_tier_replay():
         sorted(page.path for page in pages), 10, exponent=1.1, seed="gencache-bench"
     )
     arbiter = ArbiterBench(
-        2, ["gallery", "travel-blog", "news"], ["--no-page-memo", "--worker-connections", "1"]
+        2, ["gallery", "travel-blog", "news"], ["--worker-connections", "1"], memoise_pages=False
     )
     try:
         arbiter.fetch_serial(list(stream))

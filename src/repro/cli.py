@@ -167,7 +167,6 @@ def _build_server(
         gencache=gencache if gencache is not None else _make_gencache(args, registry),
         engine=_make_engine(args, device, registry=registry, tracer=tracer),
         events=events,
-        memoise_pages=not args.no_page_memo,
         max_concurrent_streams=args.max_concurrent_streams,
     )
     return server, sampler
@@ -224,24 +223,16 @@ def _serve_multiworker(args: argparse.Namespace) -> int:
     import os
 
     from repro.serving import Arbiter, ArbiterConfig, RemoteGenerationCache
-    from repro.serving.worker import WorkerRuntime
 
     store = _build_store(args.pages)
     device = get_device(args.device)
 
-    def runtime_factory(worker_id: int, cache_address):
-        remote = RemoteGenerationCache(cache_address[0], cache_address[1])
+    def runtime_factory(cache_address):
         # Key the event stream by pid: merged jsonl orders by
         # (worker, seq) and respawned workers never collide.
-        server, sampler = _build_server(
-            args, store, device, worker_id=os.getpid(), gencache=remote
-        )
-        return WorkerRuntime(
-            server=server,
-            registry=server.registry,
-            events=server.events,
-            sampler=sampler,
-            gencache=remote,
+        return _build_server(
+            args, store, device, worker_id=os.getpid(),
+            gencache=RemoteGenerationCache(*cache_address),
         )
 
     config = ArbiterConfig(
@@ -252,9 +243,7 @@ def _serve_multiworker(args: argparse.Namespace) -> int:
         heartbeat_interval_s=args.heartbeat_interval,
         max_requests=args.max_requests,
         connection_limit=args.worker_connections,
-        admin_host=args.host,
         admin_port=args.admin_port,
-        cache_port=args.cache_port,
         cache_capacity_bytes=args.gencache_bytes,
     )
     try:
@@ -919,19 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="PORT",
         help="arbiter admin plane port (multi-worker only; 0 = ephemeral)",
-    )
-    serve.add_argument(
-        "--cache-port",
-        type=int,
-        default=0,
-        metavar="PORT",
-        help="shared gencache tier port (multi-worker only; 0 = ephemeral)",
-    )
-    serve.add_argument(
-        "--no-page-memo",
-        action="store_true",
-        help="disable the server-generated page memo (every request "
-             "re-materialises through the gencache)",
     )
     serve.add_argument(
         "--max-concurrent-streams",

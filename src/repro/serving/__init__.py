@@ -7,19 +7,21 @@ style process model on top of the existing building blocks without
 changing any of them:
 
 * :mod:`repro.serving.arbiter` — the master: binds the listening socket,
-  forks N workers, reaps/respawns on SIGCHLD, SIGKILLs workers whose
-  heartbeat goes stale, scales up/down on SIGTTIN/SIGTTOU, rolls the
-  fleet on SIGHUP, and aggregates per-worker telemetry onto its own
-  admin plane (``/metrics``, ``/healthz``, ``/debug/workers``);
+  forks N workers, reaps/respawns on SIGCHLD (halting instead when a
+  worker fails to boot), SIGKILLs workers whose heartbeat goes stale,
+  scales up/down on SIGTTIN/SIGTTOU, rolls the fleet on SIGHUP, and
+  aggregates per-worker telemetry onto its own admin plane
+  (``/metrics``, ``/healthz``, ``/debug/workers``);
 * :mod:`repro.serving.worker` — one forked worker: accepts on the shared
   inherited socket, drives :meth:`GenerativeServer.handle_connection`,
   drains gracefully on SIGTERM (in-flight streams finish, queued writer
   bytes flush) and ships heartbeat/metrics/timeseries/event frames to
-  the master over its control pipe;
-* :mod:`repro.serving.cachetier` — the shared gencache tier: a
-  lightweight cache server spoken to over the repo's own HTTP/2 stack
-  under the reserved ``sww-cache.internal`` authority, extending the
-  gencache's single-flight leadership across process boundaries;
+  the master over its control pipe, written on its event loop;
+* :mod:`repro.serving.cachetier` — the shared gencache tier, always on
+  under the arbiter: a lightweight cache server on a loopback-only
+  port, spoken to over the repo's own HTTP/2 stack under the reserved
+  ``sww-cache.internal`` authority, extending the gencache's
+  single-flight leadership across process boundaries;
 * :mod:`repro.serving.remote` — the worker-side
   :class:`~repro.gencache.GenerationCache`-compatible facade over that
   tier;
@@ -40,7 +42,7 @@ from repro.serving.protocol import (
     write_frame_blocking,
 )
 from repro.serving.remote import RemoteGenerationCache
-from repro.serving.worker import WorkerOptions, worker_main
+from repro.serving.worker import worker_main
 
 __all__ = [
     "Arbiter",
@@ -55,6 +57,5 @@ __all__ = [
     "read_frame",
     "write_frame_blocking",
     "RemoteGenerationCache",
-    "WorkerOptions",
     "worker_main",
 ]

@@ -16,10 +16,14 @@ The master itself never serves site traffic — it supervises:
   SIGTTIN forks one more worker, SIGTTOU retires the newest; SIGHUP
   rolls the fleet one worker at a time (spawn replacement, wait for its
   hello, then drain the old one) so capacity never dips;
-* **shared gencache tier** — when enabled, a
+* **boot errors** — a worker that exits with status 70 before its hello
+  (its runtime factory raised) would fail the same way on every respawn,
+  so the master halts the fleet instead and exits 70 itself;
+* **shared gencache tier** — a
   :class:`~repro.serving.cachetier.CacheTierServer` runs on the master's
-  own event loop under the reserved ``sww-cache.internal`` authority,
-  extending single-flight generation leadership across the fleet;
+  own event loop, on a loopback-only ephemeral port, under the reserved
+  ``sww-cache.internal`` authority, extending single-flight generation
+  leadership across the fleet;
 * **telemetry aggregation** — per-worker registry dumps, timeseries
   deltas and wide events arrive over the control pipes and are merged
   with the existing ``sww-metrics/1`` / ``sww-timeseries/1`` plumbing
@@ -69,15 +73,18 @@ from repro.obs import (
     merge_snapshots,
     to_openmetrics,
 )
-from repro.serving.cachetier import DEFAULT_FLIGHT_TIMEOUT_S, CacheTierServer
+from repro.serving.cachetier import CacheTierServer
 from repro.serving.h2util import MiniH2Server, MiniRequest, MiniResponse
 from repro.serving.protocol import FrameError, read_frame
-from repro.serving.worker import WorkerOptions, worker_main
+from repro.serving.worker import worker_main
 
 logger = logging.getLogger("repro.serving.arbiter")
 
 _OPENMETRICS = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 _CHILD_FAILURE_STATUS = 70  # EX_SOFTWARE; pre-empts "worker_main never ran"
+#: How long SIGTERMed workers get before SIGKILL: a session's default
+#: drain budget (``ServerSession.shutdown``) plus slack for the final flush.
+_DRAIN_WAIT_S = 35.0
 
 
 @dataclass
@@ -88,18 +95,16 @@ class ArbiterConfig:
     #: SIGKILL a worker whose last heartbeat is older than this.
     worker_timeout_s: float = 30.0
     heartbeat_interval_s: float = 1.0
-    drain_timeout_s: float = 30.0
+    #: Retire (gracefully) after this many requests; 0 disables. A
+    #: deterministic jitter of up to 10% — seeded by the worker id — is
+    #: added so a uniformly loaded fleet never recycles in lockstep.
     max_requests: int = 0
+    #: Cap on connections a worker holds at once; 0 means unlimited. A
+    #: cap of 1 turns shared-socket accept into least-loaded balancing.
     connection_limit: int = 0
-    admin_host: str = "127.0.0.1"
+    #: The admin plane binds ``host`` on this port (0 = ephemeral).
     admin_port: int = 0
-    #: Shared gencache tier (0 = ephemeral port). ``cache_tier=False``
-    #: leaves every worker on its own process-local cache.
-    cache_tier: bool = True
-    cache_host: str = "127.0.0.1"
-    cache_port: int = 0
     cache_capacity_bytes: int = DEFAULT_GENCACHE_BYTES
-    flight_timeout_s: float = DEFAULT_FLIGHT_TIMEOUT_S
 
 
 @dataclass
@@ -122,25 +127,23 @@ class _WorkerRecord:
 class Arbiter:
     """Master process: fork/supervise workers, host tier + admin planes.
 
-    ``runtime_factory(worker_id, cache_address)`` is called *in the
-    child, post-fork* and must return a
-    :class:`~repro.serving.worker.WorkerRuntime`; ``cache_address`` is
-    ``(host, port)`` of the shared gencache tier, or ``None`` when the
-    tier is disabled.
+    ``runtime_factory(cache_address)`` is called *in the child, post-fork,
+    on the worker's event loop* with the ``(host, port)`` of the shared
+    gencache tier, and returns the worker's ``(server, sampler)``.
     """
 
-    def __init__(self, config: ArbiterConfig, runtime_factory, registry=None) -> None:
+    def __init__(self, config: ArbiterConfig, runtime_factory) -> None:
         self.config = config
         self.runtime_factory = runtime_factory
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tier: CacheTierServer | None = None
-        self.cache_address: tuple[str, int] | None = None
+        self.registry = MetricsRegistry()
+        self.tier = CacheTierServer(config.cache_capacity_bytes, registry=self.registry)
         self._listen_sock: socket.socket | None = None
         self._workers: dict[int, _WorkerRecord] = {}
         self._departed_dumps: deque[dict] = deque(maxlen=64)
         self._timeseries: deque[dict] = deque(maxlen=4096)
         self._events: deque[dict] = deque(maxlen=8192)
         self._restarts = 0
+        self._exit_status = 0
         self._stopping = False
         self._stop = asyncio.Event()
         self._next_worker_id = 0
@@ -169,19 +172,13 @@ class Arbiter:
         self._listen_sock = self._bind(config.host, config.port, backlog=128)
         host, port = self._listen_sock.getsockname()[:2]
 
-        cache_server = None
-        if config.cache_tier:
-            self.tier = CacheTierServer(
-                config.cache_capacity_bytes,
-                registry=self.registry,
-                flight_timeout_s=config.flight_timeout_s,
-            )
-            cache_sock = self._bind(config.cache_host, config.cache_port)
-            self.cache_address = cache_sock.getsockname()[:2]
-            self._master_fds.add(cache_sock.fileno())
-            cache_server = await self.tier.server().serve(sock=cache_sock)
+        # The tier takes cache writes, so it never leaves loopback.
+        cache_sock = self._bind("127.0.0.1", 0)
+        self.cache_address = cache_sock.getsockname()[:2]
+        self._master_fds.add(cache_sock.fileno())
+        cache_server = await self.tier.server().serve(sock=cache_sock)
 
-        admin_sock = self._bind(config.admin_host, config.admin_port)
+        admin_sock = self._bind(config.host, config.admin_port)
         self.admin_address = admin_sock.getsockname()[:2]
         self._master_fds.add(admin_sock.fileno())
         admin_server = await MiniH2Server(self._admin_handle, registry=self.registry).serve(
@@ -190,11 +187,10 @@ class Arbiter:
 
         print(f"sww arbiter serving on {host}:{port} workers={config.workers}", flush=True)
         print(f"sww arbiter admin on {self.admin_address[0]}:{self.admin_address[1]}", flush=True)
-        if self.cache_address is not None:
-            print(
-                f"sww arbiter cache tier on {self.cache_address[0]}:{self.cache_address[1]}",
-                flush=True,
-            )
+        print(
+            f"sww arbiter cache tier on {self.cache_address[0]}:{self.cache_address[1]}",
+            flush=True,
+        )
 
         loop.add_signal_handler(signal.SIGCHLD, self._on_sigchld)
         loop.add_signal_handler(signal.SIGTERM, self._request_stop)
@@ -217,12 +213,11 @@ class Arbiter:
             except asyncio.CancelledError:
                 pass
             await self._shutdown_fleet()
-            if cache_server is not None:
-                cache_server.close()
+            cache_server.close()
             admin_server.close()
             self._listen_sock.close()
         print("sww arbiter stopped", flush=True)
-        return 0
+        return self._exit_status
 
     # ------------------------------------------------------------------ #
     # Sockets & fork
@@ -288,20 +283,12 @@ class Arbiter:
                     os.close(fd)
                 except OSError:
                     pass
-            factory = self.runtime_factory
-            cache_address = self.cache_address
-            options = WorkerOptions(
-                worker_id=worker_id,
-                heartbeat_interval_s=self.config.heartbeat_interval_s,
-                drain_timeout_s=self.config.drain_timeout_s,
-                max_requests=self.config.max_requests,
-                connection_limit=self.config.connection_limit,
-            )
             status = worker_main(
                 self._listen_sock,
                 write_fd,
-                options,
-                lambda: factory(worker_id, cache_address),
+                worker_id,
+                self.config,
+                lambda: self.runtime_factory(self.cache_address),
             )
         except BaseException:
             traceback.print_exc()
@@ -441,7 +428,7 @@ class Arbiter:
     async def _reap(self) -> None:
         while True:
             try:
-                pid, _status = os.waitpid(-1, os.WNOHANG)
+                pid, status = os.waitpid(-1, os.WNOHANG)
             except ChildProcessError:
                 return
             if pid == 0:
@@ -452,7 +439,21 @@ class Arbiter:
             if record.metrics_dump is not None:
                 # Keep the dead worker's final counters in /metrics.
                 self._departed_dumps.append(record.metrics_dump)
-            respawn = not self._stopping and record.state in ("starting", "live")
+            if (
+                not self._stopping
+                and record.state == "starting"
+                and os.waitstatus_to_exitcode(status) == _CHILD_FAILURE_STATUS
+            ):
+                # It raised before its hello; a respawn would fail the
+                # same way, forever. (A signal during boot still respawns.)
+                print(
+                    f"sww arbiter halting: worker {record.worker_id} pid {pid} "
+                    f"failed to boot (exit status {_CHILD_FAILURE_STATUS})",
+                    flush=True,
+                )
+                self._exit_status = _CHILD_FAILURE_STATUS
+                self._request_stop()
+            respawn = not self._stopping and record.state in ("starting", "live", "killed")
             logger.info(
                 "reaped worker %d pid %d (state=%s, respawn=%s)",
                 record.worker_id,
@@ -489,7 +490,7 @@ class Arbiter:
     async def _shutdown_fleet(self) -> None:
         for record in self._workers.values():
             self._kill(record.pid, signal.SIGTERM)
-        deadline = time.monotonic() + self.config.drain_timeout_s + 5.0
+        deadline = time.monotonic() + _DRAIN_WAIT_S
         while self._workers and time.monotonic() < deadline:
             await asyncio.sleep(0.05)
             await self._reap()
@@ -579,7 +580,8 @@ class Arbiter:
 
     def _workers_state(self) -> dict:
         now = time.monotonic()
-        doc: dict = {
+        stats = self.tier.cache.stats
+        return {
             "workers": [
                 {
                     "worker_id": record.worker_id,
@@ -597,10 +599,7 @@ class Arbiter:
             "restarts": self._restarts,
             "events_buffered": len(self._events),
             "timeseries_deltas": len(self._timeseries),
-        }
-        if self.tier is not None and self.cache_address is not None:
-            stats = self.tier.cache.stats
-            doc["cache_tier"] = {
+            "cache_tier": {
                 "address": list(self.cache_address),
                 "hits": stats.hits,
                 "misses": stats.misses,
@@ -609,8 +608,8 @@ class Arbiter:
                 "entry_count": self.tier.cache.entry_count,
                 "used_bytes": self.tier.cache.used_bytes,
                 "flights": len(self.tier._flights),
-            }
-        return doc
+            },
+        }
 
     @staticmethod
     def _json(document: dict) -> MiniResponse:
@@ -623,13 +622,12 @@ class Arbiter:
     # ------------------------------------------------------------------ #
 
     def _gauge_workers(self) -> None:
-        if self.registry.enabled:
-            live = sum(1 for r in self._workers.values() if r.state in ("starting", "live"))
-            self.registry.gauge(
-                "serving_workers_size",
-                "Live workers under the arbiter",
-                layer="serving",
-            ).set(live)
+        live = sum(1 for r in self._workers.values() if r.state in ("starting", "live"))
+        self.registry.gauge(
+            "serving_workers_size",
+            "Live workers under the arbiter",
+            layer="serving",
+        ).set(live)
 
     def _count(
         self,
@@ -637,5 +635,4 @@ class Arbiter:
         name: str = "serving_heartbeats_total",
         help: str = "Worker control-pipe heartbeats received",
     ) -> None:
-        if self.registry.enabled:
-            self.registry.counter(name, help, layer="serving", operation=operation).inc()
+        self.registry.counter(name, help, layer="serving", operation=operation).inc()

@@ -30,8 +30,9 @@ Wire protocol (all under the reserved authority):
 * ``POST /coalesced`` — account an in-process coalesced duplicate
   (a worker's own single-flight absorbed a concurrent item) so fleet
   stats match single-process accounting. 204.
-* ``GET /stats`` — the cache's :class:`~repro.gencache.GenCacheStats`
-  plus byte/flight occupancy, as JSON.
+
+The arbiter reads the tier's counters in-process and reports them under
+``cache_tier`` in ``/debug/workers`` on its admin plane.
 
 Accounting is exact by construction: the leader's GET counted the miss,
 a published envelope is handed to each parked waiter straight from the
@@ -48,7 +49,7 @@ import json
 import logging
 from dataclasses import dataclass
 
-from repro.gencache.store import DEFAULT_GENCACHE_BYTES, CachedGeneration, GenerationCache
+from repro.gencache.store import DEFAULT_GENCACHE_BYTES, GenerationCache
 from repro.serving.h2util import MiniH2Server, MiniRequest, MiniResponse
 
 logger = logging.getLogger("repro.serving.cachetier")
@@ -144,9 +145,6 @@ class CacheTierServer:
         elif path == "/coalesced" and request.method == "POST":
             self._count("coalesced")
             return self._coalesced(request.body)
-        elif path == "/stats" and request.method == "GET":
-            self._count("stats")
-            return self._stats()
         return MiniResponse(status=404, body=b"unknown cache-tier route", content_type="text/plain")
 
     # ------------------------------------------------------------------ #
@@ -232,27 +230,6 @@ class CacheTierServer:
             )
         self.cache.record_coalesced(saved_sim_s, saved_energy_wh)
         return MiniResponse(status=204, body=b"", content_type=_JSON)
-
-    def _stats(self) -> MiniResponse:
-        stats = self.cache.stats
-        doc = {
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "coalesced": stats.coalesced,
-            "insertions": stats.insertions,
-            "rejected": stats.rejected,
-            "saved_sim_seconds": stats.saved_sim_seconds,
-            "saved_energy_wh": stats.saved_energy_wh,
-            "requests": stats.requests,
-            "hit_rate": stats.hit_rate,
-            "used_bytes": self.cache.used_bytes,
-            "capacity_bytes": self.cache.capacity_bytes,
-            "entry_count": self.cache.entry_count,
-            "flights": len(self._flights),
-        }
-        return MiniResponse(
-            body=json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        )
 
     # ------------------------------------------------------------------ #
     # Plumbing

@@ -43,30 +43,21 @@ logger = logging.getLogger("repro.serving.remote")
 
 #: Ordinary round-trip budget (connect + handshake + respond).
 DEFAULT_CALL_TIMEOUT_S = 15.0
+#: A lookup may legitimately park for a whole cross-worker flight.
+_LOOKUP_TIMEOUT_S = DEFAULT_FLIGHT_TIMEOUT_S + DEFAULT_CALL_TIMEOUT_S
 
 
 class RemoteGenerationCache:
     """GenerationCache-compatible client for the shared cache tier."""
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        authority: str = CACHE_AUTHORITY,
-        hit_time_s: float = HIT_LOOKUP_TIME_S,
-        call_timeout_s: float = DEFAULT_CALL_TIMEOUT_S,
-        flight_timeout_s: float = DEFAULT_FLIGHT_TIMEOUT_S,
-    ) -> None:
+    #: Simulated cost the generator charges for a (remote) hit — same
+    #: in-memory-lookup constant as the local cache: the tier lives on
+    #: the same host and the simulation's cost model is unchanged.
+    hit_time_s = HIT_LOOKUP_TIME_S
+
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self.authority = authority
-        #: Simulated cost the generator charges for a (remote) hit — same
-        #: in-memory-lookup constant as the local cache: the tier lives on
-        #: the same host and the simulation's cost model is unchanged.
-        self.hit_time_s = hit_time_s
-        self.call_timeout_s = call_timeout_s
-        #: A lookup may legitimately park for a whole cross-worker flight.
-        self.lookup_timeout_s = flight_timeout_s + call_timeout_s
         #: Local view of outcomes this worker observed at the tier.
         self.stats = GenCacheStats()
         #: Calls that degraded to cache-off behaviour (tier unreachable).
@@ -88,7 +79,7 @@ class RemoteGenerationCache:
         tier failure → None (the caller generates)."""
         try:
             response = self._call(
-                "GET", f"/gencache/{key.digest}", timeout=self.lookup_timeout_s
+                "GET", f"/gencache/{key.digest}", timeout=_LOOKUP_TIMEOUT_S
             )
         except Exception as exc:
             self._degraded("lookup", exc)
@@ -157,15 +148,6 @@ class RemoteGenerationCache:
         with self._stats_lock:
             self.stats.coalesced += 1
 
-    def tier_stats(self) -> dict:
-        """The tier's authoritative stats document (``GET /stats``)."""
-        import json
-
-        response = self._call("GET", "/stats")
-        if response.status != 200:
-            raise RuntimeError(f"cache tier /stats returned {response.status}")
-        return json.loads(response.body.decode("utf-8"))
-
     def close(self) -> None:
         """Tear down the connection and the background loop thread."""
         self._closed = True
@@ -199,7 +181,11 @@ class RemoteGenerationCache:
             self._loop = loop
 
     def _call(
-        self, method: str, path: str, body: bytes | None = None, timeout: float | None = None
+        self,
+        method: str,
+        path: str,
+        body: bytes | None = None,
+        timeout: float = DEFAULT_CALL_TIMEOUT_S,
     ) -> H2Response:
         if self._closed:
             raise ConnectionError("remote cache closed")
@@ -207,7 +193,7 @@ class RemoteGenerationCache:
         future = asyncio.run_coroutine_threadsafe(
             self._request(method, path, body), self._loop
         )
-        return future.result(timeout if timeout is not None else self.call_timeout_s)
+        return future.result(timeout)
 
     async def _request(self, method: str, path: str, body: bytes | None) -> H2Response:
         try:
@@ -238,9 +224,9 @@ class RemoteGenerationCache:
                     self.host,
                     self.port,
                     H2Connection(Role.CLIENT, gen_ability=False),
-                    self.authority,
+                    CACHE_AUTHORITY,
                 )
-                await client.settled(self.call_timeout_s)
+                await client.settled(DEFAULT_CALL_TIMEOUT_S)
                 self._client = client
             return client
 

@@ -2,13 +2,14 @@
 
 A worker owns nothing global. It inherits two fds from the arbiter — the
 shared listening socket and the write end of its control pipe — and
-builds *everything else* post-fork via the ``runtime_factory`` callable:
-its own :class:`~repro.sww.server.GenerativeServer`, its own
-:class:`~repro.obs.MetricsRegistry` / :class:`~repro.obs.EventLog`
-(stamped with the worker's pid) / :class:`~repro.obs.TimeSeriesSampler`,
-and — when the arbiter hosts a cache tier — a
-:class:`~repro.serving.remote.RemoteGenerationCache` facade in place of
-a process-local gencache.
+builds *everything else* post-fork via the ``runtime_factory`` callable,
+which returns ``(server, sampler)``: its own
+:class:`~repro.sww.server.GenerativeServer` (with its own
+:class:`~repro.obs.MetricsRegistry`, :class:`~repro.obs.EventLog` stamped
+with the worker's pid, and a
+:class:`~repro.serving.remote.RemoteGenerationCache` facade over the
+arbiter's shared cache tier as its gencache) and its own
+:class:`~repro.obs.TimeSeriesSampler`.
 
 The accept loop is deliberately hand-rolled (``loop.sock_accept`` rather
 than ``asyncio.start_server``): every worker accepts from the same
@@ -29,11 +30,16 @@ Each heartbeat interval the worker ships, over its control pipe:
   shipped);
 * newly finished wide events (``seq`` greater than the last shipped).
 
+Frames are written on the event loop through an asyncio pipe transport,
+never through the thread pool that generation shares: a heartbeat then
+proves exactly what the master's murder loop tests — that this worker's
+event loop still turns — however many requests are blocked in the pool.
+
 On SIGTERM the worker stops accepting, drains every live session via
 :meth:`~repro.sww.server.ServerSession.shutdown` (in-flight streams
 finish and queued writer bytes flush before sockets close), ships a
 final telemetry flush plus a ``bye`` frame, and exits 0. The same path
-runs when ``--max-requests`` (plus a deterministic per-worker jitter, so
+runs when ``max_requests`` (plus a deterministic per-worker jitter, so
 a fleet never recycles in lockstep) retires the worker.
 """
 
@@ -45,84 +51,58 @@ import os
 import random
 import signal
 import socket
-from dataclasses import dataclass, field
 
-from repro.serving.protocol import write_frame_blocking
+from repro.obs import dump_registry
+from repro.serving.protocol import encode_frame
 
 logger = logging.getLogger("repro.serving.worker")
 
 
-@dataclass
-class WorkerOptions:
-    """Per-worker behaviour knobs, decided by the arbiter pre-fork."""
-
-    worker_id: int = 0
-    heartbeat_interval_s: float = 1.0
-    drain_timeout_s: float = 30.0
-    #: Retire (gracefully) after this many requests; 0 disables. A
-    #: deterministic jitter of up to 10% — seeded by ``worker_id`` — is
-    #: added so a uniformly loaded fleet never recycles in lockstep.
-    max_requests: int = 0
-    #: Cap on concurrently held connections; 0 means unlimited. A cap of
-    #: 1 turns shared-socket accept into least-loaded balancing.
-    connection_limit: int = 0
-
-
-@dataclass
-class WorkerRuntime:
-    """Everything a worker builds post-fork (via ``runtime_factory``)."""
-
-    server: object
-    registry: object | None = None
-    events: object | None = None
-    sampler: object | None = None
-    #: A close()-able cache facade (RemoteGenerationCache) when the
-    #: arbiter hosts a shared tier; closed on the way out.
-    gencache: object | None = None
-    #: Extra banner lines the factory wants printed once (under the
-    #: arbiter's worker-spawn line); purely informational.
-    banner: list = field(default_factory=list)
-
-
-def _recycle_threshold(options: WorkerOptions) -> int:
+def _recycle_threshold(max_requests: int, worker_id: int) -> int:
     """``max_requests`` plus up to 10% deterministic per-worker jitter."""
-    if options.max_requests <= 0:
+    if max_requests <= 0:
         return 0
-    jitter_span = options.max_requests // 10
-    jitter = random.Random(options.worker_id).randint(0, jitter_span) if jitter_span else 0
-    return options.max_requests + jitter
+    jitter_span = max_requests // 10
+    jitter = random.Random(worker_id).randint(0, jitter_span) if jitter_span else 0
+    return max_requests + jitter
 
 
-def worker_main(listen_sock, pipe_fd: int, options: WorkerOptions, runtime_factory) -> int:
+def worker_main(listen_sock, pipe_fd: int, worker_id: int, config, runtime_factory) -> int:
     """Run one worker to completion; returns the process exit status.
 
+    ``config`` is the arbiter's :class:`~repro.serving.arbiter.ArbiterConfig`.
     Called in the child straight after fork (the arbiter has already
     detached the inherited asyncio state), so ``asyncio.run`` builds this
     process's own fresh event loop.
     """
     try:
-        return asyncio.run(_amain(listen_sock, pipe_fd, options, runtime_factory))
+        return asyncio.run(_amain(listen_sock, pipe_fd, worker_id, config, runtime_factory))
     except KeyboardInterrupt:
         return 0
 
 
-async def _amain(listen_sock, pipe_fd: int, options: WorkerOptions, runtime_factory) -> int:
+async def _amain(listen_sock, pipe_fd: int, worker_id: int, config, runtime_factory) -> int:
     loop = asyncio.get_running_loop()
     pid = os.getpid()
-    runtime: WorkerRuntime = runtime_factory()
-    server = runtime.server
+    server, sampler = runtime_factory()
 
-    ship_lock = asyncio.Lock()
+    pipe, pipe_protocol = await loop.connect_write_pipe(
+        asyncio.streams.FlowControlMixin, os.fdopen(pipe_fd, "wb", buffering=0)
+    )
+    # No write buffering past the pipe: drain() returns once a frame is in
+    # the kernel, so nothing shipped is lost when the process exits.
+    pipe.set_write_buffer_limits(high=0)
+    control = asyncio.StreamWriter(pipe, pipe_protocol, None, loop)
 
     async def ship(doc: dict) -> None:
-        """Write one control frame; serialized so frames never interleave."""
+        """Write one control frame; one write() per frame, so none interleave."""
         doc.setdefault("worker", pid)
-        async with ship_lock:
-            try:
-                await loop.run_in_executor(None, write_frame_blocking, pipe_fd, doc)
-            except (BrokenPipeError, OSError):
-                # Master gone; keep serving (its SIGTERM/SIGKILL decides).
-                pass
+        control.write(encode_frame(doc))
+        try:
+            await control.drain()
+        except (ConnectionError, OSError):
+            # Master gone; keep serving (its SIGTERM/SIGKILL decides).
+            pass
 
     stop = asyncio.Event()
     exit_reason = "drain"
@@ -133,13 +113,9 @@ async def _amain(listen_sock, pipe_fd: int, options: WorkerOptions, runtime_fact
     loop.add_signal_handler(signal.SIGTERM, request_stop)
     loop.add_signal_handler(signal.SIGINT, request_stop)
 
-    await ship({"type": "hello", "worker_id": options.worker_id, "pid": pid})
-    for line in runtime.banner:
-        print(line, flush=True)
+    await ship({"type": "hello", "worker_id": worker_id, "pid": pid})
 
-    sampler_task = None
-    if runtime.sampler is not None:
-        sampler_task = asyncio.create_task(runtime.sampler.run(stop))
+    sampler_task = asyncio.create_task(sampler.run(stop))
 
     # ------------------------------------------------------------------ #
     # Accept loop over the shared inherited socket
@@ -147,7 +123,7 @@ async def _amain(listen_sock, pipe_fd: int, options: WorkerOptions, runtime_fact
 
     listen_sock.setblocking(False)
     semaphore = (
-        asyncio.Semaphore(options.connection_limit) if options.connection_limit > 0 else None
+        asyncio.Semaphore(config.connection_limit) if config.connection_limit > 0 else None
     )
     conn_tasks: set[asyncio.Task] = set()
 
@@ -198,40 +174,33 @@ async def _amain(listen_sock, pipe_fd: int, options: WorkerOptions, runtime_fact
     last_seq_shipped = 0
 
     def generation_sim_s() -> float:
-        if runtime.registry is None:
-            return 0.0
-        return runtime.registry.value(
+        return server.registry.value(
             "sww_generation_seconds", layer="sww", operation="materialise"
         )
 
     async def ship_telemetry() -> None:
         nonlocal last_tick_shipped, last_seq_shipped
-        if runtime.registry is not None:
-            from repro.obs import dump_registry
+        await ship({"type": "metrics", "dump": dump_registry(server.registry)})
+        snapshot = sampler.snapshot(since=last_tick_shipped)
+        if snapshot["ticks"]:
+            last_tick_shipped = snapshot["tick"]
+            await ship({"type": "timeseries", "snapshot": snapshot})
+        fresh = [
+            record.to_dict()
+            for record in server.events.events()
+            if record.fields.get("seq", 0) > last_seq_shipped
+        ]
+        if fresh:
+            last_seq_shipped = max(record["seq"] for record in fresh)
+            await ship({"type": "events", "events": fresh})
 
-            await ship({"type": "metrics", "dump": dump_registry(runtime.registry)})
-        if runtime.sampler is not None:
-            snapshot = runtime.sampler.snapshot(since=last_tick_shipped)
-            if snapshot["ticks"]:
-                last_tick_shipped = snapshot["tick"]
-                await ship({"type": "timeseries", "snapshot": snapshot})
-        if runtime.events is not None and getattr(runtime.events, "enabled", False):
-            fresh = [
-                record.to_dict()
-                for record in runtime.events.events()
-                if record.fields.get("seq", 0) > last_seq_shipped
-            ]
-            if fresh:
-                last_seq_shipped = max(record["seq"] for record in fresh)
-                await ship({"type": "events", "events": fresh})
-
-    recycle_at = _recycle_threshold(options)
+    recycle_at = _recycle_threshold(config.max_requests, worker_id)
 
     async def heartbeat_loop() -> None:
         nonlocal exit_reason
         while not stop.is_set():
             try:
-                await asyncio.wait_for(stop.wait(), options.heartbeat_interval_s)
+                await asyncio.wait_for(stop.wait(), config.heartbeat_interval_s)
                 return
             except asyncio.TimeoutError:
                 pass
@@ -239,7 +208,7 @@ async def _amain(listen_sock, pipe_fd: int, options: WorkerOptions, runtime_fact
             await ship(
                 {
                     "type": "heartbeat",
-                    "worker_id": options.worker_id,
+                    "worker_id": worker_id,
                     "requests": server.requests_served,
                     "inflight": sum(session.inflight for session in sessions),
                     "connections": len(sessions),
@@ -266,30 +235,28 @@ async def _amain(listen_sock, pipe_fd: int, options: WorkerOptions, runtime_fact
     sessions = server.sessions()
     if sessions:
         await asyncio.gather(
-            *(session.shutdown(options.drain_timeout_s) for session in sessions),
+            *(session.shutdown() for session in sessions),
             return_exceptions=True,
         )
     if conn_tasks:
         await asyncio.gather(*conn_tasks, return_exceptions=True)
-    if sampler_task is not None:
-        sampler_task.cancel()
-        try:
-            await sampler_task
-        except asyncio.CancelledError:
-            pass
-    if runtime.sampler is not None:
-        # One last tick so the drain window's deltas reach the master.
-        runtime.sampler.tick()
+    sampler_task.cancel()
+    try:
+        await sampler_task
+    except asyncio.CancelledError:
+        pass
+    # One last tick so the drain window's deltas reach the master.
+    sampler.tick()
     await ship_telemetry()
     await ship(
         {
             "type": "bye",
-            "worker_id": options.worker_id,
+            "worker_id": worker_id,
             "exit": exit_reason,
             "requests": server.requests_served,
             "generation_sim_s": generation_sim_s(),
         }
     )
-    if runtime.gencache is not None:
-        await loop.run_in_executor(None, runtime.gencache.close)
+    await loop.run_in_executor(None, server.gencache.close)
+    control.close()
     return 0

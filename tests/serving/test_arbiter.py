@@ -23,21 +23,37 @@ from repro.sww.client import GenerativeClient
 
 HEARTBEAT_S = 0.2
 STARTUP_TIMEOUT_S = 30.0
+SERVE = [sys.executable, "-m", "repro.cli", "serve"]
+
+
+def _env() -> dict:
+    repo_src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    return dict(os.environ, PYTHONPATH=os.path.abspath(repo_src), PYTHONUNBUFFERED="1")
+
+
+def serve_whose_workers_first(statement: str) -> list[str]:
+    """``sww serve`` whose workers run ``statement`` in their runtime
+    factory (on the worker's event loop, before the server is built)."""
+    script = (
+        "import asyncio, os, sys, time\n"
+        "from repro import cli\n"
+        "build = cli._build_server\n"
+        "def build_server(*args, **kwargs):\n"
+        f"    {statement}\n"
+        "    return build(*args, **kwargs)\n"
+        "cli._build_server = build_server\n"
+        "sys.exit(cli.main(['serve'] + sys.argv[1:]))\n"
+    )
+    return [sys.executable, "-c", script]
 
 
 class ArbiterProcess:
     """A running ``sww serve --workers N`` subprocess plus its banner."""
 
-    def __init__(self, extra_args=(), workers=2):
-        repo_src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env = dict(
-            os.environ,
-            PYTHONPATH=os.path.abspath(repo_src),
-            PYTHONUNBUFFERED="1",
-        )
+    def __init__(self, extra_args=(), workers=2, command=SERVE):
         self.proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "serve",
+            command
+            + [
                 "--workers", str(workers), "--port", "0", "--pages", "news",
                 "--heartbeat-interval", str(HEARTBEAT_S),
             ]
@@ -45,7 +61,7 @@ class ArbiterProcess:
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
-            env=env,
+            env=_env(),
         )
         self.ports: dict[str, int] = {}
         self.worker_pids: list[int] = []
@@ -261,3 +277,118 @@ def test_master_metrics_aggregate_worker_counters(arbiter):
     text = arbiter.admin_text("/metrics")
     assert "serving_workers_size" in text
     assert "serving_heartbeats_total" in text
+
+
+def test_worker_that_cannot_boot_halts_the_arbiter():
+    """A worker whose factory raises before its hello would fail the same
+    way on every respawn: the arbiter stops with status 70 instead of
+    forking for ever."""
+    done = subprocess.run(
+        SERVE + ["--workers", "2", "--port", "0", "--pages", "news", "--sample-interval", "0"],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=30,
+    )
+    assert done.returncode == 70, done.stdout + done.stderr
+    assert len(re.findall(r"^sww arbiter worker \d+ pid", done.stdout, re.M)) <= 2
+    assert re.search(r"^sww arbiter halting: worker \d+ pid \d+ failed to boot", done.stdout, re.M)
+    assert "interval_s must be positive" in done.stderr
+    assert done.stdout.rstrip().endswith("sww arbiter stopped")
+
+
+def test_kill9_during_boot_still_respawns():
+    """A signal is not a boot error: a worker killed before its hello is
+    respawned like any other."""
+    proc = ArbiterProcess(command=serve_whose_workers_first("time.sleep(2.0)"))
+    try:
+        victim = proc.worker_pids[0]
+        states = {w["pid"]: w["state"] for w in proc.admin_json("/debug/workers")["workers"]}
+        assert states[victim] == "starting"
+        os.kill(victim, signal.SIGKILL)
+        proc.wait_for(
+            lambda: proc.admin_json("/healthz")["restarts"] == 1,
+            timeout_s=10,
+            message="worker killed during boot was not respawned",
+        )
+        proc.wait_for(
+            lambda: {w["state"] for w in proc.admin_json("/debug/workers")["workers"]} == {"live"},
+            timeout_s=15,
+            message="respawned worker never booted",
+        )
+        assert proc.proc.poll() is None
+        assert victim not in _live_pids(proc.admin_json("/debug/workers"))
+    finally:
+        proc.close()
+
+
+def test_stale_heartbeat_kill_respawns_the_worker():
+    """A worker whose loop is wedged past ``--worker-timeout`` is SIGKILLed
+    and replaced: the fleet keeps its size."""
+    proc = ArbiterProcess(
+        ["--worker-timeout", "0.5"], command=serve_whose_workers_first("time.sleep(30.0)")
+    )
+    try:
+
+        def replaced():
+            doc = proc.admin_json("/debug/workers")
+            live = _live_pids(doc)
+            return doc["restarts"] >= 2 and len(live) == 2 and not live & set(proc.worker_pids)
+
+        proc.wait_for(replaced, timeout_s=10, message="wedged workers were never replaced")
+    finally:
+        proc.close()
+
+
+def test_heartbeats_do_not_wait_behind_a_blocked_thread_pool():
+    """Every default-executor thread busy for 3 s (three worker timeouts)
+    must not stop a worker's heartbeats: its event loop is free, and that
+    is what the murder loop is meant to test."""
+    # One 3 s sleep per thread of the default executor (its own sizing rule).
+    fill_pool = (
+        "[asyncio.get_running_loop().run_in_executor(None, time.sleep, 3.0)"
+        " for _ in range(min(32, (os.cpu_count() or 1) + 4))]"
+    )
+    proc = ArbiterProcess(
+        ["--heartbeat-interval", "0.1", "--worker-timeout", "1"],
+        command=serve_whose_workers_first(fill_pool),
+    )
+    try:
+        time.sleep(3.5)
+        health = proc.admin_json("/healthz")
+        assert health["restarts"] == 0, health
+        assert {w["pid"] for w in health["workers"]} == set(proc.worker_pids)
+        assert proc.fetch("/news/transit-corridor").status == 200
+    finally:
+        proc.close()
+
+
+def test_max_requests_recycles_a_worker_under_its_id():
+    """``--max-requests 2`` retires a worker after its second request; the
+    master respawns it under the same worker id and no request fails."""
+    proc = ArbiterProcess(["--max-requests", "2"])
+    try:
+        before = {w["worker_id"]: w["pid"] for w in proc.admin_json("/debug/workers")["workers"]}
+        # Two workers absorb at most one request each without recycling,
+        # so six requests cross the threshold at least twice.
+        for _ in range(6):
+            assert proc.fetch("/news/transit-corridor").status == 200
+            # A recycle happens on the worker's next heartbeat; let it
+            # finish before connecting again, so no connection lands on a
+            # worker between its accept and its drain.
+            time.sleep(2 * HEARTBEAT_S)
+
+        def recycled():
+            doc = proc.admin_json("/debug/workers")
+            live = {
+                w["worker_id"]: w["pid"] for w in doc["workers"] if w["state"] in ("starting", "live")
+            }
+            return (
+                doc["restarts"] >= 1
+                and live.keys() == before.keys()
+                and any(live[worker_id] != pid for worker_id, pid in before.items())
+            )
+
+        proc.wait_for(recycled, timeout_s=10, message="no worker was recycled under its id")
+    finally:
+        proc.close()

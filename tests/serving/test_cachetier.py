@@ -1,7 +1,6 @@
 """The shared gencache tier: cross-process single-flight over HTTP/2."""
 
 import asyncio
-import json
 import threading
 
 from repro.gencache.store import CachedGeneration, GenerationCache
@@ -72,11 +71,13 @@ def test_cross_worker_single_flight_coalesces():
         results["b_again"] = worker_b.lookup(_Key("d1"))
         results["a_stats"] = worker_a.stats
         results["b_stats"] = worker_b.stats
-        results["tier_stats"] = worker_a.tier_stats()
         worker_a.close()
         worker_b.close()
+        # Every call has been answered; nothing touches the tier now.
+        results["flights"] = len(tier._flights)
+        return tier.cache.stats
 
-    _run_with_tier(30.0, body)
+    tier = _run_with_tier(30.0, body)
 
     assert results["a_first"] is None  # leader saw the miss and led
     assert results["a_insert"] is True
@@ -87,12 +88,11 @@ def test_cross_worker_single_flight_coalesces():
     again = results["b_again"]
     assert again is not None and again.payload == payload
 
-    tier = results["tier_stats"]
-    assert tier["misses"] == 1  # one generation led, fleet-wide
-    assert tier["coalesced"] == 1  # one waiter absorbed in flight
-    assert tier["hits"] == 1  # the post-publish lookup
-    assert tier["insertions"] == 1
-    assert tier["flights"] == 0
+    assert tier.misses == 1  # one generation led, fleet-wide
+    assert tier.coalesced == 1  # one waiter absorbed in flight
+    assert tier.hits == 1  # the post-publish lookup
+    assert tier.insertions == 1
+    assert results["flights"] == 0
     # Worker-local facades kept their own view of the same outcomes.
     assert results["a_stats"].misses == 1 and results["a_stats"].insertions == 1
     assert results["b_stats"].coalesced == 1 and results["b_stats"].hits == 1
@@ -102,21 +102,22 @@ def test_flight_timeout_promotes_waiter_to_leader():
     """A parked waiter whose leader dies is promoted after the timeout."""
 
     def body(tier, port):
-        worker = RemoteGenerationCache("127.0.0.1", port, flight_timeout_s=0.3)
+        worker = RemoteGenerationCache("127.0.0.1", port)
         # A leader that never publishes (crashed worker).
         assert worker.lookup(_Key("dead")) is None
         # The waiter parks, times out, and is told to lead.
         promoted = worker.lookup(_Key("dead"))
-        stats = worker.tier_stats()
+        # Copied before the publish below changes them.
+        misses, coalesced = tier.cache.stats.misses, tier.cache.stats.coalesced
         # The promoted leader can publish and later lookups hit.
         assert worker.insert(_Key("dead"), payload=b"x", text="", sim_time_s=1.0, energy_wh=0.0)
         hit = worker.lookup(_Key("dead"))
         worker.close()
-        return promoted, stats, hit
+        return promoted, misses, coalesced, hit
 
-    promoted, stats, hit = _run_with_tier(0.25, body)
+    promoted, misses, coalesced, hit = _run_with_tier(0.25, body)
     assert promoted is None  # promoted waiter leads (counted as a miss)
-    assert stats["misses"] == 2 and stats["coalesced"] == 0
+    assert misses == 2 and coalesced == 0
     assert hit is not None and hit.payload == b"x"
 
 
@@ -155,19 +156,18 @@ def test_dead_leader_promotes_one_waiter_and_the_rest_ride_it():
         assert published.status == 204
         results = await asyncio.wait_for(asyncio.gather(*waiters), 2)
         assert loop.time() - parked_at <= timeout_s
-        stats = json.loads((await request("GET", "/stats")).body)
-        return sorted(result[0] for result in results), stats
+        return sorted(result[0] for result in results), tier.cache.stats, len(tier._flights)
 
-    outcomes, stats = asyncio.run(main())
+    outcomes, stats, flights = asyncio.run(main())
     assert outcomes == [b"coalesced", b"coalesced", b"lead"]
-    assert stats["misses"] == 2 and stats["coalesced"] == 2 and stats["hits"] == 0
-    assert stats["insertions"] == 1 and stats["flights"] == 0
+    assert stats.misses == 2 and stats.coalesced == 2 and stats.hits == 0
+    assert stats.insertions == 1 and flights == 0
 
 
 def test_remote_cache_degrades_without_tier():
     """No tier listening: lookups degrade to misses, inserts to no-ops —
     the worker keeps serving on its own generation."""
-    cache = RemoteGenerationCache("127.0.0.1", 1, call_timeout_s=0.5)
+    cache = RemoteGenerationCache("127.0.0.1", 1)
     assert cache.lookup(_Key("any")) is None
     assert cache.insert(_Key("any"), payload=b"p", text="", sim_time_s=1.0, energy_wh=0.0) is False
     assert cache.errors >= 1

@@ -324,15 +324,12 @@ class TestServeWiring:
 
         monkeypatch.setattr(repro.serving, "Arbiter", CapturingArbiter)
         assert cmd_serve(build_parser().parse_args(self.ARGV + ["--workers", "2"])) == 0
-        assert built["config"].workers == 2 and built["config"].cache_tier
+        assert built["config"].workers == 2
         # The facade connects lazily: no tier needs to listen here.
-        runtime = built["factory"](0, ("127.0.0.1", 1))
-        assert isinstance(runtime.server.gencache, RemoteGenerationCache)
-        assert runtime.gencache is runtime.server.gencache
-        assert runtime.registry is runtime.server.registry
-        assert runtime.events is runtime.server.events
-        assert runtime.events.worker_id == os.getpid()
-        self._assert_one_sink(runtime.server, runtime.sampler)
+        server, sampler = built["factory"](("127.0.0.1", 1))
+        assert isinstance(server.gencache, RemoteGenerationCache)
+        assert server.events.worker_id == os.getpid()
+        self._assert_one_sink(server, sampler)
 
 
 class TestTopAndStatsWatch:

@@ -14,13 +14,13 @@ import pytest
 
 from repro.cli import build_parser
 from repro.http2.endpoint import ServerConnection
-from repro.serving import ArbiterConfig
+from repro.serving import Arbiter, ArbiterConfig, CacheTierServer, RemoteGenerationCache
 from repro.sww.client import GenerativeClient
 from repro.sww.media_generator import MediaGenerator
 from repro.sww.page_processor import PageProcessor
 from repro.sww.server import GenerativeServer
 
-CLI_ARGUMENTS_CEILING = 82
+CLI_ARGUMENTS_CEILING = 80
 INIT_PARAMETER_CEILINGS = {
     GenerativeClient: 10,
     GenerativeServer: 15,
@@ -28,7 +28,10 @@ INIT_PARAMETER_CEILINGS = {
     PageProcessor: 2,
     MediaGenerator: 4,
     # A config object's fields are options too (dataclass __init__).
-    ArbiterConfig: 15,
+    ArbiterConfig: 9,
+    Arbiter: 2,
+    RemoteGenerationCache: 2,
+    CacheTierServer: 3,
 }
 
 
