@@ -258,14 +258,19 @@ class H2Connection:
         self._peer_settings_received = False
         self.encoder = HpackEncoder(header_table_size, use_huffman=use_huffman, use_indexing=use_indexing)
         self.decoder = HpackDecoder(header_table_size)
+        #: Streams that are not closed; :meth:`_process` registers a stream
+        #: on its first transition and drops it on CLOSED.
         self.streams: dict[int, H2Stream] = {}
+        #: Highest stream id ever opened or reserved, indexed by parity
+        #: (``id % 2``). An absent id at or below it is closed (§5.1.1).
+        self._highest_stream_id = [0, 0]
+        self._peer_parity = 1 if role == Role.SERVER else 0
         self.outbound_window = FlowControlWindow()
         self.inbound_window = FlowControlWindow()
         self._send_buffer = bytearray()
         self._recv_buffer = b""
         self._preface_pending = role == Role.SERVER
         self._next_stream_id = 1 if role == Role.CLIENT else 2
-        self._highest_peer_stream = 0
         self._expect_continuation: tuple[int, bytearray, bool] | None = None
         self._goaway_sent = False
         self._goaway_received = False
@@ -321,10 +326,10 @@ class H2Connection:
     ) -> None:
         """Send HEADERS (+CONTINUATIONs when the block exceeds a frame)."""
         self._assert_open_for_sending()
-        stream = self._get_or_create_stream(stream_id)
-        stream.process(StreamEvent.SEND_HEADERS)
+        stream = self._stream(stream_id)
+        self._process(stream, StreamEvent.SEND_HEADERS)
         if end_stream:
-            stream.process(StreamEvent.SEND_END_STREAM)
+            self._process(stream, StreamEvent.SEND_END_STREAM)
         block = self.encoder.encode(headers)
         self._note_hpack()
         limit = max_fragment or self.peer_settings.max_frame_size
@@ -376,7 +381,7 @@ class H2Connection:
             if last:
                 break
         if end_stream:
-            stream.process(StreamEvent.SEND_END_STREAM)
+            self._process(stream, StreamEvent.SEND_END_STREAM)
 
     def send_ping(self, data: bytes = b"\x00" * 8) -> None:
         self._emit_frame(PingFrame(data=data))
@@ -400,12 +405,11 @@ class H2Connection:
             raise ProtocolError("only servers may push")
         if not self.peer_settings.enable_push:
             raise ProtocolError("peer disabled server push")
-        parent = self.streams.get(request_stream_id)
-        if parent is None or parent.closed:
+        if request_stream_id not in self.streams:
             raise ProtocolError(f"cannot push against stream {request_stream_id}")
         promised_id = self.get_next_available_stream_id()
-        promised = self._get_or_create_stream(promised_id)
-        promised.process(StreamEvent.SEND_PUSH_PROMISE)
+        promised = self._stream(promised_id)
+        self._process(promised, StreamEvent.SEND_PUSH_PROMISE)
         block = self.encoder.encode(request_headers)
         self._emit_frame(
             PushPromiseFrame(
@@ -414,7 +418,7 @@ class H2Connection:
                 header_block=block,
             )
         )
-        promised.process(StreamEvent.SEND_HEADERS)
+        self._process(promised, StreamEvent.SEND_HEADERS)
         response_block = self.encoder.encode(response_headers)
         self._emit_frame(HeadersFrame(stream_id=promised_id, header_block=response_block))
         return promised_id
@@ -433,14 +437,12 @@ class H2Connection:
         return promised_id
 
     def reset_stream(self, stream_id: int, error_code: ErrorCode = ErrorCode.CANCEL) -> None:
-        stream = self._get_or_create_stream(stream_id)
-        stream.process(StreamEvent.SEND_RST)
+        self._process(self._stream(stream_id), StreamEvent.SEND_RST)
         self._emit_frame(RstStreamFrame(stream_id=stream_id, error_code=error_code))
 
     def close_connection(self, error_code: ErrorCode = ErrorCode.NO_ERROR, debug: bytes = b"") -> None:
-        self._emit_frame(
-            GoAwayFrame(last_stream_id=self._highest_peer_stream, error_code=error_code, debug_data=debug)
-        )
+        last_stream_id = self._highest_stream_id[self._peer_parity]
+        self._emit_frame(GoAwayFrame(last_stream_id=last_stream_id, error_code=error_code, debug_data=debug))
         self._goaway_sent = True
         if self.registry.enabled:
             self.registry.counter(
@@ -461,7 +463,7 @@ class H2Connection:
             PriorityUpdateFrame(prioritized_stream_id=stream_id, field_value=priority.serialize())
         )
         stream = self.streams.get(stream_id)
-        if stream is not None and not stream.closed:
+        if stream is not None:
             stream.set_priority(priority.urgency, priority.incremental)
 
     def increment_flow_control_window(self, increment: int, stream_id: int = 0) -> None:
@@ -503,8 +505,7 @@ class H2Connection:
             # lockstep or a grown window looks like an overrun here.
             delta = applied[Setting.INITIAL_WINDOW_SIZE] - old_window
             for stream in self.streams.values():
-                if not stream.closed:
-                    stream.inbound_window.adjust(delta)
+                stream.inbound_window.adjust(delta)
 
     def data_to_send(self) -> bytes:
         """Drain the outbound byte buffer."""
@@ -585,16 +586,28 @@ class H2Connection:
                 operation=context,
             ).set(table.size)
 
-    def _get_or_create_stream(self, stream_id: int) -> H2Stream:
+    def _stream(self, stream_id: int) -> H2Stream:
+        """The open stream ``stream_id`` names; for an absent id, a CLOSED
+        stand-in at or below the highest id of its parity (§5.1.1), else a
+        new IDLE stream that :meth:`_process` registers."""
         stream = self.streams.get(stream_id)
-        if stream is None:
-            stream = H2Stream(
-                stream_id,
-                outbound_window=FlowControlWindow(self.peer_settings.initial_window_size),
-                inbound_window=FlowControlWindow(self.local_settings.initial_window_size),
-            )
-            self.streams[stream_id] = stream
-        return stream
+        if stream is not None:
+            return stream
+        if stream_id <= self._highest_stream_id[stream_id % 2]:
+            return H2Stream(stream_id, state=StreamState.CLOSED)
+        return H2Stream(
+            stream_id,
+            outbound_window=FlowControlWindow(self.peer_settings.initial_window_size),
+            inbound_window=FlowControlWindow(self.local_settings.initial_window_size),
+        )
+
+    def _process(self, stream: H2Stream, event: StreamEvent) -> None:
+        """Apply ``event``: the one place a stream enters or leaves the table."""
+        if stream.process(event) is StreamState.CLOSED:
+            self.streams.pop(stream.stream_id, None)
+        elif stream.stream_id not in self.streams:
+            self.streams[stream.stream_id] = stream
+            self._highest_stream_id[stream.stream_id % 2] = stream.stream_id
 
     def _emit_frame(self, frame: Frame) -> None:
         wire = frame.serialize()
@@ -662,7 +675,7 @@ class H2Connection:
     def _handle_priority_update(self, frame: PriorityUpdateFrame) -> list[Event]:
         priority = parse_priority_field(frame.field_value)
         stream = self.streams.get(frame.prioritized_stream_id)
-        if stream is None or stream.closed:
+        if stream is None:
             # RFC 9218 §7: updates for unknown/closed streams are ignored
             # (a real server might buffer a couple for soon-to-open ids).
             return []
@@ -685,7 +698,7 @@ class H2Connection:
         if frame.stream_id == 0:
             raise ProtocolError("PRIORITY on stream 0")
         stream = self.streams.get(frame.stream_id)
-        if stream is None or stream.closed:
+        if stream is None:
             return []  # priority for idle/closed streams carries no state here
         urgency = urgency_from_weight(frame.weight)
         stream.set_priority(urgency, incremental=False)
@@ -695,12 +708,7 @@ class H2Connection:
 
     def _active_peer_streams(self) -> int:
         """Streams the peer initiated that are not yet closed (§5.1.2)."""
-        peer_parity = 1 if self.role == Role.SERVER else 0
-        return sum(
-            1
-            for stream in self.streams.values()
-            if stream.stream_id % 2 == peer_parity and not stream.closed
-        )
+        return sum(1 for stream_id in self.streams if stream_id % 2 == self._peer_parity)
 
     def _abuse(self, kind: str, count: int) -> list[Event]:
         """Tear the connection down with ENHANCE_YOUR_CALM."""
@@ -718,8 +726,7 @@ class H2Connection:
         if Setting.INITIAL_WINDOW_SIZE in applied:
             delta = applied[Setting.INITIAL_WINDOW_SIZE] - old_window
             for stream in self.streams.values():
-                if not stream.closed:
-                    stream.outbound_window.adjust(delta)
+                stream.outbound_window.adjust(delta)
         self.acknowledge_settings()
         events: list[Event] = [RemoteSettingsChanged(changes=applied)]
         if not self._peer_settings_received:
@@ -740,9 +747,10 @@ class H2Connection:
 
     def _header_events(self, stream_id: int, headers: HeaderList, end_stream: bool) -> list[Event]:
         self._note_hpack()
+        stream = self._stream(stream_id)
         if (
             self._max_concurrent_streams is not None
-            and stream_id not in self.streams
+            and stream.state is StreamState.IDLE
             and self._active_peer_streams() >= self._max_concurrent_streams
         ):
             # Refuse without touching the stream table: IDLE has no
@@ -761,17 +769,16 @@ class H2Connection:
                     operation="max-concurrent",
                 ).inc()
             return [StreamRefused(stream_id=stream_id, reason="max-concurrent-streams")]
-        stream = self._get_or_create_stream(stream_id)
         priority_field = next((value for name, value in headers if name == PRIORITY_HEADER), None)
         if priority_field is not None:
             parsed = parse_priority_field(priority_field)
             stream.set_priority(parsed.urgency, parsed.incremental)
-        is_trailers = bool(stream.received_headers) and stream.state in (
+        is_trailers = stream.headers_received and stream.state in (
             StreamState.OPEN,
             StreamState.HALF_CLOSED_LOCAL,
         )
-        stream.process(StreamEvent.RECV_HEADERS)
-        stream.received_headers.append(headers)
+        self._process(stream, StreamEvent.RECV_HEADERS)
+        stream.headers_received = True
         events: list[Event]
         if is_trailers:
             events = [TrailersReceived(stream_id=stream_id, headers=headers)]
@@ -780,9 +787,8 @@ class H2Connection:
         else:
             events = [ResponseReceived(stream_id=stream_id, headers=headers, end_stream=end_stream)]
         if end_stream:
-            stream.process(StreamEvent.RECV_END_STREAM)
+            self._process(stream, StreamEvent.RECV_END_STREAM)
             events.append(StreamEnded(stream_id=stream_id))
-        self._highest_peer_stream = max(self._highest_peer_stream, stream_id)
         return events
 
     def _handle_headers(self, frame: HeadersFrame) -> list[Event]:
@@ -849,7 +855,7 @@ class H2Connection:
             )
         ]
         if frame.end_stream:
-            stream.process(StreamEvent.RECV_END_STREAM)
+            self._process(stream, StreamEvent.RECV_END_STREAM)
             events.append(StreamEnded(stream_id=frame.stream_id))
         return events
 
@@ -877,13 +883,13 @@ class H2Connection:
             self.outbound_window.replenish(frame.increment)
         else:
             stream = self.streams.get(frame.stream_id)
-            if stream is not None and not stream.closed:
+            if stream is not None:
                 stream.outbound_window.replenish(frame.increment)
         return [WindowUpdated(stream_id=frame.stream_id, delta=frame.increment)]
 
     def _handle_rst(self, frame: RstStreamFrame) -> list[Event]:
-        stream = self.streams.get(frame.stream_id)
-        if stream is None:
+        stream = self._stream(frame.stream_id)
+        if stream.state is StreamState.IDLE:
             raise ProtocolError(f"RST_STREAM for idle stream {frame.stream_id}")
         if self.registry.enabled:
             self.registry.counter(
@@ -896,7 +902,7 @@ class H2Connection:
         # streams it just opened, over and over, burns server work for
         # free. Count resets that land while the request is still live.
         rapid = stream.state in (StreamState.OPEN, StreamState.HALF_CLOSED_REMOTE)
-        stream.process(StreamEvent.RECV_RST)
+        self._process(stream, StreamEvent.RECV_RST)
         events: list[Event] = [StreamReset(stream_id=frame.stream_id, error_code=frame.error_code)]
         if rapid:
             self._rapid_resets += 1
@@ -910,8 +916,7 @@ class H2Connection:
         if not self.local_settings.enable_push:
             raise ProtocolError("PUSH_PROMISE with push disabled")
         headers = self.decoder.decode(frame.header_block)
-        promised = self._get_or_create_stream(frame.promised_stream_id)
-        promised.process(StreamEvent.RECV_PUSH_PROMISE)
+        self._process(self._stream(frame.promised_stream_id), StreamEvent.RECV_PUSH_PROMISE)
         return [
             PushPromiseReceived(
                 stream_id=frame.stream_id,

@@ -112,8 +112,8 @@ class H2Stream:
     state: StreamState = StreamState.IDLE
     outbound_window: FlowControlWindow = field(default_factory=lambda: FlowControlWindow(DEFAULT_WINDOW))
     inbound_window: FlowControlWindow = field(default_factory=lambda: FlowControlWindow(DEFAULT_WINDOW))
-    #: Received request/response header lists, in arrival order.
-    received_headers: list[list[tuple[bytes, bytes]]] = field(default_factory=list)
+    #: True once a HEADERS block arrived; a later one is trailers.
+    headers_received: bool = False
     #: RFC 9218 urgency (0 most urgent … 7 least); 3 when unsignalled.
     urgency: int = 3
     #: RFC 9218 incremental flag. Defaults True (not the RFC's False):

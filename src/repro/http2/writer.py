@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 
 from repro.http2.connection import H2Connection
 from repro.http2.priority import DEFAULT_URGENCY, URGENCY_LEVELS, clamp_urgency
+from repro.http2.streams import StreamState
 from repro.obs import MetricsRegistry, get_registry
 
 
@@ -119,10 +120,6 @@ class ConnectionWriter:
         self._buckets: list[deque[int]] = [deque() for _ in range(URGENCY_LEVELS)]
         #: Anti-starvation debt per bucket (see module docstring).
         self._starvation_debt: list[int] = [0] * URGENCY_LEVELS
-        #: Streams whose final frame already went out (END_STREAM sent or
-        #: the stream died under the queue); late enqueues are programming
-        #: errors, not silent re-opens.
-        self._finished: set[int] = set()
         #: Cumulative scheduling statistics (also exported as metrics).
         self.frames_sent = 0
         self.bytes_sent = 0
@@ -161,11 +158,14 @@ class ConnectionWriter:
         robin. With :attr:`priorities_enabled` off, every stream is
         forced to the legacy defaults.
         """
-        if stream_id in self._finished:
-            raise ValueError(f"stream {stream_id} already finished its response")
         urgency, incremental = self._resolve_priority(stream_id, urgency, incremental)
         queue = self._queues.get(stream_id)
         if queue is None:
+            # A late enqueue is a programming error, not a silent re-open:
+            # the stream's final frame went out, or it died.
+            stream = self.conn._stream(stream_id)
+            if stream.state is not StreamState.IDLE and not stream.can_send_data:
+                raise ValueError(f"stream {stream_id} already finished its response")
             queue = _SendQueue(
                 stream_id,
                 # Zero-copy: the queue views the caller's body directly;
@@ -269,8 +269,6 @@ class ConnectionWriter:
             if queue.finished:
                 self._remove_queue(queue)
                 self.completed_streams += 1
-                if queue.end_stream:
-                    self._finished.add(queue.stream_id)
                 self._close_event(queue)
                 if sent:
                     written += sent

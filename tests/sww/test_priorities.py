@@ -2,8 +2,11 @@
 fold classification → the client's ``priority`` header → the server
 engine's per-stream scheduling parameters."""
 
+import pytest
+
 from repro.devices import LAPTOP
 from repro.html.parser import parse_html
+from repro.http2.streams import H2Stream
 from repro.sww.client import GenerativeClient, connect_in_memory
 from repro.sww.priorities import (
     ABOVE_FOLD,
@@ -96,8 +99,25 @@ class TestClientSignalling:
         assert all(name != b"priority" for name, _ in headers)
 
 
+@pytest.fixture
+def priority_signals(monkeypatch):
+    """``(stream_id, urgency, incremental)`` each time a stream takes a
+    priority signal, read while the stream is live: the engine drops a
+    stream from its table once it closes. In a fetch only the server
+    engine receives signals (the client sends them)."""
+    signals = []
+    set_priority = H2Stream.set_priority
+
+    def spy(stream, urgency, incremental):
+        set_priority(stream, urgency, incremental)
+        signals.append((stream.stream_id, stream.urgency, stream.incremental))
+
+    monkeypatch.setattr(H2Stream, "set_priority", spy)
+    return signals
+
+
 class TestEndToEnd:
-    def test_fetch_lands_priorities_in_server_stream_table(self):
+    def test_fetch_lands_priorities_in_server_stream_table(self, priority_signals):
         """The full path: policy → header → HPACK → server engine →
         per-stream urgency the writer schedules by."""
         client = GenerativeClient(device=LAPTOP)
@@ -106,15 +126,12 @@ class TestEndToEnd:
         result = client.fetch_via_pair(pair, "/blog/ridgeline-hike")
         assert result.status == 200
 
-        signalled = [
-            s for s in pair.server.conn.streams.values() if s.priority_signalled
-        ]
-        assert signalled, "no stream carried a priority signal"
-        page_stream = min(signalled, key=lambda s: s.stream_id)
-        assert page_stream.urgency == PAGE.urgency
-        assert page_stream.incremental is False
+        assert priority_signals, "no stream carried a priority signal"
+        _, urgency, incremental = min(priority_signals)
+        assert urgency == PAGE.urgency
+        assert incremental is False
 
-    def test_naive_asset_fetches_signal_fold_priorities(self):
+    def test_naive_asset_fetches_signal_fold_priorities(self, priority_signals):
         """A naive client pulls media over the wire; its asset streams
         must signal the below-the-fold default class."""
         client = GenerativeClient(device=LAPTOP, gen_ability=False)
@@ -122,7 +139,5 @@ class TestEndToEnd:
         pair = connect_in_memory(client, server)
         result = client.fetch_via_pair(pair, "/blog/ridgeline-hike")
         assert result.status == 200
-        urgencies = {
-            s.urgency for s in pair.server.conn.streams.values() if s.priority_signalled
-        }
+        urgencies = {urgency for _, urgency, _ in priority_signals}
         assert PAGE.urgency in urgencies

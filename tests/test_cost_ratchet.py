@@ -9,11 +9,16 @@ drops; raising one belongs in a diff a reviewer sees.
 
 First rows: one warm page-memo hit (the bench's ``hits_small`` op) served
 over loopback by a real ``ServerSession`` with metrics, wide events and
-tracing on, one request at a time.
+tracing on, one request at a time. Two rows ask what a keep-alive
+connection keeps once the hits are answered (ROADMAP item 1): the streams
+left in either engine's table, and the bytes allocated inside
+``repro/http2/`` that are still live, per hit.
 """
 
 import asyncio
+import gc
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import repro.obs.metrics as metrics
@@ -29,8 +34,17 @@ MEMO_HIT_CEILINGS = {
     "label_key_sorts": 0,
     # 22 of the 46 are the writer's gauges (11, twice); ROADMAP item 7.
     "registry_lookups": 46,
+    # Streams left in the client's and the server's table after the hits,
+    # a level rather than a rate; 23 on each end before closed streams
+    # were pruned.
+    "streams_left_open": 0,
+    # Live bytes allocated under repro/http2/ by the hits: read buffers and
+    # the writer's fields in the (bounded) wide-event ring, none of it per
+    # stream; 1 315 before closed streams were pruned.
+    "http2_bytes_retained": 132,
 }
 HITS = 20
+HTTP2_SOURCES = tracemalloc.Filter(True, "*/repro/http2/*")
 
 
 def _counting(monkeypatch, owner, name: str, counts: dict, key: str) -> None:
@@ -57,6 +71,11 @@ def test_warm_memo_hit_costs_no_more_than_it_did(monkeypatch):
     warm = server.handle_request(page.path, client_gen_ability=False)
     counts = dict.fromkeys(MEMO_HIT_CEILINGS, 0)
 
+    def http2_bytes() -> int:
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot().filter_traces([HTTP2_SOURCES])
+        return sum(stat.size for stat in snapshot.statistics("filename"))
+
     async def scenario():
         listener = await server.serve_forever("127.0.0.1", 0)
         port = listener.sockets[0].getsockname()[1]
@@ -73,9 +92,18 @@ def test_warm_memo_hit_costs_no_more_than_it_did(monkeypatch):
                 _counting(patch, threading.Thread, "start", counts, "threads_started")
                 _counting(patch, metrics, "_label_key", counts, "label_key_sorts")
                 _counting(patch, MetricsRegistry, "_get", counts, "registry_lookups")
-                for _ in range(HITS):
-                    hit = await asyncio.wait_for(connection.request("GET", page.path), 30)
-                    assert (hit.status, hit.body) == (200, warm.body)
+                tracemalloc.start()
+                try:
+                    before = http2_bytes()
+                    for _ in range(HITS):
+                        hit = await asyncio.wait_for(connection.request("GET", page.path), 30)
+                        assert (hit.status, hit.body) == (200, warm.body)
+                    del hit  # the caller's last body is not the engine's to keep
+                    counts["http2_bytes_retained"] = http2_bytes() - before
+                finally:
+                    tracemalloc.stop()
+            (session,) = server.sessions()
+            counts["streams_left_open"] = len(session.conn.streams) + len(connection.conn.streams)
         finally:
             await connection.close()
             listener.close()
@@ -83,6 +111,7 @@ def test_warm_memo_hit_costs_no_more_than_it_did(monkeypatch):
 
     asyncio.run(scenario())
     per_hit = {name: count / HITS for name, count in counts.items()}
+    per_hit["streams_left_open"] = counts["streams_left_open"]
     assert counts["registry_lookups"] > 0, "the counting wrappers saw nothing"
     for name, ceiling in MEMO_HIT_CEILINGS.items():
         assert per_hit[name] <= ceiling, f"{name}: {per_hit[name]} per memo hit, ceiling {ceiling}"
