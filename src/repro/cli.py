@@ -358,7 +358,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         engine.close()
     if tracer is not None:
         print()
-        print(render_span_tree(tracer))
+        print(render_span_tree(stitch_spans(tracer.roots())))
     if args.render:
         print()
         print(result.rendered)

@@ -396,10 +396,10 @@ class H2Connection:
 
         Emits PUSH_PROMISE on ``request_stream_id`` (RFC 9113 §8.4),
         reserving a new even-numbered stream, then sends the response
-        headers on the promised stream — but *not* the body, so callers
-        that schedule DATA through a flow-control-aware writer (the
-        concurrent server) can queue the payload separately. Returns the
-        promised stream id. Requires the peer to have left ENABLE_PUSH on.
+        headers on the promised stream — but *not* the body, which the
+        caller sends on the returned promised stream id (the server queues
+        it on its flow-control-aware writer). Requires the peer to have
+        left ENABLE_PUSH on.
         """
         if self.role != Role.SERVER:
             raise ProtocolError("only servers may push")
@@ -421,19 +421,6 @@ class H2Connection:
         self._process(promised, StreamEvent.SEND_HEADERS)
         response_block = self.encoder.encode(response_headers)
         self._emit_frame(HeadersFrame(stream_id=promised_id, header_block=response_block))
-        return promised_id
-
-    def push_stream(
-        self,
-        request_stream_id: int,
-        request_headers: HeaderList,
-        response_headers: HeaderList,
-        data: bytes,
-    ) -> int:
-        """Server push: promise and immediately fulfil a pushed response
-        (see :meth:`promise_stream` for the deferred-body variant)."""
-        promised_id = self.promise_stream(request_stream_id, request_headers, response_headers)
-        self.send_data(promised_id, data, end_stream=True)
         return promised_id
 
     def reset_stream(self, stream_id: int, error_code: ErrorCode = ErrorCode.CANCEL) -> None:

@@ -1,8 +1,9 @@
 """The HTTP/2 endpoint runtime: one server connection driver, one client
-connection, over :class:`~repro.http2.transport.AsyncH2Transport` (the
-socket binding) and the sans-io engine. Every asyncio server and client
-in the repo runs on these two classes and adds semantics only — what a
-request means and what to answer. The runtime alone decides:
+connection, over :class:`~repro.http2.transport.AsyncH2Transport` (a
+socket or an in-memory stream pair) and the sans-io engine. Every asyncio
+server and client in the repo runs on these two classes and adds
+semantics only — what a request means and what to answer. The runtime
+alone decides:
 
 * **handshake** — ``initiate_connection`` and the first flush; a client
   is *settled* once the peer's SETTINGS arrived and ours were

@@ -1,18 +1,21 @@
 """Transports for the sans-io HTTP/2 engine.
 
-Two flavours:
-
-* :class:`InMemoryTransportPair` — a zero-copy duplex pipe for tests and
-  benchmarks. Deterministic, no event loop required: calling ``pump()``
-  shuttles pending bytes between the two endpoints until quiescent.
-* :func:`open_tcp_pair` / :class:`AsyncH2Transport` — asyncio TCP, used by
-  the generative server/client in :mod:`repro.sww` to demonstrate the full
-  stack over a real socket.
+* :class:`InMemoryTransportPair` — two bare engines joined by byte
+  queues, for the suites that test the engine itself. No event loop:
+  ``pump()`` shuttles pending bytes between them until quiescent.
+* :class:`AsyncH2Transport` — an engine bound to an asyncio stream pair:
+  a socket (:func:`open_tcp_pair`) or :func:`memory_stream_pair`. The
+  drivers in :mod:`repro.http2.endpoint` run over either, so an in-process
+  fetch takes a socket's code path; :func:`thread_loop` gives synchronous
+  callers one loop per thread to run them on.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 from repro.http2.connection import Event, H2Connection
@@ -48,31 +51,19 @@ class InMemoryTransportPair:
         ``max_rounds`` bounds pathological ping-pong (e.g. a bug that makes
         both sides ACK each other forever).
         """
-        rounds = 0
-        try:
-            for _ in range(max_rounds):
-                moved = False
-                out = self.client.conn.data_to_send()
-                if out:
-                    self.server.events.extend(self.server.conn.receive_data(out))
-                    moved = True
-                back = self.server.conn.data_to_send()
-                if back:
-                    self.client.events.extend(self.client.conn.receive_data(back))
-                    moved = True
-                if not moved:
-                    return
-                rounds += 1
-            raise RuntimeError("transport did not quiesce; possible ACK loop")
-        finally:
-            registry = getattr(self.client.conn, "registry", None)
-            if registry is not None and registry.enabled and rounds:
-                registry.counter(
-                    "http2_transport_pump_rounds_total",
-                    "In-memory transport shuttle rounds",
-                    layer="http2",
-                    operation="pump",
-                ).inc(rounds)
+        for _ in range(max_rounds):
+            moved = False
+            out = self.client.conn.data_to_send()
+            if out:
+                self.server.events.extend(self.server.conn.receive_data(out))
+                moved = True
+            back = self.server.conn.data_to_send()
+            if back:
+                self.client.events.extend(self.client.conn.receive_data(back))
+                moved = True
+            if not moved:
+                return
+        raise RuntimeError("transport did not quiesce; possible ACK loop")
 
     def handshake(self) -> None:
         """Run both endpoints' connection setup and settle the exchange."""
@@ -154,10 +145,85 @@ class AsyncH2Transport:
             pass
 
 
-async def open_tcp_pair(host: str, port: int, conn: H2Connection) -> AsyncH2Transport:
-    """Dial a TCP connection and wrap it with the given engine."""
-    reader, writer = await asyncio.open_connection(host, port)
+async def open_transport(conn: H2Connection, reader: asyncio.StreamReader, writer) -> AsyncH2Transport:
+    """Wrap a connected stream pair with the given engine and send the
+    client preface."""
     transport = AsyncH2Transport(conn, reader, writer)
     conn.initiate_connection()
     await transport.flush()
     return transport
+
+
+async def open_tcp_pair(host: str, port: int, conn: H2Connection) -> AsyncH2Transport:
+    """Dial a TCP connection and wrap it with the given engine."""
+    reader, writer = await asyncio.open_connection(host, port)
+    return await open_transport(conn, reader, writer)
+
+
+class _MemoryWriter:
+    """One end's write half: the part of ``asyncio.StreamWriter`` the
+    drivers use, feeding the peer's reader."""
+
+    def __init__(self, peer: asyncio.StreamReader) -> None:
+        self._peer = peer
+        self._closed = False
+
+    def write(self, data: bytes) -> None:
+        if not self._closed:
+            self._peer.feed_data(data)
+
+    async def drain(self) -> None:
+        """Nothing to wait for: the peer's reader buffers without bound."""
+
+    def close(self) -> None:
+        self._closed = True
+        self._peer.feed_eof()
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+def memory_stream_pair() -> tuple[tuple[asyncio.StreamReader, _MemoryWriter], ...]:
+    """Two connected ``(reader, writer)`` ends with no socket between them:
+    each end's writer feeds the other end's ``asyncio.StreamReader``, and
+    closing it is the peer's EOF. Call from a coroutine on the loop that
+    will drive both ends."""
+    a, b = asyncio.StreamReader(), asyncio.StreamReader()
+    return (a, _MemoryWriter(b)), (b, _MemoryWriter(a))
+
+
+class _ThreadLoop:
+    """Only the thread's locals hold this, so the finalizer shuts the loop
+    down when the thread ends (at exit, for the main thread)."""
+
+    def __init__(self) -> None:
+        self.loop = asyncio.new_event_loop()
+        self.pid = os.getpid()
+        weakref.finalize(self, _shutdown, self.loop, self.pid)
+
+
+def _shutdown(loop: asyncio.AbstractEventLoop, pid: int) -> None:
+    """``asyncio.run``'s teardown: run what is scheduled, cancel and unwind
+    the rest, close (only close, in a forked child: the selector is shared)."""
+    if os.getpid() == pid:
+        loop.run_until_complete(asyncio.sleep(0))
+        tasks = asyncio.all_tasks(loop)
+        for task in tasks:
+            task.cancel()
+        if tasks:
+            loop.run_until_complete(asyncio.wait(tasks))
+    loop.close()
+
+
+_threads = threading.local()
+
+
+def thread_loop() -> asyncio.AbstractEventLoop:
+    """This thread's loop for running asyncio code synchronously, made on
+    first use and reused like the PNG encode pool: one selector and one
+    executor per thread, not per call. It is never the thread's current
+    event loop, so ``asyncio.run`` beside it is unaffected."""
+    holder = getattr(_threads, "holder", None)
+    if holder is None or holder.pid != os.getpid():
+        holder = _threads.holder = _ThreadLoop()
+    return holder.loop

@@ -11,13 +11,13 @@ with the worker's pid, and a
 arbiter's shared cache tier as its gencache) and its own
 :class:`~repro.obs.TimeSeriesSampler`.
 
-The accept loop is deliberately hand-rolled (``loop.sock_accept`` rather
-than ``asyncio.start_server``): every worker accepts from the same
-inherited socket (the kernel load-balances the backlog across blocked
-acceptors), and an optional connection semaphore caps how many
-connections this worker holds at once — with a cap of 1 the fleet
-degenerates to least-loaded balancing, which the scaling benchmark uses
-for determinism.
+The accept loop is deliberately hand-rolled (a readiness wait plus a
+non-blocking ``accept``, rather than ``asyncio.start_server``): every
+worker accepts from the same inherited socket (the kernel load-balances
+the backlog across blocked acceptors), and an optional connection
+semaphore caps how many connections this worker holds at once — with a
+cap of 1 the fleet degenerates to least-loaded balancing, which the
+scaling benchmark uses for determinism.
 
 Each heartbeat interval the worker ships, over its control pipe:
 
@@ -35,7 +35,7 @@ never through the thread pool that generation shares: a heartbeat then
 proves exactly what the master's murder loop tests — that this worker's
 event loop still turns — however many requests are blocked in the pool.
 
-On SIGTERM the worker stops accepting, drains every live session via
+On SIGTERM the worker stops accepting at once, drains every live session via
 :meth:`~repro.sww.server.ServerSession.shutdown` (in-flight streams
 finish and queued writer bytes flush before sockets close), ships a
 final telemetry flush plus a ``bye`` frame, and exits 0. The same path
@@ -106,9 +106,14 @@ async def _amain(listen_sock, pipe_fd: int, worker_id: int, config, runtime_fact
 
     stop = asyncio.Event()
     exit_reason = "drain"
+    acceptor: asyncio.Task | None = None
 
     def request_stop() -> None:
+        # gunicorn's worker ``alive = False``: nothing is accepted after
+        # this, and everything accepted before it is served by the drain.
         stop.set()
+        if acceptor is not None:
+            acceptor.cancel()
 
     loop.add_signal_handler(signal.SIGTERM, request_stop)
     loop.add_signal_handler(signal.SIGINT, request_stop)
@@ -141,16 +146,26 @@ async def _amain(listen_sock, pipe_fd: int, worker_id: int, config, runtime_fact
             logger.exception("worker %d: connection handler failed", pid)
 
     async def accept_loop() -> None:
+        """Accept until cancelled. A cancel lands only in the semaphore or the
+        readiness wait: the accept that follows hands its socket to a task in
+        the same step (inside ``loop.sock_accept`` it could drop the socket)."""
+        fd = listen_sock.fileno()
         while True:
             if semaphore is not None:
                 await semaphore.acquire()
+            readable = loop.create_future()
+            loop.add_reader(fd, lambda: readable.done() or readable.set_result(None))
             try:
-                sock, _addr = await loop.sock_accept(listen_sock)
+                await readable
             except asyncio.CancelledError:
                 if semaphore is not None:
                     semaphore.release()
                 raise
-            except OSError:
+            finally:
+                loop.remove_reader(fd)
+            try:
+                sock, _addr = listen_sock.accept()
+            except OSError:  # most often BlockingIOError: a sibling took it
                 if semaphore is not None:
                     semaphore.release()
                 continue
@@ -218,7 +233,7 @@ async def _amain(listen_sock, pipe_fd: int, worker_id: int, config, runtime_fact
             await ship_telemetry()
             if recycle_at and server.requests_served >= recycle_at:
                 exit_reason = "recycle"
-                stop.set()
+                request_stop()
                 return
 
     await heartbeat_loop()
@@ -232,6 +247,11 @@ async def _amain(listen_sock, pipe_fd: int, worker_id: int, config, runtime_fact
         await acceptor
     except asyncio.CancelledError:
         pass
+    if conn_tasks:
+        # A connection accepted just before the stop may not have delivered
+        # its first request yet, and shutting it down now would drop that
+        # request: connections get one heartbeat interval to finish alone.
+        await asyncio.wait(conn_tasks, timeout=config.heartbeat_interval_s)
     sessions = server.sessions()
     if sessions:
         await asyncio.gather(

@@ -7,18 +7,23 @@
     parses it and generates content. Once parsing and generation are
     complete, the site is rendered in the GUI."
 
-:class:`GenerativeClient` drives the full flow over either the in-memory
-transport pair (tests/benchmarks — see :meth:`fetch_via_pair`) or asyncio
-TCP (:meth:`fetch_tcp`). Rendering goes through the text-mode renderer;
-the PyQt GUI is out of scope in this headless environment (DESIGN.md §6).
+:class:`GenerativeClient` runs that flow on one
+:class:`~repro.http2.endpoint.ClientConnection`, over TCP (:meth:`fetch_tcp`)
+or over an in-memory stream pair to an in-process server
+(:func:`connect_in_memory` and :meth:`fetch_via_pair`, synchronous facades
+for tests, benchmarks and the CLI). Rendering goes through the text-mode
+renderer; the PyQt GUI is out of scope in this headless environment
+(DESIGN.md §6).
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
+import threading
 import time
-from collections.abc import Sequence
+import weakref
+from collections.abc import Coroutine, Sequence
 from dataclasses import dataclass, field
 
 from repro.devices.profiles import DeviceProfile, LAPTOP
@@ -26,15 +31,9 @@ from repro.genai.pipeline import GenerationPipeline
 from repro.html import parse_html, serialize
 from repro.html.dom import Document
 from repro.http2.bdp import AdaptiveReceiveWindow, BdpEstimator
-from repro.http2.connection import (
-    DataReceived,
-    H2Connection,
-    PushPromiseReceived,
-    ResponseReceived,
-    Role,
-)
+from repro.http2.connection import H2Connection, Role
 from repro.http2.endpoint import ClientConnection, H2Response
-from repro.http2.transport import InMemoryTransportPair
+from repro.http2.transport import memory_stream_pair, open_transport, thread_loop
 from repro.obs import MetricsRegistry, Tracer, get_event_log, get_registry, get_tracer
 from repro.sww.media_generator import MediaGenerator
 from repro.sww.page_processor import PageProcessor, ProcessReport
@@ -139,54 +138,68 @@ class GenerativeClient:
         return H2Connection(Role.CLIENT, gen_ability=self.gen_ability, registry=self.registry)
 
     # ------------------------------------------------------------------ #
-    # Shared post-receive path
+    # The request path, one for both transports
     # ------------------------------------------------------------------ #
 
-    def _finish(
-        self, path: str, response: H2Response, transport: str, pair: InMemoryTransportPair | None = None
-    ) -> FetchResult:
-        """Received page → generated, rendered result (both transports)."""
-        status, body = response.status, response.body
-        header_map = dict(response.headers)
-        sww_mode = header_map.get(b"x-sww-content") == b"prompts"
-        if status == 200 and sww_mode and self.gen_ability:
-            self.generator.provide_assets(response.pushed)
-            if pair is not None:
-                # §2.2 upscale items reference small stored originals: fetch
-                # any that were not pushed, before generation runs.
-                for src in self._upscale_sources(body):
-                    if src not in self.generator.asset_sources:
-                        fetched = self._get_via_pair(pair, src)
-                        if fetched.status == 200:
-                            self.generator.provide_assets({src: fetched.body})
-        html = body.decode("utf-8", "replace")
-        result = FetchResult(
-            path=path,
-            status=status,
-            received_html=html,
-            wire_bytes=len(body),
-            sww_mode=sww_mode,
-            pushed_assets=dict(response.pushed),
-        )
+    async def _get(
+        self, client: ClientConnection, paths: list[str], priorities: list | None = None
+    ) -> list[H2Response]:
+        """GET ``paths`` as concurrent streams on ``client``, pushes included."""
+        pending = []
+        for index, path in enumerate(paths):
+            with self.tracer.span("client.request", page=path):
+                priority = priorities[index] if priorities else None
+                pending.append(client.submit(self.request_headers(path, client.authority, priority=priority)))
+        await client.flush()
+        return await asyncio.gather(*pending)
+
+    async def _receive(
+        self, client: ClientConnection, paths: list[str], priorities: list | None = None
+    ) -> list[tuple[FetchResult, H2Response]]:
+        """GET ``paths`` on ``client`` and parse each page. A page this
+        client will generate also gets the §2.2 originals it references,
+        fetched on the same connection while it is open."""
+        received = []
+        for path, response in zip(paths, await self._get(client, paths, priorities)):
+            result = FetchResult(
+                path=path,
+                status=response.status,
+                received_html=response.body.decode("utf-8", "replace"),
+                wire_bytes=len(response.body),
+                sww_mode=dict(response.headers).get(b"x-sww-content") == b"prompts",
+                pushed_assets=dict(response.pushed),
+            )
+            result.document = parse_html(result.received_html)
+            if self._generates(result):
+                self.generator.provide_assets(response.pushed)
+                await self._fetch_originals(client, result.document)
+            received.append((result, response))
+        return received
+
+    def _generates(self, result: FetchResult) -> bool:
+        return result.status == 200 and result.sww_mode and self.gen_ability
+
+    def _finish(self, result: FetchResult, response: H2Response, transport: str) -> FetchResult:
+        """Received page → generated, rendered result."""
+        path, status = result.path, result.status
         record = self.events.begin(
             "client.fetch",
             path=path,
             transport=transport,
-            wire_bytes=len(body),
-            sww_mode=sww_mode,
+            wire_bytes=result.wire_bytes,
+            sww_mode=result.sww_mode,
             client_gen_ability=self.gen_ability,
             device=self.device.name,
         )
         try:
             with record.bind():
-                result.document = parse_html(html)
-                if status == 200 and sww_mode and self.gen_ability:
-                    # Parse → generate → rewrite (§5.2).
+                if self._generates(result):
+                    # Generate → rewrite (§5.2).
                     with self.tracer.span("client.generate", page=path) as span:
                         result.report = self.processor.process(result.document)
                         if span.trace_id:
                             record.set(trace_id=span.trace_id)
-                    raw_manifests = header_map.get(b"x-sww-manifests")
+                    raw_manifests = dict(response.headers).get(b"x-sww-manifests")
                     if raw_manifests and self.trust_authority is not None:
                         self._verify_outputs(result, raw_manifests)
                 result.rendered = render_text(result.document)
@@ -284,82 +297,47 @@ class GenerativeClient:
             headers.append((TRACEPARENT_HEADER, encode_traceparent(ctx)))
         return headers
 
+    async def _fetch_originals(self, client: ClientConnection, document: Document) -> None:
+        """§2.2 upscale items reference small stored originals: fetch the
+        ones neither pushed nor already held, on the page's connection,
+        before generation runs."""
+        items, _malformed = self.processor.find_items(document)
+        held = self.generator.asset_sources
+        missing = list(dict.fromkeys(i.upscale_src for _e, i in items if i.upscale_src and i.upscale_src not in held))
+        if missing:
+            responses = await self._get(client, missing)
+            self.generator.provide_assets({src: r.body for src, r in zip(missing, responses) if r.status == 200})
+
     # ------------------------------------------------------------------ #
-    # In-memory transport (deterministic; tests and benchmarks)
+    # In-process server (tests, benchmarks, the CLI)
     # ------------------------------------------------------------------ #
 
-    def fetch_via_pair(self, pair: InMemoryTransportPair, path: str) -> FetchResult:
-        """Fetch one page over an already-handshaken transport pair.
-
-        The server side of ``pair`` must be driven by a
-        :class:`~repro.sww.server.ServerSession` attached to the same
-        engine; see :func:`connect_in_memory`.
-        """
+    def fetch_via_pair(self, pair: InMemoryPair, path: str) -> FetchResult:
+        """Fetch one page over a pair from :func:`connect_in_memory`: the
+        :meth:`fetch_tcp` flow on an already settled connection."""
         self.server_gen_ability = pair.client.conn.peer_gen_ability
         logger.debug("fetch %s (server gen-ability=%s)", path, self.server_gen_ability)
         with self.tracer.span("client.fetch", page=path, transport="memory"):
-            with self.tracer.span("client.request", page=path):
-                response = self._get_via_pair(pair, path)
-            return self._finish(path, response, "memory", pair)
+            ((result, response),) = pair.run(self._receive(pair.client, [path]))
+            return self._finish(result, response, "memory")
 
-    def _get_via_pair(self, pair: InMemoryTransportPair, path: str) -> H2Response:
-        """One GET over the shared in-memory connection, pushes included."""
-        conn = pair.client.conn
-        stream_id = conn.get_next_available_stream_id()
-        conn.send_headers(stream_id, self.request_headers(path), end_stream=True)
-        pair.pump()
-        response = H2Response()
-        bodies: dict[int, bytearray] = {stream_id: bytearray()}
-        promised_paths: dict[int, str] = {}
-        for event in pair.client.take_events():
-            if isinstance(event, ResponseReceived) and event.stream_id == stream_id:
-                response.headers = event.headers
-                response.status = int(dict(event.headers).get(b":status", b"0"))
-            elif isinstance(event, PushPromiseReceived):
-                promised_path = dict(event.headers).get(b":path", b"").decode("utf-8", "replace")
-                promised_paths[event.promised_stream_id] = promised_path
-                bodies[event.promised_stream_id] = bytearray()
-            elif isinstance(event, DataReceived) and event.stream_id in bodies:
-                bodies[event.stream_id] += event.data
-        response.body = bytes(bodies.pop(stream_id))
-        response.pushed = {promised_paths[sid]: bytes(data) for sid, data in bodies.items()}
-        return response
-
-    @staticmethod
-    def _upscale_sources(body: bytes) -> list[str]:
-        """Paths of small originals referenced by upscale items on a page."""
-        from repro.sww.content import CSS_CLASS, ContentError, GeneratedContent
-
-        document = parse_html(body.decode("utf-8", "replace"))
-        sources = []
-        for element in document.find_by_class(CSS_CLASS):
-            try:
-                item = GeneratedContent.from_element(element)
-            except ContentError:
-                continue
-            if item.upscale_src is not None:
-                sources.append(item.upscale_src)
-        return sources
-
-    def fetch_assets_via_pair(self, pair: InMemoryTransportPair, result: FetchResult) -> dict[str, bytes]:
+    def fetch_assets_via_pair(self, pair: InMemoryPair, result: FetchResult) -> dict[str, bytes]:
         """Fetch every ``<img src>`` the (possibly rewritten) page references.
 
         This is the traditional-web tail of the flow: a naive client (or a
         capable client that received a traditional page) pulls each image
-        as its own GET, exactly like a browser. Generated assets produced
-        locally are *not* fetched — that is the point of SWW — so only
-        sources outside ``/generated/`` go to the server.
+        as its own GET, multiplexed on the connection like a browser's.
+        Generated assets produced locally are *not* fetched — that is the
+        point of SWW — so only sources outside ``/generated/`` go to the
+        server.
         """
-        assets: dict[str, bytes] = {}
         local = result.report.assets if result.report else {}
-        for img in result.document.find_by_tag("img"):
-            src = img.get("src")
-            if not src or src in assets or src in local or src in result.pushed_assets:
-                continue
-            response = self._get_via_pair(pair, src)
-            if response.status == 200:
-                assets[src] = response.body
-        return assets
+        sources = (img.get("src") for img in result.document.find_by_tag("img"))
+        wanted = list(dict.fromkeys(
+            src for src in sources if src and src not in local and src not in result.pushed_assets
+        ))
+        responses = pair.run(self._get(pair.client, wanted))
+        return {src: response.body for src, response in zip(wanted, responses) if response.status == 200}
 
     # ------------------------------------------------------------------ #
     # asyncio TCP transport
@@ -406,7 +384,7 @@ class GenerativeClient:
         priorities: list | None = None,
     ) -> list[FetchResult]:
         """Open one connection, request ``paths`` as concurrent streams,
-        collect every response (and pushed asset), and finish each page."""
+        collect every response (and pushed asset), close, finish each page."""
         with self.tracer.span("client.connect", host=host, port=port):
             conn = self.new_connection()
             tuner = AdaptiveReceiveWindow(
@@ -429,15 +407,7 @@ class GenerativeClient:
                     advertised=self.gen_ability,
                     server_gen_ability=self.server_gen_ability,
                 )
-            pending = []
-            for index, path in enumerate(paths):
-                with self.tracer.span("client.request", page=path):
-                    priority = priorities[index] if priorities else None
-                    pending.append(
-                        client.submit(self.request_headers(path, host, priority=priority))
-                    )
-            await client.flush()
-            responses = await asyncio.gather(*pending)
+            received = await self._receive(client, paths, priorities)
         finally:
             await client.close()
 
@@ -448,45 +418,73 @@ class GenerativeClient:
             port,
             self.server_gen_ability,
         )
-        return [self._finish(path, response, "tcp") for path, response in zip(paths, responses)]
+        return [self._finish(result, response, "tcp") for result, response in received]
 
 
-def connect_in_memory(client: GenerativeClient, server) -> InMemoryTransportPair:
-    """Wire a client and a :class:`~repro.sww.server.GenerativeServer`
-    through the in-memory transport and run the settings handshake."""
-    client_conn = client.new_connection()
-    server_conn = H2Connection(
-        Role.SERVER,
-        gen_ability=server.gen_ability,
-        registry=server.registry,
-        max_concurrent_streams=getattr(server, "max_concurrent_streams", None),
-    )
-    session = server.attach(server_conn)
-    pair = InMemoryTransportPair(client_conn, server_conn)
+class InMemoryPair:
+    """A :class:`~repro.http2.endpoint.ClientConnection` (``client``) and a
+    :class:`~repro.sww.server.ServerSession` (``server``) joined by a
+    :func:`~repro.http2.transport.memory_stream_pair`; each exposes its
+    engine as ``.conn``.
 
-    original_pump = pair.pump
+    :meth:`run` drives a coroutine to completion on the loop of the thread
+    that made the pair (:func:`~repro.http2.transport.thread_loop`), so
+    spans stay on the caller's thread-local tracer stack. :meth:`close`,
+    or dropping the pair, closes the client end; the server session then
+    drains as after a socket's EOF.
+    """
 
-    def pump_with_dispatch(max_rounds: int = 100) -> None:
-        for _ in range(max_rounds):
-            original_pump()
-            events = pair.server.take_events()
-            if not events:
-                return
-            for event in events:
-                session.handle_event(event)
-        raise RuntimeError("in-memory dispatch did not quiesce")
+    def __init__(self, client: ClientConnection, server, serving: asyncio.Task) -> None:
+        self.client = client
+        self.server = server
+        self._loop = serving.get_loop()
+        self.close = weakref.finalize(self, _close_pair, self._loop, threading.get_ident(), client, serving)
 
-    pair.pump = pump_with_dispatch  # type: ignore[method-assign]
+    def run(self, coro: Coroutine):
+        return self._loop.run_until_complete(coro)
+
+
+def _close_pair(loop: asyncio.AbstractEventLoop, owner: int, client: ClientConnection, serving: asyncio.Task) -> None:
+    async def close() -> None:
+        await client.close()
+        await asyncio.wait([serving])  # a failure is logged when the task goes
+
+    if loop.is_closed():
+        return
+    if threading.get_ident() == owner and asyncio._get_running_loop() is None:
+        loop.run_until_complete(close())
+    else:
+        # Collected on another thread, or while a loop runs on this one:
+        # close when the pair's loop next runs (the handle holds both ends).
+        loop.call_soon_threadsafe(lambda: loop.create_task(close()))
+
+
+def connect_in_memory(client: GenerativeClient, server) -> InMemoryPair:
+    """Connect ``client`` to an in-process
+    :class:`~repro.sww.server.GenerativeServer` and settle the settings
+    exchange. No socket, but both ends run what a socket runs: the
+    server's :meth:`~repro.sww.server.ServerSession.serve` and a
+    :class:`~repro.http2.endpoint.ClientConnection`."""
+
+    async def connect() -> InMemoryPair:
+        (client_reader, client_writer), (server_reader, server_writer) = memory_stream_pair()
+        session = server.attach()
+        serving = asyncio.create_task(session.serve(server_reader, server_writer, transport="memory"))
+        transport = await open_transport(client.new_connection(), client_reader, client_writer)
+        connection = ClientConnection(transport, "sww.example")
+        await connection.settled()
+        return InMemoryPair(connection, session, serving)
+
     with client.tracer.span("client.connect", transport="memory"):
         with client.tracer.span("client.negotiate") as span:
-            pair.handshake()
+            pair = thread_loop().run_until_complete(connect())
             span.annotate(
                 client_gen_ability=client.gen_ability,
-                server_gen_ability=client_conn.peer_gen_ability,
+                server_gen_ability=pair.client.conn.peer_gen_ability,
             )
     logger.info(
         "in-memory connection negotiated: client=%s server=%s",
         client.gen_ability,
-        client_conn.peer_gen_ability,
+        pair.client.conn.peer_gen_ability,
     )
     return pair

@@ -60,11 +60,9 @@ class SwwEdgeProxy:
         device: DeviceProfile = WORKSTATION,
     ) -> None:
         self.device = device
-        self._upstream_client = GenerativeClient(device=device, gen_ability=True)
-        # The proxy forwards prompts; it must not expand them on fetch, so
-        # the upstream fetch path treats pages as opaque SWW HTML.
-        self._origin = origin
-        self._pair = connect_in_memory(self._upstream_client, origin)
+        # Upstream the proxy is a capable client that forwards prompts
+        # unexpanded (see _fetch_upstream).
+        self._pair = connect_in_memory(GenerativeClient(device=device, gen_ability=True), origin)
         self._pipeline = GenerationPipeline(device)
         self._processor = PageProcessor(MediaGenerator(self._pipeline))
         #: path → SWW HTML (the prompt-sized cache).
@@ -86,33 +84,12 @@ class SwwEdgeProxy:
             self.stats.hits += 1
             return cached
         self.stats.misses += 1
-        conn = self._pair.client.conn
-        stream_id = conn.get_next_available_stream_id()
         # Fetch WITHOUT client-side generation: raw request, raw body.
-        headers = [
-            (b":method", b"GET"),
-            (b":path", path.encode("utf-8")),
-            (b":scheme", b"https"),
-            (b":authority", b"origin.sww"),
-        ]
-        conn.send_headers(stream_id, headers, end_stream=True)
-        self._pair.pump()
-        from repro.http2.connection import DataReceived, ResponseReceived
-
-        status = 0
-        sww = False
-        body = bytearray()
-        for event in self._pair.client.take_events():
-            if isinstance(event, ResponseReceived) and event.stream_id == stream_id:
-                header_map = dict(event.headers)
-                status = int(header_map.get(b":status", b"0"))
-                sww = header_map.get(b"x-sww-content") == b"prompts"
-            elif isinstance(event, DataReceived) and event.stream_id == stream_id:
-                body += event.data
-        self.stats.upstream_bytes += len(body)
-        if status != 200 or not sww:
+        response = self._pair.run(self._pair.client.request("GET", path))
+        self.stats.upstream_bytes += len(response.body)
+        if response.status != 200 or dict(response.headers).get(b"x-sww-content") != b"prompts":
             return None
-        html = body.decode("utf-8", "replace")
+        html = response.body.decode("utf-8", "replace")
         self._prompt_cache[path] = html
         self.stats.prompt_cache_bytes = sum(
             len(value.encode("utf-8")) for value in self._prompt_cache.values()

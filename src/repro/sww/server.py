@@ -10,10 +10,11 @@
 
 The server is layered: :class:`SiteStore` holds resources (SWW pages with
 prompts, unique assets, optional traditional variants);
-:class:`GenerativeServer` contains the transport-independent request
-logic (usable over the in-memory transport for tests/benchmarks); and
-:meth:`GenerativeServer.serve_forever` binds it to asyncio TCP through the
-HTTP/2 engine.
+:class:`GenerativeServer` contains the sans-io request logic
+(:meth:`GenerativeServer.handle_request`); and :class:`ServerSession`
+serves one HTTP/2 connection with it over an asyncio stream pair — a TCP
+socket (:meth:`GenerativeServer.serve_forever`) or the in-memory pair of
+:func:`repro.sww.client.connect_in_memory`, through the same code.
 """
 
 from __future__ import annotations
@@ -532,8 +533,14 @@ class GenerativeServer:
     # HTTP/2 plumbing
     # ------------------------------------------------------------------ #
 
-    def attach(self, conn: H2Connection) -> "ServerSession":
-        """Bind the request logic to one HTTP/2 connection engine."""
+    def attach(self) -> "ServerSession":
+        """Bind the request logic to a fresh HTTP/2 connection engine."""
+        conn = H2Connection(
+            Role.SERVER,
+            gen_ability=self.gen_ability,
+            registry=self.registry,
+            max_concurrent_streams=self.max_concurrent_streams,
+        )
         return ServerSession(self, conn)
 
     def sessions(self) -> list["ServerSession"]:
@@ -550,13 +557,7 @@ class GenerativeServer:
         worker in :mod:`repro.serving.worker`) can drive the exact same
         connection path :meth:`serve_forever` uses.
         """
-        conn = H2Connection(
-            Role.SERVER,
-            gen_ability=self.gen_ability,
-            registry=self.registry,
-            max_concurrent_streams=self.max_concurrent_streams,
-        )
-        await self.attach(conn).serve(reader, writer)
+        await self.attach().serve(reader, writer)
 
     async def serve_forever(self, host: str = "127.0.0.1", port: int = 0) -> asyncio.AbstractServer:
         """Listen on TCP; each connection gets its own engine + session.
@@ -577,29 +578,26 @@ class ServerSession:
     events, push, and the choice of where a request runs, applied to one
     engine.
 
-    Two driving modes share the request logic:
-
-    * :meth:`handle_event` — synchronous, used by the in-memory transport
-      (tests, benchmarks, the CLI demo). One request is served start to
-      finish, body shipped in one ``send_data`` call.
-    * :meth:`serve` — the asyncio mode, on the shared
-      :class:`~repro.http2.endpoint.ServerConnection` driver (handshake,
-      credit return, the writer task, drain and close are the driver's).
-      Each ``RequestReceived`` becomes its own task
-      (:meth:`_serve_stream`). Answers already in memory
-      (:meth:`GenerativeServer._answers_from_memory`) are served on the
-      loop; anything that generates, parses, signs or waits runs on a
-      thread executor so the event loop never blocks. Either way the
-      finished body is queued on the driver's writer, which interleaves
-      DATA frames within flow-control credit.
+    :meth:`serve` runs the connection on the shared
+    :class:`~repro.http2.endpoint.ServerConnection` driver (handshake,
+    credit return, the writer task, drain and close are the driver's), over
+    a socket or an in-memory stream pair alike. Each ``RequestReceived``
+    becomes its own task (:meth:`_serve_stream`). Answers already in memory
+    (:meth:`GenerativeServer._answers_from_memory`) are served on the loop;
+    anything that generates, parses, signs or waits runs on a thread
+    executor so the event loop never blocks. Either way the finished body
+    is queued on the driver's writer, which interleaves DATA frames within
+    flow-control credit.
     """
 
     def __init__(self, server: GenerativeServer, conn: H2Connection) -> None:
         self.server = server
         self.conn = conn
         self.responses_sent = 0
-        #: The connection driver, once :meth:`serve` bound a socket.
+        #: The connection driver, once :meth:`serve` bound a stream pair.
         self.driver: ServerConnection | None = None
+        #: What carries the connection, for the wide events: "tcp" or "memory".
+        self.transport = "tcp"
         #: Peak event-loop stall the probe observed on this connection.
         self.max_stall_s = 0.0
         server._sessions.add(self)
@@ -612,10 +610,6 @@ class ServerSession:
     @property
     def draining(self) -> bool:
         return self.driver is not None and self.driver.draining
-
-    # ------------------------------------------------------------------ #
-    # Shared request plumbing
-    # ------------------------------------------------------------------ #
 
     @staticmethod
     def _parse_request(event: RequestReceived):
@@ -637,60 +631,11 @@ class ServerSession:
             and self.conn.peer_settings.enable_push
         )
 
-    # ------------------------------------------------------------------ #
-    # Synchronous mode (in-memory transport)
-    # ------------------------------------------------------------------ #
-
-    def handle_event(self, event: Event) -> None:
-        if isinstance(event, RequestReceived):
-            path, authority, client_models, trace_context = self._parse_request(event)
-            admin = self.server.admin
-            if admin is not None and admin.matches(authority):
-                # Admin traffic never lands in the wide-event ring, same
-                # as it never counts under sww_requests_total.
-                response = admin.respond(path)
-                self.responses_sent += 1
-                self.conn.send_headers(event.stream_id, response.headers)
-                self.conn.send_data(event.stream_id, response.body, end_stream=True)
-                return
-            record = self.server.events.begin(
-                "server.request",
-                path=path,
-                stream_id=event.stream_id,
-                transport="memory",
-            )
-            try:
-                with record.bind():
-                    response = self.server.handle_request(
-                        path, self.conn.gen_ability_negotiated, client_models, trace_context
-                    )
-            except Exception as exc:
-                record.finish(status=500, error=type(exc).__name__)
-                raise
-            record.set(body_bytes=len(response.body))
-            self.responses_sent += 1
-            try:
-                self.conn.send_headers(event.stream_id, response.headers)
-                if self._should_push(response):
-                    # Push the freshly generated media before closing the
-                    # page stream, so the naive client never issues
-                    # follow-up GETs.
-                    self._push_generated_assets(event.stream_id, response, authority)
-                self.conn.send_data(event.stream_id, response.body, end_stream=True)
-            except H2Error as exc:
-                record.finish(status=response.status, error=type(exc).__name__)
-                raise
-            record.finish(status=response.status)
-
     def _push_generated_assets(
-        self,
-        stream_id: int,
-        response: ServedResponse,
-        authority: bytes,
-        writer: ConnectionWriter | None = None,
+        self, stream_id: int, response: ServedResponse, authority: bytes, writer: ConnectionWriter
     ) -> None:
-        """Promise and send the response's generated assets; bodies go
-        through ``writer`` (flow-controlled, interleaved) when one is provided."""
+        """Promise the response's generated assets; their bodies go through
+        ``writer`` (flow-controlled, interleaved)."""
         for asset_path, data in response.generated_assets.items():
             request_headers = [
                 (b":method", b"GET"),
@@ -703,30 +648,28 @@ class ServerSession:
                 (b"content-type", b"image/png"),
                 (b"content-length", str(len(data)).encode()),
             ]
-            if writer is None:
-                self.conn.push_stream(stream_id, request_headers, response_headers, data)
-            else:
-                promised_id = self.conn.promise_stream(stream_id, request_headers, response_headers)
-                writer.enqueue(promised_id, data, end_stream=True)
+            promised_id = self.conn.promise_stream(stream_id, request_headers, response_headers)
+            writer.enqueue(promised_id, data, end_stream=True)
 
-    # ------------------------------------------------------------------ #
-    # Concurrent asyncio mode
-    # ------------------------------------------------------------------ #
+    async def serve(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, transport: str = "tcp"
+    ) -> None:
+        """Drive one connection to completion over ``reader``/``writer``.
 
-    async def serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        """Drive one connection to completion over the asyncio transport."""
+        An in-memory pair's loop runs only inside its caller's synchronous
+        calls, so the stall probe, which times a loop that runs all along,
+        stays off there."""
+        self.transport = transport
         self.driver = ServerConnection(
             self.conn, reader, writer, registry=self.server.registry
         )
-        probe_task = asyncio.create_task(self._stall_probe())
+        probe_task = asyncio.create_task(self._stall_probe()) if transport == "tcp" else None
         try:
             await self.driver.run(self._dispatch)
         finally:
-            probe_task.cancel()
-            try:
-                await probe_task
-            except asyncio.CancelledError:
-                pass
+            if probe_task is not None:
+                probe_task.cancel()
+                await asyncio.wait([probe_task])
 
     async def shutdown(self, timeout_s: float = 30.0) -> None:
         """Server-initiated graceful close (worker drain path): in-flight
@@ -786,7 +729,7 @@ class ServerSession:
             # Admin traffic never lands in the wide-event ring, same as it
             # never counts under sww_requests_total.
             record = self.server.events.begin(
-                "server.request", path=path, stream_id=stream_id, transport="tcp"
+                "server.request", path=path, stream_id=stream_id, transport=self.transport
             )
         try:
             # Answers already in memory (stored assets, 404s, stored HTML,

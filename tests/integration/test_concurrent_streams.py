@@ -5,9 +5,9 @@ Three properties of the PR-5 scheduler, end to end:
 * the client's settings negotiation is race-free — no request leaves the
   socket before the server's SETTINGS (and its ACK of ours) arrived;
 * N concurrent streams on one connection return pages byte-identical to
-  one-at-a-time fetches against a fresh server, and to the synchronous
-  in-memory driver (determinism extends from the batching layer all the
-  way through the wire);
+  one-at-a-time fetches against a fresh server, and to the sans-io request
+  logic called directly (determinism extends from the batching layer all
+  the way through the wire);
 * responses interleave — a small page completes while a large response
   is still mid-stream, and multiplexed fetches all finish.
 """
@@ -22,7 +22,6 @@ from repro import (
     SiteStore,
     build_news_article,
     build_travel_blog,
-    connect_in_memory,
 )
 from repro.http2.connection import H2Connection, RequestReceived, Role, StreamEnded
 
@@ -131,10 +130,11 @@ class TestConcurrencyDeterminism:
     def test_concurrent_fetches_byte_identical_to_serial(self):
         """Concurrency-N against a fresh server must produce the same bytes
         as one-at-a-time fetches against another fresh server, and as the
-        synchronous in-memory driver (``handle_event``, the reference the
-        request logic is written against): the scheduler (task
-        interleaving, thread offload, single-flight materialise, batched
-        generation) is invisible in the payload."""
+        sans-io request logic called directly
+        (``GenerativeServer.handle_request``, the reference the session is
+        written against): the scheduler (task interleaving, thread offload,
+        single-flight materialise, batched generation) is invisible in the
+        payload."""
         paths = [build_travel_blog().path, build_news_article().path]
         # Request each page twice concurrently: the duplicate exercises the
         # single-flight materialise path under real races.
@@ -143,19 +143,16 @@ class TestConcurrencyDeterminism:
         concurrent = serve_and_fetch(concurrent_paths, many=True)
 
         reference_server = GenerativeServer(build_site(), gen_ability=True)
-        reference_client = GenerativeClient(device=LAPTOP, gen_ability=False)
-        in_memory = {
-            path: reference_client.fetch_via_pair(
-                connect_in_memory(reference_client, reference_server), path
-            )
+        reference = {
+            path: reference_server.handle_request(path, client_gen_ability=False).body
             for path in paths
         }
 
         by_path = {r.path: r for r in serial}
         for result in concurrent:
             assert result.status == 200
-            for want in (by_path[result.path], in_memory[result.path]):
-                assert result.received_html.encode() == want.received_html.encode()
+            for want in (by_path[result.path].received_html.encode(), reference[result.path]):
+                assert result.received_html.encode() == want
 
     def test_duplicate_streams_materialise_once(self):
         """Same page requested 4x concurrently: every response is served,

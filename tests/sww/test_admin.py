@@ -4,8 +4,6 @@ one-shot admin client over real TCP."""
 import asyncio
 import json
 
-import pytest
-
 from repro.obs import (
     EventLog,
     FlightRecorder,
@@ -19,7 +17,6 @@ from repro.sww.admin import (
     admin_fetch,
     admin_fetch_json,
 )
-from repro.http2.connection import DataReceived
 from repro.sww.client import GenerativeClient, connect_in_memory
 from repro.sww.server import GenerativeServer, PageResource, SiteStore
 from repro.devices import LAPTOP
@@ -312,30 +309,32 @@ class TestOverTcp:
         assert admin == 2.0
 
     def test_admin_routing_in_serial_mode(self):
-        """The synchronous in-memory driver (``handle_event``: one request,
-        start to finish) routes the reserved authority like the socket does."""
+        """The in-memory pair routes the reserved authority like the socket
+        does, and keeps admin traffic out of the wide-event ring."""
         async def scenario(registry, plane, port):
             return await admin_fetch_json("127.0.0.1", port, "/healthz")
 
         over_tcp = self._serve(scenario)
 
         registry = MetricsRegistry()
-        server = GenerativeServer(_store(), registry=registry)
+        events = EventLog()
+        server = GenerativeServer(_store(), registry=registry, events=events)
         AdminPlane(registry).bind(server)
         client = GenerativeClient(device=LAPTOP)
         pair = connect_in_memory(client, server)
-        conn = pair.client.conn
-        stream_id = conn.get_next_available_stream_id()
-        conn.send_headers(
-            stream_id, client.request_headers("/healthz", ADMIN_AUTHORITY), end_stream=True
-        )
-        pair.pump()
-        data = [e for e in pair.client.take_events(DataReceived) if e.stream_id == stream_id]
-        body = json.loads(b"".join(e.data for e in data))
+
+        async def healthz():
+            future = pair.client.submit(client.request_headers("/healthz", ADMIN_AUTHORITY))
+            await pair.client.flush()
+            return await future
+
+        response = pair.run(healthz())
+        body = json.loads(response.body)
         assert body["status"] in ("ok", "degraded")
         assert body.keys() == over_tcp.keys()
-        # Admin traffic stays out of the serving metrics on this driver too.
+        # Admin traffic stays out of the serving metrics on this transport too.
         assert not registry.value("sww_requests_total", layer="sww")
+        assert events.events() == []
 
     def test_large_profile_body_crosses_flow_control_windows(self):
         async def scenario(registry, plane, port):

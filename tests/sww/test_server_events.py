@@ -30,6 +30,8 @@ def _store() -> SiteStore:
 
 
 class TestSerialMode:
+    """One request at a time over the in-memory pair."""
+
     def test_success_event_is_complete(self):
         events = EventLog()
         server = GenerativeServer(_store(), events=events)
@@ -61,13 +63,13 @@ class TestSerialMode:
         server.handle_request = broken_handle
         client = GenerativeClient(device=LAPTOP)
         pair = connect_in_memory(client, server)
-        with pytest.raises(ValueError, match="synthetic handler failure"):
-            client.fetch_via_pair(pair, PAGE)
+        assert client.fetch_via_pair(pair, PAGE).status == 500
         recorded = events.events()
         assert len(recorded) == 1
         fields = recorded[0].to_dict()
         assert fields["status"] == 500
         assert fields["error"] == "ValueError"
+        assert fields["transport"] == "memory"
         assert events.open_count == 0
 
 

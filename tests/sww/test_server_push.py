@@ -30,12 +30,12 @@ class TestEnginePush:
         client.send_headers(sid, [(b":method", b"GET"), (b":path", b"/page")], end_stream=True)
         pair.pump()
         pair.server.take_events()
-        promised = server.push_stream(
+        promised = server.promise_stream(
             sid,
             [(b":method", b"GET"), (b":path", b"/asset.png")],
             [(b":status", b"200")],
-            b"pushed-bytes",
         )
+        server.send_data(promised, b"pushed-bytes", end_stream=True)
         assert promised % 2 == 0  # server-initiated streams are even
         pair.pump()
         promises = pair.client.take_events(PushPromiseReceived)
@@ -49,7 +49,7 @@ class TestEnginePush:
     def test_client_cannot_push(self):
         client = H2Connection(Role.CLIENT)
         with pytest.raises(ProtocolError):
-            client.push_stream(1, [], [], b"")
+            client.promise_stream(1, [], [])
 
     def test_push_disabled_by_settings(self):
         client = H2Connection(Role.CLIENT)
@@ -62,13 +62,13 @@ class TestEnginePush:
         client.send_headers(sid, [(b":method", b"GET"), (b":path", b"/p")], end_stream=True)
         pair.pump()
         with pytest.raises(ProtocolError):
-            server.push_stream(sid, [(b":method", b"GET")], [(b":status", b"200")], b"x")
+            server.promise_stream(sid, [(b":method", b"GET")], [(b":status", b"200")])
 
     def test_push_against_unknown_stream_rejected(self):
         server = H2Connection(Role.SERVER)
         server.peer_settings.update({Setting.ENABLE_PUSH: 1})
         with pytest.raises(ProtocolError):
-            server.push_stream(99, [], [], b"")
+            server.promise_stream(99, [], [])
 
 
 class TestSwwPush:

@@ -1,5 +1,7 @@
 """End-to-end tests for §2.2 upscale-mode content in the page flow."""
 
+import asyncio
+
 import pytest
 
 from repro.devices import WORKSTATION
@@ -64,6 +66,29 @@ class TestEndToEnd:
         from repro.genai.embeddings import cosine_similarity, image_embedding
 
         assert cosine_similarity(image_embedding(big), image_embedding(small)) > 0.999
+
+    def test_tcp_client_fetches_thumb_before_upscaling(self):
+        """Over a socket too: the unpushed original is fetched on the
+        page's connection before generation, and the upscale matches the
+        in-memory one byte for byte."""
+        store, thumb = make_site()
+        client = GenerativeClient(device=WORKSTATION)
+
+        async def fetch():
+            listener = await GenerativeServer(store).serve_forever("127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            try:
+                return await asyncio.wait_for(client.fetch_tcp("127.0.0.1", port, "/p"), 30)
+            finally:
+                listener.close()
+                await listener.wait_closed()
+
+        result = asyncio.run(fetch())
+        assert result.status == 200 and result.report.generated_images == 1
+        assert client.generator.asset_sources["/thumbs/fjord.png"] == thumb
+        in_memory = GenerativeClient(device=WORKSTATION)
+        reference = in_memory.fetch_via_pair(connect_in_memory(in_memory, GenerativeServer(store)), "/p")
+        assert result.report.outputs[0].payload == reference.report.outputs[0].payload
 
     def test_upscale_much_cheaper_than_generation(self):
         store, _thumb = make_site()

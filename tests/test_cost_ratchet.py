@@ -13,20 +13,28 @@ tracing on, one request at a time. Two rows ask what a keep-alive
 connection keeps once the hits are answered (ROADMAP item 1): the streams
 left in either engine's table, and the bytes allocated inside
 ``repro/http2/`` that are still live, per hit.
+
+Then a generative page (ROADMAP item 3(b)): one cold capable fetch of the
+bench's ``pageload_generative`` page, whose work is parsing and
+generating, not serving.
 """
 
 import asyncio
 import gc
+import sys
 import threading
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import repro.obs.metrics as metrics
+from repro.devices import LAPTOP
 from repro.http2.connection import H2Connection, Role
 from repro.http2.endpoint import ClientConnection
 from repro.obs import EventLog, MetricsRegistry, Tracer
+from repro.sww.client import GenerativeClient, connect_in_memory
 from repro.sww.server import GenerativeServer, PageResource, SiteStore
-from repro.workloads import build_news_article
+from repro.workloads import build_harbour_gallery, build_news_article
 
 MEMO_HIT_CEILINGS = {
     "executor_submissions": 0,
@@ -115,3 +123,50 @@ def test_warm_memo_hit_costs_no_more_than_it_did(monkeypatch):
     assert counts["registry_lookups"] > 0, "the counting wrappers saw nothing"
     for name, ceiling in MEMO_HIT_CEILINGS.items():
         assert per_hit[name] <= ceiling, f"{name}: {per_hit[name]} per memo hit, ceiling {ceiling}"
+
+
+#: One cold capable fetch of ``/gallery/harbour`` (six images) over the
+#: in-memory pair: the server's model negotiation and the client each
+#: parse the page once, and each image is generated and encoded once.
+GENERATIVE_PAGE_CEILINGS = {
+    "html_parses": 2,
+    "image_generations": 6,
+    "png_encodes": 6,
+}
+#: What each row counts: every call of these functions, wherever a
+#: ``repro`` module imported them by name.
+GENERATIVE_PAGE_COUNTED = {
+    "html_parses": ("repro.html.parser", ("parse_html",)),
+    "image_generations": ("repro.genai.image", ("generate_image", "generate_image_batch")),
+    "png_encodes": ("repro.media.png", ("encode_png",)),
+}
+
+
+def test_cold_generative_page_costs_no_more_than_it_did(monkeypatch):
+    page = build_harbour_gallery()
+    store = SiteStore()
+    store.add_page(PageResource(page.path, page.sww_html))
+    server = GenerativeServer(store)
+    client = GenerativeClient(device=LAPTOP)
+    pair = connect_in_memory(client, server)
+    calls: list[str] = []  # appended from the encode pool's threads too
+
+    for key, (module_name, names) in GENERATIVE_PAGE_COUNTED.items():
+        for name in names:
+            original = getattr(sys.modules[module_name], name)
+
+            def counted(*args, _key=key, _original=original, **kwargs):
+                calls.append(_key)
+                return _original(*args, **kwargs)
+
+            for module in list(sys.modules.values()):
+                if module is not None and module.__name__.startswith("repro"):
+                    if getattr(module, name, None) is original:
+                        monkeypatch.setattr(module, name, counted)
+
+    result = client.fetch_via_pair(pair, page.path)
+    assert result.status == 200 and result.report.generated_images == 6
+    counts = Counter(calls)
+    for name, ceiling in GENERATIVE_PAGE_CEILINGS.items():
+        assert counts[name] <= ceiling, f"{name}: {counts[name]} per cold page, ceiling {ceiling}"
+    assert counts["png_encodes"] == 6, "the counting wrappers missed the encodes"
