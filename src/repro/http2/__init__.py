@@ -13,7 +13,9 @@ ourselves rather than depending on the ``h2`` package:
 * connection & stream flow control (:mod:`repro.http2.flow_control`),
 * a sans-io connection engine usable for both client and server roles
   (:mod:`repro.http2.connection`),
-* asyncio TCP / in-memory transports (:mod:`repro.http2.transport`), and
+* asyncio TCP / in-memory transports (:mod:`repro.http2.transport`),
+* the metrics a registry reads from the live engines and writers when it
+  is scraped (:mod:`repro.http2.census`), and
 * the endpoint runtime every asyncio server and client in the repo is
   built on (:mod:`repro.http2.endpoint`).
 """

@@ -25,6 +25,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.http2 import frames
+from repro.http2.census import Http2Census, WireTally
 from repro.http2.errors import (
     CompressionError,
     ErrorCode,
@@ -62,22 +63,6 @@ from repro.obs import MetricsRegistry, get_registry
 CONNECTION_PREFACE = b"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n"
 
 HeaderList = list[tuple[bytes, bytes]]
-
-#: Frame type code → exported metric label.
-FRAME_TYPE_NAMES = {
-    frames.TYPE_DATA: "DATA",
-    frames.TYPE_HEADERS: "HEADERS",
-    frames.TYPE_PRIORITY: "PRIORITY",
-    frames.TYPE_RST_STREAM: "RST_STREAM",
-    frames.TYPE_SETTINGS: "SETTINGS",
-    frames.TYPE_PUSH_PROMISE: "PUSH_PROMISE",
-    frames.TYPE_PING: "PING",
-    frames.TYPE_GOAWAY: "GOAWAY",
-    frames.TYPE_WINDOW_UPDATE: "WINDOW_UPDATE",
-    frames.TYPE_CONTINUATION: "CONTINUATION",
-    frames.TYPE_PRIORITY_UPDATE: "PRIORITY_UPDATE",
-}
-
 
 class Role(enum.Enum):
     CLIENT = "client"
@@ -274,10 +259,11 @@ class H2Connection:
         self._expect_continuation: tuple[int, bytearray, bool] | None = None
         self._goaway_sent = False
         self._goaway_received = False
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        #: Per-frame-type byte accounting, for the protocol-overhead benches.
-        self.sent_frame_bytes: dict[int, int] = {}
+        #: Frames and bytes each way, in plain ints; the registry reads
+        #: them when it is scraped (:mod:`repro.http2.census`).
+        self.tally = WireTally()
+        if self.registry.enabled:
+            self.registry.collector(Http2Census).track_engine(self)
 
     # ------------------------------------------------------------------ #
     # Outbound API
@@ -331,7 +317,6 @@ class H2Connection:
         if end_stream:
             self._process(stream, StreamEvent.SEND_END_STREAM)
         block = self.encoder.encode(headers)
-        self._note_hpack()
         limit = max_fragment or self.peer_settings.max_frame_size
         first, rest = block[:limit], block[limit:]
         self._emit_frame(
@@ -494,6 +479,19 @@ class H2Connection:
             for stream in self.streams.values():
                 stream.inbound_window.adjust(delta)
 
+    @property
+    def bytes_sent(self) -> int:
+        return self.tally.bytes_sent
+
+    @property
+    def bytes_received(self) -> int:
+        return self.tally.bytes_received
+
+    @property
+    def sent_frame_bytes(self) -> dict[int, int]:
+        """Bytes sent per frame type code, for the protocol-overhead benches."""
+        return {code: n for code, n in enumerate(self.tally.frame_bytes_sent) if n}
+
     def data_to_send(self) -> bytes:
         """Drain the outbound byte buffer."""
         out = bytes(self._send_buffer)
@@ -506,11 +504,7 @@ class H2Connection:
 
     def receive_data(self, data: bytes) -> list[Event]:
         """Feed received bytes; returns the protocol events they produced."""
-        self.bytes_received += len(data)
-        if self.registry.enabled:
-            self.registry.counter(
-                "http2_wire_bytes_total", "Bytes on the wire", layer="http2", operation="received"
-            ).inc(len(data))
+        self.tally.bytes_received += len(data)
         self._recv_buffer += data
         events: list[Event] = []
         if self._preface_pending:
@@ -555,24 +549,6 @@ class H2Connection:
         """Dynamic-table evictions across both compression contexts."""
         return self.encoder.table.evictions + self.decoder.table.evictions
 
-    def _note_hpack(self) -> None:
-        """Refresh the HPACK dynamic-table gauges after an encode/decode."""
-        if not self.registry.enabled:
-            return
-        for context, table in (("encoder", self.encoder.table), ("decoder", self.decoder.table)):
-            self.registry.gauge(
-                "http2_hpack_evictions",
-                "HPACK dynamic-table entries evicted so far",
-                layer="http2",
-                operation=context,
-            ).set(table.evictions)
-            self.registry.gauge(
-                "http2_hpack_table_bytes",
-                "HPACK dynamic-table occupancy",
-                layer="http2",
-                operation=context,
-            ).set(table.size)
-
     def _stream(self, stream_id: int) -> H2Stream:
         """The open stream ``stream_id`` names; for an absent id, a CLOSED
         stand-in at or below the highest id of its parity (§5.1.1), else a
@@ -599,33 +575,17 @@ class H2Connection:
     def _emit_frame(self, frame: Frame) -> None:
         wire = frame.serialize()
         self._send_buffer += wire
-        self.bytes_sent += len(wire)
-        self.sent_frame_bytes[frame.TYPE] = self.sent_frame_bytes.get(frame.TYPE, 0) + len(wire)
-        if self.registry.enabled:
-            name = FRAME_TYPE_NAMES.get(frame.TYPE, "UNKNOWN")
-            self.registry.counter(
-                "http2_frames_sent_total", "Frames emitted, by type", layer="http2", operation=name
-            ).inc()
-            self.registry.counter(
-                "http2_wire_bytes_total", "Bytes on the wire", layer="http2", operation="sent"
-            ).inc(len(wire))
+        tally = self.tally
+        tally.bytes_sent += len(wire)
+        tally.frames_sent[frame.TYPE] += 1
+        tally.frame_bytes_sent[frame.TYPE] += len(wire)
 
     def _emit_raw(self, data: bytes) -> None:
         self._send_buffer += data
-        self.bytes_sent += len(data)
-        if self.registry.enabled:
-            self.registry.counter(
-                "http2_wire_bytes_total", "Bytes on the wire", layer="http2", operation="sent"
-            ).inc(len(data))
+        self.tally.bytes_sent += len(data)
 
     def _handle_frame(self, frame: Frame) -> list[Event]:
-        if self.registry.enabled:
-            self.registry.counter(
-                "http2_frames_received_total",
-                "Frames received, by type",
-                layer="http2",
-                operation=FRAME_TYPE_NAMES.get(frame.TYPE, "UNKNOWN"),
-            ).inc()
+        self.tally.frames_received[frame.TYPE] += 1
         if self._expect_continuation is not None and not isinstance(frame, ContinuationFrame):
             raise ProtocolError("expected CONTINUATION frame")
         if isinstance(frame, SettingsFrame):
@@ -733,7 +693,6 @@ class H2Connection:
         return events
 
     def _header_events(self, stream_id: int, headers: HeaderList, end_stream: bool) -> list[Event]:
-        self._note_hpack()
         stream = self._stream(stream_id)
         if (
             self._max_concurrent_streams is not None

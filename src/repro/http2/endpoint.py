@@ -12,7 +12,9 @@ alone decides:
   :meth:`H2Connection.acknowledge_received_data`; a BDP tuner plugs in
   at that one point;
 * **the writer** — bodies leave through a ``ConnectionWriter``; a server
-  connection runs one ``wait for a wake → pump → flush`` task;
+  connection pumps it at the end of every read turn, so the turn's one
+  flush carries what the turn queued, and a ``wait for a wake → pump →
+  flush`` task pumps it for bodies finished off the loop;
 * **drain order** — in-flight stream tasks, then what credit allows,
   flush, close the socket, finish what is still queued as
   ``connection-closed``;
@@ -57,10 +59,12 @@ class ServerConnection:
     """Drives one accepted connection from handshake to close.
 
     :meth:`run` takes a plain callback that sees every protocol event
-    after the driver did its own part; the consumer answers a request
-    with ``conn.send_headers`` + ``writer.enqueue`` + :meth:`wake`, from
-    the callback or from a :meth:`spawn`-ed per-stream task. The callback
-    is synchronous, so the read loop still pays one await per event.
+    after the driver did its own part. The consumer answers a request
+    with ``conn.send_headers`` + ``writer.enqueue``: from the callback,
+    and the driver pumps the writer at the end of the read turn, so the
+    turn's one flush carries the HEADERS, the DATA and any frames fresh
+    credit resumed; or from a :meth:`spawn`-ed per-stream task, then
+    :meth:`wake` so the writer task pumps. One scheduler, two triggers.
     """
 
     def __init__(
@@ -98,8 +102,7 @@ class ServerConnection:
         task.add_done_callback(self._tasks.discard)
 
     def wake(self) -> None:
-        """Tell the writer task there may be work: a body was queued, or
-        fresh flow-control credit arrived."""
+        """Tell the writer task a body was queued outside a read turn."""
         self._wakeup.set()
 
     async def run(self, on_event: Callable[[Event], None]) -> None:
@@ -113,7 +116,7 @@ class ServerConnection:
             return
         writer_task = asyncio.create_task(self._writer_loop())
         try:
-            await self.transport.run(self._dispatch, close_on_exit=False)
+            await self.transport.run(self._dispatch, close_on_exit=False, before_flush=self._end_turn)
             await self.drain()
         finally:
             writer_task.cancel()
@@ -127,24 +130,26 @@ class ServerConnection:
             self._on_event = None
 
     async def _dispatch(self, event: Event) -> None:
+        # Fresh credit (WINDOW_UPDATE, SETTINGS), a reset stream and a
+        # promotion need no wake: the pump that ends this turn resumes the
+        # parked stream, drops the reset one's queue and serves in the new
+        # order.
         if isinstance(event, DataReceived):
             if event.flow_controlled_length > 0:
                 self.conn.acknowledge_received_data(event.flow_controlled_length, event.stream_id)
-        elif isinstance(event, (WindowUpdated, RemoteSettingsChanged, StreamReset)):
-            # Fresh credit resumes a parked stream; a reset stream's queue
-            # is dropped on the writer's next scheduling round.
-            self.wake()
         elif isinstance(event, PriorityUpdated):
-            # A promotion should take effect on the very next frame.
-            if self.writer.reprioritize(event.stream_id, event.urgency, event.incremental):
-                self.wake()
+            self.writer.reprioritize(event.stream_id, event.urgency, event.incremental)
         elif isinstance(event, (ConnectionTerminated, AbuseDetected)):
             self.draining = True
-            self.wake()
         self._on_event(event)
 
+    def _end_turn(self) -> None:
+        if not self.writer.idle:
+            self.writer.pump()
+
     async def _writer_loop(self) -> None:
-        """The one writer task: pump the scheduler, honour backpressure."""
+        """Pump for bodies queued outside a read turn (:meth:`wake`), and
+        keep pumping while the socket drains."""
         transport = self.transport
         while not transport.closed.is_set():
             await self._wakeup.wait()

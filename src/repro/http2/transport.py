@@ -76,12 +76,15 @@ class AsyncH2Transport:
     """Binds an H2Connection to an asyncio stream pair.
 
     The transport owns the read loop: :meth:`run` reads from the socket,
-    feeds the engine and dispatches events to the ``handler`` coroutine
-    (one call per event). Writers call engine methods then :meth:`flush`.
-    Socket backpressure is the asyncio native kind — :meth:`flush` awaits
+    feeds the engine, dispatches events to the ``handler`` coroutine (one
+    call per event) and ends each read turn with one :meth:`flush`, so
+    whatever the handlers queued leaves in one socket write. Writers
+    outside a read turn call engine methods then :meth:`flush`. Socket
+    backpressure is the asyncio native kind — :meth:`flush` awaits
     ``drain()``, so a slow peer suspends the flushing task instead of
-    ballooning the outbound buffer. Who flushes when, and everything else
-    about a connection's lifetime, belongs to :mod:`repro.http2.endpoint`.
+    ballooning the outbound buffer. The engine's ``tally`` counts the
+    socket reads and writes. Who flushes when, and everything else about a
+    connection's lifetime, belongs to :mod:`repro.http2.endpoint`.
     """
 
     def __init__(
@@ -98,39 +101,31 @@ class AsyncH2Transport:
     async def flush(self) -> None:
         data = self.conn.data_to_send()
         if data:
-            registry = self.conn.registry
-            if registry.enabled:
-                registry.counter(
-                    "http2_transport_io_total",
-                    "Socket-level writes/reads performed by the async transport",
-                    layer="http2",
-                    operation="write",
-                ).inc()
+            self.conn.tally.writes += 1
             self.writer.write(data)
             await self.writer.drain()
 
-    async def run(self, handler, close_on_exit: bool = True) -> None:
+    async def run(self, handler, close_on_exit: bool = True, before_flush=None) -> None:
         """Read loop: feed bytes to the engine, dispatch events to handler.
 
-        With ``close_on_exit=False`` the socket is left open when the peer
-        half-closes or the loop stops, so the owner can drain in-flight
-        responses first and call :meth:`close` itself.
+        ``before_flush``, when given, is called after a read's events are
+        dispatched and before that turn's one flush, so what the turn
+        queued leaves with it. With ``close_on_exit=False`` the socket is
+        left open when the peer half-closes or the loop stops, so the
+        owner can drain in-flight responses first and call :meth:`close`
+        itself.
         """
-        registry = self.conn.registry
+        tally = self.conn.tally
         try:
             while not self.closed.is_set():
                 data = await self.reader.read(65536)
                 if not data:
                     break
-                if registry.enabled:
-                    registry.counter(
-                        "http2_transport_io_total",
-                        "Socket-level writes/reads performed by the async transport",
-                        layer="http2",
-                        operation="read",
-                    ).inc()
+                tally.reads += 1
                 for event in self.conn.receive_data(data):
                     await handler(event)
+                if before_flush is not None:
+                    before_flush()
                 await self.flush()
         finally:
             if close_on_exit:

@@ -50,6 +50,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.http2.census import Http2Census, WriterTally
 from repro.http2.connection import H2Connection
 from repro.http2.priority import DEFAULT_URGENCY, URGENCY_LEVELS, clamp_urgency
 from repro.http2.streams import StreamState
@@ -83,6 +84,11 @@ class _SendQueue:
     @property
     def remaining(self) -> int:
         return len(self.data) - self.offset
+
+    @property
+    def queued(self) -> int:
+        """Body bytes not yet sent: the current chunk's rest plus the backlog."""
+        return self.remaining + sum(len(extra) for extra in self.backlog)
 
     def take(self, limit: int) -> memoryview:
         """Next chunk as a zero-copy view into the queued body.
@@ -120,13 +126,17 @@ class ConnectionWriter:
         self._buckets: list[deque[int]] = [deque() for _ in range(URGENCY_LEVELS)]
         #: Anti-starvation debt per bucket (see module docstring).
         self._starvation_debt: list[int] = [0] * URGENCY_LEVELS
-        #: Cumulative scheduling statistics (also exported as metrics).
+        #: Cumulative scheduling statistics; the counted ones live in
+        #: ``tally``, which the registry reads when it is scraped.
         self.frames_sent = 0
         self.bytes_sent = 0
-        self.stream_stalls = 0
-        self.connection_stalls = 0
         self.completed_streams = 0
-        self.starvation_credits = 0
+        self.tally = WriterTally()
+        #: Queued body bytes not yet sent, kept as a running sum so a
+        #: scrape on another thread reads one int.
+        self._pending_bytes = 0
+        if self.registry.enabled:
+            self.registry.collector(Http2Census).track_writer(self)
 
     # ------------------------------------------------------------------ #
     # Queue management
@@ -180,8 +190,10 @@ class ConnectionWriter:
             )
             self._queues[stream_id] = queue
             self._buckets[urgency].append(stream_id)
+            self._pending_bytes += queue.remaining
         else:
             queue.backlog.append(data)
+            self._pending_bytes += len(data)
             queue.end_stream = queue.end_stream or end_stream
             if event is not None:
                 queue.event = event
@@ -189,7 +201,6 @@ class ConnectionWriter:
                     queue.enqueued_at = time.perf_counter()
             if (queue.urgency, queue.incremental) != (urgency, incremental):
                 self._move_queue(queue, urgency, incremental)
-        self._update_gauges()
 
     def reprioritize(self, stream_id: int, urgency: int, incremental: bool) -> bool:
         """Apply a mid-response priority change (PRIORITY_UPDATE).
@@ -204,7 +215,6 @@ class ConnectionWriter:
         if queue is None:
             return False
         self._move_queue(queue, clamp_urgency(urgency), bool(incremental))
-        self._update_gauges()
         return True
 
     def _resolve_priority(
@@ -236,14 +246,27 @@ class ConnectionWriter:
 
     @property
     def pending_bytes(self) -> int:
-        return sum(
-            q.remaining + sum(len(extra) for extra in q.backlog)
-            for q in self._queues.values()
-        )
+        return self._pending_bytes
+
+    def bucket_depths(self) -> list[int]:
+        """Streams queued per urgency bucket, most urgent first."""
+        return [len(bucket) for bucket in self._buckets]
 
     @property
     def idle(self) -> bool:
         return not self._queues
+
+    @property
+    def stream_stalls(self) -> int:
+        return self.tally.stream_stalls
+
+    @property
+    def connection_stalls(self) -> int:
+        return self.tally.connection_stalls
+
+    @property
+    def starvation_credits(self) -> int:
+        return sum(self.tally.starvation_credits)
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -285,9 +308,7 @@ class ConnectionWriter:
         if self._any_payload_pending() and self.conn.outbound_window.available <= 0:
             # Pump ended with bytes still queued and the shared connection
             # window dry — everyone is parked on the peer.
-            self.connection_stalls += 1
-            self._count_stall("connection")
-        self._update_gauges()
+            self.tally.connection_stalls += 1
         return written
 
     def _next_queue(self, stalled: set[int]) -> _SendQueue | None:
@@ -327,14 +348,7 @@ class ConnectionWriter:
                     bucket.rotate(-1)
                     continue
                 self._starvation_debt[urgency] = 0
-                self.starvation_credits += 1
-                if self.registry.enabled:
-                    self.registry.counter(
-                        "http2_writer_starvation_credits_total",
-                        "Frames granted to starved low-priority buckets",
-                        layer="http2",
-                        operation=f"u{urgency}",
-                    ).inc()
+                self.tally.starvation_credits[urgency] += 1
                 return queue
         return None
 
@@ -379,6 +393,7 @@ class ConnectionWriter:
         stream = self.conn.streams.get(queue.stream_id)
         if stream is None or not stream.can_send_data:
             # The stream died (reset) under the queued response: drop it.
+            self._pending_bytes -= queue.queued
             queue.finished = True
             queue.reset = True
             queue.offset = len(queue.data)
@@ -400,12 +415,12 @@ class ConnectionWriter:
         )
         if allowance <= 0:
             if stream.outbound_window.available <= 0:
-                self.stream_stalls += 1
+                self.tally.stream_stalls += 1
                 queue.stalls += 1
-                self._count_stall("stream")
             return None
         final = queue.end_stream and last_chunk and allowance == queue.remaining
         chunk = queue.take(allowance)
+        self._pending_bytes -= len(chunk)
         self.conn.send_data(queue.stream_id, chunk, end_stream=final)
         queue.finished = final or (
             queue.remaining == 0 and not queue.backlog and not queue.end_stream
@@ -452,9 +467,9 @@ class ConnectionWriter:
             self._close_event(queue, error=error)
             aborted += 1
         self._queues.clear()
+        self._pending_bytes = 0
         for bucket in self._buckets:
             bucket.clear()
-        self._update_gauges()
         return aborted
 
     # ------------------------------------------------------------------ #
@@ -471,8 +486,7 @@ class ConnectionWriter:
             streams.append(
                 {
                     "stream_id": queue.stream_id,
-                    "queued_bytes": queue.remaining
-                    + sum(len(extra) for extra in queue.backlog),
+                    "queued_bytes": queue.queued,
                     "end_stream": queue.end_stream,
                     "urgency": queue.urgency,
                     "incremental": queue.incremental,
@@ -494,36 +508,3 @@ class ConnectionWriter:
             "connection_window": self.conn.outbound_window.available,
             "streams": streams,
         }
-
-    def _count_stall(self, scope: str) -> None:
-        if self.registry.enabled:
-            self.registry.counter(
-                "http2_writer_stalls_total",
-                "Scheduler rounds that parked on an exhausted flow-control window",
-                layer="http2",
-                operation=scope,
-            ).inc()
-
-    def _update_gauges(self) -> None:
-        if not self.registry.enabled:
-            return
-        self.registry.gauge(
-            "http2_writer_queue_depth",
-            "Streams with a response queued in the connection writer",
-            layer="http2",
-            operation="streams",
-        ).set(float(self.pending_streams))
-        self.registry.gauge(
-            "http2_writer_buffered_bytes",
-            "Response bytes waiting on flow-control credit in the writer",
-            layer="http2",
-            operation="bytes",
-        ).set(float(self.pending_bytes))
-        for urgency, bucket in enumerate(self._buckets):
-            if bucket or self.priorities_enabled:
-                self.registry.gauge(
-                    "http2_writer_urgency_depth",
-                    "Streams queued per RFC 9218 urgency bucket",
-                    layer="http2",
-                    operation=f"u{urgency}",
-                ).set(float(len(bucket)))

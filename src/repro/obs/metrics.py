@@ -215,6 +215,8 @@ class MetricsRegistry:
         #: Call-site spelling -> instrument, filled only under ``_lock`` with
         #: what the registration path returned (see :meth:`_get`).
         self._memo: dict[tuple, Instrument] = {}
+        #: The one scrape-time collector (see :meth:`collector`).
+        self._collector = None
 
     # ------------------------------------------------------------------ #
     # Instrument accessors
@@ -267,12 +269,44 @@ class MetricsRegistry:
         elif help and not existing[1]:
             self._families[name] = (kind, help)
 
+    def collector(self, factory):
+        """The registry's one scrape-time collector, made by ``factory()``
+        on first use.
+
+        State a component already holds (queue depths, byte tallies) is
+        read when the registry is, not copied into instruments on every
+        change: :meth:`snapshot`, :meth:`collect`, :meth:`value`,
+        :meth:`total` and :meth:`count` first call the collector's
+        ``samples()`` under its ``lock`` and set each ``(cls, name, help,
+        labels, value)`` it yields as that instrument's value. :meth:`reset`
+        calls its ``reset()``. Readers run on any thread, so ``samples()``
+        may read only what another thread can read safely while the owner
+        mutates it.
+        """
+        with self._lock:
+            if self._collector is None:
+                self._collector = factory()
+            return self._collector
+
+    def _run_collector(self) -> None:
+        collector = self._collector
+        if collector is None:
+            return
+        # One scrape at a time: a slower concurrent scrape must not write
+        # back an older value over a newer one.
+        with collector.lock:
+            for cls, name, help, labels, value in collector.samples():
+                instrument = self._get(cls, name, help, labels)
+                with instrument._lock:
+                    instrument._value = float(value)
+
     # ------------------------------------------------------------------ #
     # Read side
     # ------------------------------------------------------------------ #
 
     def collect(self) -> Iterator[tuple[str, str, str, list[Instrument]]]:
         """Yield ``(name, kind, help, instruments)`` sorted by name/labels."""
+        self._run_collector()
         with self._lock:
             families = sorted(self._families.items())
             instruments = dict(self._instruments)
@@ -290,6 +324,7 @@ class MetricsRegistry:
         ``count``). Exporters and the time-series sampler read snapshots,
         never live instruments.
         """
+        self._run_collector()
         snap = MetricsRegistry()
         with self._lock:
             snap._families = dict(self._families)
@@ -299,15 +334,18 @@ class MetricsRegistry:
 
     def value(self, name: str, **labels: str) -> float:
         """One instrument's value (histograms report their sum); 0 if absent."""
+        self._run_collector()
         instrument = self._instruments.get((name, _label_key(labels)))
         return instrument.value if instrument is not None else 0.0
 
     def total(self, name: str) -> float:
         """Sum a family's value across every label combination."""
+        self._run_collector()
         return sum(inst.value for (n, _), inst in self._instruments.items() if n == name)
 
     def count(self, name: str) -> int:
         """Total histogram observation count across a family's label sets."""
+        self._run_collector()
         return sum(
             inst.count
             for (n, _), inst in self._instruments.items()
@@ -318,6 +356,10 @@ class MetricsRegistry:
         return len(self._instruments)
 
     def reset(self) -> None:
+        collector = self._collector
+        if collector is not None:
+            with collector.lock:
+                collector.reset()
         with self._lock:
             self._families.clear()
             self._instruments.clear()
@@ -375,6 +417,9 @@ class NullRegistry(MetricsRegistry):
 
     def histogram(self, name: str, help: str = "", buckets=DEFAULT_BUCKETS, **labels: str):  # type: ignore[override]
         return _NULL_INSTRUMENT
+
+    def collector(self, factory):  # type: ignore[override]
+        return None
 
 
 #: Process-wide no-op singleton; safe to share between every component.

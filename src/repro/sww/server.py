@@ -573,6 +573,22 @@ class GenerativeServer:
         return await asyncio.start_server(self.handle_connection, host, port)
 
 
+@dataclass(slots=True)
+class _Request:
+    """One request stream as the session serves it."""
+
+    stream_id: int
+    path: str
+    authority: bytes
+    client_models: list[str] | None
+    trace_context: object
+    gen_ability: bool
+    #: Routed to the admin plane: no inflight gauge, no wide event.
+    admin: bool
+    inflight: object = None
+    record: object = None
+
+
 class ServerSession:
     """Per-connection SWW semantics: request parsing, admin routing, wide
     events, push, and the choice of where a request runs, applied to one
@@ -580,14 +596,16 @@ class ServerSession:
 
     :meth:`serve` runs the connection on the shared
     :class:`~repro.http2.endpoint.ServerConnection` driver (handshake,
-    credit return, the writer task, drain and close are the driver's), over
-    a socket or an in-memory stream pair alike. Each ``RequestReceived``
-    becomes its own task (:meth:`_serve_stream`). Answers already in memory
-    (:meth:`GenerativeServer._answers_from_memory`) are served on the loop;
-    anything that generates, parses, signs or waits runs on a thread
-    executor so the event loop never blocks. Either way the finished body
-    is queued on the driver's writer, which interleaves DATA frames within
-    flow-control credit.
+    credit return, the writer, drain and close are the driver's), over a
+    socket or an in-memory stream pair alike. A ``RequestReceived`` whose
+    answer is already in memory
+    (:meth:`GenerativeServer._answers_from_memory`) is answered inside the
+    dispatch callback, with no task, and leaves in the read turn's one
+    flush. Anything that generates, parses, signs or waits, and every admin
+    route, becomes its own task (:meth:`_serve_off_loop`) with its work on
+    a thread executor, so the event loop never blocks. Either way the
+    finished body is queued on the driver's writer, which interleaves DATA
+    frames within flow-control credit.
     """
 
     def __init__(self, server: GenerativeServer, conn: H2Connection) -> None:
@@ -690,7 +708,26 @@ class ServerSession:
             if self.driver.draining:
                 logger.info("ignoring stream %d received after GOAWAY", event.stream_id)
                 return
-            self.driver.spawn(self._serve_stream(event))
+            request = self._open(event)
+            # Answers already in memory (stored assets, 404s, stored HTML,
+            # page-memo hits) are answered right here, inside the read
+            # turn: the driver's end-of-turn pump puts HEADERS and DATA in
+            # the turn's one flush. Anything that generates, parses, signs
+            # or waits runs off the loop so other streams — and other
+            # connections — keep flowing; concurrent materialisations meet
+            # in the BatchingEngine window / gencache single-flight. Admin
+            # routes always take the executor: /debug/profile blocks its
+            # thread for the sampling window without touching the loop.
+            if request.admin or not self.server._answers_from_memory(
+                request.path, request.gen_ability, request.client_models
+            ):
+                self.driver.spawn(self._serve_off_loop(request))
+                return
+            try:
+                response = self._handle(request)
+            except Exception as exc:
+                response = self._failed(request, exc)
+            self._respond(request, response)
         elif isinstance(event, ConnectionTerminated):
             self._note_termination(event)
         elif isinstance(event, StreamRefused):
@@ -706,99 +743,101 @@ class ServerSession:
                     "protocol-error", f"abuse detected: {event.kind} x{event.count}"
                 )
 
-    async def _serve_stream(self, event: RequestReceived) -> None:
-        """One request stream, start to finish, as its own task."""
-        stream_id = event.stream_id
+    def _open(self, event: RequestReceived) -> _Request:
+        """Parse a request and start its accounting: the inflight gauge
+        and, unless it is admin traffic, its wide event."""
         path, authority, client_models, trace_context = self._parse_request(event)
-        registry = self.server.registry
         admin = self.server.admin
-        is_admin = admin is not None and admin.matches(authority)
-        inflight = None
-        if registry.enabled and not is_admin:
-            inflight = registry.gauge(
-                "sww_server_inflight_streams",
-                "Request streams currently being served by the stream scheduler",
-                layer="sww",
-                operation="serve",
-            )
-            inflight.inc()
-        gen_ability = self.conn.gen_ability_negotiated
-        loop = asyncio.get_running_loop()
-        record = None
-        if not is_admin:
+        request = _Request(
+            event.stream_id, path, authority, client_models, trace_context,
+            self.conn.gen_ability_negotiated, admin is not None and admin.matches(authority),
+        )
+        if not request.admin:
             # Admin traffic never lands in the wide-event ring, same as it
             # never counts under sww_requests_total.
-            record = self.server.events.begin(
-                "server.request", path=path, stream_id=stream_id, transport=self.transport
+            registry = self.server.registry
+            if registry.enabled:
+                request.inflight = registry.gauge(
+                    "sww_server_inflight_streams",
+                    "Request streams currently being served by the stream scheduler",
+                    layer="sww",
+                    operation="serve",
+                )
+                request.inflight.inc()
+            request.record = self.server.events.begin(
+                "server.request", path=path, stream_id=request.stream_id, transport=self.transport
             )
+        return request
+
+    async def _serve_off_loop(self, request: _Request) -> None:
+        """A request that may block: its own task, its work on the executor."""
+        loop = asyncio.get_running_loop()
         try:
-            # Answers already in memory (stored assets, 404s, stored HTML,
-            # page-memo hits) are served right here: a dict lookup should
-            # not queue for a pool thread and a second loop wake-up.
-            # Anything that generates, parses, signs or waits runs off the
-            # loop so other streams — and other connections — keep flowing;
-            # concurrent materialisations meet in the BatchingEngine window
-            # / gencache single-flight. Admin routes always take the
-            # executor: /debug/profile blocks its thread for the sampling
-            # window without touching the loop.
-            request = (record, path, stream_id, gen_ability, client_models, trace_context)
-            if is_admin:
-                response = await loop.run_in_executor(None, admin.respond, path)
-            elif self.server._answers_from_memory(path, gen_ability, client_models):
-                response = self._handle(*request)
+            if request.admin:
+                response = await loop.run_in_executor(None, self.server.admin.respond, request.path)
             else:
-                response = await loop.run_in_executor(None, self._handle, *request)
+                response = await loop.run_in_executor(None, self._handle, request)
         except asyncio.CancelledError:
             # Drain timed out under this stream: the wide event still closes.
-            if record is not None:
-                record.finish(error="cancelled")
+            if request.inflight is not None:
+                request.inflight.dec()
+            if request.record is not None:
+                request.record.finish(error="cancelled")
             raise
         except Exception as exc:
-            logger.exception("stream %d (%s) failed; responding 500", stream_id, path)
-            if record is not None:
-                record.set(error=type(exc).__name__)
-            if self.server.recorder is not None:
-                self.server.recorder.note(
-                    "generation-failure", f"{type(exc).__name__} on {path}"
-                )
-            body = b"internal server error"
-            response = ServedResponse(
-                500, self.server._headers("text/plain", len(body), status=500), body
+            response = self._failed(request, exc)
+        if self._respond(request, response):
+            self.driver.wake()
+
+    def _failed(self, request: _Request, exc: Exception) -> ServedResponse:
+        logger.exception("stream %d (%s) failed; responding 500", request.stream_id, request.path)
+        if request.record is not None:
+            request.record.set(error=type(exc).__name__)
+        if self.server.recorder is not None:
+            self.server.recorder.note(
+                "generation-failure", f"{type(exc).__name__} on {request.path}"
             )
-        finally:
-            if inflight is not None:
-                inflight.dec()
+        body = b"internal server error"
+        return ServedResponse(500, self.server._headers("text/plain", len(body), status=500), body)
+
+    def _respond(self, request: _Request, response: ServedResponse) -> bool:
+        """Send HEADERS and queue the body on the writer; False when the
+        connection or the stream closed under the response."""
+        if request.inflight is not None:
+            request.inflight.dec()
+        record = request.record
         driver = self.driver
         if driver.closed:
             if record is not None:
                 record.finish(status=response.status, error="connection-closed")
-            return
+            return False
         self.responses_sent += 1
         if record is not None:
             # Status and body size are known now; the writer annotates the
             # wire-side fields and closes the event when the last frame
             # leaves (or the stream dies), covering the full lifetime.
             record.set(status=response.status, body_bytes=len(response.body))
+        stream_id = request.stream_id
         try:
             self.conn.send_headers(stream_id, response.headers)
             if self._should_push(response):
-                self._push_generated_assets(stream_id, response, authority, writer=driver.writer)
+                self._push_generated_assets(stream_id, response, request.authority, writer=driver.writer)
             driver.writer.enqueue(stream_id, response.body, end_stream=True, event=record)
         except H2Error as exc:
             logger.warning("stream %d closed under its response; dropping", stream_id)
             if record is not None:
                 record.finish(status=response.status, error=type(exc).__name__)
-            return
-        driver.wake()
+            return False
+        return True
 
-    def _handle(
-        self, record, path: str, stream_id: int, gen_ability: bool, client_models, trace_context
-    ) -> ServedResponse:
+    def _handle(self, request: _Request) -> ServedResponse:
         with self.server.tracer.span(
-            "server.stream", remote=trace_context, page=path, stream=stream_id
+            "server.stream", remote=request.trace_context, page=request.path, stream=request.stream_id
         ):
-            with record.bind():
-                return self.server.handle_request(path, gen_ability, client_models, trace_context)
+            with request.record.bind():
+                return self.server.handle_request(
+                    request.path, request.gen_ability, request.client_models, request.trace_context
+                )
 
     def debug_state(self) -> dict:
         """Live connection state for the admin plane's ``/debug/streams``."""

@@ -1,6 +1,8 @@
 """Tests for the flow-control-aware connection writer (stream scheduler)."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.http2.connection import (
     DataReceived,
@@ -288,3 +290,56 @@ class TestZeroCopy:
         assert viewed.serialize() == plain.serialize()
         parsed = parse_frames(memoryview(viewed.serialize()))[0][0]
         assert bytes(parsed.data) == b"abc"
+
+
+class TestPendingBytesProperty:
+    """``pending_bytes`` is a running sum kept by ``enqueue``, frame
+    sends, dropped queues and ``abort_pending``; it must always equal the
+    bytes the queues actually hold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["open", "append", "pump", "credit", "reset", "abort"]),
+                st.integers(0, 7),
+                st.integers(1, 6000),
+            ),
+            max_size=40,
+        )
+    )
+    # A parked body dropped because its stream was reset under it.
+    @example([("open", 0, 3000), ("pump", 0, 1), ("reset", 0, 1), ("pump", 0, 1)])
+    def test_running_sum_equals_recomputed_after_every_operation(self, operations):
+        pair = small_window_pair(1000)
+        server, client = pair.server.conn, pair.client.conn
+        writer = ConnectionWriter(server)
+        opened: list[int] = []
+        for operation, index, size in operations:
+            if operation == "open":
+                stream_id = open_request(pair)
+                server.send_headers(stream_id, RESPONSE)
+                writer.enqueue(stream_id, bytes(size), end_stream=index % 2 == 0)
+                opened.append(stream_id)
+            elif operation == "pump":
+                writer.pump()
+                pair.pump()
+            elif operation == "abort":
+                writer.abort_pending()
+            elif opened:
+                stream_id = opened[index % len(opened)]
+                stream = server.streams.get(stream_id)
+                queue = writer._queues.get(stream_id)
+                if operation == "append":
+                    if stream is not None and stream.can_send_data and not (queue and queue.end_stream):
+                        writer.enqueue(stream_id, bytes(size), end_stream=index % 2 == 0)
+                elif operation == "credit":
+                    if stream_id in client.streams:
+                        client.increment_flow_control_window(size, stream_id)
+                    client.increment_flow_control_window(size)
+                    pair.pump()
+                elif stream is not None:  # reset: the next pump drops the queue
+                    server.reset_stream(stream_id)
+                    pair.pump()
+            recomputed = sum(queue.queued for queue in writer._queues.values())
+            assert writer.pending_bytes == recomputed, (operation, writer.pending_bytes, recomputed)

@@ -30,7 +30,8 @@ from concurrent.futures import ThreadPoolExecutor
 import repro.obs.metrics as metrics
 from repro.devices import LAPTOP
 from repro.http2.connection import H2Connection, Role
-from repro.http2.endpoint import ClientConnection
+from repro.http2.endpoint import ClientConnection, ServerConnection
+from repro.http2.transport import AsyncH2Transport
 from repro.obs import EventLog, MetricsRegistry, Tracer
 from repro.sww.client import GenerativeClient, connect_in_memory
 from repro.sww.server import GenerativeServer, PageResource, SiteStore
@@ -40,16 +41,26 @@ MEMO_HIT_CEILINGS = {
     "executor_submissions": 0,
     "threads_started": 0,
     "label_key_sorts": 0,
-    # 22 of the 46 are the writer's gauges (11, twice); ROADMAP item 7.
-    "registry_lookups": 46,
+    # 46 while the writer's and HPACK gauges were set on every change and
+    # every frame counted through the registry; ROADMAP item 7.
+    "registry_lookups": 7,
+    # Tasks spawned per hit: 1 while every request stream was a task.
+    "stream_tasks": 0,
+    # Socket writes asked for, both ends: the client's request, the
+    # server's turn that answers it, the client's turn that returns the
+    # credit, the server's turn that reads it. 5 while the answer left in
+    # a writer-task flush after an empty one from its read turn.
+    "transport_flushes": 4,
     # Streams left in the client's and the server's table after the hits,
     # a level rather than a rate; 23 on each end before closed streams
     # were pruned.
     "streams_left_open": 0,
     # Live bytes allocated under repro/http2/ by the hits: read buffers and
     # the writer's fields in the (bounded) wide-event ring, none of it per
-    # stream; 1 315 before closed streams were pruned.
-    "http2_bytes_retained": 132,
+    # stream; 1 315 before closed streams were pruned, 132 before http2
+    # state was read when scraped and the answer left in its read turn
+    # (108-109 since).
+    "http2_bytes_retained": 112,
 }
 HITS = 20
 HTTP2_SOURCES = tracemalloc.Filter(True, "*/repro/http2/*")
@@ -100,6 +111,8 @@ def test_warm_memo_hit_costs_no_more_than_it_did(monkeypatch):
                 _counting(patch, threading.Thread, "start", counts, "threads_started")
                 _counting(patch, metrics, "_label_key", counts, "label_key_sorts")
                 _counting(patch, MetricsRegistry, "_get", counts, "registry_lookups")
+                _counting(patch, ServerConnection, "spawn", counts, "stream_tasks")
+                _counting(patch, AsyncH2Transport, "flush", counts, "transport_flushes")
                 tracemalloc.start()
                 try:
                     before = http2_bytes()
