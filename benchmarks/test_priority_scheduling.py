@@ -22,6 +22,7 @@ from _shared import print_table, record_bench, within
 from repro.http2.bdp import AdaptiveReceiveWindow, BdpEstimator
 from repro.http2.connection import DataReceived, H2Connection, RequestReceived, Role
 from repro.http2.frames import DataFrame, parse_frames
+from repro.http2.priority import DEFAULT_URGENCY
 from repro.http2.writer import ConnectionWriter
 
 RTT_S = 0.1  # the fleet's shield→origin leg (PR 9 LatencyModel's worst path)
@@ -41,12 +42,16 @@ class SimLink:
     the engine's buffer up to the flow-control windows, the bytes cross
     the link at ``bandwidth`` after ``rtt/2`` latency, the client's grants
     ride back, and the simulated clock advances ``max(rtt, bytes/bandwidth)``.
+
+    ``round_robin`` builds the flat reference arm: every response is
+    enqueued at the default urgency, incremental, whatever the request's
+    ``priority`` header said (explicit ``enqueue`` arguments win).
     """
 
     def __init__(
         self,
         window: int,
-        priorities_enabled: bool = True,
+        round_robin: bool = False,
         adaptive: bool = False,
         rtt_s: float = RTT_S,
         bandwidth_bps: float = BANDWIDTH_BPS,
@@ -56,7 +61,8 @@ class SimLink:
         self.bandwidth_bps = bandwidth_bps
         self.client = H2Connection(Role.CLIENT, initial_window_size=window)
         self.server = H2Connection(Role.SERVER)
-        self.writer = ConnectionWriter(self.server, priorities_enabled=priorities_enabled)
+        self.round_robin = round_robin
+        self.writer = ConnectionWriter(self.server)
         self.adaptive: AdaptiveReceiveWindow | None = None
         if adaptive:
             self.adaptive = AdaptiveReceiveWindow(
@@ -85,7 +91,10 @@ class SimLink:
         events = self.server.receive_data(self.client.data_to_send())
         assert any(isinstance(e, RequestReceived) for e in events)
         self.server.send_headers(stream_id, [(b":status", b"200")])
-        self.writer.enqueue(stream_id, body, end_stream=True)
+        if self.round_robin:
+            self.writer.enqueue(stream_id, body, urgency=DEFAULT_URGENCY, incremental=True)
+        else:
+            self.writer.enqueue(stream_id, body)
         self._expected[stream_id] = len(body)
         self.received[stream_id] = bytearray()
         return stream_id
@@ -156,9 +165,9 @@ def body_for(name: str, size: int) -> bytes:
     return pattern[:size]
 
 
-def ttatf_trial(trial: int, priorities_enabled: bool):
+def ttatf_trial(trial: int, round_robin: bool):
     """2 critical streams injected while 6 bulk streams are mid-flight."""
-    sim = SimLink(window=65_535, priorities_enabled=priorities_enabled)
+    sim = SimLink(window=65_535, round_robin=round_robin)
     for index in range(6):
         sim.request(
             f"/bulk-{index}.png",
@@ -182,10 +191,10 @@ def ttatf_trial(trial: int, priorities_enabled: bool):
 
 def run_ttatf_experiment(trials: int = 8):
     results = {}
-    for label, enabled in (("round_robin", False), ("priorities", True)):
+    for label, round_robin in (("round_robin", True), ("priorities", False)):
         ttatfs, sims = [], []
         for trial in range(trials):
-            ttatf, sim = ttatf_trial(trial, enabled)
+            ttatf, sim = ttatf_trial(trial, round_robin)
             ttatfs.append(ttatf)
             sims.append(sim)
         ttatfs.sort()
@@ -317,7 +326,7 @@ class TestBdpAdaptiveWindows:
             record_bench(
                 "priorities",
                 name,
-                wall_time_s=trial["total_s"],
+                total_sim_s=round(trial["total_s"], 6),
                 throughput_mbps=round(trial["throughput_bps"] / 1e6, 3),
                 steady_mbps=round(trial["steady_bps"] / 1e6, 3),
                 window_stall_s=round(trial["stall_s"], 3),

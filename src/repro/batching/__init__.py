@@ -11,8 +11,9 @@ the hardware allows").
 
 :class:`BatchingEngine` groups compatible requests — same
 ``(model, device, steps, width×height, content-type)`` — inside a
-``max_batch`` / ``max_wait`` window and executes each group through the
-batched numpy kernels in :mod:`repro.genai.image`. Simulated time models
+``max_batch`` / ``max_wait`` window and executes each group as one
+:func:`repro.genai.image.generate_image_batch` call, which renders every
+item with the solo kernel. Simulated time models
 GPU-style amortisation with the efficiency curve
 
     ``batch_time(B) = step_time × steps × (1 + α·(B−1)) / B``

@@ -4,11 +4,12 @@ One :class:`BatchingEngine` models one accelerator: a dispatcher thread
 pops the oldest queued request, opens a batching window, and admits every
 compatible request that arrives within ``max_wait_s`` (up to
 ``max_batch``). Compatibility is the batch slot — same model, device,
-step count, resolution and content type — because the batched kernels
-stack the whole group into one ``(B, H, W, 3)`` pass. Groups execute
-serially on the dispatcher (one accelerator), while PNG encodes start on
-the process-wide encode pool (:func:`repro.genai.image.encode_png_async`)
-so the next batch does not wait for compression.
+step count, resolution and content type — because a simulated batch
+step prices the whole group at one resolution and step count. Groups
+execute serially on the dispatcher (one accelerator), while PNG encodes
+start on the process-wide encode pool
+(:func:`repro.genai.image.encode_png_async`) so the next batch does not
+wait for compression.
 
 Admission composes with single-flight: a request submitted with a
 content key that is already in flight does not enter the queue at all —

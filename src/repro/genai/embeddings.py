@@ -89,34 +89,6 @@ def text_embedding(text: str) -> np.ndarray:
     return total / norm if norm else total
 
 
-def text_embedding_batch(texts: list[str]) -> np.ndarray:
-    """Embed a ragged batch of texts into a (B, EMBED_DIM) array.
-
-    The batched generation kernels embed every prompt in a micro-batch at
-    once: directions for the whole batch are gathered into a single stack,
-    then reduced per text over contiguous segments. Each row is
-    bit-identical to ``text_embedding(texts[i])`` — the per-segment
-    ``np.add.reduce`` walks rows in the same order as the solo path, and
-    the norm uses the same ``np.linalg.norm`` call (BLAS reductions are
-    not interchangeable with stacked sums, so norms stay per-row).
-    """
-    out = np.zeros((len(texts), EMBED_DIM))
-    token_lists = [tokenize_words(text) for text in texts]
-    flat = [token for tokens in token_lists for token in tokens]
-    if not flat:
-        return out
-    stack = _direction_stack(flat)
-    offset = 0
-    for i, tokens in enumerate(token_lists):
-        if not tokens:
-            continue
-        total = np.add.reduce(stack[offset : offset + len(tokens)], axis=0)
-        offset += len(tokens)
-        norm = np.linalg.norm(total)
-        out[i] = total / norm if norm else total
-    return out
-
-
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity, 0.0 when either vector is zero."""
     na = np.linalg.norm(a)

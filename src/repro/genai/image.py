@@ -31,14 +31,7 @@ import numpy as np
 
 from repro._util.hashing import stable_u64
 from repro.devices.profiles import DeviceProfile
-from repro.genai.embeddings import (
-    EMBED_DIM,
-    GRID,
-    PIXEL_GAIN,
-    embed_vector_to_blocks,
-    text_embedding,
-    text_embedding_batch,
-)
+from repro.genai.embeddings import EMBED_DIM, GRID, embed_vector_to_blocks, text_embedding
 from repro.media.png import encode_png
 from repro.obs import MetricsRegistry, Tracer, get_registry, get_tracer
 
@@ -226,6 +219,75 @@ def render_content(vector: np.ndarray, width: int, height: int, seed: int) -> np
     return np.stack([red, green, blue], axis=2)
 
 
+def _resolve_steps(model: ImageModel, width: int, height: int, steps: int | None) -> int:
+    """Validate a request's size and resolve its step count."""
+    if width < GRID or height < GRID:
+        raise ValueError(f"minimum generatable size is {GRID}x{GRID}")
+    steps = steps if steps is not None else model.default_steps
+    if steps <= 0:
+        raise ValueError("steps must be positive")
+    return steps
+
+
+def _render_item(
+    model: ImageModel, prompt: str, width: int, height: int, steps: int, seed: int | None
+) -> np.ndarray:
+    """One image's pixels: seed → fidelity jitter → content vector → pixels."""
+    if seed is None:
+        seed = stable_u64("image-seed", model.name, prompt, width, height, steps) % 2**32
+    # Per-generation quality jitter: real diffusion output quality varies
+    # draw to draw; the model's fidelity profile is the mean, not a
+    # constant. Deterministic in the seed, so results stay reproducible.
+    rng = np.random.default_rng((seed ^ 0xF1DE11) % 2**32)
+    fidelity = float(np.clip(model.effective_fidelity(steps) + rng.normal(0.0, 0.04), 0.05, 0.98))
+    vector = _content_vector(prompt, fidelity, seed)
+    return render_content(vector, width, height, seed)
+
+
+def _account(
+    registry: MetricsRegistry,
+    tracer: Tracer,
+    model: ImageModel,
+    steps: int,
+    seconds: float,
+    energy: float,
+    count: int,
+) -> None:
+    """Record ``count`` generations of ``seconds`` / ``energy`` each."""
+    if not registry.enabled:
+        return
+    registry.counter(
+        "genai_generations_total",
+        "Simulated generations, by modality and model",
+        layer="genai",
+        operation="image",
+        model=model.name,
+    ).inc(count)
+    registry.counter(
+        "genai_steps_total",
+        "Denoising steps executed",
+        layer="genai",
+        operation="image",
+        model=model.name,
+    ).inc(steps * count)
+    seconds_hist = registry.histogram(
+        "genai_generation_seconds",
+        "Simulated generation duration",
+        layer="genai",
+        operation="image",
+        model=model.name,
+    )
+    for _ in range(count):
+        seconds_hist.observe(seconds, trace_id=tracer.current_trace_id())
+    registry.counter(
+        "genai_energy_wh_total",
+        "Simulated generation energy",
+        layer="genai",
+        operation="image",
+        model=model.name,
+    ).inc(energy * count)
+
+
 def generate_image(
     model: ImageModel,
     device: DeviceProfile,
@@ -238,60 +300,18 @@ def generate_image(
     tracer: Tracer | None = None,
 ) -> ImageResult:
     """Run the simulated diffusion pipeline end to end."""
-    if width < GRID or height < GRID:
-        raise ValueError(f"minimum generatable size is {GRID}x{GRID}")
-    steps = steps if steps is not None else model.default_steps
-    if steps <= 0:
-        raise ValueError("steps must be positive")
-    if seed is None:
-        seed = stable_u64("image-seed", model.name, prompt, width, height, steps) % 2**32
+    steps = _resolve_steps(model, width, height, steps)
     registry = registry if registry is not None else get_registry()
     tracer = tracer if tracer is not None else get_tracer()
 
     with tracer.span("genai.image", model=model.name, size=f"{width}x{height}", steps=steps) as gen_span:
-        fidelity = model.effective_fidelity(steps)
-        # Per-generation quality jitter: real diffusion output quality varies
-        # draw to draw; the model's fidelity profile is the mean, not a
-        # constant. Deterministic in the seed, so results stay reproducible.
-        rng = np.random.default_rng((seed ^ 0xF1DE11) % 2**32)
-        fidelity = float(np.clip(fidelity + rng.normal(0.0, 0.04), 0.05, 0.98))
-        vector = _content_vector(prompt, fidelity, seed)
-        pixels = render_content(vector, width, height, seed)
-
+        pixels = _render_item(model, prompt, width, height, steps, seed)
         seconds = steps * model.step_time(device, width, height)
         energy = device.image_energy_wh(seconds)
         # Simulated cost on the span itself, so stitched distributed traces
         # can be cross-checked against the metrics registry (report.py).
         gen_span.annotate(sim_s=round(seconds, 6))
-    if registry.enabled:
-        registry.counter(
-            "genai_generations_total",
-            "Simulated generations, by modality and model",
-            layer="genai",
-            operation="image",
-            model=model.name,
-        ).inc()
-        registry.counter(
-            "genai_steps_total",
-            "Denoising steps executed",
-            layer="genai",
-            operation="image",
-            model=model.name,
-        ).inc(steps)
-        registry.histogram(
-            "genai_generation_seconds",
-            "Simulated generation duration",
-            layer="genai",
-            operation="image",
-            model=model.name,
-        ).observe(seconds, trace_id=tracer.current_trace_id())
-        registry.counter(
-            "genai_energy_wh_total",
-            "Simulated generation energy",
-            layer="genai",
-            operation="image",
-            model=model.name,
-        ).inc(energy)
+    _account(registry, tracer, model, steps, seconds, energy, 1)
     return ImageResult(
         pixels=pixels,
         prompt=prompt,
@@ -322,107 +342,6 @@ def batch_step_share(batch_size: int, alpha: float) -> float:
     return (1.0 + alpha * (batch_size - 1)) / batch_size
 
 
-def _content_vector_batch(
-    prompts: list[str], fidelities: list[float], seeds: list[int]
-) -> np.ndarray:
-    """Batched :func:`_content_vector`: one (B, EMBED_DIM) stacked mix.
-
-    Per-item work is limited to what must match the solo path bit for bit:
-    the RNG draw (one generator per seed, same draw order) and the scalar
-    reductions (``np.dot``/``np.linalg.norm`` use BLAS accumulation orders
-    that stacked sums do not reproduce). The orthogonalise, mix and
-    normalise are single stacked elementwise passes — elementwise float
-    ops are bit-exact regardless of batching.
-    """
-    count = len(prompts)
-    vectors = text_embedding_batch(prompts)
-    noise = np.empty((count, EMBED_DIM))
-    for i, seed in enumerate(seeds):
-        noise[i] = np.random.default_rng(seed).standard_normal(EMBED_DIM)
-
-    prompt_norms = np.array([np.linalg.norm(vectors[i]) for i in range(count)])
-    dots = np.array([np.dot(noise[i], vectors[i]) for i in range(count)])
-    orth = noise - dots[:, None] * vectors  # stacked orthogonalise
-    orth_norms = np.array([np.linalg.norm(orth[i]) for i in range(count)])
-    safe_orth = np.where(orth_norms == 0.0, 1.0, orth_norms)
-    orth = orth / safe_orth[:, None]
-
-    gains = np.array(fidelities)
-    residuals = np.array(
-        [np.sqrt(max(0.0, 1.0 - fidelity**2)) for fidelity in fidelities]
-    )
-    mixed = gains[:, None] * vectors + residuals[:, None] * orth  # stacked mix
-    # Empty prompts carry no embedding: the solo path falls back to raw noise.
-    out = np.where(prompt_norms[:, None] == 0.0, noise, mixed)
-
-    norms = np.array([np.linalg.norm(out[i]) for i in range(count)])
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return np.where(norms[:, None] == 0.0, out, out / safe[:, None])
-
-
-def render_content_batch(
-    vectors: np.ndarray, width: int, height: int, seeds: list[int]
-) -> np.ndarray:
-    """Batched :func:`render_content`: a (B, H, W, 3) uint8 array in one pass.
-
-    All images in a micro-batch share a resolution (it is part of the
-    group key), so the repeats, gradients, clips and channel stack run
-    once over the whole batch. RNG draws stay per item in the solo draw
-    order; the per-block texture mean is a float reduction and therefore
-    also stays per item.
-    """
-    count = len(seeds)
-    clipped = np.clip(vectors * PIXEL_GAIN, -1.0, 1.0)
-    planes = np.round(127.5 * (1.0 + clipped)).astype(np.uint8).reshape(count, GRID, GRID)
-
-    bh = max(1, height // GRID)
-    bw = max(1, width // GRID)
-    red = np.repeat(np.repeat(planes, bh, axis=1), bw, axis=2)
-    red = red[:, :height, :width]
-    if red.shape[1] < height or red.shape[2] < width:
-        red = np.pad(
-            red,
-            ((0, 0), (0, height - red.shape[1]), (0, width - red.shape[2])),
-            mode="edge",
-        )
-
-    ys = np.linspace(0, 2 * np.pi, height)[:, None]
-    xs = np.linspace(0, 2 * np.pi, width)[None, :]
-    textured = bh >= 2 and bw >= 2
-    phase_y = np.empty(count)
-    phase_x = np.empty(count)
-    freq_y = np.empty(count, dtype=np.int64)
-    freq_x = np.empty(count, dtype=np.int64)
-    textures = np.zeros((count, height, width), dtype=np.int16) if textured else None
-    gh, gw = (height // GRID) * GRID, (width // GRID) * GRID
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed ^ 0x5EED)
-        phase_y[i], phase_x[i] = rng.uniform(0, 2 * np.pi, 2)
-        freq_y[i] = rng.integers(1, 4)
-        freq_x[i] = rng.integers(1, 3)
-        if textured:
-            texture = rng.integers(-3, 4, size=(height, width)).astype(np.int16)
-            sub = texture[:gh, :gw].reshape(GRID, gh // GRID, GRID, gw // GRID)
-            sub -= sub.mean(axis=(1, 3), keepdims=True).astype(np.int16)
-            texture[:gh, :gw] = sub.reshape(gh, gw)
-            texture[gh:, :] = 0
-            texture[:, gw:] = 0
-            textures[i] = texture
-
-    green = (
-        127.5 * (1 + np.sin(ys[None, :, :] * freq_y[:, None, None] + phase_y[:, None, None]))
-        * np.ones((1, 1, width))
-    ).astype(np.uint8)
-    blue = (
-        127.5 * (1 + np.sin(xs[None, :, :] * freq_x[:, None, None] + phase_x[:, None, None]))
-        * np.ones((1, height, 1))
-    ).astype(np.uint8)
-    if textured:
-        red = np.clip(red.astype(np.int16) + textures, 0, 255).astype(np.uint8)
-
-    return np.stack([red, green, blue], axis=3)
-
-
 def generate_image_batch(
     model: ImageModel,
     device: DeviceProfile,
@@ -435,22 +354,18 @@ def generate_image_batch(
     registry: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
 ) -> list[ImageResult]:
-    """Run one micro-batch through the batched kernels.
+    """Run one micro-batch: each item is rendered exactly as a solo call.
 
-    Every per-item output (pixels, seed derivation, fidelity jitter) is
-    byte-identical to ``generate_image`` called solo with the same
-    arguments. Only the simulated cost differs: per-item seconds are the
-    solo cost times :func:`batch_step_share`, modelling accelerator-style
-    amortisation. With the default ``alpha=0.0`` each item still pays
-    ``share = 1/B``; callers model a real accelerator by passing the
-    calibrated α from :mod:`repro.batching`. A batch of one is identical
-    to the solo path in both bytes and time for every α.
+    Pixels come from the same per-item kernel as ``generate_image``, so
+    they are byte-identical to it by construction. Only the simulated cost
+    differs: per-item seconds are the solo cost times
+    :func:`batch_step_share`, modelling accelerator-style amortisation.
+    With the default ``alpha=0.0`` each item still pays ``share = 1/B``;
+    callers model a real accelerator by passing the calibrated α from
+    :mod:`repro.batching`. A batch of one is identical to the solo path in
+    both bytes and time for every α.
     """
-    if width < GRID or height < GRID:
-        raise ValueError(f"minimum generatable size is {GRID}x{GRID}")
-    steps = steps if steps is not None else model.default_steps
-    if steps <= 0:
-        raise ValueError("steps must be positive")
+    steps = _resolve_steps(model, width, height, steps)
     count = len(prompts)
     if count == 0:
         return []
@@ -458,12 +373,6 @@ def generate_image_batch(
         seeds = [None] * count
     if len(seeds) != count:
         raise ValueError("seeds must match prompts length")
-    resolved = [
-        seed
-        if seed is not None
-        else stable_u64("image-seed", model.name, prompt, width, height, steps) % 2**32
-        for prompt, seed in zip(prompts, seeds)
-    ]
     registry = registry if registry is not None else get_registry()
     tracer = tracer if tracer is not None else get_tracer()
 
@@ -474,54 +383,19 @@ def generate_image_batch(
         steps=steps,
         batch=count,
     ) as gen_span:
-        base_fidelity = model.effective_fidelity(steps)
-        fidelities = []
-        for seed in resolved:
-            rng = np.random.default_rng((seed ^ 0xF1DE11) % 2**32)
-            fidelities.append(float(np.clip(base_fidelity + rng.normal(0.0, 0.04), 0.05, 0.98)))
-        vectors = _content_vector_batch(prompts, fidelities, resolved)
-        pixels = render_content_batch(vectors, width, height, resolved)
-
+        pixels = [
+            _render_item(model, prompt, width, height, steps, seed)
+            for prompt, seed in zip(prompts, seeds)
+        ]
         share = batch_step_share(count, alpha)
         seconds = steps * model.step_time(device, width, height) * share
         energy = device.image_energy_wh(seconds)
         gen_span.annotate(sim_s=round(seconds * count, 6), share=round(share, 4))
-
-    if registry.enabled:
-        registry.counter(
-            "genai_generations_total",
-            "Simulated generations, by modality and model",
-            layer="genai",
-            operation="image",
-            model=model.name,
-        ).inc(count)
-        registry.counter(
-            "genai_steps_total",
-            "Denoising steps executed",
-            layer="genai",
-            operation="image",
-            model=model.name,
-        ).inc(steps * count)
-        seconds_hist = registry.histogram(
-            "genai_generation_seconds",
-            "Simulated generation duration",
-            layer="genai",
-            operation="image",
-            model=model.name,
-        )
-        for _ in range(count):
-            seconds_hist.observe(seconds, trace_id=tracer.current_trace_id())
-        registry.counter(
-            "genai_energy_wh_total",
-            "Simulated generation energy",
-            layer="genai",
-            operation="image",
-            model=model.name,
-        ).inc(energy * count)
+    _account(registry, tracer, model, steps, seconds, energy, count)
     return [
         ImageResult(
-            pixels=pixels[i],
-            prompt=prompts[i],
+            pixels=item_pixels,
+            prompt=prompt,
             model=model.name,
             device=device.name,
             steps=steps,
@@ -530,7 +404,7 @@ def generate_image_batch(
             sim_time_s=seconds,
             energy_wh=energy,
         )
-        for i in range(count)
+        for prompt, item_pixels in zip(prompts, pixels)
     ]
 
 

@@ -25,7 +25,7 @@ in-memory transport in tests:
   enqueue order (§4.2: a response useless until complete should not be
   interleaved). Streams with no priority signal default to urgency 3,
   incremental — exactly the pre-priority writer's equal-share round
-  robin, which ``priorities_enabled=False`` forces for every stream;
+  robin;
 * **anti-starvation credit** — every frame served at urgency *u* accrues
   one debt unit to each hungrier-numbered non-empty bucket; at
   ``starvation_interval`` units the starved bucket claims one frame
@@ -108,15 +108,10 @@ class ConnectionWriter:
         self,
         conn: H2Connection,
         registry: MetricsRegistry | None = None,
-        priorities_enabled: bool = True,
         starvation_interval: int = 8,
     ) -> None:
         self.conn = conn
         self.registry = registry if registry is not None else get_registry()
-        #: False restores the flat equal-share round robin (every stream
-        #: forced to the default bucket, incremental) — the reference arm
-        #: ``benchmarks/test_priority_scheduling.py`` builds directly.
-        self.priorities_enabled = priorities_enabled
         self.starvation_interval = max(1, starvation_interval)
         self._queues: dict[int, _SendQueue] = {}
         #: Strict-priority buckets of stream ids, index = urgency. Within
@@ -165,8 +160,7 @@ class ConnectionWriter:
         arguments win, then the parameters the connection recorded on the
         stream (``priority`` header / PRIORITY_UPDATE), then the legacy
         defaults (urgency 3, incremental) that reproduce the flat round
-        robin. With :attr:`priorities_enabled` off, every stream is
-        forced to the legacy defaults.
+        robin.
         """
         urgency, incremental = self._resolve_priority(stream_id, urgency, incremental)
         queue = self._queues.get(stream_id)
@@ -209,8 +203,6 @@ class ConnectionWriter:
         should pump afterwards, since a promotion may unblock sending
         order immediately.
         """
-        if not self.priorities_enabled:
-            return False
         queue = self._queues.get(stream_id)
         if queue is None:
             return False
@@ -220,8 +212,6 @@ class ConnectionWriter:
     def _resolve_priority(
         self, stream_id: int, urgency: int | None, incremental: bool | None
     ) -> tuple[int, bool]:
-        if not self.priorities_enabled:
-            return DEFAULT_URGENCY, True
         stream = self.conn.streams.get(stream_id)
         if urgency is None:
             urgency = stream.urgency if stream is not None else DEFAULT_URGENCY
@@ -504,7 +494,6 @@ class ConnectionWriter:
             "connection_stalls": self.connection_stalls,
             "completed_streams": self.completed_streams,
             "starvation_credits": self.starvation_credits,
-            "priorities_enabled": self.priorities_enabled,
             "connection_window": self.conn.outbound_window.available,
             "streams": streams,
         }

@@ -160,7 +160,7 @@ def batching_rows() -> list[ReportRow]:
 
     Like the Warm rows, a separate experiment appended after the paper's
     numbers: the same eight distinct prompts run solo and as one 8-way
-    micro-batch through the batched kernels, using the calibrated
+    micro-batch through ``generate_image_batch``, using the calibrated
     amortisation curve. Calling the kernel directly (rather than timing
     the engine's wall-clock window) keeps the row deterministic. Cold
     rows above never go through the engine, so they are untouched.

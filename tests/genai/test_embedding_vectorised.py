@@ -3,7 +3,7 @@
 ``text_embedding`` now reduces a stacked direction matrix in one numpy
 call; every similarity experiment in the paper flows through it, so the
 fuzz below pins exact equality against the original per-token
-accumulation loop over 1k random texts (plus the ragged batched variant).
+accumulation loop over 1k random texts.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ import pytest
 from repro.genai.embeddings import (
     EMBED_DIM,
     text_embedding,
-    text_embedding_batch,
     token_direction,
     tokenize_words,
 )
@@ -59,15 +58,3 @@ def test_fuzz_vectorised_equals_scalar(corpus):
         want = _scalar_reference(text)
         assert got.tobytes() == want.tobytes(), f"embedding drifted for {text[:50]!r}"
 
-
-def test_fuzz_batch_rows_equal_solo(corpus):
-    batch = text_embedding_batch(corpus)
-    assert batch.shape == (len(corpus), EMBED_DIM)
-    for i, text in enumerate(corpus):
-        assert batch[i].tobytes() == text_embedding(text).tobytes(), text[:50]
-
-
-def test_batch_of_nothing():
-    assert text_embedding_batch([]).shape == (0, EMBED_DIM)
-    empty = text_embedding_batch(["", "the"])
-    assert not empty[0].any()

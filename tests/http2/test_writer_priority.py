@@ -109,20 +109,6 @@ class TestUrgencyOrdering:
         writer.pump()
         assert data_order(pair)[:6] == [first, second, first, second, first, second]
 
-    def test_priorities_disabled_ignores_signals(self):
-        """The benchmark reference arm: explicit signals are flattened back
-        onto the equal-share round robin."""
-        pair = make_pair()
-        bulk = open_request(pair, b"/a", priority=b"u=7, i")
-        urgent = open_request(pair, b"/b", priority=b"u=0")
-        frame = pair.server.conn.peer_settings.max_frame_size
-
-        writer = ConnectionWriter(pair.server.conn, priorities_enabled=False)
-        respond(pair, writer, bulk, b"a" * (frame * 2))
-        respond(pair, writer, urgent, b"b" * (frame * 2))
-        writer.pump()
-        assert data_order(pair)[:4] == [bulk, urgent, bulk, urgent]
-
     def test_explicit_enqueue_arguments_win_over_stream_signal(self):
         pair = make_pair()
         first = open_request(pair, b"/a", priority=b"u=6, i")
@@ -183,7 +169,6 @@ class TestReprioritization:
         pair.server.conn.send_headers(stream, RESPONSE)
         writer.enqueue(stream, b"z" * 10, end_stream=False)
         state = writer.debug_state()
-        assert state["priorities_enabled"] is True
         (entry,) = state["streams"]
         assert entry["urgency"] == 2 and entry["incremental"] is True
 

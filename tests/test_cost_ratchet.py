@@ -16,7 +16,7 @@ left in either engine's table, and the bytes allocated inside
 
 Then a generative page (ROADMAP item 3(b)): one cold capable fetch of the
 bench's ``pageload_generative`` page, whose work is parsing and
-generating, not serving.
+generating, not serving; and one micro-batch through the batching engine.
 """
 
 import asyncio
@@ -28,7 +28,9 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import repro.obs.metrics as metrics
+from repro.batching import BatchingEngine
 from repro.devices import LAPTOP
+from repro.genai.registry import get_image_model
 from repro.http2.connection import H2Connection, Role
 from repro.http2.endpoint import ClientConnection, ServerConnection
 from repro.http2.transport import AsyncH2Transport
@@ -155,6 +157,25 @@ GENERATIVE_PAGE_COUNTED = {
 }
 
 
+def _count_calls(monkeypatch, counted: dict) -> list[str]:
+    """Count every call of ``counted``'s functions, wherever a ``repro``
+    module imported them by name; returns the list the calls append to."""
+    calls: list[str] = []  # appended from the encode pool's threads too
+    for key, (module_name, names) in counted.items():
+        for name in names:
+            original = getattr(sys.modules[module_name], name)
+
+            def counter(*args, _key=key, _original=original, **kwargs):
+                calls.append(_key)
+                return _original(*args, **kwargs)
+
+            for module in list(sys.modules.values()):
+                if module is not None and module.__name__.startswith("repro"):
+                    if getattr(module, name, None) is original:
+                        monkeypatch.setattr(module, name, counter)
+    return calls
+
+
 def test_cold_generative_page_costs_no_more_than_it_did(monkeypatch):
     page = build_harbour_gallery()
     store = SiteStore()
@@ -162,24 +183,43 @@ def test_cold_generative_page_costs_no_more_than_it_did(monkeypatch):
     server = GenerativeServer(store)
     client = GenerativeClient(device=LAPTOP)
     pair = connect_in_memory(client, server)
-    calls: list[str] = []  # appended from the encode pool's threads too
-
-    for key, (module_name, names) in GENERATIVE_PAGE_COUNTED.items():
-        for name in names:
-            original = getattr(sys.modules[module_name], name)
-
-            def counted(*args, _key=key, _original=original, **kwargs):
-                calls.append(_key)
-                return _original(*args, **kwargs)
-
-            for module in list(sys.modules.values()):
-                if module is not None and module.__name__.startswith("repro"):
-                    if getattr(module, name, None) is original:
-                        monkeypatch.setattr(module, name, counted)
-
+    calls = _count_calls(monkeypatch, GENERATIVE_PAGE_COUNTED)
     result = client.fetch_via_pair(pair, page.path)
     assert result.status == 200 and result.report.generated_images == 6
     counts = Counter(calls)
     for name, ceiling in GENERATIVE_PAGE_CEILINGS.items():
         assert counts[name] <= ceiling, f"{name}: {counts[name]} per cold page, ceiling {ceiling}"
     assert counts["png_encodes"] == 6, "the counting wrappers missed the encodes"
+
+
+#: One ``BatchingEngine`` batch of four distinct prompts: one batched
+#: kernel call that renders each item itself (it must not go through the
+#: public solo name, or ``genai.image.generate`` counts every item twice)
+#: and one PNG encode per image.
+ENGINE_BATCH_CEILINGS = {
+    "batch_generations": 1,
+    "solo_generations": 0,
+    "png_encodes": 4,
+}
+ENGINE_BATCH_COUNTED = {
+    "batch_generations": ("repro.genai.image", ("generate_image_batch",)),
+    "solo_generations": ("repro.genai.image", ("generate_image",)),
+    "png_encodes": ("repro.media.png", ("encode_png",)),
+}
+
+
+def test_engine_batch_costs_no_more_than_it_did(monkeypatch):
+    model = get_image_model("sd-3-medium")
+    prompts = ["alpha ridge", "beta cove", "gamma steppe", "delta falls"]
+    calls = _count_calls(monkeypatch, ENGINE_BATCH_COUNTED)
+    # The window closes as soon as the fourth request is admitted.
+    with BatchingEngine(LAPTOP, max_batch=len(prompts), max_wait_s=30) as engine:
+        futures = [engine.submit_image(model, prompt, 64, 64) for prompt in prompts]
+        results = [future.result(timeout=30) for future in futures]
+        for result in results:
+            result.png_bytes()
+    assert {future.batch_size for future in futures} == {len(prompts)}
+    counts = Counter(calls)
+    for name, ceiling in ENGINE_BATCH_CEILINGS.items():
+        assert counts[name] <= ceiling, f"{name}: {counts[name]} per batch of 4, ceiling {ceiling}"
+    assert counts["batch_generations"] == 1, "the counting wrappers missed the batch"

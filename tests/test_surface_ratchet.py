@@ -12,8 +12,10 @@ import inspect
 
 import pytest
 
+from repro.batching import BatchingEngine
 from repro.cli import build_parser
 from repro.http2.endpoint import ServerConnection
+from repro.http2.writer import ConnectionWriter
 from repro.serving import Arbiter, ArbiterConfig, CacheTierServer, RemoteGenerationCache
 from repro.sww.client import GenerativeClient
 from repro.sww.media_generator import MediaGenerator
@@ -32,6 +34,8 @@ INIT_PARAMETER_CEILINGS = {
     Arbiter: 2,
     RemoteGenerationCache: 2,
     CacheTierServer: 3,
+    ConnectionWriter: 3,
+    BatchingEngine: 7,
 }
 
 
