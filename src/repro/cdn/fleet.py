@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from repro.cdn.cache import CacheEntry, EdgeCache
 from repro.cdn.edge import CatalogItem, OriginCatalog
 from repro.cdn.placement import HashRing
-from repro.cdn.router import FleetRouter, LatencyModel
+from repro.cdn.router import FleetRouter
 from repro.devices.profiles import DeviceProfile, WORKSTATION
 from repro.genai.registry import DEFAULT_IMAGE_MODEL, ImageModel
 from repro.gencache import GenerationCache, GenerationKey, image_key
@@ -157,11 +157,6 @@ class FleetServeResult:
     peer_bytes: int = 0
     shield_bytes: int = 0
     origin_bytes: int = 0
-
-    @property
-    def served_from_fleet(self) -> bool:
-        """True when no origin media transfer was needed."""
-        return self.tier in ("edge", "peer", "coalesced", "generated")
 
 
 class EdgeFleet:

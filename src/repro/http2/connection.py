@@ -544,11 +544,6 @@ class H2Connection:
         if self._goaway_sent:
             raise ProtocolError("connection is shutting down (GOAWAY sent)")
 
-    @property
-    def hpack_evictions(self) -> int:
-        """Dynamic-table evictions across both compression contexts."""
-        return self.encoder.table.evictions + self.decoder.table.evictions
-
     def _stream(self, stream_id: int) -> H2Stream:
         """The open stream ``stream_id`` names; for an absent id, a CLOSED
         stand-in at or below the highest id of its parity (§5.1.1), else a

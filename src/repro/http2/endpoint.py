@@ -1,9 +1,9 @@
 """The HTTP/2 endpoint runtime: one server connection driver, one client
-connection, over :class:`~repro.http2.transport.AsyncH2Transport` (a
-socket or an in-memory stream pair) and the sans-io engine. Every asyncio
-server and client in the repo runs on these two classes and adds
-semantics only — what a request means and what to answer. The runtime
-alone decides:
+connection, over :class:`~repro.http2.transport.AsyncH2Transport` (an
+asyncio protocol on a socket or on the in-memory pair) and the sans-io
+engine. Every asyncio server and client in the repo runs on these two
+classes and adds semantics only — what a request means and what to
+answer. The runtime alone decides:
 
 * **handshake** — ``initiate_connection`` and the first flush; a client
   is *settled* once the peer's SETTINGS arrived and ours were
@@ -11,10 +11,11 @@ alone decides:
 * **credit return** — every received DATA frame is acknowledged through
   :meth:`H2Connection.acknowledge_received_data`; a BDP tuner plugs in
   at that one point;
-* **the writer** — bodies leave through a ``ConnectionWriter``; a server
-  connection pumps it at the end of every read turn, so the turn's one
-  flush carries what the turn queued, and a ``wait for a wake → pump →
-  flush`` task pumps it for bodies finished off the loop;
+* **the writer** — bodies leave through a ``ConnectionWriter`` that the
+  transport pumps at the end of every read turn, so the turn's one flush
+  carries what the turn queued; a body finished off the loop asks for the
+  same pump and flush on the next loop turn (:meth:`ServerConnection.wake`).
+  Neither end runs a reader or a writer task;
 * **drain order** — in-flight stream tasks, then what credit allows,
   flush, close the socket, finish what is still queued as
   ``connection-closed``;
@@ -40,12 +41,10 @@ from repro.http2.connection import (
     HeaderList,
     PriorityUpdated,
     PushPromiseReceived,
-    RemoteSettingsChanged,
     ResponseReceived,
     SettingsAcknowledged,
     StreamEnded,
     StreamReset,
-    WindowUpdated,
 )
 from repro.http2.transport import AsyncH2Transport, open_tcp_pair
 from repro.http2.writer import ConnectionWriter
@@ -58,31 +57,23 @@ HANDSHAKE_TIMEOUT_S = 10.0
 class ServerConnection:
     """Drives one accepted connection from handshake to close.
 
-    :meth:`run` takes a plain callback that sees every protocol event
-    after the driver did its own part. The consumer answers a request
-    with ``conn.send_headers`` + ``writer.enqueue``: from the callback,
-    and the driver pumps the writer at the end of the read turn, so the
-    turn's one flush carries the HEADERS, the DATA and any frames fresh
-    credit resumed; or from a :meth:`spawn`-ed per-stream task, then
-    :meth:`wake` so the writer task pumps. One scheduler, two triggers.
+    :meth:`run` takes a plain callback that sees every protocol event,
+    inside the transport's read turn, after the driver did its own part.
+    The consumer answers a request with ``conn.send_headers`` +
+    ``writer.enqueue``: from the callback, and the transport pumps the
+    writer at the end of the turn, so the turn's one flush carries the
+    HEADERS, the DATA and any frames fresh credit resumed; or from a
+    :meth:`spawn`-ed per-stream task, then :meth:`wake` for the same pump
+    on the next loop turn. One scheduler, two triggers.
     """
 
-    def __init__(
-        self,
-        conn: H2Connection,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
-        self.conn = conn
-        self.transport = AsyncH2Transport(conn, reader, writer)
-        self.writer = ConnectionWriter(conn, registry=registry)
+    def __init__(self, transport: AsyncH2Transport, registry: MetricsRegistry | None = None) -> None:
+        self.conn = transport.conn
+        self.transport = transport
+        self.writer = transport.writer = ConnectionWriter(self.conn, registry=registry)
         #: The peer sent GOAWAY (or was cut off for abuse) or a drain
         #: began: the consumer should take no new streams.
         self.draining = False
-        #: Level-triggered: a wake that arrives mid-pump is not lost, the
-        #: writer task's next wait returns at once.
-        self._wakeup = asyncio.Event()
         self._tasks: set[asyncio.Task] = set()
         self._on_event: Callable[[Event], None] | None = None
 
@@ -102,34 +93,24 @@ class ServerConnection:
         task.add_done_callback(self._tasks.discard)
 
     def wake(self) -> None:
-        """Tell the writer task a body was queued outside a read turn."""
-        self._wakeup.set()
+        """A body was queued outside a read turn: pump on the next loop turn."""
+        self.transport.wake()
 
     async def run(self, on_event: Callable[[Event], None]) -> None:
         """Handshake, serve until the peer goes away, drain, close."""
         self._on_event = on_event
         self.conn.initiate_connection()
+        self.transport.flush()
         try:
-            await self.transport.flush()
-        except (ConnectionError, OSError):
-            await self.close()
-            return
-        writer_task = asyncio.create_task(self._writer_loop())
-        try:
-            await self.transport.run(self._dispatch, close_on_exit=False, before_flush=self._end_turn)
+            await self.transport.run(self._dispatch)
             await self.drain()
         finally:
-            writer_task.cancel()
-            try:
-                await writer_task
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                pass
             await self.close()
             # Drop the consumer's bound method: no reference cycle, so the
             # connection's state is freed when it ends, not at the next GC.
             self._on_event = None
 
-    async def _dispatch(self, event: Event) -> None:
+    def _dispatch(self, event: Event) -> None:
         # Fresh credit (WINDOW_UPDATE, SETTINGS), a reset stream and a
         # promotion need no wake: the pump that ends this turn resumes the
         # parked stream, drops the reset one's queue and serves in the new
@@ -143,28 +124,6 @@ class ServerConnection:
             self.draining = True
         self._on_event(event)
 
-    def _end_turn(self) -> None:
-        if not self.writer.idle:
-            self.writer.pump()
-
-    async def _writer_loop(self) -> None:
-        """Pump for bodies queued outside a read turn (:meth:`wake`), and
-        keep pumping while the socket drains."""
-        transport = self.transport
-        while not transport.closed.is_set():
-            await self._wakeup.wait()
-            self._wakeup.clear()
-            while not self.writer.idle:
-                wrote = self.writer.pump()
-                try:
-                    await transport.flush()
-                except (ConnectionError, OSError):
-                    return
-                if wrote == 0:
-                    # Every queued stream is parked on flow control; sleep
-                    # until WINDOW_UPDATE (or new work) wakes us.
-                    break
-
     async def drain(self, timeout_s: float = 30.0) -> None:
         """Graceful close: finish in-flight streams, flush queued bytes."""
         self.draining = True
@@ -176,19 +135,16 @@ class ServerConnection:
         # Give the writer a last chance to move whatever credit allows.
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout_s
-        try:
-            while not self.writer.idle:
-                wrote = self.writer.pump()
-                await self.transport.flush()
-                if wrote == 0 or loop.time() >= deadline:
-                    break
+        while not self.writer.idle:
+            wrote = self.writer.pump()
             await self.transport.flush()
-        except (ConnectionError, OSError):
-            pass
+            if wrote == 0 or loop.time() >= deadline:
+                break
+        await self.transport.flush()
 
     async def shutdown(self, timeout_s: float = 30.0) -> None:
         """Server-initiated graceful close: :meth:`drain`, then close the
-        socket — which ends the read loop so :meth:`run` returns."""
+        socket — which ends the read side so :meth:`run` returns."""
         await self.drain(timeout_s)
         await self.close()
 
@@ -240,15 +196,16 @@ class ClientConnection:
         self.transport = transport
         self.authority = authority
         self._tuner = tuner
-        #: Request bodies go out within flow-control credit, like responses.
-        self._writer = ConnectionWriter(self.conn)
+        #: Request bodies go out within flow-control credit, like responses;
+        #: the transport pumps it when fresh credit arrives.
+        self._writer = transport.writer = ConnectionWriter(self.conn)
         self._exchanges: dict[int, _Exchange] = {}
         self._settled: asyncio.Future = asyncio.get_running_loop().create_future()
         #: The handshake's two halves: our SETTINGS acknowledged, and the
         #: peer's first SETTINGS (GenAbilityNegotiated fires on it whatever
         #: the peer advertised).
         self._handshake_pending = {SettingsAcknowledged, GenAbilityNegotiated}
-        self._reader = asyncio.create_task(self._read())
+        transport.run(self._on_event).add_done_callback(self._ended)
 
     @classmethod
     async def open(
@@ -291,9 +248,7 @@ class ClientConnection:
         return exchange.future
 
     async def flush(self) -> None:
-        if not self._writer.idle:
-            self._writer.pump()
-        await self.transport.flush()
+        await self.transport.end_turn()
 
     async def request(
         self, method: str, path: str, headers: Iterable[tuple[bytes, bytes]] = (), body: bytes | None = None
@@ -310,22 +265,18 @@ class ClientConnection:
         return await future
 
     async def close(self) -> None:
-        await self.transport.close()
-        self._reader.cancel()
-        try:
-            await self._reader
-        except asyncio.CancelledError:
-            pass
         self._fail_all(ConnectionError("connection closed"))
+        await self.transport.close()
 
-    async def _read(self) -> None:
+    def _ended(self, ended: asyncio.Future) -> None:
+        """The read side is over: fail every waiter and close the socket."""
         error = ConnectionError("connection closed by the peer")
-        try:
-            await self.transport.run(self._on_event)
-        except Exception as exc:  # engine or socket error: report it to every waiter
+        exc = ended.exception()
+        if exc is not None:  # engine or socket error: report it to every waiter
             error = ConnectionError(f"connection failed: {type(exc).__name__}: {exc}")
             error.__cause__ = exc
         self._fail_all(error)
+        self.transport.close()
 
     def _fail_all(self, error: ConnectionError) -> None:
         exchanges, self._exchanges = self._exchanges, {}
@@ -334,7 +285,7 @@ class ClientConnection:
             if not waiter.done():
                 waiter.set_exception(error)
 
-    async def _on_event(self, event: Event) -> None:
+    def _on_event(self, event: Event) -> None:
         if isinstance(event, DataReceived):
             exchange = self._exchanges.get(event.stream_id)
             if exchange is not None:
@@ -363,14 +314,9 @@ class ClientConnection:
             self._handshake_pending.discard(type(event))
             if not self._handshake_pending and not self._settled.done():
                 self._settled.set_result(None)
-        elif isinstance(event, (WindowUpdated, RemoteSettingsChanged)):
-            # Fresh credit for a parked request body; the read loop
-            # flushes after this batch of events.
-            if not self._writer.idle:
-                self._writer.pump()
         elif isinstance(event, ConnectionTerminated):
             self._fail_all(ConnectionError(f"peer sent GOAWAY (error code {int(event.error_code)})"))
-            self.transport.closed.set()
+            self.transport.closed.set()  # closes the socket at the end of this turn
 
     def _stream_over(self, stream_id: int, reset: bool) -> None:
         exchange = self._exchanges.pop(stream_id, None)

@@ -89,10 +89,6 @@ class Frame:
         )
         return b"".join((header, body))
 
-    def wire_length(self) -> int:
-        """Total bytes on the wire (header + payload)."""
-        return FRAME_HEADER_LENGTH + len(self.payload())
-
 
 def _split_padding(payload: bytes, flags: int) -> tuple[bytes, int]:
     """Strip PADDED layout; returns (content, pad_length)."""

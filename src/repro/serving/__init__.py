@@ -35,12 +35,7 @@ changing any of them:
 from repro.serving.arbiter import Arbiter, ArbiterConfig
 from repro.serving.cachetier import CACHE_AUTHORITY, CacheTierServer
 from repro.serving.h2util import MiniH2Server, MiniRequest, MiniResponse
-from repro.serving.protocol import (
-    FrameError,
-    encode_frame,
-    read_frame,
-    write_frame_blocking,
-)
+from repro.serving.protocol import FrameError, encode_frame, read_frame
 from repro.serving.remote import RemoteGenerationCache
 from repro.serving.worker import worker_main
 
@@ -55,7 +50,6 @@ __all__ = [
     "FrameError",
     "encode_frame",
     "read_frame",
-    "write_frame_blocking",
     "RemoteGenerationCache",
     "worker_main",
 ]

@@ -2,15 +2,15 @@
 
 Both need the same small thing: aggregate each request stream's headers
 and body, call an async handler once the stream ends, ship what it
-returns. The connection itself — handshake, credit return, the writer
-task, drain and close — is the shared
+returns. The connection itself — handshake, credit return, the writer,
+drain and close — is the shared
 :class:`~repro.http2.endpoint.ServerConnection` driver; what is left here
 is request-body aggregation and the handler→500 guard.
 """
 
 from __future__ import annotations
 
-import asyncio
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -25,6 +25,7 @@ from repro.http2.connection import (
 )
 from repro.http2.endpoint import ServerConnection
 from repro.http2.errors import H2Error
+from repro.http2.transport import AsyncH2Transport, listen
 
 logger = logging.getLogger("repro.serving.h2util")
 
@@ -73,15 +74,12 @@ class MiniH2Server:
 
     async def serve(self, sock=None, host: str = "127.0.0.1", port: int = 0):
         """Start listening; pass ``sock`` to adopt a pre-bound socket."""
-        if sock is not None:
-            return await asyncio.start_server(self.handle_connection, sock=sock)
-        return await asyncio.start_server(self.handle_connection, host, port)
+        new_conn = functools.partial(H2Connection, Role.SERVER, gen_ability=False, registry=self.registry)
+        return await listen(new_conn, self.handle_connection, host, port, sock)
 
-    async def handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = H2Connection(Role.SERVER, gen_ability=False, registry=self.registry)
-        driver = ServerConnection(conn, reader, writer)
+    async def handle_connection(self, transport: AsyncH2Transport) -> None:
+        conn = transport.conn
+        driver = ServerConnection(transport)
         #: Requests still receiving their body (a bytearray until the
         #: stream ends, so aggregation stays linear).
         receiving: dict[int, MiniRequest] = {}

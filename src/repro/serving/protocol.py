@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import struct
 
 #: A frame larger than this is a protocol bug, not a big payload.
@@ -55,19 +54,6 @@ def encode_frame(doc: dict) -> bytes:
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
     return _HEADER.pack(len(payload)) + payload
-
-
-def write_frame_blocking(fd: int, doc: dict) -> None:
-    """Write one frame to a (blocking) pipe fd, looping over short writes.
-
-    Only the owning worker writes to its pipe, so frames never interleave;
-    a full pipe simply blocks the writer until the master catches up.
-    """
-    data = encode_frame(doc)
-    view = memoryview(data)
-    while view:
-        written = os.write(fd, view)
-        view = view[written:]
 
 
 async def read_frame(reader: asyncio.StreamReader) -> dict | None:
@@ -91,25 +77,3 @@ async def read_frame(reader: asyncio.StreamReader) -> dict | None:
         raise FrameError("control frames must be JSON objects with a 'type'")
     return doc
 
-
-def decode_frames(buffer: bytes) -> tuple[list[dict], bytes]:
-    """Decode every complete frame in ``buffer``; returns (frames, rest).
-
-    The synchronous complement of :func:`read_frame`, for tests and
-    non-asyncio consumers.
-    """
-    frames: list[dict] = []
-    offset = 0
-    while len(buffer) - offset >= _HEADER.size:
-        (length,) = _HEADER.unpack_from(buffer, offset)
-        if length > MAX_FRAME_BYTES:
-            raise FrameError(f"frame header claims {length} bytes (max {MAX_FRAME_BYTES})")
-        if len(buffer) - offset - _HEADER.size < length:
-            break
-        payload = buffer[offset + _HEADER.size : offset + _HEADER.size + length]
-        doc = json.loads(payload.decode("utf-8"))
-        if not isinstance(doc, dict) or "type" not in doc:
-            raise FrameError("control frames must be JSON objects with a 'type'")
-        frames.append(doc)
-        offset += _HEADER.size + length
-    return frames, buffer[offset:]

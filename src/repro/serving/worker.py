@@ -52,6 +52,7 @@ import random
 import signal
 import socket
 
+from repro.http2.transport import serve_socket
 from repro.obs import dump_registry
 from repro.serving.protocol import encode_frame
 
@@ -132,14 +133,9 @@ async def _amain(listen_sock, pipe_fd: int, worker_id: int, config, runtime_fact
     )
     conn_tasks: set[asyncio.Task] = set()
 
-    async def serve_socket(sock: socket.socket) -> None:
-        sock.setblocking(False)
-        reader = asyncio.StreamReader()
-        protocol = asyncio.StreamReaderProtocol(reader)
-        transport, _ = await loop.connect_accepted_socket(lambda: protocol, sock)
-        writer = asyncio.StreamWriter(transport, protocol, reader, loop)
+    async def serve_connection(sock: socket.socket) -> None:
         try:
-            await server.handle_connection(reader, writer)
+            await serve_socket(sock, server.new_connection, server.handle_connection)
         except (ConnectionError, OSError):
             pass
         except Exception:
@@ -169,7 +165,7 @@ async def _amain(listen_sock, pipe_fd: int, worker_id: int, config, runtime_fact
                 if semaphore is not None:
                     semaphore.release()
                 continue
-            task = asyncio.create_task(serve_socket(sock))
+            task = asyncio.create_task(serve_connection(sock))
             conn_tasks.add(task)
 
             def _done(finished: asyncio.Task) -> None:

@@ -9,7 +9,7 @@
 
 :class:`GenerativeClient` runs that flow on one
 :class:`~repro.http2.endpoint.ClientConnection`, over TCP (:meth:`fetch_tcp`)
-or over an in-memory stream pair to an in-process server
+or over the in-memory pair to an in-process server
 (:func:`connect_in_memory` and :meth:`fetch_via_pair`, synchronous facades
 for tests, benchmarks and the CLI). Rendering goes through the text-mode
 renderer; the PyQt GUI is out of scope in this headless environment
@@ -33,11 +33,12 @@ from repro.html.dom import Document
 from repro.http2.bdp import AdaptiveReceiveWindow, BdpEstimator
 from repro.http2.connection import H2Connection, Role
 from repro.http2.endpoint import ClientConnection, H2Response
-from repro.http2.transport import memory_stream_pair, open_transport, thread_loop
+from repro.http2.transport import open_memory_pair, thread_loop
 from repro.obs import MetricsRegistry, Tracer, get_event_log, get_registry, get_tracer
 from repro.sww.media_generator import MediaGenerator
 from repro.sww.page_processor import PageProcessor, ProcessReport
 from repro.sww.renderer import render_text
+from repro.sww.server import ServerSession
 
 logger = logging.getLogger("repro.sww.client")
 
@@ -423,8 +424,8 @@ class GenerativeClient:
 
 class InMemoryPair:
     """A :class:`~repro.http2.endpoint.ClientConnection` (``client``) and a
-    :class:`~repro.sww.server.ServerSession` (``server``) joined by a
-    :func:`~repro.http2.transport.memory_stream_pair`; each exposes its
+    :class:`~repro.sww.server.ServerSession` (``server``) joined by
+    :func:`~repro.http2.transport.open_memory_pair`; each exposes its
     engine as ``.conn``.
 
     :meth:`run` drives a coroutine to completion on the loop of the thread
@@ -467,11 +468,10 @@ def connect_in_memory(client: GenerativeClient, server) -> InMemoryPair:
     :class:`~repro.http2.endpoint.ClientConnection`."""
 
     async def connect() -> InMemoryPair:
-        (client_reader, client_writer), (server_reader, server_writer) = memory_stream_pair()
-        session = server.attach()
-        serving = asyncio.create_task(session.serve(server_reader, server_writer, transport="memory"))
-        transport = await open_transport(client.new_connection(), client_reader, client_writer)
-        connection = ClientConnection(transport, "sww.example")
+        client_end, server_end = open_memory_pair(client.new_connection(), server.new_connection())
+        session = ServerSession(server, server_end)
+        serving = asyncio.create_task(session.serve(transport="memory"))
+        connection = ClientConnection(client_end, "sww.example")
         await connection.settled()
         return InMemoryPair(connection, session, serving)
 

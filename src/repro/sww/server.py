@@ -12,8 +12,9 @@ The server is layered: :class:`SiteStore` holds resources (SWW pages with
 prompts, unique assets, optional traditional variants);
 :class:`GenerativeServer` contains the sans-io request logic
 (:meth:`GenerativeServer.handle_request`); and :class:`ServerSession`
-serves one HTTP/2 connection with it over an asyncio stream pair — a TCP
-socket (:meth:`GenerativeServer.serve_forever`) or the in-memory pair of
+serves one HTTP/2 connection with it over an
+:class:`~repro.http2.transport.AsyncH2Transport` — on a TCP socket
+(:meth:`GenerativeServer.serve_forever`) or on the in-memory pair of
 :func:`repro.sww.client.connect_in_memory`, through the same code.
 """
 
@@ -41,6 +42,7 @@ from repro.http2.connection import (
 )
 from repro.http2.endpoint import ServerConnection
 from repro.http2.errors import H2Error
+from repro.http2.transport import AsyncH2Transport, listen
 from repro.http2.writer import ConnectionWriter
 from repro.obs import MetricsRegistry, Tracer, get_event_log, get_registry, get_tracer
 from repro.obs.events import annotate_current
@@ -127,18 +129,6 @@ class ServedResponse:
     #: The media materialised for the page (path → PNG bytes), when mode ==
     #: SERVER_GENERATED: what a pushing session promises alongside it.
     generated_assets: dict[str, bytes] = field(default_factory=dict)
-
-
-def _content_type_for(path: str) -> str:
-    if path.endswith((".html", "/")):
-        return "text/html; charset=utf-8"
-    if path.endswith(".png"):
-        return "image/png"
-    if path.endswith((".jpg", ".jpeg")):
-        return "image/jpeg"
-    if path.endswith(".json"):
-        return "application/json"
-    return "application/octet-stream"
 
 
 class GenerativeServer:
@@ -533,31 +523,25 @@ class GenerativeServer:
     # HTTP/2 plumbing
     # ------------------------------------------------------------------ #
 
-    def attach(self) -> "ServerSession":
-        """Bind the request logic to a fresh HTTP/2 connection engine."""
-        conn = H2Connection(
+    def new_connection(self) -> H2Connection:
+        """A fresh server engine for one connection."""
+        return H2Connection(
             Role.SERVER,
             gen_ability=self.gen_ability,
             registry=self.registry,
             max_concurrent_streams=self.max_concurrent_streams,
         )
-        return ServerSession(self, conn)
 
     def sessions(self) -> list["ServerSession"]:
         """Live (not yet collected) sessions, for the admin plane."""
         return list(self._sessions)
 
-    async def handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one accepted TCP connection start to finish.
-
-        Builds the per-connection engine + session and runs it until the
-        peer goes away. Public so alternative accept loops (the pre-fork
-        worker in :mod:`repro.serving.worker`) can drive the exact same
-        connection path :meth:`serve_forever` uses.
-        """
-        await self.attach().serve(reader, writer)
+    async def handle_connection(self, transport: AsyncH2Transport) -> None:
+        """Serve one accepted TCP connection, whose engine came from
+        :meth:`new_connection`, until the peer goes away. Public so other
+        accept loops (the pre-fork worker in :mod:`repro.serving.worker`)
+        drive the exact connection path :meth:`serve_forever` uses."""
+        await ServerSession(self, transport).serve()
 
     async def serve_forever(self, host: str = "127.0.0.1", port: int = 0) -> asyncio.AbstractServer:
         """Listen on TCP; each connection gets its own engine + session.
@@ -570,7 +554,7 @@ class GenerativeServer:
             # Start the telemetry plane's background sampling alongside the
             # listener (idempotent; no-op without a sampler configured).
             self.admin.start()
-        return await asyncio.start_server(self.handle_connection, host, port)
+        return await listen(self.new_connection, self.handle_connection, host, port)
 
 
 @dataclass(slots=True)
@@ -597,7 +581,7 @@ class ServerSession:
     :meth:`serve` runs the connection on the shared
     :class:`~repro.http2.endpoint.ServerConnection` driver (handshake,
     credit return, the writer, drain and close are the driver's), over a
-    socket or an in-memory stream pair alike. A ``RequestReceived`` whose
+    socket or the in-memory pair alike. A ``RequestReceived`` whose
     answer is already in memory
     (:meth:`GenerativeServer._answers_from_memory`) is answered inside the
     dispatch callback, with no task, and leaves in the read turn's one
@@ -608,12 +592,11 @@ class ServerSession:
     frames within flow-control credit.
     """
 
-    def __init__(self, server: GenerativeServer, conn: H2Connection) -> None:
+    def __init__(self, server: GenerativeServer, transport: AsyncH2Transport) -> None:
         self.server = server
-        self.conn = conn
+        self.conn = transport.conn
         self.responses_sent = 0
-        #: The connection driver, once :meth:`serve` bound a stream pair.
-        self.driver: ServerConnection | None = None
+        self.driver = ServerConnection(transport, registry=server.registry)
         #: What carries the connection, for the wide events: "tcp" or "memory".
         self.transport = "tcp"
         #: Peak event-loop stall the probe observed on this connection.
@@ -623,11 +606,11 @@ class ServerSession:
     @property
     def inflight(self) -> int:
         """Request streams still being served on this connection."""
-        return self.driver.inflight if self.driver is not None else 0
+        return self.driver.inflight
 
     @property
     def draining(self) -> bool:
-        return self.driver is not None and self.driver.draining
+        return self.driver.draining
 
     @staticmethod
     def _parse_request(event: RequestReceived):
@@ -669,18 +652,14 @@ class ServerSession:
             promised_id = self.conn.promise_stream(stream_id, request_headers, response_headers)
             writer.enqueue(promised_id, data, end_stream=True)
 
-    async def serve(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, transport: str = "tcp"
-    ) -> None:
-        """Drive one connection to completion over ``reader``/``writer``.
+    async def serve(self, transport: str = "tcp") -> None:
+        """Drive the connection to completion over a "tcp" or "memory"
+        transport.
 
         An in-memory pair's loop runs only inside its caller's synchronous
         calls, so the stall probe, which times a loop that runs all along,
         stays off there."""
         self.transport = transport
-        self.driver = ServerConnection(
-            self.conn, reader, writer, registry=self.server.registry
-        )
         probe_task = asyncio.create_task(self._stall_probe()) if transport == "tcp" else None
         try:
             await self.driver.run(self._dispatch)
@@ -692,8 +671,7 @@ class ServerSession:
     async def shutdown(self, timeout_s: float = 30.0) -> None:
         """Server-initiated graceful close (worker drain path): in-flight
         streams finish and queued bytes flush before the socket closes."""
-        if self.driver is not None:
-            await self.driver.shutdown(timeout_s)
+        await self.driver.shutdown(timeout_s)
 
     def _note_termination(self, event: ConnectionTerminated) -> None:
         """A non-clean GOAWAY is a pushed flight-recorder trigger."""
@@ -841,17 +819,15 @@ class ServerSession:
 
     def debug_state(self) -> dict:
         """Live connection state for the admin plane's ``/debug/streams``."""
-        state: dict = {
+        return {
             "gen_ability_negotiated": self.conn.gen_ability_negotiated,
             "connection_window": self.conn.outbound_window.available,
             "draining": self.draining,
             "inflight_tasks": self.inflight,
             "responses_sent": self.responses_sent,
             "max_stall_s": round(self.max_stall_s, 6),
+            "writer": self.driver.writer.debug_state(),
         }
-        if self.driver is not None:
-            state["writer"] = self.driver.writer.debug_state()
-        return state
 
     async def _stall_probe(self) -> None:
         """Sample event-loop responsiveness while the connection lives.

@@ -20,6 +20,7 @@ from repro.http2.connection import (
 )
 from repro.http2.endpoint import ClientConnection, ServerConnection
 from repro.http2.errors import ErrorCode
+from repro.http2.transport import listen
 from repro.obs import EventLog
 from repro.serving.h2util import MiniH2Server, MiniResponse
 
@@ -37,10 +38,12 @@ class _Responder:
         self.drivers: list[ServerConnection] = []
         self.handlers: set[asyncio.Task] = set()
 
-    async def on_connect(self, reader, writer) -> None:
+    def listen(self):
+        return listen(lambda: H2Connection(Role.SERVER, **self.conn_kwargs), self.on_connect)
+
+    async def on_connect(self, transport) -> None:
         self.handlers.add(asyncio.current_task())
-        conn = H2Connection(Role.SERVER, **self.conn_kwargs)
-        driver = ServerConnection(conn, reader, writer)
+        driver = ServerConnection(transport)
         self.drivers.append(driver)
         requests: dict[int, tuple[str, bytearray]] = {}
 
@@ -63,11 +66,11 @@ def _send(driver: ServerConnection, stream_id: int, body: bytes, event=None) -> 
     driver.wake()
 
 
-def _run(on_connect, scenario, timeout_s: float = 20.0):
-    """Listen on an ephemeral port and run ``scenario(port)`` against it."""
+def _run(start, scenario, timeout_s: float = 20.0):
+    """Start a listener with ``start()`` and run ``scenario(port)`` against it."""
 
     async def main():
-        listener = await asyncio.start_server(on_connect, "127.0.0.1", 0)
+        listener = await start()
         port = listener.sockets[0].getsockname()[1]
         try:
             return await asyncio.wait_for(scenario(port), timeout_s)
@@ -104,7 +107,7 @@ class TestCreditReturn:
                 await client.close()
 
         server = _Responder(digest, initial_window_size=window)
-        response = _run(server.on_connect, scenario)
+        response = _run(server.listen, scenario)
         assert response.status == 200
         assert response.body == hashlib.sha256(body).hexdigest().encode()
 
@@ -123,7 +126,7 @@ class TestCreditReturn:
             finally:
                 await client.close()
 
-        response = _run(_Responder(blob).on_connect, scenario)
+        response = _run(_Responder(blob).listen, scenario)
         assert response.body == body
 
 
@@ -159,7 +162,7 @@ class TestServerDriver:
             writer.close()
             return {paths[sid]: bytes(body) for sid, body in received.items()}, ended
 
-        received, ended = _run(_Responder(slow).on_connect, scenario)
+        received, ended = _run(_Responder(slow).listen, scenario)
         assert received == bodies
         assert len(ended) == len(bodies)
 
@@ -195,7 +198,7 @@ class TestServerDriver:
             writer.close()
             return took, driver
 
-        took, driver = _run(server.on_connect, scenario)
+        took, driver = _run(server.listen, scenario)
         assert took < 1.5
         assert driver.closed and driver.inflight == 0
         assert events.open_count == 0
@@ -217,7 +220,7 @@ class TestServerDriver:
                 await client.close()
             return failed, after
 
-        failed, after = _run(MiniH2Server(handler).handle_connection, scenario)
+        failed, after = _run(MiniH2Server(handler).serve, scenario)
         assert failed.status == 500
         assert (after.status, after.body) == (200, b"/fine")
 
@@ -241,7 +244,7 @@ class TestClientConnection:
             finally:
                 await client.close()
 
-        responses = _run(MiniH2Server(handler).handle_connection, scenario)
+        responses = _run(MiniH2Server(handler).serve, scenario)
         assert [r.status for r in responses] == [200] * 64
         for i, response in enumerate(responses):
             assert response.body == f"/p{i}".encode() * 500 + f"<{i}>".encode()
@@ -264,7 +267,7 @@ class TestClientConnection:
             finally:
                 await client.close()
 
-        response = _run(_Responder(page).on_connect, scenario)
+        response = _run(_Responder(page).listen, scenario)
         assert response.body == b"<html>"
         assert response.pushed == {"/a.png": b"/a.png" * 3000, "/b.png": b"/b.png" * 3000}
 
@@ -281,7 +284,7 @@ class TestClientConnection:
                 await client.settled(timeout_s=0.2)
             return client.closed
 
-        assert _run(mute, scenario) is True
+        assert _run(lambda: asyncio.start_server(mute, "127.0.0.1", 0), scenario) is True
 
     @pytest.mark.parametrize("death", ["close", "goaway", "garbage"])
     def test_every_pending_request_fails_when_the_peer_dies(self, death):
@@ -319,7 +322,7 @@ class TestClientConnection:
             await client.close()
             return results
 
-        results = _run(dying, scenario)
+        results = _run(lambda: asyncio.start_server(dying, "127.0.0.1", 0), scenario)
         assert len(results) == 3
         assert all(isinstance(r, ConnectionError) for r in results), results
 

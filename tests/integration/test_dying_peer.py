@@ -14,28 +14,25 @@ import pytest
 import repro.cli as cli
 from repro import LAPTOP, GenerativeClient
 from repro.http2.connection import H2Connection, RequestReceived, Role
+from repro.http2.endpoint import ServerConnection
+from repro.http2.transport import listen
 from repro.serving.h2util import MiniH2Server, MiniResponse
 from repro.sww.admin import admin_fetch
 
 
-async def take_request_then_close(reader, writer) -> None:
+async def take_request_then_close(transport) -> None:
     """Complete the settings exchange, read one request, go away."""
-    conn = H2Connection(Role.SERVER, gen_ability=True)
-    conn.initiate_connection()
-    writer.write(conn.data_to_send())
-    requested = False
-    while not requested:
-        data = await reader.read(65536)
-        if not data:
-            break
-        requested = any(isinstance(e, RequestReceived) for e in conn.receive_data(data))
-        writer.write(conn.data_to_send())
-    writer.close()
+
+    def on_event(event) -> None:
+        if isinstance(event, RequestReceived):
+            transport.closed.set()  # the socket closes at the end of this read
+
+    await ServerConnection(transport).run(on_event)
 
 
-def _against(on_connect, scenario):
+def _against(serve, scenario):
     async def main():
-        listener = await asyncio.start_server(on_connect, "127.0.0.1", 0)
+        listener = await listen(lambda: H2Connection(Role.SERVER, gen_ability=True), serve)
         port = listener.sockets[0].getsockname()[1]
         try:
             return await scenario(port)
@@ -72,12 +69,12 @@ def test_watch_retry_fires_and_recovers(capsys, monkeypatch):
     async def healthy(request):
         return MiniResponse(body=b"ok")
 
-    async def flaky(reader, writer):
-        connections.append(writer)
+    async def flaky(transport):
+        connections.append(transport)
         if len(connections) == 1:
-            await take_request_then_close(reader, writer)
+            await take_request_then_close(transport)
         else:
-            await MiniH2Server(healthy).handle_connection(reader, writer)
+            await MiniH2Server(healthy).handle_connection(transport)
 
     async def scenario(port):
         return await asyncio.wait_for(

@@ -1,7 +1,9 @@
 """Control-pipe frames, registry dump/merge, and per-worker namespacing."""
 
 import asyncio
+import json
 import os
+import struct
 
 import pytest
 
@@ -13,13 +15,7 @@ from repro.obs import (
     load_registry,
     merge_registry_dumps,
 )
-from repro.serving.protocol import (
-    FrameError,
-    decode_frames,
-    encode_frame,
-    read_frame,
-    write_frame_blocking,
-)
+from repro.serving.protocol import FrameError, encode_frame, read_frame
 
 
 # ---------------------------------------------------------------------- #
@@ -35,7 +31,7 @@ def test_frame_roundtrip_through_pipe():
     ]
     read_fd, write_fd = os.pipe()
     for doc in docs:
-        write_frame_blocking(write_fd, doc)
+        os.write(write_fd, encode_frame(doc))
     os.close(write_fd)
 
     async def drain():
@@ -57,32 +53,27 @@ def test_frame_roundtrip_through_pipe():
     assert asyncio.run(drain()) == docs
 
 
-def test_decode_frames_handles_partials():
-    docs = [{"type": "a", "n": 1}, {"type": "b", "n": 2}]
-    blob = b"".join(encode_frame(doc) for doc in docs)
-    # Split mid-frame: the partial tail stays in the remainder.
-    cut = len(encode_frame(docs[0])) + 3
-    frames, rest = decode_frames(blob[:cut])
-    assert frames == [docs[0]]
-    frames2, rest2 = decode_frames(rest + blob[cut:])
-    assert frames2 == [docs[1]]
-    assert rest2 == b""
+def _read_fed(data: bytes) -> dict | None:
+    """``read_frame`` over a reader that was fed ``data`` then EOF."""
+
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await read_frame(reader)
+
+    return asyncio.run(read())
 
 
 def test_frames_without_type_are_rejected():
-    import json
-    import struct
-
     payload = json.dumps({"no_type": True}).encode()
     with pytest.raises(FrameError):
-        decode_frames(struct.pack(">I", len(payload)) + payload)
+        _read_fed(struct.pack(">I", len(payload)) + payload)
 
 
 def test_oversized_frame_header_is_rejected():
-    import struct
-
     with pytest.raises(FrameError):
-        decode_frames(struct.pack(">I", 1 << 30) + b"x" * 16)
+        _read_fed(struct.pack(">I", 1 << 30) + b"x" * 16)
 
 
 # ---------------------------------------------------------------------- #

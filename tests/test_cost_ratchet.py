@@ -12,7 +12,8 @@ over loopback by a real ``ServerSession`` with metrics, wide events and
 tracing on, one request at a time. Two rows ask what a keep-alive
 connection keeps once the hits are answered (ROADMAP item 1): the streams
 left in either engine's table, and the bytes allocated inside
-``repro/http2/`` that are still live, per hit.
+``repro/http2/`` that are still live, per hit. One asks what the
+connection itself costs: the asyncio tasks its two ends run.
 
 Then a generative page (ROADMAP item 3(b)): one cold capable fetch of the
 bench's ``pageload_generative`` page, whose work is parsing and
@@ -63,6 +64,12 @@ MEMO_HIT_CEILINGS = {
     # state was read when scraped and the answer left in its read turn
     # (108-109 since).
     "http2_bytes_retained": 112,
+    # Tasks created for the connection over its whole life, both ends,
+    # per-stream ones (ServerConnection.spawn) aside: asyncio's accept
+    # task, the server session's task and its stall probe. 5 while each
+    # end read a stream pair: those three plus the server's writer task
+    # and the client's reader task.
+    "connection_tasks": 3,
 }
 HITS = 20
 HTTP2_SOURCES = tracemalloc.Filter(True, "*/repro/http2/*")
@@ -91,50 +98,80 @@ def test_warm_memo_hit_costs_no_more_than_it_did(monkeypatch):
     )
     warm = server.handle_request(page.path, client_gen_ability=False)
     counts = dict.fromkeys(MEMO_HIT_CEILINGS, 0)
+    counts["spawned_tasks"] = 0
 
     def http2_bytes() -> int:
         gc.collect()
         snapshot = tracemalloc.take_snapshot().filter_traces([HTTP2_SOURCES])
         return sum(stat.size for stat in snapshot.statistics("filename"))
 
+    async def hit(connection):
+        return await connection.request("GET", page.path)
+
+    def count_connection_tasks(patch) -> None:
+        """Count the tasks the loop creates, bar the ones ``wait_for``
+        runs ``hit`` in: those are this harness's, not the connection's."""
+        create_task = asyncio.BaseEventLoop.create_task
+
+        def counted(loop, coro, **kwargs):
+            if getattr(coro, "cr_code", None) is not hit.__code__:
+                counts["connection_tasks"] += 1
+            return create_task(loop, coro, **kwargs)
+
+        patch.setattr(asyncio.BaseEventLoop, "create_task", counted)
+
+    async def hits(connection):
+        await connection.settled()
+        # The first hits on a connection register its instruments.
+        for _ in range(3):
+            await asyncio.wait_for(hit(connection), 30)
+        with monkeypatch.context() as patch:
+            _counting(patch, ThreadPoolExecutor, "submit", counts, "executor_submissions")
+            _counting(patch, threading.Thread, "start", counts, "threads_started")
+            _counting(patch, metrics, "_label_key", counts, "label_key_sorts")
+            _counting(patch, MetricsRegistry, "_get", counts, "registry_lookups")
+            _counting(patch, ServerConnection, "spawn", counts, "stream_tasks")
+            _counting(patch, AsyncH2Transport, "flush", counts, "transport_flushes")
+            tracemalloc.start()
+            try:
+                before = http2_bytes()
+                for _ in range(HITS):
+                    response = await asyncio.wait_for(hit(connection), 30)
+                    assert (response.status, response.body) == (200, warm.body)
+                del response  # the caller's last body is not the engine's to keep
+                counts["http2_bytes_retained"] = http2_bytes() - before
+            finally:
+                tracemalloc.stop()
+        (session,) = server.sessions()
+        counts["streams_left_open"] = len(session.conn.streams) + len(connection.conn.streams)
+
     async def scenario():
         listener = await server.serve_forever("127.0.0.1", 0)
         port = listener.sockets[0].getsockname()[1]
-        connection = await ClientConnection.open(
-            "127.0.0.1", port, H2Connection(Role.CLIENT, gen_ability=False)
-        )
         try:
-            await connection.settled()
-            # The first hits on a connection register its instruments.
-            for _ in range(3):
-                await asyncio.wait_for(connection.request("GET", page.path), 30)
             with monkeypatch.context() as patch:
-                _counting(patch, ThreadPoolExecutor, "submit", counts, "executor_submissions")
-                _counting(patch, threading.Thread, "start", counts, "threads_started")
-                _counting(patch, metrics, "_label_key", counts, "label_key_sorts")
-                _counting(patch, MetricsRegistry, "_get", counts, "registry_lookups")
-                _counting(patch, ServerConnection, "spawn", counts, "stream_tasks")
-                _counting(patch, AsyncH2Transport, "flush", counts, "transport_flushes")
-                tracemalloc.start()
+                count_connection_tasks(patch)
+                _counting(patch, ServerConnection, "spawn", counts, "spawned_tasks")
+                connection = await ClientConnection.open(
+                    "127.0.0.1", port, H2Connection(Role.CLIENT, gen_ability=False)
+                )
                 try:
-                    before = http2_bytes()
-                    for _ in range(HITS):
-                        hit = await asyncio.wait_for(connection.request("GET", page.path), 30)
-                        assert (hit.status, hit.body) == (200, warm.body)
-                    del hit  # the caller's last body is not the engine's to keep
-                    counts["http2_bytes_retained"] = http2_bytes() - before
+                    await hits(connection)
                 finally:
-                    tracemalloc.stop()
-            (session,) = server.sessions()
-            counts["streams_left_open"] = len(session.conn.streams) + len(connection.conn.streams)
+                    await connection.close()
         finally:
-            await connection.close()
             listener.close()
             await listener.wait_closed()
 
-    asyncio.run(scenario())
+    # Without asyncio's debug mode, which ``-X dev`` turns on: it records
+    # each coroutine's origin (sys.set_coroutine_origin_tracking_depth),
+    # and a coroutine parked inside repro/http2 would carry that record
+    # into the retained bytes.
+    asyncio.run(scenario(), debug=False)
+    counts["connection_tasks"] -= counts.pop("spawned_tasks")
     per_hit = {name: count / HITS for name, count in counts.items()}
-    per_hit["streams_left_open"] = counts["streams_left_open"]
+    for level in ("streams_left_open", "connection_tasks"):
+        per_hit[level] = counts[level]
     assert counts["registry_lookups"] > 0, "the counting wrappers saw nothing"
     for name, ceiling in MEMO_HIT_CEILINGS.items():
         assert per_hit[name] <= ceiling, f"{name}: {per_hit[name]} per memo hit, ceiling {ceiling}"

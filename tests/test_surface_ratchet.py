@@ -14,7 +14,7 @@ import pytest
 
 from repro.batching import BatchingEngine
 from repro.cli import build_parser
-from repro.http2.endpoint import ServerConnection
+from repro.http2.endpoint import ClientConnection, ServerConnection
 from repro.http2.writer import ConnectionWriter
 from repro.serving import Arbiter, ArbiterConfig, CacheTierServer, RemoteGenerationCache
 from repro.sww.client import GenerativeClient
@@ -26,7 +26,8 @@ CLI_ARGUMENTS_CEILING = 80
 INIT_PARAMETER_CEILINGS = {
     GenerativeClient: 10,
     GenerativeServer: 15,
-    ServerConnection: 4,
+    ServerConnection: 2,
+    ClientConnection: 3,
     PageProcessor: 2,
     MediaGenerator: 4,
     # A config object's fields are options too (dataclass __init__).
