@@ -23,7 +23,9 @@ pages per simulated second).
 """
 
 import asyncio
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from _shared import print_table, record_bench
 
@@ -41,6 +43,12 @@ PAGES = CLIENTS * PAGES_PER_CLIENT
 MAX_BATCH = 8
 BATCH_WAIT_S = 0.05
 STALL_BAR_S = 0.05
+#: Threads of the loop's default executor, which runs every
+#: materialisation (and, in the telemetry benchmark, every admin poll).
+#: asyncio sizes it from the host's CPU count, and the batch window fills
+#: with as many requests as there are threads, so the simulated fields
+#: would follow the host: one thread per page, plus one for an admin poll.
+EXECUTOR_THREADS = PAGES + 1
 
 _THEMES = (
     "harbour", "alpine", "orchard", "citadel", "lagoon", "mesa", "fjord", "steppe",
@@ -83,6 +91,7 @@ def run_scenario(max_batch: int):
     lanes = [paths[i * PAGES_PER_CLIENT : (i + 1) * PAGES_PER_CLIENT] for i in range(CLIENTS)]
 
     async def scenario():
+        asyncio.get_running_loop().set_default_executor(ThreadPoolExecutor(EXECUTOR_THREADS))
         server = GenerativeServer(
             build_site(), gen_ability=True, engine=engine, registry=registry
         )
@@ -205,6 +214,19 @@ def test_concurrent_scheduler_vs_serial(benchmark):
         clients=CLIENTS,
         max_batch=MAX_BATCH,
     )
+
+
+def simulated_fields(run: dict) -> tuple:
+    """What CI compares exactly: the run's simulated quantities."""
+    return round(run["sim_s"], 3), run["stats"].largest_batch, round(run["stats"].mean_batch, 3)
+
+
+def test_simulated_fields_do_not_follow_the_cpu_count(monkeypatch):
+    fields = []
+    for cpus in (2, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        fields.append(simulated_fields(run_scenario(max_batch=MAX_BATCH)))
+    assert fields[0] == fields[1]
 
 
 # --------------------------------------------------------------------- #

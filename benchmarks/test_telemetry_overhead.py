@@ -5,7 +5,7 @@ the concurrent scheduler: once with just the metrics registry (the PR-5
 baseline) and once with the full telemetry plane live — time-series
 sampler ticking, SLO tracker evaluating per tick, the wall-clock profiler
 sampling every thread, and an admin client polling ``/metrics``,
-``/healthz`` and ``/debug/timeseries`` over the serving socket throughout.
+``/healthz`` and ``/debug/timeseries`` on the admin listener throughout.
 
 The acceptance bar: the full plane costs at most 5 % of throughput
 (pages per simulated generation second). The run also writes the
@@ -17,11 +17,13 @@ sww-timeseries/1 ring at the end of the load).
 import asyncio
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from _shared import ARTIFACT_DIR, print_table, record_bench
 from test_server_concurrency import (
     BATCH_WAIT_S,
     CLIENTS,
+    EXECUTOR_THREADS,
     MAX_BATCH,
     PAGES,
     PAGES_PER_CLIENT,
@@ -42,6 +44,7 @@ from repro.obs import (
     WallClockProfiler,
     bundle_signature,
 )
+from repro.serving.h2util import MiniH2Server
 from repro.sww.admin import AdminPlane, admin_fetch, admin_fetch_json
 from repro.sww.client import GenerativeClient
 from repro.sww.server import GenerativeServer
@@ -78,6 +81,7 @@ def run_load(telemetry: bool):
     captured: dict = {"admin_polls": 0}
 
     async def scenario():
+        asyncio.get_running_loop().set_default_executor(ThreadPoolExecutor(EXECUTOR_THREADS))
         server = GenerativeServer(
             build_site(),
             gen_ability=True,
@@ -94,8 +98,8 @@ def run_load(telemetry: bool):
             # recorder attaches after it so each tick evaluates burn rates
             # before the armed triggers read them.
             plane = AdminPlane(
-                registry, sampler=sampler, slo=slo, events=events
-            ).bind(server)
+                registry, sampler=sampler, slo=slo, events=events, server=server
+            )
             recorder = FlightRecorder(
                 registry=registry, events=events, slo=slo, server=server
             ).attach(sampler)
@@ -104,21 +108,23 @@ def run_load(telemetry: bool):
             captured["recorder"] = recorder
         listener = await server.serve_forever("127.0.0.1", 0)
         port = listener.sockets[0].getsockname()[1]
-        poll_task = None
+        admin_listener = sampling = poll_task = None
         try:
             if plane is not None:
-                plane.start()
+                admin_listener = await MiniH2Server(plane.handle, registry=registry).serve()
+                admin_port = admin_listener.sockets[0].getsockname()[1]
+                sampling = asyncio.create_task(sampler.run())
                 profiler.start()
 
                 async def poll_forever():
                     while True:
-                        await admin_fetch_json("127.0.0.1", port, "/debug/timeseries")
-                        await admin_fetch_json("127.0.0.1", port, "/healthz")
+                        await admin_fetch_json("127.0.0.1", admin_port, "/debug/timeseries")
+                        await admin_fetch_json("127.0.0.1", admin_port, "/healthz")
                         await admin_fetch_json(
-                            "127.0.0.1", port, "/debug/events?format=columnar&n=64"
+                            "127.0.0.1", admin_port, "/debug/events?format=columnar&n=64"
                         )
-                        await admin_fetch_json("127.0.0.1", port, "/incidents")
-                        status, _body = await admin_fetch("127.0.0.1", port, "/metrics")
+                        await admin_fetch_json("127.0.0.1", admin_port, "/incidents")
+                        status, _body = await admin_fetch("127.0.0.1", admin_port, "/metrics")
                         assert status == 200
                         captured["admin_polls"] += 1
                         await asyncio.sleep(POLL_INTERVAL_S)
@@ -146,23 +152,21 @@ def run_load(telemetry: bool):
                 # and the loaded phase is about that long.
                 plane.sampler.tick()
                 captured["timeseries"] = await admin_fetch_json(
-                    "127.0.0.1", port, "/debug/timeseries"
+                    "127.0.0.1", admin_port, "/debug/timeseries"
                 )
                 captured["healthz"] = await admin_fetch_json(
-                    "127.0.0.1", port, "/healthz"
+                    "127.0.0.1", admin_port, "/healthz"
                 )
             return wall_s, per_client
         finally:
-            if poll_task is not None:
-                poll_task.cancel()
-                try:
-                    await poll_task
-                except asyncio.CancelledError:
-                    pass
-            if plane is not None:
-                await plane.stop()
-            listener.close()
-            await listener.wait_closed()
+            for task in (poll_task, sampling):
+                if task is not None:
+                    task.cancel()
+                    await asyncio.wait([task])
+            for each in (listener, admin_listener):
+                if each is not None:
+                    each.close()
+                    await each.wait_closed()
 
     try:
         wall_s, per_client = asyncio.run(scenario())

@@ -82,6 +82,8 @@ class ArbiterBench:
             stderr=subprocess.STDOUT,
             text=True,
             env=env,
+            # Its own process group: close() kills every worker, respawns too.
+            start_new_session=True,
         )
         self.ports: dict[str, int] = {}
         self.worker_pids: list[int] = []
@@ -161,11 +163,10 @@ class ArbiterBench:
             except subprocess.TimeoutExpired:
                 self.proc.kill()
                 self.proc.communicate(timeout=10)
-        for pid in self.worker_pids:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 def run_scaling(workers: int):

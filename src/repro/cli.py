@@ -97,13 +97,6 @@ def _add_batching_flags(cmd: argparse.ArgumentParser) -> None:
         help="micro-batch window size for generation (1 = batching off, the "
              "paper's solo behaviour; >1 enables the repro.batching engine)",
     )
-    cmd.add_argument(
-        "--batch-wait-ms",
-        type=float,
-        default=4.0,
-        metavar="MS",
-        help="how long the batching window holds for compatible requests (default 4.0)",
-    )
 
 
 def _make_engine(args: argparse.Namespace, device, registry=None, tracer=None):
@@ -115,7 +108,6 @@ def _make_engine(args: argparse.Namespace, device, registry=None, tracer=None):
     return BatchingEngine(
         device,
         max_batch=args.max_batch,
-        max_wait_s=args.batch_wait_ms / 1000.0,
         registry=registry,
         tracer=tracer,
     )
@@ -176,6 +168,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.workers > 1:
         return _serve_multiworker(args)
     from repro.obs import FlightRecorder, SLOTracker
+    from repro.serving.h2util import MiniH2Server
     from repro.sww.admin import AdminPlane
 
     store = _build_store(args.pages)
@@ -186,24 +179,31 @@ def cmd_serve(args: argparse.Namespace) -> int:
         registry=registry, events=events, tracer=server.tracer, slo=slo
     ).attach(sampler)
     admin = AdminPlane(
-        registry, sampler=sampler, slo=slo, events=events, recorder=recorder
+        registry, sampler=sampler, slo=slo, events=events, recorder=recorder, server=server
     )
-    admin.bind(server)
     server.recorder = recorder
     recorder.server = server
 
     async def run() -> None:
         listener = await server.serve_forever(args.host, args.port)
+        admin_listener = await MiniH2Server(admin.handle, registry=registry).serve(
+            host=args.host, port=args.admin_port
+        )
+        sampling = asyncio.create_task(sampler.run())
         port = listener.sockets[0].getsockname()[1]
+        admin_port = admin_listener.sockets[0].getsockname()[1]
         paths = ", ".join(sorted(store.pages))
         print(f"sww generative server on {args.host}:{port} (device={args.device}, "
               f"gen_ability={server.gen_ability}); pages: {paths}", flush=True)
-        print(f"telemetry plane on :authority={admin.authority} "
+        print(f"telemetry plane on {args.host}:{admin_port} "
               "(/metrics /healthz /debug/streams /debug/timeseries /debug/profile "
               "/debug/events /incidents); "
-              f"watch live with: sww top --port {port}", flush=True)
-        async with listener:
-            await listener.serve_forever()
+              f"watch live with: sww top --port {admin_port}", flush=True)
+        try:
+            async with listener, admin_listener:
+                await listener.serve_forever()
+        finally:
+            sampling.cancel()
 
     try:
         asyncio.run(run())
@@ -778,10 +778,17 @@ def cmd_incidents(args: argparse.Namespace) -> int:
     if args.from_artifacts is not None:
         bundles = _load_artifact_bundles(args.from_artifacts)
     else:
-        from repro.sww.admin import admin_fetch_json
+        from repro.sww.admin import admin_fetch, admin_fetch_json
 
         async def fetch_all() -> list[dict]:
-            listing = await admin_fetch_json(args.host, args.port, "/incidents")
+            status, body = await admin_fetch(args.host, args.port, "/incidents")
+            if status == 503:
+                # No flight recorder behind this plane: the arbiter's master.
+                print(f"{args.host}:{args.port} keeps no flight recorder", file=sys.stderr)
+                return []
+            if status != 200:
+                raise RuntimeError(f"admin GET /incidents returned {status}")
+            listing = json.loads(body)
             return [
                 await admin_fetch_json(
                     args.host, args.port, f"/incidents/{row['incident']}"
@@ -907,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="PORT",
-        help="arbiter admin plane port (multi-worker only; 0 = ephemeral)",
+        help="admin plane port, apart from the serving port (0 = ephemeral)",
     )
     serve.add_argument(
         "--max-concurrent-streams",
@@ -926,7 +933,8 @@ def build_parser() -> argparse.ArgumentParser:
         "top", help="live terminal view of a running server's telemetry plane"
     )
     top.add_argument("--host", default="127.0.0.1")
-    top.add_argument("--port", type=int, default=8443)
+    top.add_argument("--port", type=int, default=8443,
+                     help="the admin port serve printed (both modes)")
     top.add_argument("--interval", type=float, default=2.0, metavar="S",
                      help="refresh interval in seconds (default 2.0)")
     top.add_argument("--window", type=float, default=10.0, metavar="S",
@@ -999,7 +1007,8 @@ def build_parser() -> argparse.ArgumentParser:
     incidents.add_argument("incident", nargs="?", default=None,
                            help="incident id (required for show)")
     incidents.add_argument("--host", default="127.0.0.1")
-    incidents.add_argument("--port", type=int, default=8443)
+    incidents.add_argument("--port", type=int, default=8443,
+                           help="the admin port serve printed (both modes)")
     incidents.add_argument("--from-artifacts", metavar="DIR", default=None,
                            help="read bundle JSON files from DIR instead of a live "
                                 "server (CI / benchmark artifacts)")
@@ -1017,7 +1026,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="poll a live server's /metrics exposition instead of "
                             "running the in-process demo flow")
     stats.add_argument("--host", default="127.0.0.1")
-    stats.add_argument("--port", type=int, default=8443)
+    stats.add_argument("--port", type=int, default=8443,
+                       help="the admin port serve printed (both modes)")
     stats.add_argument("--interval", type=float, default=2.0, metavar="S",
                        help="refresh interval for --watch (default 2.0)")
     stats.add_argument("--iterations", type=int, default=0, metavar="N",

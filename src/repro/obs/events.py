@@ -297,28 +297,26 @@ class EventLog:
             self._ring.clear()
 
     def to_jsonl(self, last: int | None = None) -> str:
-        return events_to_jsonl(self.events(last=last))
+        return events_to_jsonl(event.to_dict() for event in self.events(last=last))
 
     def to_columnar(self, last: int | None = None) -> dict:
-        return events_to_columnar(self.events(last=last))
+        return events_to_columnar(event.to_dict() for event in self.events(last=last))
 
 
-def events_to_jsonl(events: Iterable[WideEvent]) -> str:
-    """One JSON object per line, keys sorted — join-friendly with logs."""
-    lines = [
-        json.dumps(event.to_dict(), sort_keys=True, default=str)
-        for event in events
-    ]
+def events_to_jsonl(records: Iterable[dict]) -> str:
+    """One JSON object per event record, keys sorted — join-friendly with logs."""
+    lines = [json.dumps(record, sort_keys=True, default=str) for record in records]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def events_to_columnar(events: Iterable[WideEvent]) -> dict:
-    """Field-major export: ``{format, count, columns: {field: [values]}}``.
+def events_to_columnar(records: Iterable[dict]) -> dict:
+    """Field-major export of event records: ``{format, count, columns:
+    {field: [values]}}``.
 
     Missing fields become ``None`` so every column has equal length —
     the same merge-friendly shape as the sww-timeseries/1 snapshots.
     """
-    records = [event.to_dict() for event in events]
+    records = list(records)
     names = sorted({name for record in records for name in record})
     columns = {
         name: [record.get(name) for record in records] for name in names

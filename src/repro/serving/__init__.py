@@ -10,8 +10,8 @@ changing any of them:
   forks N workers, reaps/respawns on SIGCHLD (halting instead when a
   worker fails to boot), SIGKILLs workers whose heartbeat goes stale,
   scales up/down on SIGTTIN/SIGTTOU, rolls the fleet on SIGHUP, and
-  aggregates per-worker telemetry onto its own admin plane
-  (``/metrics``, ``/healthz``, ``/debug/workers``);
+  serves per-worker telemetry, merged, through the same admin plane a
+  single process runs (``/metrics``, ``/healthz``, ``/debug/workers``);
 * :mod:`repro.serving.worker` — one forked worker: accepts on the shared
   inherited socket, drives :meth:`GenerativeServer.handle_connection`,
   drains gracefully on SIGTERM (in-flight streams finish, queued writer
@@ -28,7 +28,7 @@ changing any of them:
 * :mod:`repro.serving.protocol` — the length-prefixed JSON control-pipe
   frames workers ship telemetry over;
 * :mod:`repro.serving.h2util` — the respond-only request/response
-  shapes the cache tier and the master admin plane share, on the
+  shapes the cache tier and the admin plane share, on the
   :mod:`repro.http2.endpoint` server driver.
 """
 

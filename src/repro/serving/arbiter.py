@@ -26,35 +26,42 @@ The master itself never serves site traffic — it supervises:
   leadership across the fleet;
 * **telemetry aggregation** — per-worker registry dumps, timeseries
   deltas and wide events arrive over the control pipes and are merged
-  with the existing ``sww-metrics/1`` / ``sww-timeseries/1`` plumbing
-  onto the master's admin plane:
+  with the existing ``sww-metrics/1`` / ``sww-timeseries/1`` plumbing.
+  The master serves them through the same
+  :class:`~repro.sww.admin.AdminPlane` a single process runs, on its own
+  listener, over these sources:
 
-  * ``GET /metrics`` — one OpenMetrics exposition for the whole fleet
+  * ``/metrics`` — one OpenMetrics exposition for the whole fleet
     (latest dump per live worker + final dumps of departed workers +
     the master's own registry);
-  * ``GET /healthz`` — per-worker verdicts (alive, heartbeat age,
-    stale) and a fleet status;
-  * ``GET /debug/workers`` — pids, states, restart counts, per-worker
+  * ``/healthz`` — per-worker verdicts (alive, heartbeat age, stale)
+    and a fleet status;
+  * ``/debug/workers`` — pids, states, restart counts, per-worker
     request/inflight/generation gauges, cache-tier stats;
-  * ``GET /debug/timeseries`` — ``merge_snapshots`` over every shipped
+  * ``/debug/timeseries`` — ``merge_snapshots`` over every shipped
     delta (same-worker deltas concatenate by tick index; cross-worker
     points sum);
-  * ``GET /debug/events`` — the fleet's wide events as jsonl, ordered
-    by ``(worker, seq)``.
+  * ``/debug/events`` — the fleet's wide events, ordered by
+    ``(worker, seq)``.
+
+  The plane's routes run on an executor thread, so every source copies
+  the loop's containers before it reads them.
 
 Fork hygiene: the master forks from *inside its running event loop*
 (respawns happen in SIGCHLD handling), so the child must carefully shed
 inherited asyncio state — detach the "running" loop marker, clear the
 wakeup fd, restore default signal dispositions and close master-only
-fds — before ``asyncio.run`` builds its own loop. The child never
-returns: it exits via ``os._exit`` so the master's finalizers never run
-twice.
+fds — before ``asyncio.run`` builds its own loop. The master's signals
+stay blocked from before the fork until the child has reset them: one
+that landed earlier would run asyncio's inherited handler, which writes
+it to the wakeup fd the child still shares with the master. The child
+never returns: it exits via ``os._exit`` so the master's finalizers
+never run twice.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import os
 import signal
@@ -68,23 +75,32 @@ from repro.gencache.store import DEFAULT_GENCACHE_BYTES
 from repro.obs import (
     MetricsRegistry,
     dump_registry,
+    events_to_columnar,
+    events_to_jsonl,
     load_registry,
     merge_registry_dumps,
     merge_snapshots,
-    to_openmetrics,
 )
 from repro.serving.cachetier import CacheTierServer
-from repro.serving.h2util import MiniH2Server, MiniRequest, MiniResponse
+from repro.serving.h2util import MiniH2Server
 from repro.serving.protocol import FrameError, read_frame
 from repro.serving.worker import worker_main
 
 logger = logging.getLogger("repro.serving.arbiter")
 
-_OPENMETRICS = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 _CHILD_FAILURE_STATUS = 70  # EX_SOFTWARE; pre-empts "worker_main never ran"
 #: How long SIGTERMed workers get before SIGKILL: a session's default
 #: drain budget (``ServerSession.shutdown``) plus slack for the final flush.
 _DRAIN_WAIT_S = 35.0
+#: The signals the master's loop handles.
+_MASTER_SIGNALS = (
+    signal.SIGCHLD,
+    signal.SIGTERM,
+    signal.SIGINT,
+    signal.SIGTTIN,
+    signal.SIGTTOU,
+    signal.SIGHUP,
+)
 
 
 @dataclass
@@ -149,6 +165,12 @@ class Arbiter:
         self._next_worker_id = 0
         self._master_fds: set[int] = set()
         self._started_at = 0.0
+        # Imported here: repro.sww.admin imports this package's h2util.
+        from repro.sww.admin import AdminPlane
+
+        shipped = _Shipped(self._timeseries, self._events)
+        #: The admin plane, over the fleet's merged sources.
+        self.admin = AdminPlane(self._merged_registry, sampler=shipped, events=shipped, fleet=self)
 
     # ------------------------------------------------------------------ #
     # Entry
@@ -181,7 +203,7 @@ class Arbiter:
         admin_sock = self._bind(config.host, config.admin_port)
         self.admin_address = admin_sock.getsockname()[:2]
         self._master_fds.add(admin_sock.fileno())
-        admin_server = await MiniH2Server(self._admin_handle, registry=self.registry).serve(
+        admin_server = await MiniH2Server(self.admin.handle, registry=self.registry).serve(
             sock=admin_sock
         )
 
@@ -240,9 +262,13 @@ class Arbiter:
     async def _spawn(self, worker_id: int) -> _WorkerRecord:
         """Fork one worker; parent wires the control pipe, child serves."""
         read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            self._child(worker_id, read_fd, write_fd)  # never returns
+        signal.pthread_sigmask(signal.SIG_BLOCK, _MASTER_SIGNALS)
+        try:
+            pid = os.fork()
+            if pid == 0:
+                self._child(worker_id, read_fd, write_fd)  # never returns
+        finally:
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, _MASTER_SIGNALS)
         os.close(write_fd)
         record = _WorkerRecord(
             worker_id=worker_id,
@@ -266,15 +292,11 @@ class Arbiter:
             asyncio.events._set_running_loop(None)
             asyncio.set_event_loop(None)
             signal.set_wakeup_fd(-1)
-            for sig in (
-                signal.SIGCHLD,
-                signal.SIGTERM,
-                signal.SIGINT,
-                signal.SIGTTIN,
-                signal.SIGTTOU,
-                signal.SIGHUP,
-            ):
+            for sig in _MASTER_SIGNALS:
                 signal.signal(sig, signal.SIG_DFL)
+            # Blocked since before the fork; one that arrived meanwhile is
+            # delivered now, with its default action.
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, _MASTER_SIGNALS)
             os.close(read_fd)
             for fd in self._master_fds:
                 # Raw close: the master's socket objects still wrap these
@@ -509,37 +531,14 @@ class Arbiter:
             pass
 
     # ------------------------------------------------------------------ #
-    # Master admin plane
+    # Admin plane sources (read on an executor thread)
     # ------------------------------------------------------------------ #
-
-    async def _admin_handle(self, request: MiniRequest) -> MiniResponse:
-        path = request.path.split("?", 1)[0]
-        if path == "/metrics":
-            return MiniResponse(
-                body=to_openmetrics(self._merged_registry()).encode("utf-8"),
-                content_type=_OPENMETRICS,
-            )
-        if path == "/healthz":
-            return self._json(self._healthz())
-        if path == "/debug/workers":
-            return self._json(self._workers_state())
-        if path == "/debug/timeseries":
-            return self._json(merge_snapshots(list(self._timeseries)))
-        if path == "/debug/events":
-            ordered = sorted(
-                self._events, key=lambda e: (e.get("worker", 0), e.get("seq", 0))
-            )
-            body = "".join(
-                json.dumps(event, sort_keys=True, default=str) + "\n" for event in ordered
-            )
-            return MiniResponse(body=body.encode("utf-8"), content_type="text/plain; charset=utf-8")
-        return MiniResponse(status=404, body=b"unknown arbiter route", content_type="text/plain")
 
     def _merged_registry(self) -> MetricsRegistry:
         dumps = list(self._departed_dumps)
         dumps.extend(
             record.metrics_dump
-            for record in self._workers.values()
+            for record in list(self._workers.values())
             if record.metrics_dump is not None
         )
         merged = merge_registry_dumps(dumps)
@@ -548,11 +547,13 @@ class Arbiter:
         load_registry(dump_registry(self.registry), into=merged)
         return merged
 
-    def _healthz(self) -> dict:
+    def healthz(self) -> dict:
+        """The fleet's ``/healthz`` document: per-worker verdicts."""
         now = time.monotonic()
+        records = sorted(self._workers.values(), key=lambda r: r.worker_id)
         workers = []
         stale = 0
-        for record in sorted(self._workers.values(), key=lambda r: r.worker_id):
+        for record in records:
             age = now - record.last_heartbeat
             is_stale = age > self.config.worker_timeout_s
             stale += is_stale
@@ -567,7 +568,7 @@ class Arbiter:
                     "inflight": record.inflight,
                 }
             )
-        live = sum(1 for r in self._workers.values() if r.state in ("starting", "live"))
+        live = sum(1 for r in records if r.state in ("starting", "live"))
         status = "ok" if live >= 1 and stale == 0 else "degraded"
         return {
             "status": status,
@@ -578,7 +579,8 @@ class Arbiter:
             "uptime_s": round(now - self._started_at, 3),
         }
 
-    def _workers_state(self) -> dict:
+    def workers_state(self) -> dict:
+        """The fleet's ``/debug/workers`` document."""
         now = time.monotonic()
         stats = self.tier.cache.stats
         return {
@@ -611,12 +613,6 @@ class Arbiter:
             },
         }
 
-    @staticmethod
-    def _json(document: dict) -> MiniResponse:
-        return MiniResponse(
-            body=json.dumps(document, sort_keys=True, default=str).encode("utf-8")
-        )
-
     # ------------------------------------------------------------------ #
     # Master metrics
     # ------------------------------------------------------------------ #
@@ -636,3 +632,28 @@ class Arbiter:
         help: str = "Worker control-pipe heartbeats received",
     ) -> None:
         self.registry.counter(name, help, layer="serving", operation=operation).inc()
+
+
+class _Shipped:
+    """The workers' shipped telemetry, read the way the admin plane reads a
+    sampler and an event log."""
+
+    def __init__(self, timeseries: deque[dict], events: deque[dict]) -> None:
+        self._timeseries = timeseries
+        self._events = events
+
+    def snapshot(self, since: int | None = None) -> dict:
+        """Every shipped delta merged; the merge is always whole."""
+        return merge_snapshots(list(self._timeseries))
+
+    def _ordered(self, last: int | None) -> list[dict]:
+        ordered = sorted(self._events, key=lambda e: (e.get("worker", 0), e.get("seq", 0)))
+        if last is not None and last >= 0:
+            ordered = ordered[len(ordered) - min(last, len(ordered)):]
+        return ordered
+
+    def to_jsonl(self, last: int | None = None) -> str:
+        return events_to_jsonl(self._ordered(last))
+
+    def to_columnar(self, last: int | None = None) -> dict:
+        return events_to_columnar(self._ordered(last))

@@ -5,8 +5,7 @@ the paper's amortisation inside one worker; across a pre-fork fleet each
 worker would regenerate what its siblings already paid for. This module
 hoists the cache into the arbiter: a lightweight cache server spoken to
 over the repo's own HTTP/2 stack under the reserved
-``sww-cache.internal`` authority (PROTOCOL.md §7.1, mirroring
-``sww-admin.internal``), so a hit — or an in-flight generation — in
+``sww-cache.internal`` authority (PROTOCOL.md §7.1), so a hit — or an in-flight generation — in
 worker A saves the full generation cost in worker B.
 
 Wire protocol (all under the reserved authority):
@@ -54,8 +53,8 @@ from repro.serving.h2util import MiniH2Server, MiniRequest, MiniResponse
 
 logger = logging.getLogger("repro.serving.cachetier")
 
-#: The reserved cache-tier authority (PROTOCOL.md §7.1). Like the admin
-#: authority it is never a registrable site host.
+#: The reserved cache-tier authority (PROTOCOL.md §7.1); never a
+#: registrable site host.
 CACHE_AUTHORITY = "sww-cache.internal"
 
 #: A flight whose leader has not published within this window is assumed

@@ -1,4 +1,4 @@
-"""A respond-only HTTP/2 server for the cache tier and the master admin.
+"""A respond-only HTTP/2 server for the cache tier and the admin plane.
 
 Both need the same small thing: aggregate each request stream's headers
 and body, call an async handler once the stream ends, ship what it

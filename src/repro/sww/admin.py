@@ -1,26 +1,28 @@
-"""In-band admin plane: telemetry served over the project's own HTTP/2.
+"""The admin plane: one route table over a process's telemetry sources.
 
-Rather than bolting a second HTTP/1 server onto the process, the
-telemetry plane rides the protocol the repo already implements: requests
-whose ``:authority`` is :data:`ADMIN_AUTHORITY` are routed by
-:class:`~repro.sww.server.ServerSession` to the :class:`AdminPlane`
-instead of the content store (PROTOCOL.md reserves the authority and the
-``/debug/*`` path space). That keeps exactly one listening socket, one
-negotiation path, and lets ``sww top`` / scrapers reuse the repo's
-client stack — including flow control, which matters because profile and
-time-series bodies routinely exceed a default stream window.
+The plane listens on its own port, apart from site content, in both
+serving modes: single-process ``serve`` and the pre-fork arbiter's
+master each run one :class:`~repro.serving.h2util.MiniH2Server` whose
+handler is :meth:`AdminPlane.handle`. The request path never sees
+admin traffic, and scrapers such as ``sww top`` reuse the repo's own
+HTTP/2 client, flow control included (profile and time-series bodies
+routinely exceed a default stream window).
 
-Routes:
+Routes, each over one source; a route whose source the process lacks
+answers 503:
 
-* ``GET /metrics`` — OpenMetrics exposition of the live registry;
+* ``GET /metrics`` — OpenMetrics exposition of the registry (the
+  master's is the merge of its workers' dumps and its own);
 * ``GET /healthz`` — JSON liveness: event-loop stall state, in-flight
-  streams, drain state, SLO burn verdicts;
+  streams, drain state and SLO burn verdicts for one process, or the
+  master's per-worker verdicts;
 * ``GET /debug/streams`` — per-connection scheduler state (writer
   queues, flow-control windows, stall counts);
+* ``GET /debug/workers`` — the master's worker table and cache-tier stats;
 * ``GET /debug/timeseries[?since=N]`` — the sampler ring as an
   ``sww-timeseries/1`` document (``since`` returns a delta);
 * ``GET /debug/profile?seconds=N[&format=collapsed|chrome]`` — run the
-  wall-clock profiler for N seconds and return the profile;
+  wall-clock profiler over this process for N seconds;
 * ``GET /debug/events[?n=N][&format=jsonl|columnar]`` — the wide-event
   ring, newest N (default all) as JSONL or an ``sww-events/1`` columnar
   document;
@@ -28,7 +30,7 @@ Routes:
   per captured incident);
 * ``GET /incidents/<id>`` — one full incident bundle.
 
-Admin responses are accounted under ``obs_admin_requests_total``, *not*
+Admin responses are counted under ``obs_admin_requests_total``, *not*
 ``sww_requests_total``, so scraping never skews the serving metrics it
 reports.
 """
@@ -46,17 +48,16 @@ from repro.obs import MetricsRegistry, to_openmetrics
 from repro.obs.profiler import WallClockProfiler
 from repro.obs.slo import SLOTracker
 from repro.obs.timeseries import TimeSeriesSampler
-from repro.sww.server import GenerativeServer, ServedResponse
+from repro.serving.h2util import MiniRequest, MiniResponse
 
 logger = logging.getLogger("repro.sww.admin")
-
-#: The reserved authority admin requests target (PROTOCOL.md §admin).
-#: Never a real site host; content requests keep their own authority.
-ADMIN_AUTHORITY = "sww-admin.internal"
 
 #: Longest profile one request may run (seconds); keeps a typo'd query
 #: from pinning an executor thread for minutes.
 MAX_PROFILE_SECONDS = 30.0
+
+#: Sampling interval of the ``/debug/profile`` profiler (seconds).
+PROFILER_INTERVAL_S = 0.005
 
 #: /healthz reports "degraded" when the worst recent loop stall exceeds
 #: this (the concurrent scheduler's acceptance bar).
@@ -68,87 +69,62 @@ _TEXT = "text/plain; charset=utf-8"
 
 
 class AdminPlane:
-    """Routes reserved-authority requests to telemetry handlers."""
+    """Answers admin routes from the telemetry sources it was given.
+
+    ``registry`` is the registry ``/metrics`` exposes, or a zero-argument
+    callable that builds one per scrape (the master's merge); admin
+    requests are counted in it when it is a live registry. ``sampler``
+    answers ``/debug/timeseries`` (``snapshot(since=)``), ``events``
+    answers ``/debug/events`` (``to_jsonl``/``to_columnar``), ``recorder``
+    answers ``/incidents``. ``server`` is the
+    :class:`~repro.sww.server.GenerativeServer` whose sessions feed
+    ``/healthz`` and ``/debug/streams``; ``fleet`` is the master, whose
+    ``healthz()`` and ``workers_state()`` documents answer ``/healthz``
+    and ``/debug/workers`` instead.
+    """
 
     def __init__(
         self,
-        registry: MetricsRegistry,
+        registry,
         sampler: TimeSeriesSampler | None = None,
         slo: SLOTracker | None = None,
-        authority: str = ADMIN_AUTHORITY,
-        profiler_interval_s: float = 0.005,
         events=None,
         recorder=None,
+        server=None,
+        fleet=None,
     ) -> None:
         self.registry = registry
         self.sampler = sampler
         self.slo = slo
-        #: Wide-event ring served at /debug/events (None → 503).
         self.events = events
-        #: Flight recorder served at /incidents (None → 503).
         self.recorder = recorder
-        self.authority = authority
-        self.profiler_interval_s = profiler_interval_s
-        self.server: GenerativeServer | None = None
-        self._stop: asyncio.Event | None = None
-        self._task: asyncio.Task | None = None
+        self.server = server
+        self.fleet = fleet
         if slo is not None and sampler is not None:
             slo.attach(sampler)
 
-    def bind(self, server: GenerativeServer) -> "AdminPlane":
-        """Attach to a server (it routes admin-authority requests here)."""
-        self.server = server
-        server.admin = self
-        return self
+    async def handle(self, request: MiniRequest) -> MiniResponse:
+        """The :class:`~repro.serving.h2util.MiniH2Server` handler:
+        :meth:`respond` runs on the loop's executor, because
+        ``/debug/profile`` blocks its thread for the sampling window."""
+        return await asyncio.get_running_loop().run_in_executor(None, self.respond, request.path)
 
-    def matches(self, authority: bytes | str) -> bool:
-        """True when a request's ``:authority`` targets the admin plane."""
-        host = authority.decode("utf-8", "replace") if isinstance(authority, bytes) else authority
-        return host.rsplit(":", 1)[0] == self.authority
-
-    # ------------------------------------------------------------------ #
-    # Background sampling
-    # ------------------------------------------------------------------ #
-
-    def start(self) -> None:
-        """Begin ticking the sampler on the running event loop (idempotent)."""
-        if self.sampler is None or (self._task is not None and not self._task.done()):
-            return
-        self._stop = asyncio.Event()
-        self._task = asyncio.create_task(self.sampler.run(self._stop))
-
-    async def stop(self) -> None:
-        if self._stop is not None:
-            self._stop.set()
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
-
-    # ------------------------------------------------------------------ #
-    # Request handling
-    # ------------------------------------------------------------------ #
-
-    def respond(self, target: str) -> ServedResponse:
-        """Produce the admin response for one request target.
-
-        Blocking by design (``/debug/profile`` sleeps for its sampling
-        window); the concurrent server runs this on an executor thread,
-        same as content requests.
-        """
+    def respond(self, target: str) -> MiniResponse:
+        """Produce the admin response for one request target (blocking)."""
         parts = urlsplit(target)
         query = {k: v[-1] for k, v in parse_qs(parts.query).items()}
         route = parts.path
         try:
             if route == "/metrics":
-                response = self._text_response(to_openmetrics(self.registry), _OPENMETRICS)
+                response = self._text_response(to_openmetrics(self._registry()), _OPENMETRICS)
             elif route == "/healthz":
-                response = self._json_response(self.healthz())
+                response = self._json_response(
+                    self.fleet.healthz() if self.fleet is not None else self.healthz()
+                )
             elif route == "/debug/streams":
-                response = self._json_response(self.streams_state())
+                response = self._streams()
+            elif route == "/debug/workers":
+                response = self._workers()
             elif route == "/debug/timeseries":
                 response = self._timeseries(query)
             elif route == "/debug/profile":
@@ -158,20 +134,15 @@ class AdminPlane:
             elif route == "/incidents" or route.startswith("/incidents/"):
                 response = self._incidents(route)
             else:
-                body = b"unknown admin route"
-                response = ServedResponse(
-                    404, GenerativeServer._headers(_TEXT, len(body), status=404), body
-                )
+                response = self._text_response("unknown admin route", _TEXT, status=404)
         except Exception:
             logger.exception("admin route %s failed", route)
-            body = b"admin handler error"
-            response = ServedResponse(
-                500, GenerativeServer._headers(_TEXT, len(body), status=500), body
-            )
-        if self.registry.enabled:
+            response = self._text_response("admin handler error", _TEXT, status=500)
+        live = self._live_registry()
+        if live is not None and live.enabled:
             # Bundle ids would be unbounded label cardinality; collapse them.
             counted = "/incidents" if route.startswith("/incidents/") else route
-            self.registry.counter(
+            live.counter(
                 "obs_admin_requests_total",
                 "Admin-plane requests served, by route",
                 layer="obs",
@@ -179,7 +150,24 @@ class AdminPlane:
             ).inc()
         return response
 
-    def _timeseries(self, query: dict[str, str]) -> ServedResponse:
+    def _registry(self) -> MetricsRegistry:
+        return self.registry() if callable(self.registry) else self.registry
+
+    def _live_registry(self) -> MetricsRegistry | None:
+        """The process's own registry; None when ``/metrics`` is built per scrape."""
+        return None if callable(self.registry) else self.registry
+
+    def _streams(self) -> MiniResponse:
+        if self.server is None:
+            return self._json_response({"error": "no server configured"}, status=503)
+        return self._json_response(self.streams_state())
+
+    def _workers(self) -> MiniResponse:
+        if self.fleet is None:
+            return self._json_response({"error": "no worker fleet"}, status=503)
+        return self._json_response(self.fleet.workers_state())
+
+    def _timeseries(self, query: dict[str, str]) -> MiniResponse:
         if self.sampler is None:
             return self._json_response({"error": "no sampler configured"}, status=503)
         since: int | None = None
@@ -190,7 +178,7 @@ class AdminPlane:
                 return self._json_response({"error": "since must be an integer"}, status=400)
         return self._json_response(self.sampler.snapshot(since=since))
 
-    def _events(self, query: dict[str, str]) -> ServedResponse:
+    def _events(self, query: dict[str, str]) -> MiniResponse:
         if self.events is None:
             return self._json_response({"error": "no event log configured"}, status=503)
         last: int | None = None
@@ -206,7 +194,7 @@ class AdminPlane:
             return self._json_response(self.events.to_columnar(last=last))
         return self._json_response({"error": "format must be jsonl or columnar"}, status=400)
 
-    def _incidents(self, route: str) -> ServedResponse:
+    def _incidents(self, route: str) -> MiniResponse:
         if self.recorder is None:
             return self._json_response({"error": "no flight recorder configured"}, status=503)
         if route == "/incidents" or route == "/incidents/":
@@ -219,7 +207,7 @@ class AdminPlane:
             return self._json_response({"error": f"no incident {incident_id!r}"}, status=404)
         return self._json_response(bundle)
 
-    def _profile(self, query: dict[str, str]) -> ServedResponse:
+    def _profile(self, query: dict[str, str]) -> MiniResponse:
         try:
             seconds = float(query.get("seconds", "1"))
         except ValueError:
@@ -230,9 +218,7 @@ class AdminPlane:
             return self._json_response(
                 {"error": "format must be collapsed or chrome"}, status=400
             )
-        profiler = WallClockProfiler(
-            interval_s=self.profiler_interval_s, registry=self.registry
-        )
+        profiler = WallClockProfiler(interval_s=PROFILER_INTERVAL_S, registry=self._live_registry())
         profile = profiler.profile_for(seconds)
         if fmt == "chrome":
             return self._text_response(profile.to_chrome_trace(), _JSON)
@@ -277,27 +263,19 @@ class AdminPlane:
 
     def streams_state(self) -> dict:
         """Live per-connection scheduler state for ``/debug/streams``."""
-        sessions = list(self.server.sessions()) if self.server is not None else []
-        return {
-            "connections": [session.debug_state() for session in sessions],
-        }
+        return {"connections": [session.debug_state() for session in self.server.sessions()]}
 
     # ------------------------------------------------------------------ #
     # Response plumbing
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _text_response(text: str, content_type: str, status: int = 200) -> ServedResponse:
-        body = text.encode("utf-8")
-        return ServedResponse(
-            status, GenerativeServer._headers(content_type, len(body), status=status), body
-        )
+    def _text_response(text: str, content_type: str, status: int = 200) -> MiniResponse:
+        return MiniResponse(status=status, body=text.encode("utf-8"), content_type=content_type)
 
     @classmethod
-    def _json_response(cls, document: dict, status: int = 200) -> ServedResponse:
-        return cls._text_response(
-            json.dumps(document, sort_keys=True, separators=(",", ":")), _JSON, status
-        )
+    def _json_response(cls, document: dict, status: int = 200) -> MiniResponse:
+        return cls._text_response(json.dumps(document, sort_keys=True, default=str), _JSON, status)
 
 
 # ---------------------------------------------------------------------- #
@@ -305,9 +283,7 @@ class AdminPlane:
 # ---------------------------------------------------------------------- #
 
 
-async def admin_fetch(
-    host: str, port: int, path: str, authority: str = ADMIN_AUTHORITY
-) -> tuple[int, bytes]:
+async def admin_fetch(host: str, port: int, path: str) -> tuple[int, bytes]:
     """GET one admin route over TCP; returns ``(status, body)``.
 
     A deliberately thin client: no generation pipeline, no SWW headers —
@@ -317,7 +293,7 @@ async def admin_fetch(
     server goes away mid-response.
     """
     client = await ClientConnection.open(
-        host, port, H2Connection(Role.CLIENT, gen_ability=False), authority
+        host, port, H2Connection(Role.CLIENT, gen_ability=False), f"{host}:{port}"
     )
     try:
         await client.settled()
@@ -327,11 +303,9 @@ async def admin_fetch(
     return response.status, response.body
 
 
-async def admin_fetch_json(
-    host: str, port: int, path: str, authority: str = ADMIN_AUTHORITY
-) -> dict:
+async def admin_fetch_json(host: str, port: int, path: str) -> dict:
     """`admin_fetch` + JSON decode; raises on non-200."""
-    status, body = await admin_fetch(host, port, path, authority)
+    status, body = await admin_fetch(host, port, path)
     if status != 200:
         raise RuntimeError(f"admin GET {path} returned {status}")
     return json.loads(body.decode("utf-8"))

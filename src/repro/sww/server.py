@@ -205,10 +205,6 @@ class GenerativeServer:
         self._materialise_flights: dict[str, Future] = {}
         self._stats_lock = threading.Lock()
         self.requests_served = 0
-        #: Optional in-band telemetry plane (repro.sww.admin): requests
-        #: whose :authority matches it are answered with metrics/health/
-        #: debug state instead of site content.
-        self.admin = None
         #: Live sessions, for the admin plane's /debug/streams and
         #: /healthz views. Weak so closed connections vanish on GC.
         self._sessions: "weakref.WeakSet[ServerSession]" = weakref.WeakSet()
@@ -550,10 +546,6 @@ class GenerativeServer:
         off the event loop, and responses interleave through the
         flow-control-aware :class:`~repro.http2.writer.ConnectionWriter`.
         """
-        if self.admin is not None:
-            # Start the telemetry plane's background sampling alongside the
-            # listener (idempotent; no-op without a sampler configured).
-            self.admin.start()
         return await listen(self.new_connection, self.handle_connection, host, port)
 
 
@@ -567,16 +559,14 @@ class _Request:
     client_models: list[str] | None
     trace_context: object
     gen_ability: bool
-    #: Routed to the admin plane: no inflight gauge, no wide event.
-    admin: bool
+    #: The request's wide event.
+    record: object
     inflight: object = None
-    record: object = None
 
 
 class ServerSession:
-    """Per-connection SWW semantics: request parsing, admin routing, wide
-    events, push, and the choice of where a request runs, applied to one
-    engine.
+    """Per-connection SWW semantics: request parsing, wide events, push,
+    and the choice of where a request runs, applied to one engine.
 
     :meth:`serve` runs the connection on the shared
     :class:`~repro.http2.endpoint.ServerConnection` driver (handshake,
@@ -585,9 +575,9 @@ class ServerSession:
     answer is already in memory
     (:meth:`GenerativeServer._answers_from_memory`) is answered inside the
     dispatch callback, with no task, and leaves in the read turn's one
-    flush. Anything that generates, parses, signs or waits, and every admin
-    route, becomes its own task (:meth:`_serve_off_loop`) with its work on
-    a thread executor, so the event loop never blocks. Either way the
+    flush. Anything that generates, parses, signs or waits becomes its own
+    task (:meth:`_serve_off_loop`) with its work on a thread executor, so
+    the event loop never blocks. Either way the
     finished body is queued on the driver's writer, which interleaves DATA
     frames within flow-control credit.
     """
@@ -693,10 +683,8 @@ class ServerSession:
             # the turn's one flush. Anything that generates, parses, signs
             # or waits runs off the loop so other streams — and other
             # connections — keep flowing; concurrent materialisations meet
-            # in the BatchingEngine window / gencache single-flight. Admin
-            # routes always take the executor: /debug/profile blocks its
-            # thread for the sampling window without touching the loop.
-            if request.admin or not self.server._answers_from_memory(
+            # in the BatchingEngine window / gencache single-flight.
+            if not self.server._answers_from_memory(
                 request.path, request.gen_ability, request.client_models
             ):
                 self.driver.spawn(self._serve_off_loop(request))
@@ -723,44 +711,36 @@ class ServerSession:
 
     def _open(self, event: RequestReceived) -> _Request:
         """Parse a request and start its accounting: the inflight gauge
-        and, unless it is admin traffic, its wide event."""
+        and its wide event."""
         path, authority, client_models, trace_context = self._parse_request(event)
-        admin = self.server.admin
         request = _Request(
             event.stream_id, path, authority, client_models, trace_context,
-            self.conn.gen_ability_negotiated, admin is not None and admin.matches(authority),
+            self.conn.gen_ability_negotiated,
+            self.server.events.begin(
+                "server.request", path=path, stream_id=event.stream_id, transport=self.transport
+            ),
         )
-        if not request.admin:
-            # Admin traffic never lands in the wide-event ring, same as it
-            # never counts under sww_requests_total.
-            registry = self.server.registry
-            if registry.enabled:
-                request.inflight = registry.gauge(
-                    "sww_server_inflight_streams",
-                    "Request streams currently being served by the stream scheduler",
-                    layer="sww",
-                    operation="serve",
-                )
-                request.inflight.inc()
-            request.record = self.server.events.begin(
-                "server.request", path=path, stream_id=request.stream_id, transport=self.transport
+        registry = self.server.registry
+        if registry.enabled:
+            request.inflight = registry.gauge(
+                "sww_server_inflight_streams",
+                "Request streams currently being served by the stream scheduler",
+                layer="sww",
+                operation="serve",
             )
+            request.inflight.inc()
         return request
 
     async def _serve_off_loop(self, request: _Request) -> None:
         """A request that may block: its own task, its work on the executor."""
         loop = asyncio.get_running_loop()
         try:
-            if request.admin:
-                response = await loop.run_in_executor(None, self.server.admin.respond, request.path)
-            else:
-                response = await loop.run_in_executor(None, self._handle, request)
+            response = await loop.run_in_executor(None, self._handle, request)
         except asyncio.CancelledError:
             # Drain timed out under this stream: the wide event still closes.
             if request.inflight is not None:
                 request.inflight.dec()
-            if request.record is not None:
-                request.record.finish(error="cancelled")
+            request.record.finish(error="cancelled")
             raise
         except Exception as exc:
             response = self._failed(request, exc)
@@ -769,8 +749,7 @@ class ServerSession:
 
     def _failed(self, request: _Request, exc: Exception) -> ServedResponse:
         logger.exception("stream %d (%s) failed; responding 500", request.stream_id, request.path)
-        if request.record is not None:
-            request.record.set(error=type(exc).__name__)
+        request.record.set(error=type(exc).__name__)
         if self.server.recorder is not None:
             self.server.recorder.note(
                 "generation-failure", f"{type(exc).__name__} on {request.path}"
@@ -786,15 +765,13 @@ class ServerSession:
         record = request.record
         driver = self.driver
         if driver.closed:
-            if record is not None:
-                record.finish(status=response.status, error="connection-closed")
+            record.finish(status=response.status, error="connection-closed")
             return False
         self.responses_sent += 1
-        if record is not None:
-            # Status and body size are known now; the writer annotates the
-            # wire-side fields and closes the event when the last frame
-            # leaves (or the stream dies), covering the full lifetime.
-            record.set(status=response.status, body_bytes=len(response.body))
+        # Status and body size are known now; the writer annotates the
+        # wire-side fields and closes the event when the last frame leaves
+        # (or the stream dies), covering the full lifetime.
+        record.set(status=response.status, body_bytes=len(response.body))
         stream_id = request.stream_id
         try:
             self.conn.send_headers(stream_id, response.headers)
@@ -803,8 +780,7 @@ class ServerSession:
             driver.writer.enqueue(stream_id, response.body, end_stream=True, event=record)
         except H2Error as exc:
             logger.warning("stream %d closed under its response; dropping", stream_id)
-            if record is not None:
-                record.finish(status=response.status, error=type(exc).__name__)
+            record.finish(status=response.status, error=type(exc).__name__)
             return False
         return True
 

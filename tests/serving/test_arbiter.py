@@ -62,6 +62,8 @@ class ArbiterProcess:
             stderr=subprocess.STDOUT,
             text=True,
             env=_env(),
+            # Its own process group: close() kills every worker, respawns too.
+            start_new_session=True,
         )
         self.ports: dict[str, int] = {}
         self.worker_pids: list[int] = []
@@ -126,12 +128,11 @@ class ArbiterProcess:
             except subprocess.TimeoutExpired:
                 self.proc.kill()
                 self.proc.communicate(timeout=10)
-        # Belt and braces: no orphaned workers may survive the master.
-        for pid in self.worker_pids:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+        # Belt and braces: no worker, respawned or not, may survive the master.
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 @pytest.fixture

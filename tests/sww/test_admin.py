@@ -1,5 +1,5 @@
-"""The in-band admin plane: authority routing, telemetry routes, and the
-one-shot admin client over real TCP."""
+"""The admin plane: its telemetry routes, its own TCP listener beside
+the content port, and the one-shot admin client."""
 
 import asyncio
 import json
@@ -11,12 +11,10 @@ from repro.obs import (
     SLOTracker,
     TimeSeriesSampler,
 )
-from repro.sww.admin import (
-    ADMIN_AUTHORITY,
-    AdminPlane,
-    admin_fetch,
-    admin_fetch_json,
-)
+from repro.http2.connection import H2Connection, Role
+from repro.http2.endpoint import ClientConnection
+from repro.serving.h2util import MiniH2Server
+from repro.sww.admin import AdminPlane, admin_fetch, admin_fetch_json
 from repro.sww.client import GenerativeClient, connect_in_memory
 from repro.sww.server import GenerativeServer, PageResource, SiteStore
 from repro.devices import LAPTOP
@@ -42,32 +40,13 @@ def _json_body(response) -> dict:
     return json.loads(response.body.decode("utf-8"))
 
 
-class TestAuthorityMatching:
-    def test_matches_reserved_authority(self):
-        _reg, _sampler, plane = _plane()
-        assert plane.matches(ADMIN_AUTHORITY)
-        assert plane.matches(ADMIN_AUTHORITY.encode())
-
-    def test_matches_strips_port(self):
-        _reg, _sampler, plane = _plane()
-        assert plane.matches(f"{ADMIN_AUTHORITY}:8443")
-        assert plane.matches(f"{ADMIN_AUTHORITY}:443".encode())
-
-    def test_content_authorities_do_not_match(self):
-        _reg, _sampler, plane = _plane()
-        assert not plane.matches("example.com")
-        assert not plane.matches("example.com:8443")
-        assert not plane.matches(b"")
-
-
 class TestRoutes:
     def test_metrics_is_openmetrics(self):
         registry, _sampler, plane = _plane()
         registry.counter("sww_requests_total", layer="sww").inc(3)
         response = plane.respond("/metrics")
         assert response.status == 200
-        headers = dict(response.headers)
-        assert headers[b"content-type"].startswith(b"application/openmetrics-text")
+        assert response.content_type.startswith("application/openmetrics-text")
         text = response.body.decode("utf-8")
         assert 'sww_requests_total{layer="sww"} 3' in text
         assert text.rstrip().endswith("# EOF")
@@ -91,8 +70,14 @@ class TestRoutes:
         assert body["slo"]["request-latency"]["healthy"] is True
 
     def test_debug_streams_empty_without_connections(self):
-        _reg, _sampler, plane = _plane()
+        registry = MetricsRegistry()
+        plane = AdminPlane(registry, server=GenerativeServer(_store(), registry=registry))
         assert _json_body(plane.respond("/debug/streams")) == {"connections": []}
+
+    def test_routes_without_their_source_answer_503(self):
+        _reg, _sampler, plane = _plane()
+        assert plane.respond("/debug/streams").status == 503
+        assert plane.respond("/debug/workers").status == 503
 
     def test_timeseries_snapshot_and_delta(self):
         registry, sampler, plane = _plane()
@@ -147,7 +132,7 @@ class TestRoutes:
             )
             == 2.0
         )
-        assert not registry.value("sww_requests_total", layer="sww")
+        assert not registry.total("sww_requests_total")
 
     def test_handler_error_returns_500(self):
         registry, _sampler, plane = _plane()
@@ -169,7 +154,7 @@ class TestEventAndIncidentRoutes:
         _reg, _events, _rec, plane = self._plane_with_events()
         response = plane.respond("/debug/events")
         assert response.status == 200
-        assert dict(response.headers)[b"content-type"].startswith(b"text/plain")
+        assert response.content_type.startswith("text/plain")
         lines = [json.loads(line) for line in response.body.decode().splitlines()]
         assert [line["path"] for line in lines] == ["/a", "/b"]
 
@@ -222,32 +207,45 @@ class TestEventAndIncidentRoutes:
 
 class TestOverTcp:
     def _serve(self, scenario):
+        """Run ``scenario(registry, plane, port, admin_port)`` against a
+        server on ``port`` and its admin plane on ``admin_port``."""
         async def runner():
             registry = MetricsRegistry()
             sampler = TimeSeriesSampler(registry, interval_s=0.05)
             slo = SLOTracker(registry)
             store = _store()
             server = GenerativeServer(store, registry=registry)
-            plane = AdminPlane(registry, sampler=sampler, slo=slo).bind(server)
+            plane = AdminPlane(registry, sampler=sampler, slo=slo, server=server)
             listener = await server.serve_forever("127.0.0.1", 0)
+            admin_listener = await MiniH2Server(plane.handle, registry=registry).serve()
             port = listener.sockets[0].getsockname()[1]
+            admin_port = admin_listener.sockets[0].getsockname()[1]
             try:
                 return await asyncio.wait_for(
-                    scenario(registry, plane, port), timeout=30
+                    scenario(registry, plane, port, admin_port), timeout=30
                 )
             finally:
-                await plane.stop()
-                listener.close()
-                await listener.wait_closed()
+                for each in (listener, admin_listener):
+                    each.close()
+                    await each.wait_closed()
 
         return asyncio.run(runner())
 
+    @staticmethod
+    async def _connected(port):
+        """An idle content connection, settled."""
+        client = await ClientConnection.open(
+            "127.0.0.1", port, H2Connection(Role.CLIENT), "127.0.0.1"
+        )
+        await client.settled()
+        return client
+
     def test_metrics_scrape_over_tcp(self):
-        async def scenario(registry, plane, port):
+        async def scenario(registry, plane, port, admin_port):
             client = GenerativeClient(device=LAPTOP)
             result = await client.fetch_tcp("127.0.0.1", port, "/blog/ridgeline-hike")
             assert result.status == 200
-            status, body = await admin_fetch("127.0.0.1", port, "/metrics")
+            status, body = await admin_fetch("127.0.0.1", admin_port, "/metrics")
             return status, body.decode("utf-8")
 
         status, text = self._serve(scenario)
@@ -257,36 +255,43 @@ class TestOverTcp:
         assert "sww_request_seconds" in text
 
     def test_healthz_sees_live_connections(self):
-        async def scenario(registry, plane, port):
-            client = GenerativeClient(device=LAPTOP)
-            await client.fetch_tcp("127.0.0.1", port, "/blog/ridgeline-hike")
-            return await admin_fetch_json("127.0.0.1", port, "/healthz")
+        async def scenario(registry, plane, port, admin_port):
+            client = await self._connected(port)
+            try:
+                return await admin_fetch_json("127.0.0.1", admin_port, "/healthz")
+            finally:
+                await client.close()
 
         body = self._serve(scenario)
         assert body["status"] in ("ok", "degraded")
-        # The admin connection itself is live while the request is served.
-        assert body["connections"] >= 1
+        # The open content connection is live; the admin one is not a session.
+        assert body["connections"] == 1
 
     def test_debug_streams_reports_scheduler_state(self):
-        async def scenario(registry, plane, port):
-            return await admin_fetch_json("127.0.0.1", port, "/debug/streams")
+        async def scenario(registry, plane, port, admin_port):
+            client = await self._connected(port)
+            try:
+                return await admin_fetch_json("127.0.0.1", admin_port, "/debug/streams")
+            finally:
+                await client.close()
 
         body = self._serve(scenario)
-        assert body["connections"], "admin's own connection should be visible"
+        assert len(body["connections"]) == 1, "the content connection should be visible"
         state = body["connections"][0]
         assert "connection_window" in state
         assert "inflight_tasks" in state
         assert state["draining"] is False
 
     def test_timeseries_polling_over_tcp(self):
-        async def scenario(registry, plane, port):
-            plane.start()
+        async def scenario(registry, plane, port, admin_port):
+            sampling = asyncio.create_task(plane.sampler.run())
             await asyncio.sleep(0.2)  # a few 50 ms sampler ticks
-            full = await admin_fetch_json("127.0.0.1", port, "/debug/timeseries")
+            full = await admin_fetch_json("127.0.0.1", admin_port, "/debug/timeseries")
             since = full["tick"]
             delta = await admin_fetch_json(
-                "127.0.0.1", port, f"/debug/timeseries?since={since}"
+                "127.0.0.1", admin_port, f"/debug/timeseries?since={since}"
             )
+            sampling.cancel()
             return full, delta
 
         full, delta = self._serve(scenario)
@@ -294,11 +299,11 @@ class TestOverTcp:
         assert all(t > full["tick"] for t in delta["ticks"])
 
     def test_admin_requests_do_not_inflate_serving_metrics(self):
-        async def scenario(registry, plane, port):
-            await admin_fetch_json("127.0.0.1", port, "/healthz")
-            await admin_fetch_json("127.0.0.1", port, "/healthz")
+        async def scenario(registry, plane, port, admin_port):
+            await admin_fetch_json("127.0.0.1", admin_port, "/healthz")
+            await admin_fetch_json("127.0.0.1", admin_port, "/healthz")
             return (
-                registry.value("sww_requests_total", layer="sww"),
+                registry.total("sww_requests_total"),
                 registry.value(
                     "obs_admin_requests_total", layer="obs", operation="/healthz"
                 ),
@@ -308,38 +313,29 @@ class TestOverTcp:
         assert not served
         assert admin == 2.0
 
-    def test_admin_routing_in_serial_mode(self):
-        """The in-memory pair routes the reserved authority like the socket
-        does, and keeps admin traffic out of the wide-event ring."""
-        async def scenario(registry, plane, port):
-            return await admin_fetch_json("127.0.0.1", port, "/healthz")
-
-        over_tcp = self._serve(scenario)
-
+    def test_content_port_serves_only_content(self):
+        """The request path knows nothing but requests: an admin route on the
+        content connection is a site miss, counted and logged as one."""
         registry = MetricsRegistry()
         events = EventLog()
         server = GenerativeServer(_store(), registry=registry, events=events)
-        AdminPlane(registry).bind(server)
         client = GenerativeClient(device=LAPTOP)
         pair = connect_in_memory(client, server)
 
         async def healthz():
-            future = pair.client.submit(client.request_headers("/healthz", ADMIN_AUTHORITY))
+            future = pair.client.submit(client.request_headers("/healthz", "sww-admin.internal"))
             await pair.client.flush()
             return await future
 
         response = pair.run(healthz())
-        body = json.loads(response.body)
-        assert body["status"] in ("ok", "degraded")
-        assert body.keys() == over_tcp.keys()
-        # Admin traffic stays out of the serving metrics on this transport too.
-        assert not registry.value("sww_requests_total", layer="sww")
-        assert events.events() == []
+        assert response.status == 404
+        assert registry.value("sww_requests_total", layer="sww", operation="not-found") == 1
+        assert [event.to_dict()["path"] for event in events.events()] == ["/healthz"]
 
     def test_large_profile_body_crosses_flow_control_windows(self):
-        async def scenario(registry, plane, port):
+        async def scenario(registry, plane, port, admin_port):
             status, body = await admin_fetch(
-                "127.0.0.1", port, "/debug/profile?seconds=0.5&format=chrome"
+                "127.0.0.1", admin_port, "/debug/profile?seconds=0.5&format=chrome"
             )
             return status, body
 
@@ -349,7 +345,7 @@ class TestOverTcp:
         assert document["traceEvents"]
 
     def test_content_requests_unaffected_by_admin_plane(self):
-        async def scenario(registry, plane, port):
+        async def scenario(registry, plane, port, admin_port):
             client = GenerativeClient(device=LAPTOP)
             result = await client.fetch_tcp("127.0.0.1", port, "/blog/ridgeline-hike")
             return result

@@ -93,26 +93,26 @@ def test_warm_answers_make_no_executor_call_and_start_no_thread():
 
 
 def test_admin_routes_and_unmemoised_pages_still_take_the_executor():
+    from repro.serving.h2util import MiniH2Server
     from repro.sww.admin import AdminPlane, admin_fetch
 
     store, page_a, _page_b = _store()
     registry = MetricsRegistry()
     server = GenerativeServer(store, registry=registry, memoise_pages=False)
     server.handle_request(page_a, client_gen_ability=False)
-    plane = AdminPlane(registry).bind(server)
+    plane = AdminPlane(registry, server=server)
 
     async def scenario():
-        async with _listening(server) as port, _naive_connection(port) as connection:
-            try:
-                with _executor_calls(asyncio.get_running_loop()) as calls:
-                    status, _body = await asyncio.wait_for(admin_fetch("127.0.0.1", port, "/healthz"), 30)
-                    assert status == 200
-                    # Materialised before, but with no page memo it generates again.
-                    again = await asyncio.wait_for(connection.request("GET", page_a), 30)
-                    assert again.status == 200
-                assert calls == ["respond", "_handle"]
-            finally:
-                await plane.stop()
+        admin_listener = await MiniH2Server(plane.handle).serve()
+        admin_port = admin_listener.sockets[0].getsockname()[1]
+        async with admin_listener, _listening(server) as port, _naive_connection(port) as connection:
+            with _executor_calls(asyncio.get_running_loop()) as calls:
+                status, _body = await asyncio.wait_for(admin_fetch("127.0.0.1", admin_port, "/healthz"), 30)
+                assert status == 200
+                # Materialised before, but with no page memo it generates again.
+                again = await asyncio.wait_for(connection.request("GET", page_a), 30)
+                assert again.status == 200
+            assert calls == ["respond", "_handle"]
 
     asyncio.run(scenario())
 

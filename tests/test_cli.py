@@ -335,12 +335,13 @@ class TestServeWiring:
 class TestTopAndStatsWatch:
     @pytest.fixture
     def telemetry_port(self):
-        """A live telemetry-enabled server on a background thread."""
+        """A live admin plane on a background thread; yields its port."""
         import threading
         import time
 
         from repro.cli import _build_store
         from repro.obs import MetricsRegistry, SLOTracker, TimeSeriesSampler
+        from repro.serving.h2util import MiniH2Server
         from repro.sww.admin import AdminPlane
         from repro.sww.server import GenerativeServer
 
@@ -353,14 +354,14 @@ class TestTopAndStatsWatch:
                 sampler = TimeSeriesSampler(registry, interval_s=0.05)
                 server = GenerativeServer(_build_store(["news"]), registry=registry)
                 plane = AdminPlane(
-                    registry, sampler=sampler, slo=SLOTracker(registry)
-                ).bind(server)
-                listener = await server.serve_forever("127.0.0.1", 0)
-                plane.start()
+                    registry, sampler=sampler, slo=SLOTracker(registry), server=server
+                )
+                listener = await MiniH2Server(plane.handle, registry=registry).serve()
+                sampling = asyncio.create_task(sampler.run())
                 ready["port"] = listener.sockets[0].getsockname()[1]
                 while not stop.is_set():
                     await asyncio.sleep(0.02)
-                await plane.stop()
+                sampling.cancel()
                 listener.close()
                 await listener.wait_closed()
 

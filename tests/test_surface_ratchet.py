@@ -17,12 +17,13 @@ from repro.cli import build_parser
 from repro.http2.endpoint import ClientConnection, ServerConnection
 from repro.http2.writer import ConnectionWriter
 from repro.serving import Arbiter, ArbiterConfig, CacheTierServer, RemoteGenerationCache
+from repro.sww.admin import AdminPlane
 from repro.sww.client import GenerativeClient
 from repro.sww.media_generator import MediaGenerator
 from repro.sww.page_processor import PageProcessor
 from repro.sww.server import GenerativeServer
 
-CLI_ARGUMENTS_CEILING = 80
+CLI_ARGUMENTS_CEILING = 76
 INIT_PARAMETER_CEILINGS = {
     GenerativeClient: 10,
     GenerativeServer: 15,
@@ -37,6 +38,7 @@ INIT_PARAMETER_CEILINGS = {
     CacheTierServer: 3,
     ConnectionWriter: 3,
     BatchingEngine: 7,
+    AdminPlane: 7,
 }
 
 
