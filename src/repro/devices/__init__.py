@@ -7,13 +7,8 @@ splitting). Neither is available here, so :mod:`repro.devices.profiles`
 models them: performance anchors taken from the paper's published numbers
 (Tables 1-2, §6.2-6.3 prose) with power-law interpolation between anchors,
 and per-task power draw integrated over simulated time for energy.
-
-All timing in the repository is *simulated seconds* metered by
-:class:`~repro.devices.clock.SimClock` — wall-clock speed of the host never
-affects results, which keeps benchmarks deterministic.
 """
 
-from repro.devices.clock import SimClock, EnergyMeter, TaskRecord
 from repro.devices.profiles import (
     DeviceProfile,
     LAPTOP,
@@ -38,9 +33,6 @@ from repro.devices.energy import (
 )
 
 __all__ = [
-    "SimClock",
-    "EnergyMeter",
-    "TaskRecord",
     "DeviceProfile",
     "LAPTOP",
     "WORKSTATION",

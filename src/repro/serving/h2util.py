@@ -39,6 +39,8 @@ class MiniRequest:
     authority: str
     body: bytes
     stream_id: int
+    #: The request's header block as received, pseudo-headers included.
+    headers: list[tuple[bytes, bytes]] = field(default_factory=list)
 
 
 @dataclass
@@ -111,6 +113,7 @@ class MiniH2Server:
                     authority=headers.get(b":authority", b"").decode("utf-8", "replace"),
                     body=bytearray(),
                     stream_id=event.stream_id,
+                    headers=event.headers,
                 )
             elif isinstance(event, DataReceived):
                 request = receiving.get(event.stream_id)

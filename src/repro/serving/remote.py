@@ -8,19 +8,22 @@ a :class:`~repro.gencache.GenerationCache` — ``lookup`` / ``insert`` /
 tier in where the in-process cache used to sit, without the generator
 learning anything changed.
 
-Concurrency model: one daemon thread runs a private event loop holding
-one persistent :class:`~repro.http2.endpoint.ClientConnection` to the
-tier. Every blocking call submits its own coroutine with
-``run_coroutine_threadsafe`` — calls are *not* serialised, because a
-``GET`` parked on a cross-worker flight (long-poll) must not block a
-concurrent ``PUT`` for a different key on the same connection; they
-multiplex as streams, and the connection is loop-confined so no lock is
-needed.
+Concurrency model: the facade is built on the worker's own event loop
+(``runtime_factory`` runs inside it), where its one persistent
+:class:`~repro.http2.endpoint.ClientConnection` to the tier lives. Each
+blocking call, made from an executor thread that materialises a page,
+submits its own coroutine with ``run_coroutine_threadsafe`` — calls are
+*not* serialised, because a ``GET`` parked on a cross-worker flight
+(long-poll) must not block a concurrent ``PUT`` for a different key on
+the same connection; they multiplex as streams, and the connection is
+loop-confined so no lock is needed. Made on that loop, a call would
+wait on work only the loop can do, so it raises ``RuntimeError``.
 
 Failure model: degrade, never break. A tier that is down, slow, or
-resetting streams makes ``lookup`` return ``None`` (the worker
-generates locally, exactly as with no cache), ``insert`` return False,
-and ``record_coalesced`` a no-op. One reconnect is attempted per call.
+resetting streams — or that answers a generation this end cannot read —
+makes ``lookup`` return ``None`` (the worker generates locally, exactly
+as with no cache), ``insert`` return False, and ``record_coalesced`` a
+no-op. One reconnect is attempted per call.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ from repro.http2.endpoint import ClientConnection, H2Response
 from repro.serving.cachetier import (
     CACHE_AUTHORITY,
     DEFAULT_FLIGHT_TIMEOUT_S,
-    decode_envelope,
-    encode_envelope,
+    decode_generation,
+    encode_generation,
+    sim_headers,
 )
 
 logger = logging.getLogger("repro.serving.remote")
@@ -45,10 +49,12 @@ logger = logging.getLogger("repro.serving.remote")
 DEFAULT_CALL_TIMEOUT_S = 15.0
 #: A lookup may legitimately park for a whole cross-worker flight.
 _LOOKUP_TIMEOUT_S = DEFAULT_FLIGHT_TIMEOUT_S + DEFAULT_CALL_TIMEOUT_S
+_USER_AGENT = (b"user-agent", b"sww-cache-client/1.0")
 
 
 class RemoteGenerationCache:
-    """GenerationCache-compatible client for the shared cache tier."""
+    """GenerationCache-compatible client for the shared cache tier; build
+    it on the event loop that is to carry its exchanges."""
 
     #: Simulated cost the generator charges for a (remote) hit — same
     #: in-memory-lookup constant as the local cache: the tier lives on
@@ -63,11 +69,9 @@ class RemoteGenerationCache:
         #: Calls that degraded to cache-off behaviour (tier unreachable).
         self.errors = 0
         self._stats_lock = threading.Lock()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._start_lock = threading.Lock()
+        self._loop = asyncio.get_running_loop()
         self._client: ClientConnection | None = None
-        self._connect_lock: asyncio.Lock | None = None
+        self._connect_lock = asyncio.Lock()
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -77,20 +81,16 @@ class RemoteGenerationCache:
     def lookup(self, key) -> CachedGeneration | None:
         """Tier lookup. Hit/coalesced → a record; miss (we lead) or any
         tier failure → None (the caller generates)."""
-        try:
-            response = self._call(
-                "GET", f"/gencache/{key.digest}", timeout=_LOOKUP_TIMEOUT_S
-            )
-        except Exception as exc:
-            self._degraded("lookup", exc)
+        response = self._exchange("lookup", "GET", f"/gencache/{key.digest}", timeout=_LOOKUP_TIMEOUT_S)
+        if response is None:
             return None
         if response.status != 200:
             with self._stats_lock:
                 self.stats.misses += 1
             return None
         try:
-            doc = decode_envelope(response.body)
-        except (ValueError, KeyError) as exc:
+            record = decode_generation(key, response.headers, response.body)
+        except ValueError as exc:
             self._degraded("decode", exc)
             return None
         outcome = dict(response.headers).get(b"x-sww-cache", b"hit")
@@ -99,13 +99,7 @@ class RemoteGenerationCache:
                 self.stats.coalesced += 1
             else:
                 self.stats.hits += 1
-        return CachedGeneration(
-            key=key,
-            payload=doc["payload"],
-            text=doc.get("text", ""),
-            sim_time_s=float(doc.get("sim_time_s", 0.0)),
-            energy_wh=float(doc.get("energy_wh", 0.0)),
-        )
+        return record
 
     def insert(
         self,
@@ -117,97 +111,84 @@ class RemoteGenerationCache:
         size_bytes: int | None = None,
     ) -> bool:
         """Publish a generated result to the tier (wakes parked waiters)."""
-        envelope = encode_envelope(payload, text, sim_time_s, energy_wh)
-        try:
-            status = self._call("PUT", f"/gencache/{key.digest}", body=envelope).status
-        except Exception as exc:
-            self._degraded("insert", exc)
+        headers, body = encode_generation(CachedGeneration(key, payload, text, sim_time_s, energy_wh))
+        response = self._exchange("insert", "PUT", f"/gencache/{key.digest}", headers, body)
+        if response is None:
             return False
-        if status == 204:
-            with self._stats_lock:
-                self.stats.insertions += 1
-            return True
         with self._stats_lock:
-            self.stats.rejected += 1
-        return False
+            if response.status == 204:
+                self.stats.insertions += 1
+            else:
+                self.stats.rejected += 1
+        return response.status == 204
 
     def record_coalesced(self, saved_sim_s: float, saved_energy_wh: float) -> None:
         """Forward an in-process coalesce so fleet stats stay exact."""
-        import json
-
-        body = json.dumps(
-            {"saved_sim_s": saved_sim_s, "saved_energy_wh": saved_energy_wh},
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
-        try:
-            self._call("POST", "/coalesced", body=body)
-        except Exception as exc:
-            self._degraded("coalesced", exc)
+        headers = sim_headers(saved_sim_s, saved_energy_wh)
+        if self._exchange("coalesced", "POST", "/coalesced", headers) is None:
             return
         with self._stats_lock:
             self.stats.coalesced += 1
 
     def close(self) -> None:
-        """Tear down the connection and the background loop thread."""
+        """Close the tier connection; later calls degrade."""
+        self._refuse_own_loop()
         self._closed = True
-        loop = self._loop
-        if loop is None:
+        if self._loop.is_closed():
             return
         try:
-            asyncio.run_coroutine_threadsafe(self._shutdown(), loop).result(5.0)
+            asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop).result(5.0)
         except Exception:
             pass
-        loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
 
     # ------------------------------------------------------------------ #
-    # Background loop
+    # The exchange, on the loop the facade was built on
     # ------------------------------------------------------------------ #
 
-    def _start(self) -> None:
-        if self._loop is not None:
+    def _refuse_own_loop(self) -> None:
+        try:
+            running = asyncio.get_running_loop()
+        except RuntimeError:
             return
-        with self._start_lock:
-            if self._loop is not None:
-                return
-            loop = asyncio.new_event_loop()
-            thread = threading.Thread(
-                target=loop.run_forever, name="sww-cache-client", daemon=True
+        if running is self._loop:
+            raise RuntimeError(
+                "RemoteGenerationCache blocks until its own event loop answers; "
+                "call it from another thread (run_in_executor)"
             )
-            thread.start()
-            self._thread = thread
-            self._loop = loop
 
-    def _call(
+    def _exchange(
         self,
+        operation: str,
         method: str,
         path: str,
+        headers=(),
         body: bytes | None = None,
         timeout: float = DEFAULT_CALL_TIMEOUT_S,
-    ) -> H2Response:
-        if self._closed:
-            raise ConnectionError("remote cache closed")
-        self._start()
-        future = asyncio.run_coroutine_threadsafe(
-            self._request(method, path, body), self._loop
-        )
-        return future.result(timeout)
-
-    async def _request(self, method: str, path: str, body: bytes | None) -> H2Response:
+    ) -> H2Response | None:
+        """One tier round trip; None when it degraded."""
+        self._refuse_own_loop()
         try:
-            return await self._attempt(method, path, body)
+            if self._closed or self._loop.is_closed():
+                raise ConnectionError("remote cache closed")
+            future = asyncio.run_coroutine_threadsafe(
+                self._request(method, path, [_USER_AGENT, *headers], body), self._loop
+            )
+            return future.result(timeout)
+        except Exception as exc:
+            self._degraded(operation, exc)
+            return None
+
+    async def _request(self, method: str, path: str, headers, body: bytes | None) -> H2Response:
+        try:
+            return await self._attempt(method, path, headers, body)
         except (ConnectionError, OSError):
             # One reconnect per call; a second failure degrades the call.
-            return await self._attempt(method, path, body)
+            return await self._attempt(method, path, headers, body)
 
-    async def _attempt(self, method: str, path: str, body: bytes | None) -> H2Response:
+    async def _attempt(self, method: str, path: str, headers, body: bytes | None) -> H2Response:
         client = await self._ensure_client()
         try:
-            return await client.request(
-                method, path, [(b"user-agent", b"sww-cache-client/1.0")], body
-            )
+            return await client.request(method, path, headers, body)
         except (ConnectionError, OSError):
             if self._client is client:
                 self._client = None
@@ -215,8 +196,6 @@ class RemoteGenerationCache:
             raise
 
     async def _ensure_client(self) -> ClientConnection:
-        if self._connect_lock is None:
-            self._connect_lock = asyncio.Lock()
         async with self._connect_lock:
             client = self._client
             if client is None or client.closed:

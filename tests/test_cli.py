@@ -325,8 +325,13 @@ class TestServeWiring:
         monkeypatch.setattr(repro.serving, "Arbiter", CapturingArbiter)
         assert cmd_serve(build_parser().parse_args(self.ARGV + ["--workers", "2"])) == 0
         assert built["config"].workers == 2
-        # The facade connects lazily: no tier needs to listen here.
-        server, sampler = built["factory"](("127.0.0.1", 1))
+        # The facade connects lazily: no tier needs to listen here. It is
+        # built on the loop that carries its exchanges, as in a worker.
+
+        async def in_a_worker():
+            return built["factory"](("127.0.0.1", 1))
+
+        server, sampler = asyncio.run(in_a_worker())
         assert isinstance(server.gencache, RemoteGenerationCache)
         assert server.events.worker_id == os.getpid()
         self._assert_one_sink(server, sampler)

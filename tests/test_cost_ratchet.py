@@ -18,6 +18,10 @@ connection itself costs: the asyncio tasks its two ends run.
 Then a generative page (ROADMAP item 3(b)): one cold capable fetch of the
 bench's ``pageload_generative`` page, whose work is parsing and
 generating, not serving; and one micro-batch through the batching engine.
+
+Last, the shared cache tier (ROADMAP items 3(b) and 13): one first touch
+and one hit of a ``zipf_views_w2`` image through a worker's
+``RemoteGenerationCache``.
 """
 
 import asyncio
@@ -30,15 +34,18 @@ from concurrent.futures import ThreadPoolExecutor
 
 import repro.obs.metrics as metrics
 from repro.batching import BatchingEngine
-from repro.devices import LAPTOP
+from repro.devices import LAPTOP, WORKSTATION
+from repro.genai.image import generate_image
 from repro.genai.registry import get_image_model
 from repro.http2.connection import H2Connection, Role
 from repro.http2.endpoint import ClientConnection, ServerConnection
 from repro.http2.transport import AsyncH2Transport
 from repro.obs import EventLog, MetricsRegistry, Tracer
+from repro.serving.cachetier import CacheTierServer
+from repro.serving.remote import RemoteGenerationCache
 from repro.sww.client import GenerativeClient, connect_in_memory
 from repro.sww.server import GenerativeServer, PageResource, SiteStore
-from repro.workloads import build_harbour_gallery, build_news_article
+from repro.workloads import build_harbour_gallery, build_news_article, build_uniform_pages
 
 MEMO_HIT_CEILINGS = {
     "executor_submissions": 0,
@@ -260,3 +267,71 @@ def test_engine_batch_costs_no_more_than_it_did(monkeypatch):
     for name, ceiling in ENGINE_BATCH_CEILINGS.items():
         assert counts[name] <= ceiling, f"{name}: {counts[name]} per batch of 4, ceiling {ceiling}"
     assert counts["batch_generations"] == 1, "the counting wrappers missed the batch"
+
+
+#: One first touch (lookup → ``lead``, then ``insert``) and one hit of a
+#: 192² uniform-page PNG (30 477 B) through ``RemoteGenerationCache``,
+#: against an in-process tier on the test's loop, the facade's calls made
+#: from an executor thread as a worker's materialisation makes them.
+TIER_CEILINGS = {
+    # 1 while each facade ran its own client thread and event loop.
+    "threads_started": 0,
+    "first_touch_exchanges": 2,
+    "hit_exchanges": 1,
+    # Bodies: the PNG itself. 40 725 B each while a generation travelled
+    # as base64 inside a JSON envelope.
+    "publish_body_bytes": 30477,
+    "hit_body_bytes": 30477,
+}
+
+
+class _Key:
+    digest = "uniform-00"
+
+
+def test_tier_first_touch_and_hit_cost_no_more_than_they_did(monkeypatch):
+    prompt = build_uniform_pages(3)[0].prompts[0]
+    image = generate_image(get_image_model("sd-3-medium"), WORKSTATION, prompt, 192, 192)
+    payload = image.png_bytes()
+    counts = dict.fromkeys(TIER_CEILINGS, 0)
+    exchanges: list[tuple[str, int, int]] = []  # (method, request body, response body)
+    tier = CacheTierServer()
+    handle = tier.handle
+
+    async def counted(request):
+        response = await handle(request)
+        exchanges.append((request.method, len(request.body), len(response.body)))
+        return response
+
+    tier.handle = counted
+
+    def worker(facade):
+        assert facade.lookup(_Key) is None
+        assert facade.insert(_Key, payload, "", image.sim_time_s, image.energy_wh)
+        counts["first_touch_exchanges"] = len(exchanges)
+        hit = facade.lookup(_Key)
+        counts["hit_exchanges"] = len(exchanges) - counts["first_touch_exchanges"]
+        assert hit is not None and hit.payload == payload
+        facade.close()
+
+    async def scenario():
+        server = await tier.server().serve(host="127.0.0.1", port=0)
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, lambda: None)  # the pool's thread is the harness's
+        try:
+            with monkeypatch.context() as patch:
+                _counting(patch, threading.Thread, "start", counts, "threads_started")
+                facade = RemoteGenerationCache("127.0.0.1", server.sockets[0].getsockname()[1])
+                await loop.run_in_executor(None, worker, facade)
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(scenario())
+    (put,) = [exchange for exchange in exchanges if exchange[0] == "PUT"]
+    counts["publish_body_bytes"] = put[1]
+    counts["hit_body_bytes"] = exchanges[-1][2]
+    assert tier.cache.stats.misses == 1 and tier.cache.stats.hits == 1
+    for name, ceiling in TIER_CEILINGS.items():
+        assert counts[name] <= ceiling, f"{name}: {counts[name]} per tier op, ceiling {ceiling}"
+    assert counts["hit_body_bytes"] == len(payload), "the counting wrapper missed the hit"
