@@ -471,18 +471,6 @@ class EdgeFleet:
     # Introspection
     # ------------------------------------------------------------------ #
 
-    @property
-    def combined_hit_rate(self) -> float:
-        """Share of requests served without new origin/generation work:
-        home hits, peer hits, and coalesced joins."""
-        total = self.results_served
-        if not total:
-            return 0.0
-        fleet = (
-            self.tier_counts["edge"] + self.tier_counts["peer"] + self.tier_counts["coalesced"]
-        )
-        return fleet / total
-
     def debug_state(self, now_s: float | None = None) -> dict:
         """Topology + per-edge occupancy, for the CLI and tests."""
         now = now_s if now_s is not None else self._last_time_s

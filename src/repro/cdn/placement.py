@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro._util.hashing import stable_u64
 
@@ -250,33 +250,6 @@ class HashRing:
             if load.get(node, 0.0) < capacity:
                 return node
         return min(walk, key=lambda node: load.get(node, 0.0))
-
-    def assign_bounded(
-        self,
-        keys: Sequence[str],
-        load_factor: float = 1.25,
-        weight: Callable[[str], float] | None = None,
-    ) -> dict[str, str]:
-        """Place ``keys`` with the bounded-load guarantee.
-
-        No node ends up with more than ``load_factor`` times its fair
-        share of the total weight (``len(keys)`` when ``weight`` is
-        None), the classic c-bound. Assignment order is the caller's key
-        order, so the result is deterministic.
-        """
-        if load_factor <= 1.0:
-            raise ValueError("load_factor must exceed 1.0")
-        if not self._nodes:
-            raise LookupError("hash ring is empty")
-        total = sum(weight(k) for k in keys) if weight else float(len(keys))
-        capacity = load_factor * total / len(self._nodes)
-        load: dict[str, float] = {}
-        placed: dict[str, str] = {}
-        for key in keys:
-            node = self.owner_bounded(key, load, capacity)
-            placed[key] = node
-            load[node] = load.get(node, 0.0) + (weight(key) if weight else 1.0)
-        return placed
 
 
 def moved_share(before: HashRing, after: HashRing, keys: Sequence[str]) -> float:

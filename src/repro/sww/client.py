@@ -95,7 +95,6 @@ class GenerativeClient:
         self,
         device: DeviceProfile = LAPTOP,
         gen_ability: bool = True,
-        pipeline: GenerationPipeline | None = None,
         installed_models: list[str] | None = None,
         trust_authority=None,
         registry: MetricsRegistry | None = None,
@@ -112,9 +111,7 @@ class GenerativeClient:
         #: Wide-event log: one client.fetch event per fetched page.
         self.events = events if events is not None else get_event_log()
         #: §4.1: the image pipeline is preloaded once, not per invocation.
-        self.pipeline = pipeline or GenerationPipeline(
-            device, registry=self.registry, tracer=self.tracer
-        )
+        self.pipeline = GenerationPipeline(device, registry=self.registry, tracer=self.tracer)
         #: Optional content-addressed result cache; shareable with other
         #: clients/layers (repro.gencache). None keeps the paper's cold
         #: regenerate-everything behaviour byte-for-byte.

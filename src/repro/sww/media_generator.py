@@ -92,7 +92,6 @@ class MediaGenerator:
     def __init__(
         self,
         pipeline: GenerationPipeline,
-        ollama: OllamaClient | None = None,
         cache: GenerationCache | None = None,
         engine=None,
     ) -> None:
@@ -104,10 +103,10 @@ class MediaGenerator:
         #: upscale items always take their dedicated paths (text rides
         #: the Ollama API, upscale inputs are not batchable by key).
         self.engine = engine
-        # The prototype talks to Ollama over its local API; default to an
-        # endpoint running on the same simulated device as the pipeline,
-        # reporting into the pipeline's observability sinks.
-        self.ollama = ollama or OllamaClient(
+        # The prototype talks to Ollama over its local API: an endpoint
+        # running on the same simulated device as the pipeline, reporting
+        # into the pipeline's observability sinks.
+        self.ollama = OllamaClient(
             OllamaEndpoint(pipeline.device, registry=pipeline.registry, tracer=pipeline.tracer)
         )
         #: Optional content-addressed memoisation of generation results.

@@ -129,6 +129,31 @@ class ServedResponse:
     #: The media materialised for the page (path → PNG bytes), when mode ==
     #: SERVER_GENERATED: what a pushing session promises alongside it.
     generated_assets: dict[str, bytes] = field(default_factory=dict)
+    #: What the page table answered, when mode == SERVER_GENERATED: "hit"
+    #: (already materialised), "coalesced" (waited on another request's
+    #: materialisation) or "miss" (this request materialised the page).
+    memo: str | None = None
+
+
+#: A page's server-side materialisation: (html, assets, simulated s, Wh).
+_PageEntry = tuple[str, dict[str, bytes], float, float]
+
+
+@dataclass(slots=True)
+class _Route:
+    """The one decision about a request (:meth:`GenerativeServer._route`)."""
+
+    path: str
+    client_gen_ability: bool
+    client_models: list[str] | None
+    page: PageResource | None = None
+    mode: ServeMode | None = None
+    #: Why a page is not served generatively: "negotiation", "no-prompts"
+    #: or "policy".
+    fallback: str | None = None
+    #: The finished response, when the server already holds it: a stored
+    #: asset, a 404, stored HTML served as is, or a page-memo hit.
+    answer: ServedResponse | None = None
 
 
 class GenerativeServer:
@@ -140,7 +165,6 @@ class GenerativeServer:
         device: DeviceProfile = WORKSTATION,
         policy: ServePolicy | None = None,
         gen_ability: bool = True,
-        pipeline: GenerationPipeline | None = None,
         push_assets: bool = False,
         trust_authority=None,
         registry: MetricsRegistry | None = None,
@@ -173,9 +197,7 @@ class GenerativeServer:
         #: provenance manifests in an x-sww-manifests header.
         self.trust_authority = trust_authority
         #: Server-side pipeline, used when it must generate for naive clients.
-        self.pipeline = pipeline or GenerationPipeline(
-            device, registry=self.registry, tracer=self.tracer
-        )
+        self.pipeline = GenerationPipeline(device, registry=self.registry, tracer=self.tracer)
         #: Optional shared content-addressed generation cache
         #: (repro.gencache): the fallback materialisation path consults it
         #: so server-side regeneration of media a capable client (or
@@ -190,19 +212,18 @@ class GenerativeServer:
         #: Advertised SETTINGS_MAX_CONCURRENT_STREAMS; excess new streams
         #: are refused with REFUSED_STREAM. None leaves it unlimited.
         self.max_concurrent_streams = max_concurrent_streams
-        #: Cache of server-side generated traditional pages (path → html,
-        #: assets), so repeat naive clients don't re-pay generation.
-        #: ``memoise_pages=False`` disables the page-level memo (every
-        #: request re-materialises through the item-level gencache) — used
-        #: when the interesting cache is a shared tier whose hit rate the
-        #: page memo would mask.
+        #: ``memoise_pages=False`` turns the page memo off (every request
+        #: re-materialises through the item-level gencache) — used when the
+        #: interesting cache is a shared tier whose hit rate the page memo
+        #: would mask. Concurrent requests for a page coalesce either way.
         self.memoise_pages = memoise_pages
-        self._server_generated: dict[str, tuple[str, dict[str, bytes], float, float]] = {}
-        #: Per-path single-flight coordination for concurrent materialise
-        #: calls: followers wait on the leader's future instead of paying a
-        #: duplicate generation (mirrors the gencache coalescing semantics).
-        self._materialise_lock = threading.Lock()
-        self._materialise_flights: dict[str, Future] = {}
+        #: The page table: path → the future of its server-side
+        #: materialisation (a :data:`_PageEntry`). The first requester of a
+        #: page leads and generates; a pending future is joined, a finished
+        #: one is a memo hit. A failed leader removes its entry, and so does
+        #: every leader once its result is ready when the memo is off.
+        self._pages: dict[str, Future] = {}
+        self._pages_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self.requests_served = 0
         #: Live sessions, for the admin plane's /debug/streams and
@@ -219,6 +240,8 @@ class GenerativeServer:
         client_gen_ability: bool,
         client_models: list[str] | None = None,
         trace_context=None,
+        *,
+        route: _Route | None = None,
     ) -> ServedResponse:
         """Produce the response for one GET, honouring negotiation state.
 
@@ -231,126 +254,122 @@ class GenerativeServer:
         (:class:`~repro.obs.TraceContext` or None): when present the
         server's spans join the client's distributed trace as remote
         children, sampling decision included.
+
+        ``route`` is the request's :meth:`_route`, when the caller has
+        already made it (the asyncio session routes a request to choose
+        where it runs); without it the request is routed here.
         """
         with self._stats_lock:
             self.requests_served += 1
         started = time.perf_counter()
+        if route is None:
+            route = self._route(path, client_gen_ability, client_models)
         with self.tracer.span("server.request", remote=trace_context, page=path) as span:
-            response = self._respond(path, client_gen_ability, client_models)
-            if response.mode is not None:
-                annotate_current(serve_mode=response.mode.value)
-            if span.trace_id:
-                annotate_current(trace_id=span.trace_id)
-        if self.registry.enabled:
-            self._count_response(path, response)
-            # Real wall-clock (not simulated) service time: the latency the
-            # SLO layer and `sww top` quantiles are computed over.
-            self.registry.histogram(
-                "sww_request_seconds",
-                "Wall-clock request handling time",
-                layer="sww",
-                operation="serve",
-            ).observe(
-                time.perf_counter() - started, trace_id=self.tracer.current_trace_id()
-            )
+            self._note_route(route)
+            response = route.answer if route.answer is not None else self._produce(route)
+        self._note_outcome(response, span.trace_id, started)
         return response
 
-    def _respond(
-        self,
-        path: str,
-        client_gen_ability: bool,
-        client_models: list[str] | None,
-    ) -> ServedResponse:
+    def _route(
+        self, path: str, client_gen_ability: bool, client_models: list[str] | None
+    ) -> _Route:
+        """Decide how a request is served, once, before any work.
+
+        Looks the path up, applies the serving rule (§3, §5.1) and notes
+        why a page falls back. When the server already holds the answer the
+        route carries it finished; anything else is left to
+        :meth:`_produce`. Never parses, signs, generates or waits, and
+        writes no metric or event, so the asyncio session runs it on the
+        event loop.
+        """
+        route = _Route(path, client_gen_ability, client_models)
         asset = self.store.assets.get(path)
         if asset is not None:
-            return ServedResponse(
-                status=200,
-                headers=self._headers(asset.content_type, len(asset.data)),
-                body=asset.data,
-            )
-        page = self.store.pages.get(path)
+            headers = self._headers(asset.content_type, len(asset.data))
+            route.answer = ServedResponse(200, headers, asset.data)
+            return route
+        page = route.page = self.store.pages.get(path)
         if page is None:
             body = b"not found"
-            return ServedResponse(404, self._headers("text/plain", len(body), status=404), body)
-
+            route.answer = ServedResponse(404, self._headers("text/plain", len(body), status=404), body)
+            return route
         outcome = NegotiationOutcome(client_supports=client_gen_ability, server_supports=self.gen_ability)
-        mode = decide_serve_mode(outcome, self.policy, has_prompts=page.has_prompts)
-        annotate_current(client_gen_ability=client_gen_ability, device=self.device.name)
-        if mode != ServeMode.GENERATIVE:
-            if not outcome.negotiated:
-                reason = "negotiation"
-            elif not page.has_prompts:
-                reason = "no-prompts"
-            else:
-                reason = "policy"
-            self._count_fallback(reason)
-            annotate_current(fallback_reason=reason)
-        if mode == ServeMode.GENERATIVE:
-            html = page.sww_html
-            if client_models is not None:
-                html, negotiation = negotiate_models(html, client_models)
-                if not negotiation.compatible:
-                    # The client can generate, but not this page's
-                    # modalities: materialise server-side instead.
-                    mode = ServeMode.SERVER_GENERATED
-                    self._count_fallback("models")
-                    annotate_current(fallback_reason="models")
-                    logger.info(
-                        "page %s incompatible with client models; generating server-side", path
-                    )
-            if mode == ServeMode.GENERATIVE:
-                body = html.encode("utf-8")
-                headers = self._headers("text/html; charset=utf-8", len(body), sww=True)
-                if self.trust_authority is not None:
-                    manifests = self._sign_page(html)
-                    if manifests:
-                        headers.append((b"x-sww-manifests", manifests))
-                return ServedResponse(200, headers, body, mode)
-        if mode == ServeMode.SERVER_GENERATED:
-            html, assets, gen_time, gen_energy = self._materialise(page)
-            annotate_current(sim_time_s=gen_time, energy_wh=gen_energy)
-            body = html.encode("utf-8")
-            return ServedResponse(
-                200,
-                self._headers("text/html; charset=utf-8", len(body)),
-                body,
-                mode,
-                sim_time_s=gen_time,
-                energy_wh=gen_energy,
-                generated_assets=assets,
-            )
+        mode = route.mode = decide_serve_mode(outcome, self.policy, has_prompts=page.has_prompts)
+        if mode is ServeMode.GENERATIVE:
+            # The stored prompts, unless they are rewritten to the
+            # client's models or signed.
+            if client_models is None and self.trust_authority is None:
+                route.answer = self._prompts(page.sww_html)
+            return route
+        if not outcome.negotiated:
+            route.fallback = "negotiation"
+        elif not page.has_prompts:
+            route.fallback = "no-prompts"
+        else:
+            route.fallback = "policy"
+        if mode is ServeMode.SERVER_GENERATED:
+            # One dict read is atomic. With the memo on a finished entry
+            # stays; a future read just before its failed leader removed
+            # it holds an exception and is left to the executor.
+            flight = self._pages.get(path)
+            if self.memoise_pages and flight is not None and flight.done() and not flight.exception():
+                route.answer = self._generated("hit", self._follow(flight))
+            return route
         html = page.traditional_html if page.traditional_html is not None else page.sww_html
         body = html.encode("utf-8")
-        return ServedResponse(200, self._headers("text/html; charset=utf-8", len(body)), body, mode)
+        route.answer = ServedResponse(200, self._headers("text/html; charset=utf-8", len(body)), body, mode)
+        return route
 
-    def _answers_from_memory(
-        self, path: str, client_gen_ability: bool, client_models: list[str] | None
-    ) -> bool:
-        """Whether :meth:`handle_request` will only hand back bytes it holds.
+    def _produce(self, route: _Route) -> ServedResponse:
+        """The work a route leaves: model negotiation and signing for a
+        generative page, server-side materialisation otherwise."""
+        page = route.page
+        if route.mode is ServeMode.GENERATIVE:
+            if route.client_models is None:
+                return self._prompts(page.sww_html)
+            html, negotiation = negotiate_models(page.sww_html, route.client_models)
+            if negotiation.compatible:
+                return self._prompts(html)
+            # The client can generate, but not this page's modalities:
+            # materialise server-side instead. Only the parse can tell, so
+            # the fallback is noted here.
+            self._note_fallback("models")
+            logger.info("page %s incompatible with client models; generating server-side", page.path)
+        return self._generated(*self._claim(page))
 
-        True for a stored asset, an unknown path, stored HTML served as-is
-        and a page-memo hit; False — conservatively — for anything that
-        may generate, parse HTML, negotiate models, sign, wait on another
-        request's materialisation or reach the gencache / cache tier. The
-        asyncio session serves the former on the event loop and sends the
-        latter to the executor. Memo entries are never evicted and assets
-        are only ever added, so a True answer still holds when the handler
-        runs (no ``await`` separates the two).
-        """
-        if path in self.store.assets:
-            return True
-        page = self.store.pages.get(path)
-        if page is None:
-            return True
-        outcome = NegotiationOutcome(client_supports=client_gen_ability, server_supports=self.gen_ability)
-        mode = decide_serve_mode(outcome, self.policy, has_prompts=page.has_prompts)
-        if mode == ServeMode.GENERATIVE:
-            return client_models is None and self.trust_authority is None
-        if mode == ServeMode.SERVER_GENERATED:
-            return self.memoise_pages and path in self._server_generated
-        return True
+    def _prompts(self, html: str) -> ServedResponse:
+        body = html.encode("utf-8")
+        headers = self._headers("text/html; charset=utf-8", len(body), sww=True)
+        if self.trust_authority is not None:
+            manifests = self._sign_page(html)
+            if manifests:
+                headers.append((b"x-sww-manifests", manifests))
+        return ServedResponse(200, headers, body, ServeMode.GENERATIVE)
 
-    def _count_fallback(self, reason: str) -> None:
+    def _generated(self, memo: str, entry: _PageEntry) -> ServedResponse:
+        html, assets, sim_time_s, energy_wh = entry
+        body = html.encode("utf-8")
+        return ServedResponse(
+            200,
+            self._headers("text/html; charset=utf-8", len(body)),
+            body,
+            ServeMode.SERVER_GENERATED,
+            sim_time_s=sim_time_s,
+            energy_wh=energy_wh,
+            generated_assets=assets,
+            memo=memo,
+        )
+
+    def _note_route(self, route: _Route) -> None:
+        """The route's facts, written once before any work."""
+        if route.page is None:
+            return
+        annotate_current(client_gen_ability=route.client_gen_ability, device=self.device.name)
+        if route.fallback is not None:
+            self._note_fallback(route.fallback)
+
+    def _note_fallback(self, reason: str) -> None:
+        annotate_current(fallback_reason=reason)
         if self.registry.enabled:
             self.registry.counter(
                 "sww_fallbacks_total",
@@ -359,27 +378,62 @@ class GenerativeServer:
                 operation=reason,
             ).inc()
 
-    def _count_response(self, path: str, response: ServedResponse) -> None:
-        """Request/byte accounting for one served response."""
+    def _note_outcome(self, response: ServedResponse, trace_id: str, started: float) -> None:
+        """The outcome's facts, written once after the work."""
+        fields = {}
+        if response.memo in ("hit", "coalesced"):
+            # A miss keeps the generation layer's own per-item outcome.
+            fields["gencache_outcome"] = response.memo
+        if response.mode is ServeMode.SERVER_GENERATED:
+            fields.update(sim_time_s=response.sim_time_s, energy_wh=response.energy_wh)
+        if response.mode is not None:
+            fields["serve_mode"] = response.mode.value
+        if trace_id:
+            fields["trace_id"] = trace_id
+        if fields:
+            annotate_current(**fields)
+        registry = self.registry
+        if not registry.enabled:
+            return
+        if response.memo is not None:
+            registry.counter(
+                "sww_materialise_cache_total",
+                "Server-side materialisation cache lookups",
+                layer="sww",
+                operation=response.memo,
+            ).inc()
         if response.status == 404:
             operation = "not-found"
         elif response.mode is None:
             operation = "asset"
         else:
             operation = response.mode.value
-        self.registry.counter(
+        registry.counter(
             "sww_requests_total", "Requests served, by outcome", layer="sww", operation=operation
         ).inc()
-        kind = "prompts" if response.mode == ServeMode.GENERATIVE else "media"
-        self.registry.counter(
+        kind = "prompts" if response.mode is ServeMode.GENERATIVE else "media"
+        registry.counter(
             "sww_body_bytes_total",
             "Response body bytes, prompts vs materialised media",
             layer="sww",
             operation=kind,
         ).inc(len(response.body))
+        # Real wall-clock (not simulated) service time: the latency the
+        # SLO layer and `sww top` quantiles are computed over.
+        registry.histogram(
+            "sww_request_seconds",
+            "Wall-clock request handling time",
+            layer="sww",
+            operation="serve",
+        ).observe(time.perf_counter() - started, trace_id=self.tracer.current_trace_id())
 
-    def _materialise(self, page: PageResource) -> tuple[str, dict[str, bytes], float, float]:
-        """Server-side generation: prompts → media, cached per page.
+    def _materialise(self, page: PageResource) -> _PageEntry:
+        """The page's :meth:`_claim` without its memo outcome."""
+        return self._claim(page)[1]
+
+    def _claim(self, page: PageResource) -> tuple[str, _PageEntry]:
+        """Server-side generation (prompts → media) through the page table,
+        with the memo outcome.
 
         §6.2: "This saves storage space, and avoids saving two copies of
         content (prompts and original files)" — the server stores prompts
@@ -387,55 +441,39 @@ class GenerativeServer:
         registered in the store so follow-up asset GETs resolve.
 
         Concurrent requests for the same page are **single-flighted**: the
-        first becomes the leader and generates; followers wait on its
-        future and are accounted like cache hits (0 extra simulated cost),
-        exactly as a serial request stream would have hit the page cache.
+        first becomes the leader and generates ("miss"); followers wait on
+        its future and are accounted like cache hits (0 extra simulated
+        cost), exactly as a serial request stream would have hit the memo.
         """
-        cached = self._server_generated.get(page.path) if self.memoise_pages else None
-        if cached is not None:
-            return self._materialised_hit(cached, "hit")
-        with self._materialise_lock:
-            cached = self._server_generated.get(page.path)
-            if cached is not None:
-                flight = None
-            else:
-                flight = self._materialise_flights.get(page.path)
-                if flight is None:
-                    # This request leads; everyone else follows its future.
-                    leader_future: Future = Future()
-                    self._materialise_flights[page.path] = leader_future
-        if cached is not None:
-            return self._materialised_hit(cached, "hit")
-        if flight is not None:
-            # Follower: wait for the leader's result (or its exception).
-            return self._materialised_hit(flight.result(), "coalesced")
+        fresh: Future = Future()
+        with self._pages_lock:
+            flight = self._pages.setdefault(page.path, fresh)
+            # Decided under the lock: with the memo off a leader removes
+            # its entry before finishing it, so a follower is never a hit.
+            memo = "hit" if flight.done() else "coalesced"
+        if flight is not fresh:
+            return memo, self._follow(flight)
         try:
             entry = self._materialise_cold(page)
         except BaseException as exc:
-            leader_future.set_exception(exc)
+            with self._pages_lock:
+                del self._pages[page.path]
+            flight.set_exception(exc)
             raise
-        finally:
-            with self._materialise_lock:
-                self._materialise_flights.pop(page.path, None)
-        leader_future.set_result(entry)
-        return entry
+        if not self.memoise_pages:
+            with self._pages_lock:
+                del self._pages[page.path]
+        flight.set_result(entry)
+        return "miss", entry
 
-    def _materialised_hit(
-        self, entry: tuple[str, dict[str, bytes], float, float], outcome: str
-    ) -> tuple[str, dict[str, bytes], float, float]:
-        """Account a page-cache hit (or in-flight coalesce): no extra cost."""
-        annotate_current(gencache_outcome=outcome)
-        if self.registry.enabled:
-            self.registry.counter(
-                "sww_materialise_cache_total",
-                "Server-side materialisation cache lookups",
-                layer="sww",
-                operation=outcome,
-            ).inc()
-        html, assets, _time, _energy = entry
+    @staticmethod
+    def _follow(flight: Future) -> _PageEntry:
+        """Another request's materialisation, at no extra cost; a failed
+        leader's exception is raised here."""
+        html, assets, _time, _energy = flight.result()
         return html, assets, 0.0, 0.0
 
-    def _materialise_cold(self, page: PageResource) -> tuple[str, dict[str, bytes], float, float]:
+    def _materialise_cold(self, page: PageResource) -> _PageEntry:
         with self.tracer.span("server.materialise", page=page.path):
             document = parse_html(page.sww_html)
             # Upscale items reference stored small originals; the server's own
@@ -448,12 +486,6 @@ class GenerativeServer:
         for asset_path, data in report.assets.items():
             self.store.add_asset(AssetResource(asset_path, data, "image/png"))
         if self.registry.enabled:
-            self.registry.counter(
-                "sww_materialise_cache_total",
-                "Server-side materialisation cache lookups",
-                layer="sww",
-                operation="miss",
-            ).inc()
             self.registry.histogram(
                 "sww_generation_seconds",
                 "Simulated server-side materialisation time per page",
@@ -466,10 +498,7 @@ class GenerativeServer:
             len(report.assets),
             report.sim_time_s,
         )
-        entry = (html, dict(report.assets), report.sim_time_s, report.energy_wh)
-        if self.memoise_pages:
-            self._server_generated[page.path] = entry
-        return entry
+        return html, dict(report.assets), report.sim_time_s, report.energy_wh
 
     def _sign_page(self, html: str) -> bytes:
         """Sign every well-formed generated-content item on a page.
@@ -554,11 +583,10 @@ class _Request:
     """One request stream as the session serves it."""
 
     stream_id: int
-    path: str
     authority: bytes
-    client_models: list[str] | None
     trace_context: object
-    gen_ability: bool
+    #: The request's one routing decision (:meth:`GenerativeServer._route`).
+    route: _Route
     #: The request's wide event.
     record: object
     inflight: object = None
@@ -571,15 +599,15 @@ class ServerSession:
     :meth:`serve` runs the connection on the shared
     :class:`~repro.http2.endpoint.ServerConnection` driver (handshake,
     credit return, the writer, drain and close are the driver's), over a
-    socket or the in-memory pair alike. A ``RequestReceived`` whose
-    answer is already in memory
-    (:meth:`GenerativeServer._answers_from_memory`) is answered inside the
-    dispatch callback, with no task, and leaves in the read turn's one
-    flush. Anything that generates, parses, signs or waits becomes its own
-    task (:meth:`_serve_off_loop`) with its work on a thread executor, so
-    the event loop never blocks. Either way the
-    finished body is queued on the driver's writer, which interleaves DATA
-    frames within flow-control credit.
+    socket or the in-memory pair alike. Each ``RequestReceived`` is routed
+    once (:meth:`GenerativeServer._route`). A route that carries its answer
+    is served inside the dispatch callback, with no task, and leaves in
+    the read turn's one flush. Any other route — one that generates,
+    parses, signs or waits — becomes its own task
+    (:meth:`_serve_off_loop`) with its work on a thread executor, so the
+    event loop never blocks. Either way the finished body is queued on the
+    driver's writer, which interleaves DATA frames within flow-control
+    credit.
     """
 
     def __init__(self, server: GenerativeServer, transport: AsyncH2Transport) -> None:
@@ -677,16 +705,15 @@ class ServerSession:
                 logger.info("ignoring stream %d received after GOAWAY", event.stream_id)
                 return
             request = self._open(event)
-            # Answers already in memory (stored assets, 404s, stored HTML,
-            # page-memo hits) are answered right here, inside the read
+            # A route that carries its answer (stored asset, 404, stored
+            # HTML, page-memo hit) is served right here, inside the read
             # turn: the driver's end-of-turn pump puts HEADERS and DATA in
             # the turn's one flush. Anything that generates, parses, signs
             # or waits runs off the loop so other streams — and other
             # connections — keep flowing; concurrent materialisations meet
-            # in the BatchingEngine window / gencache single-flight.
-            if not self.server._answers_from_memory(
-                request.path, request.gen_ability, request.client_models
-            ):
+            # in the page table, the BatchingEngine window and the
+            # gencache single-flight.
+            if request.route.answer is None:
                 self.driver.spawn(self._serve_off_loop(request))
                 return
             try:
@@ -710,12 +737,12 @@ class ServerSession:
                 )
 
     def _open(self, event: RequestReceived) -> _Request:
-        """Parse a request and start its accounting: the inflight gauge
-        and its wide event."""
+        """Parse and route a request and start its accounting: the
+        inflight gauge and its wide event."""
         path, authority, client_models, trace_context = self._parse_request(event)
         request = _Request(
-            event.stream_id, path, authority, client_models, trace_context,
-            self.conn.gen_ability_negotiated,
+            event.stream_id, authority, trace_context,
+            self.server._route(path, self.conn.gen_ability_negotiated, client_models),
             self.server.events.begin(
                 "server.request", path=path, stream_id=event.stream_id, transport=self.transport
             ),
@@ -748,11 +775,12 @@ class ServerSession:
             self.driver.wake()
 
     def _failed(self, request: _Request, exc: Exception) -> ServedResponse:
-        logger.exception("stream %d (%s) failed; responding 500", request.stream_id, request.path)
+        path = request.route.path
+        logger.exception("stream %d (%s) failed; responding 500", request.stream_id, path)
         request.record.set(error=type(exc).__name__)
         if self.server.recorder is not None:
             self.server.recorder.note(
-                "generation-failure", f"{type(exc).__name__} on {request.path}"
+                "generation-failure", f"{type(exc).__name__} on {path}"
             )
         body = b"internal server error"
         return ServedResponse(500, self.server._headers("text/plain", len(body), status=500), body)
@@ -785,12 +813,17 @@ class ServerSession:
         return True
 
     def _handle(self, request: _Request) -> ServedResponse:
+        route = request.route
         with self.server.tracer.span(
-            "server.stream", remote=request.trace_context, page=request.path, stream=request.stream_id
+            "server.stream", remote=request.trace_context, page=route.path, stream=request.stream_id
         ):
             with request.record.bind():
                 return self.server.handle_request(
-                    request.path, request.gen_ability, request.client_models, request.trace_context
+                    route.path,
+                    route.client_gen_ability,
+                    route.client_models,
+                    request.trace_context,
+                    route=route,
                 )
 
     def debug_state(self) -> dict:

@@ -214,14 +214,6 @@ class TestAccountingInvariants:
         ledger = fleet.ledger
         assert ledger.hits + ledger.misses + ledger.coalesced == 60
 
-    def test_combined_hit_rate(self):
-        fleet, router = make_fleet()
-        assert fleet.combined_hit_rate == 0.0
-        key = key_owned_by_home(fleet, router, "r0")
-        first = fleet.serve("r0", key, 0.0)
-        fleet.serve("r0", key, first.latency_s + 1.0)
-        assert fleet.combined_hit_rate == pytest.approx(0.5)
-
     def test_debug_state_shape(self):
         fleet, router = make_fleet()
         key = sorted(fleet.catalog.items)[0]

@@ -106,24 +106,6 @@ class TestBoundedLoad:
         load = {"edge-a": 9.0, "edge-b": 7.0, "edge-c": 8.0}
         assert ring.owner_bounded("k", load, capacity=5.0) == "edge-b"
 
-    def test_assign_bounded_respects_cap(self):
-        nodes = [f"edge-{i}" for i in range(4)]
-        ring = HashRing(nodes)
-        keys = sample_keys(1000)
-        placed = ring.assign_bounded(keys, load_factor=1.25)
-        counts = {n: 0 for n in nodes}
-        for node in placed.values():
-            counts[node] += 1
-        cap = 1.25 * len(keys) / len(nodes)
-        assert all(count <= cap for count in counts.values())
-        assert sum(counts.values()) == len(keys)
-
-    def test_assign_bounded_validation(self):
-        with pytest.raises(ValueError):
-            HashRing(["edge-a"]).assign_bounded(["k"], load_factor=1.0)
-        with pytest.raises(LookupError):
-            HashRing().assign_bounded(["k"])
-
 
 class TestWalkMemo:
     """The ring remembers each key's walk; nothing observable may change."""

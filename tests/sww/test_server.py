@@ -212,11 +212,12 @@ class _Reached(Exception):
 
 
 class TestAnswersFromMemory:
-    """``_answers_from_memory`` decides where the asyncio session runs the
-    handler (on the loop, or in the executor) without the two drifting
-    apart: wherever it says True the handler finishes with every
-    generating / parsing / negotiating / signing / cache entry point armed
-    to raise, and wherever the handler reaches one it had said False."""
+    """``_route`` decides, once, whether a request is answered from memory
+    (the asyncio session serves those on the event loop) or left to work
+    in the executor: routing never reaches a generating / parsing /
+    negotiating / signing / cache entry point, a route that carries its
+    answer is served with every one of them armed to raise, and a route
+    left to the executor reaches one."""
 
     ASSET, UNKNOWN, PLAIN = "/photos/stored.jpg", "/nope", "/plain"
     COMPATIBLE, INCOMPATIBLE = ["sd-3-medium", "llama-3.2"], ["llama-3.2"]
@@ -265,7 +266,7 @@ class TestAnswersFromMemory:
         self, monkeypatch, trusted, policy, memoise_pages, server_gen_ability
     ):
         server, paths = self._server(trusted, policy, memoise_pages, server_gen_ability)
-        inline = offloaded = 0
+        answered = 0
         for memo in ("cold", "warm"):
             with monkeypatch.context() as patch:
                 self._arm(patch, server)
@@ -273,27 +274,134 @@ class TestAnswersFromMemory:
                     for client_gen_ability in (True, False):
                         for client_models in (None, self.COMPATIBLE, self.INCOMPATIBLE):
                             case = (memo, path, client_gen_ability, client_models)
-                            said = server._answers_from_memory(path, client_gen_ability, client_models)
+                            route = server._route(path, client_gen_ability, client_models)
                             try:
-                                server.handle_request(path, client_gen_ability, client_models)
+                                served = server.handle_request(
+                                    path, client_gen_ability, client_models, route=route
+                                )
                             except _Reached:
-                                assert not said, f"would have blocked the event loop: {case}"
-                                offloaded += 1
-                            else:
-                                # The predicate may be conservative, never wrong.
-                                inline += said
+                                assert route.answer is None, f"would have blocked the event loop: {case}"
+                                continue
+                            assert route.answer is not None, f"sent to the executor for nothing: {case}"
+                            assert served is route.answer, f"decided again: {case}"
+                            answered += 1
             # Warm: every page has been materialised once for a naive client.
             for path in paths[2:]:
                 server.handle_request(path, client_gen_ability=False)
-        assert inline and (offloaded or not server_gen_ability)
+        assert answered
 
     def test_memo_hit_is_inline_only_while_the_memo_is_on(self):
         for memoise_pages in (False, True):
             server, paths = self._server(False, ServePolicy(), memoise_pages, True)
             page = paths[3]
-            assert not server._answers_from_memory(page, False, None)
-            server.handle_request(page, client_gen_ability=False)
-            assert server._answers_from_memory(page, False, None) is memoise_pages
-        # Switched off on a warm server, the handler re-materialises: so must the answer.
+            assert server._route(page, False, None).answer is None
+            cold = server.handle_request(page, client_gen_ability=False)
+            hit = server._route(page, False, None).answer
+            if memoise_pages:
+                assert (hit.body, hit.memo, hit.sim_time_s) == (cold.body, "hit", 0.0)
+            else:
+                assert hit is None
+        # Switched off on a warm server, the finished entry is no longer an
+        # answer: the route leaves the page to be materialised again.
+        assert server._pages
         server.memoise_pages = False
-        assert not server._answers_from_memory(page, False, None)
+        assert server._route(page, False, None).answer is None
+
+
+class TestPageTable:
+    """The page memo and its single-flight are one table: under contention
+    one leader generates per flight, followers pay nothing, and with the
+    memo off no entry outlives its flight."""
+
+    @pytest.mark.parametrize("memoise_pages", [True, False], ids=["memo", "no-memo"])
+    def test_contended_table_keeps_one_leader_per_flight(self, monkeypatch, memoise_pages):
+        import sys
+        import threading
+        import time
+
+        server = GenerativeServer(SiteStore(), memoise_pages=memoise_pages)
+        page = PageResource("/p", '<div class="generated-content"></div>')
+        cold_calls = []
+
+        def fake_cold(p):
+            cold_calls.append(p.path)
+            time.sleep(0.001)
+            return "<p>done</p>", {}, 1.0, 0.5
+
+        monkeypatch.setattr(server, "_materialise_cold", fake_cold)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # Daemons, so a wedged follower fails the test instead of hanging it.
+            threads = [
+                threading.Thread(
+                    target=lambda: results.extend(server._claim(page) for _ in range(50)), daemon=True
+                )
+                for _ in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 60
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 400 and {entry[0] for _memo, entry in results} == {"<p>done</p>"}
+        # Each generation's cost is reported once, by its leader.
+        assert sum(entry[2] > 0 for _memo, entry in results) == len(cold_calls)
+        memos = [memo for memo, _entry in results]
+        assert memos.count("miss") == len(cold_calls)
+        if memoise_pages:
+            assert len(cold_calls) == 1
+        else:
+            # A follower joins only a pending flight: never a hit.
+            assert "hit" not in memos
+            assert server._pages == {}
+
+    @pytest.mark.parametrize("memoise_pages", [True, False], ids=["memo", "no-memo"])
+    def test_follower_that_joined_a_pending_flight_is_coalesced(self, monkeypatch, memoise_pages):
+        """Held open between the follower joining and reading its flight,
+        the leader finishes: the follower still counts as coalesced, since
+        the flight was pending when it joined."""
+        import threading
+
+        server = GenerativeServer(SiteStore(), memoise_pages=memoise_pages)
+        page = PageResource("/p", '<div class="generated-content"></div>')
+        leading, joined = threading.Event(), threading.Event()
+
+        def fake_cold(p):
+            leading.set()
+            assert joined.wait(10)
+            return "<p>done</p>", {}, 1.0, 0.5
+
+        monkeypatch.setattr(server, "_materialise_cold", fake_cold)
+        results = {}
+        leader = threading.Thread(target=lambda: results.update(leader=server._claim(page)), daemon=True)
+        leader.start()
+        assert leading.wait(10)
+
+        class JoinThenFinish:
+            """The page lock; the follower's release lets the leader finish
+            before the follower goes on."""
+
+            def __init__(self, lock):
+                self.lock = lock
+
+            def __enter__(self):
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                self.lock.__exit__(*exc)
+                if threading.current_thread() is follower and not joined.is_set():
+                    joined.set()
+                    leader.join(10)
+
+        server._pages_lock = JoinThenFinish(server._pages_lock)
+        follower = threading.Thread(target=lambda: results.update(follower=server._claim(page)), daemon=True)
+        follower.start()
+        follower.join(10)
+        assert not leader.is_alive() and not follower.is_alive()
+        assert results["leader"][0] == "miss"
+        assert results["follower"] == ("coalesced", ("<p>done</p>", {}, 0.0, 0.0))

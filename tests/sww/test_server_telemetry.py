@@ -73,7 +73,7 @@ class TestLoopStallHeartbeat:
         return registry
 
     def test_serial_blocking_handler_trips_the_stall_gauges(self):
-        # A 404 is answered inline on the event loop (_answers_from_memory),
+        # A 404's route carries its answer, so it is served on the event loop,
         # one request at a time: an 80 ms handler there holds the loop and
         # the probe's sleep oversleeps by most of it.
         registry = self._run_with_blocking_handler(0.08, path="/no-such-page", status=404)

@@ -77,7 +77,13 @@ MEMO_HIT_CEILINGS = {
     # end read a stream pair: those three plus the server's writer task
     # and the client's reader task.
     "connection_tasks": 3,
+    # Calls of the serving rule (capability.decide_serve_mode) per hit: 2
+    # while the session asked whether a request could be answered from
+    # memory and the handler then decided again.
+    "serve_mode_decisions": 1,
 }
+#: Counted like the generative page's rows (below).
+SERVE_MODE_COUNTED = {"serve_mode_decisions": ("repro.sww.capability", ("decide_serve_mode",))}
 HITS = 20
 HTTP2_SOURCES = tracemalloc.Filter(True, "*/repro/http2/*")
 
@@ -139,6 +145,7 @@ def test_warm_memo_hit_costs_no_more_than_it_did(monkeypatch):
             _counting(patch, MetricsRegistry, "_get", counts, "registry_lookups")
             _counting(patch, ServerConnection, "spawn", counts, "stream_tasks")
             _counting(patch, AsyncH2Transport, "flush", counts, "transport_flushes")
+            decisions = _count_calls(patch, SERVE_MODE_COUNTED)
             tracemalloc.start()
             try:
                 before = http2_bytes()
@@ -149,6 +156,7 @@ def test_warm_memo_hit_costs_no_more_than_it_did(monkeypatch):
                 counts["http2_bytes_retained"] = http2_bytes() - before
             finally:
                 tracemalloc.stop()
+            counts["serve_mode_decisions"] = len(decisions)
         (session,) = server.sessions()
         counts["streams_left_open"] = len(session.conn.streams) + len(connection.conn.streams)
 
@@ -186,11 +194,14 @@ def test_warm_memo_hit_costs_no_more_than_it_did(monkeypatch):
 
 #: One cold capable fetch of ``/gallery/harbour`` (six images) over the
 #: in-memory pair: the server's model negotiation and the client each
-#: parse the page once, and each image is generated and encoded once.
+#: parse the page once, each image is generated and encoded once, and the
+#: server applies its serving rule once (2 while it decided on the event
+#: loop and again in the executor).
 GENERATIVE_PAGE_CEILINGS = {
     "html_parses": 2,
     "image_generations": 6,
     "png_encodes": 6,
+    "serve_mode_decisions": 1,
 }
 #: What each row counts: every call of these functions, wherever a
 #: ``repro`` module imported them by name.
@@ -198,6 +209,7 @@ GENERATIVE_PAGE_COUNTED = {
     "html_parses": ("repro.html.parser", ("parse_html",)),
     "image_generations": ("repro.genai.image", ("generate_image", "generate_image_batch")),
     "png_encodes": ("repro.media.png", ("encode_png",)),
+    **SERVE_MODE_COUNTED,
 }
 
 

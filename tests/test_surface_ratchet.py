@@ -25,12 +25,12 @@ from repro.sww.server import GenerativeServer
 
 CLI_ARGUMENTS_CEILING = 76
 INIT_PARAMETER_CEILINGS = {
-    GenerativeClient: 10,
-    GenerativeServer: 15,
+    GenerativeClient: 9,
+    GenerativeServer: 14,
     ServerConnection: 2,
     ClientConnection: 3,
     PageProcessor: 2,
-    MediaGenerator: 4,
+    MediaGenerator: 3,
     # A config object's fields are options too (dataclass __init__).
     ArbiterConfig: 9,
     Arbiter: 2,
