@@ -6,12 +6,18 @@ is therefore capped at a single core. This package adds the gunicorn-
 style process model on top of the existing building blocks without
 changing any of them:
 
-* :mod:`repro.serving.arbiter` — the master: binds the listening socket,
-  forks N workers, reaps/respawns on SIGCHLD (halting instead when a
-  worker fails to boot), SIGKILLs workers whose heartbeat goes stale,
-  scales up/down on SIGTTIN/SIGTTOU, rolls the fleet on SIGHUP, and
-  serves per-worker telemetry, merged, through the same admin plane a
-  single process runs (``/metrics``, ``/healthz``, ``/debug/workers``);
+* :mod:`repro.serving.supervisor` — the supervision policy, pure data:
+  ``Supervisor.step(event, now)`` takes one event (a fork, a hello, a
+  heartbeat, an exit, a signal, a tick) and returns the actions (spawn,
+  kill, halt) that keep the fleet at its size: respawns, stale-heartbeat
+  kills, SIGTTIN/SIGTTOU scaling, SIGHUP rolls, drain and boot-failure
+  halts;
+* :mod:`repro.serving.arbiter` — the master, the policy's OS shell: binds
+  the listening socket, turns SIGCHLD, control-pipe frames, signals and a
+  tick into events, carries out the actions with ``fork`` and
+  ``os.kill``, and serves per-worker telemetry, merged, through the same
+  admin plane a single process runs (``/metrics``, ``/healthz``,
+  ``/debug/workers``);
 * :mod:`repro.serving.worker` — one forked worker: accepts on the shared
   inherited socket, drives :meth:`GenerativeServer.handle_connection`,
   drains gracefully on SIGTERM (in-flight streams finish, queued writer

@@ -1,61 +1,43 @@
-"""The pre-fork worker arbiter (master process).
+"""The pre-fork worker arbiter (master process): the OS shell around the
+supervision policy.
 
 One process binds the serving socket and forks N workers that all accept
 from it; the kernel load-balances the backlog across blocked acceptors.
-The master itself never serves site traffic — it supervises:
+The master never serves site traffic. What it decides — how many workers,
+and which ones — is :meth:`Supervisor.step(event, now)
+<repro.serving.supervisor.Supervisor.step>`. This module owns the
+mechanisms, in one loop of events → policy → actions: SIGCHLD (reaped with
+``waitpid``), control-pipe ``hello``/``heartbeat`` frames, SIGTERM, SIGINT,
+SIGTTIN, SIGTTOU, SIGHUP and a ``call_later`` tick every heartbeat
+interval become events; the actions it carries out are ``fork`` (each
+answered with a ``forked`` event), ``os.kill`` and halting with a status.
 
-* **reap & respawn** — SIGCHLD reaps exited children; any worker that
-  died without being asked to (crash, ``kill -9``, recycle) is respawned
-  immediately, so a murdered worker is back within one heartbeat
-  interval while its siblings' in-flight requests never notice;
-* **heartbeat murder loop** — a worker whose last control-pipe heartbeat
-  is older than the worker timeout is presumed wedged and SIGKILLed
-  (SIGCHLD then respawns it);
-* **signals** — SIGTERM/SIGINT drain the fleet gracefully (workers
-  finish in-flight streams and flush queued writer bytes before exit);
-  SIGTTIN forks one more worker, SIGTTOU retires the newest; SIGHUP
-  rolls the fleet one worker at a time (spawn replacement, wait for its
-  hello, then drain the old one) so capacity never dips;
-* **boot errors** — a worker that exits with status 70 before its hello
-  (its runtime factory raised) would fail the same way on every respawn,
-  so the master halts the fleet instead and exits 70 itself;
-* **shared gencache tier** — a
-  :class:`~repro.serving.cachetier.CacheTierServer` runs on the master's
-  own event loop, on a loopback-only ephemeral port, under the reserved
-  ``sww-cache.internal`` authority, extending single-flight generation
-  leadership across the fleet;
+The master also hosts, on its own event loop:
+
+* the **shared gencache tier** — a
+  :class:`~repro.serving.cachetier.CacheTierServer` on a loopback-only
+  ephemeral port, under the reserved ``sww-cache.internal`` authority,
+  extending single-flight generation leadership across the fleet;
 * **telemetry aggregation** — per-worker registry dumps, timeseries
-  deltas and wide events arrive over the control pipes and are merged
-  with the existing ``sww-metrics/1`` / ``sww-timeseries/1`` plumbing.
-  The master serves them through the same
-  :class:`~repro.sww.admin.AdminPlane` a single process runs, on its own
-  listener, over these sources:
-
-  * ``/metrics`` — one OpenMetrics exposition for the whole fleet
-    (latest dump per live worker + final dumps of departed workers +
-    the master's own registry);
-  * ``/healthz`` — per-worker verdicts (alive, heartbeat age, stale)
-    and a fleet status;
-  * ``/debug/workers`` — pids, states, restart counts, per-worker
-    request/inflight/generation gauges, cache-tier stats;
-  * ``/debug/timeseries`` — ``merge_snapshots`` over every shipped
-    delta (same-worker deltas concatenate by tick index; cross-worker
-    points sum);
-  * ``/debug/events`` — the fleet's wide events, ordered by
-    ``(worker, seq)``.
-
+  deltas and wide events arrive over the control pipes. The same
+  :class:`~repro.sww.admin.AdminPlane` a single process runs serves them,
+  on its own listener: ``/metrics`` merges the latest dump per live
+  worker, the final dumps of departed workers and the master's own
+  registry; ``/healthz`` has per-worker verdicts; ``/debug/workers`` has
+  pids, states, restarts, per-worker gauges and cache-tier stats;
+  ``/debug/timeseries`` is ``merge_snapshots`` over every shipped delta;
+  ``/debug/events`` orders the fleet's wide events by ``(worker, seq)``.
   The plane's routes run on an executor thread, so every source copies
   the loop's containers before it reads them.
 
-Fork hygiene: the master forks from *inside its running event loop*
-(respawns happen in SIGCHLD handling), so the child must carefully shed
-inherited asyncio state — detach the "running" loop marker, clear the
-wakeup fd, restore default signal dispositions and close master-only
-fds — before ``asyncio.run`` builds its own loop. The master's signals
-stay blocked from before the fork until the child has reset them: one
-that landed earlier would run asyncio's inherited handler, which writes
-it to the wakeup fd the child still shares with the master. The child
-never returns: it exits via ``os._exit`` so the master's finalizers
+Fork hygiene: the master forks from *inside its running event loop*, so
+the child must shed inherited asyncio state — detach the "running" loop
+marker, clear the wakeup fd, restore default signal dispositions and
+close master-only fds — before ``asyncio.run`` builds its own loop. The
+master's signals stay blocked from before the fork until the child has
+reset them: one that landed earlier would run asyncio's inherited
+handler, which writes it to the wakeup fd the child still shares with
+the master. The child exits via ``os._exit`` so the master's finalizers
 never run twice.
 """
 
@@ -69,7 +51,7 @@ import socket
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.gencache.store import DEFAULT_GENCACHE_BYTES
 from repro.obs import (
@@ -84,23 +66,13 @@ from repro.obs import (
 from repro.serving.cachetier import CacheTierServer
 from repro.serving.h2util import MiniH2Server
 from repro.serving.protocol import FrameError, read_frame
+from repro.serving.supervisor import BOOT_FAILURE, Supervisor
 from repro.serving.worker import worker_main
 
 logger = logging.getLogger("repro.serving.arbiter")
 
-_CHILD_FAILURE_STATUS = 70  # EX_SOFTWARE; pre-empts "worker_main never ran"
-#: How long SIGTERMed workers get before SIGKILL: a session's default
-#: drain budget (``ServerSession.shutdown``) plus slack for the final flush.
-_DRAIN_WAIT_S = 35.0
 #: The signals the master's loop handles.
-_MASTER_SIGNALS = (
-    signal.SIGCHLD,
-    signal.SIGTERM,
-    signal.SIGINT,
-    signal.SIGTTIN,
-    signal.SIGTTOU,
-    signal.SIGHUP,
-)
+_MASTER_SIGNALS = (signal.SIGCHLD, signal.SIGTERM, signal.SIGINT, signal.SIGTTIN, signal.SIGTTOU, signal.SIGHUP)
 
 
 @dataclass
@@ -123,23 +95,6 @@ class ArbiterConfig:
     cache_capacity_bytes: int = DEFAULT_GENCACHE_BYTES
 
 
-@dataclass
-class _WorkerRecord:
-    worker_id: int
-    pid: int
-    pipe_fd: int
-    state: str = "starting"  # starting | live | retiring | killed
-    spawned_at: float = 0.0
-    last_heartbeat: float = 0.0
-    requests: int = 0
-    inflight: int = 0
-    connections: int = 0
-    generation_sim_s: float = 0.0
-    metrics_dump: dict | None = None
-    hello: asyncio.Event = field(default_factory=asyncio.Event)
-    reader_task: asyncio.Task | None = None
-
-
 class Arbiter:
     """Master process: fork/supervise workers, host tier + admin planes.
 
@@ -151,18 +106,14 @@ class Arbiter:
     def __init__(self, config: ArbiterConfig, runtime_factory) -> None:
         self.config = config
         self.runtime_factory = runtime_factory
+        self.supervisor = Supervisor(config.workers, config.worker_timeout_s)
         self.registry = MetricsRegistry()
         self.tier = CacheTierServer(config.cache_capacity_bytes, registry=self.registry)
         self._listen_sock: socket.socket | None = None
-        self._workers: dict[int, _WorkerRecord] = {}
         self._departed_dumps: deque[dict] = deque(maxlen=64)
         self._timeseries: deque[dict] = deque(maxlen=4096)
         self._events: deque[dict] = deque(maxlen=8192)
-        self._restarts = 0
-        self._exit_status = 0
-        self._stopping = False
-        self._stop = asyncio.Event()
-        self._next_worker_id = 0
+        self._readers: set[asyncio.Task] = set()
         self._master_fds: set[int] = set()
         self._started_at = 0.0
         # Imported here: repro.sww.admin imports this package's h2util.
@@ -179,16 +130,10 @@ class Arbiter:
     def run(self) -> int:
         return asyncio.run(self._amain())
 
-    @property
-    def port(self) -> int:
-        """The bound serving port (after :meth:`_amain` binds it)."""
-        if self._listen_sock is None:
-            return self.config.port
-        return self._listen_sock.getsockname()[1]
-
     async def _amain(self) -> int:
         loop = asyncio.get_running_loop()
         self._started_at = time.monotonic()
+        self._halted = loop.create_future()
         config = self.config
 
         self._listen_sock = self._bind(config.host, config.port, backlog=128)
@@ -201,45 +146,84 @@ class Arbiter:
         cache_server = await self.tier.server().serve(sock=cache_sock)
 
         admin_sock = self._bind(config.host, config.admin_port)
-        self.admin_address = admin_sock.getsockname()[:2]
+        admin_host, admin_port = admin_sock.getsockname()[:2]
         self._master_fds.add(admin_sock.fileno())
         admin_server = await MiniH2Server(self.admin.handle, registry=self.registry).serve(
             sock=admin_sock
         )
 
         print(f"sww arbiter serving on {host}:{port} workers={config.workers}", flush=True)
-        print(f"sww arbiter admin on {self.admin_address[0]}:{self.admin_address[1]}", flush=True)
-        print(
-            f"sww arbiter cache tier on {self.cache_address[0]}:{self.cache_address[1]}",
-            flush=True,
-        )
+        print(f"sww arbiter admin on {admin_host}:{admin_port}", flush=True)
+        print(f"sww arbiter cache tier on {self.cache_address[0]}:{self.cache_address[1]}", flush=True)
 
         loop.add_signal_handler(signal.SIGCHLD, self._on_sigchld)
-        loop.add_signal_handler(signal.SIGTERM, self._request_stop)
-        loop.add_signal_handler(signal.SIGINT, self._request_stop)
-        loop.add_signal_handler(signal.SIGTTIN, self._on_ttin)
-        loop.add_signal_handler(signal.SIGTTOU, self._on_ttou)
-        loop.add_signal_handler(signal.SIGHUP, self._on_hup)
-
-        for _ in range(config.workers):
-            await self._spawn(self._allocate_worker_id())
-        self._gauge_workers()
-
-        murder = asyncio.create_task(self._murder_loop())
+        for sig in _MASTER_SIGNALS[1:]:
+            loop.add_signal_handler(sig, self._dispatch, ("signal", sig.name))
+        self._tick()  # the first tick boots the fleet
         try:
-            await self._stop.wait()
+            status = await self._halted
         finally:
-            murder.cancel()
-            try:
-                await murder
-            except asyncio.CancelledError:
-                pass
-            await self._shutdown_fleet()
+            self._ticker.cancel()
             cache_server.close()
             admin_server.close()
             self._listen_sock.close()
         print("sww arbiter stopped", flush=True)
-        return self._exit_status
+        return status
+
+    # ------------------------------------------------------------------ #
+    # Events in, actions out
+    # ------------------------------------------------------------------ #
+
+    def _dispatch(self, event: tuple) -> None:
+        """Step the policy with ``event`` and carry out its actions."""
+        events, changed = [event], False
+        while events:
+            event = events.pop(0)
+            actions = self.supervisor.step(event, time.monotonic())
+            changed = changed or bool(actions) or event[0] == "exited"
+            for action in actions:
+                match action:
+                    case ("spawn", worker_id, restart):
+                        if restart:
+                            self.registry.counter(
+                                "serving_worker_restarts_total", "Workers respawned after unplanned exits",
+                                layer="serving", operation="respawn",
+                            ).inc()
+                        events.append(("forked", worker_id, self._fork(worker_id)))
+                    case ("kill", pid, name):
+                        logger.info("%s to worker pid %d", name, pid)
+                        try:
+                            os.kill(pid, signal.Signals[name])
+                        except ProcessLookupError:
+                            pass
+                    case ("halt", status, reason):
+                        if reason:
+                            print(f"sww arbiter halting: {reason}", flush=True)
+                        self._halted.set_result(status)
+        if changed:
+            live = sum(w.state in ("starting", "live") for w in self.supervisor.workers.values())
+            self.registry.gauge("serving_workers_size", "Live workers under the arbiter", layer="serving").set(live)
+
+    def _tick(self) -> None:
+        self._ticker = asyncio.get_running_loop().call_later(
+            max(self.config.heartbeat_interval_s, 0.1), self._tick
+        )
+        self._dispatch(("tick",))
+
+    def _on_sigchld(self) -> None:
+        """SIGCHLD: every exited child becomes an ``exited`` event."""
+        while True:
+            try:
+                pid, status = os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                return
+            if pid == 0:
+                return
+            record = self.supervisor.workers.get(pid)
+            if record is not None and record.metrics_dump is not None:
+                # Keep the dead worker's final counters in /metrics.
+                self._departed_dumps.append(record.metrics_dump)
+            self._dispatch(("exited", pid, os.waitstatus_to_exitcode(status)))
 
     # ------------------------------------------------------------------ #
     # Sockets & fork
@@ -254,13 +238,8 @@ class Arbiter:
         sock.setblocking(False)
         return sock
 
-    def _allocate_worker_id(self) -> int:
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
-        return worker_id
-
-    async def _spawn(self, worker_id: int) -> _WorkerRecord:
-        """Fork one worker; parent wires the control pipe, child serves."""
+    def _fork(self, worker_id: int) -> int:
+        """Fork one worker; the parent reads its control pipe, the child serves."""
         read_fd, write_fd = os.pipe()
         signal.pthread_sigmask(signal.SIG_BLOCK, _MASTER_SIGNALS)
         try:
@@ -270,22 +249,16 @@ class Arbiter:
         finally:
             signal.pthread_sigmask(signal.SIG_UNBLOCK, _MASTER_SIGNALS)
         os.close(write_fd)
-        record = _WorkerRecord(
-            worker_id=worker_id,
-            pid=pid,
-            pipe_fd=read_fd,
-            spawned_at=time.monotonic(),
-            last_heartbeat=time.monotonic(),
-        )
-        self._workers[pid] = record
         self._master_fds.add(read_fd)
-        record.reader_task = asyncio.create_task(self._read_pipe(record))
+        reader = asyncio.get_running_loop().create_task(self._read_pipe(pid, read_fd))
+        self._readers.add(reader)
+        reader.add_done_callback(self._readers.discard)
         print(f"sww arbiter worker {worker_id} pid {pid}", flush=True)
-        return record
+        return pid
 
     def _child(self, worker_id: int, read_fd: int, write_fd: int) -> None:
         """Post-fork hygiene, then the worker's own world. Never returns."""
-        status = _CHILD_FAILURE_STATUS
+        status = BOOT_FAILURE  # pre-empts "worker_main never ran"
         try:
             # The fork happened inside the master's *running* loop; shed
             # every trace of it so asyncio.run can build a fresh one.
@@ -321,214 +294,57 @@ class Arbiter:
     # Control pipe
     # ------------------------------------------------------------------ #
 
-    async def _read_pipe(self, record: _WorkerRecord) -> None:
+    async def _read_pipe(self, pid: int, fd: int) -> None:
         loop = asyncio.get_running_loop()
         reader = asyncio.StreamReader()
         protocol = asyncio.StreamReaderProtocol(reader)
-        pipe = os.fdopen(record.pipe_fd, "rb", buffering=0)
-        self._master_fds.discard(record.pipe_fd)
+        pipe = os.fdopen(fd, "rb", buffering=0)
+        self._master_fds.discard(fd)
         transport, _ = await loop.connect_read_pipe(lambda: protocol, pipe)
         try:
             while True:
                 try:
                     frame = await read_frame(reader)
                 except FrameError as exc:
-                    logger.warning("worker %d: bad control frame: %s", record.pid, exc)
+                    logger.warning("worker %d: bad control frame: %s", pid, exc)
                     break
                 if frame is None:
                     break
-                self._handle_frame(record, frame)
+                self._handle_frame(pid, frame)
         finally:
             transport.close()
 
-    def _handle_frame(self, record: _WorkerRecord, frame: dict) -> None:
+    def _handle_frame(self, pid: int, frame: dict) -> None:
         kind = frame.get("type")
-        now = time.monotonic()
+        if kind == "timeseries":
+            snapshot = frame.get("snapshot")
+            if snapshot:
+                self._timeseries.append(snapshot)
+            return
+        if kind == "events":
+            self._events.extend(frame.get("events", ()))
+            return
+        record = self.supervisor.workers.get(pid)
+        if record is None:
+            return  # already reaped
         if kind == "hello":
-            if record.state == "starting":
-                record.state = "live"
-            record.last_heartbeat = now
-            record.hello.set()
+            self._dispatch(("hello", pid))
         elif kind == "heartbeat":
-            record.last_heartbeat = now
             record.requests = int(frame.get("requests", 0))
             record.inflight = int(frame.get("inflight", 0))
             record.connections = int(frame.get("connections", 0))
             record.generation_sim_s = float(frame.get("generation_sim_s", 0.0))
-            self._count("heartbeat")
+            self.registry.counter(
+                "serving_heartbeats_total", "Worker control-pipe heartbeats received",
+                layer="serving", operation="heartbeat",
+            ).inc()
+            self._dispatch(("heartbeat", pid))
         elif kind == "metrics":
             record.metrics_dump = frame.get("dump")
-        elif kind == "timeseries":
-            snapshot = frame.get("snapshot")
-            if snapshot:
-                self._timeseries.append(snapshot)
-        elif kind == "events":
-            self._events.extend(frame.get("events", ()))
         elif kind == "bye":
             record.requests = int(frame.get("requests", record.requests))
-            record.generation_sim_s = float(
-                frame.get("generation_sim_s", record.generation_sim_s)
-            )
-            if record.state == "live":
-                # Self-initiated exit (max-requests recycle): the reap
-                # handler will respawn because the state is still live.
-                logger.info(
-                    "worker %d pid %d leaving (%s)",
-                    record.worker_id,
-                    record.pid,
-                    frame.get("exit", "?"),
-                )
-
-    # ------------------------------------------------------------------ #
-    # Signals & supervision
-    # ------------------------------------------------------------------ #
-
-    def _request_stop(self) -> None:
-        self._stopping = True
-        self._stop.set()
-
-    def _on_sigchld(self) -> None:
-        asyncio.get_running_loop().create_task(self._reap())
-
-    def _on_ttin(self) -> None:
-        if self._stopping:
-            return
-        asyncio.get_running_loop().create_task(self._scale_up())
-
-    def _on_ttou(self) -> None:
-        asyncio.get_running_loop().create_task(self._retire_newest())
-
-    def _on_hup(self) -> None:
-        if self._stopping:
-            return
-        asyncio.get_running_loop().create_task(self._rolling_reload())
-
-    async def _scale_up(self) -> None:
-        await self._spawn(self._allocate_worker_id())
-        self._gauge_workers()
-
-    async def _retire_newest(self) -> None:
-        live = [r for r in self._workers.values() if r.state in ("starting", "live")]
-        if len(live) <= 1:
-            return  # never drain the last worker via scale-down
-        newest = max(live, key=lambda r: r.worker_id)
-        newest.state = "retiring"
-        # A worker installs its signal handlers before it ships hello; a
-        # SIGTERM delivered in the fork window would hit the inherited
-        # (master) handler and be swallowed. Wait for hello, then drain.
-        try:
-            await asyncio.wait_for(newest.hello.wait(), self.config.worker_timeout_s)
-        except asyncio.TimeoutError:
-            self._kill(newest.pid, signal.SIGKILL)
-            return
-        self._kill(newest.pid, signal.SIGTERM)
-
-    async def _rolling_reload(self) -> None:
-        """SIGHUP: replace every worker one at a time, capacity intact."""
-        for pid in list(self._workers):
-            old = self._workers.get(pid)
-            if old is None or old.state not in ("starting", "live"):
-                continue
-            replacement = await self._spawn(self._allocate_worker_id())
-            try:
-                await asyncio.wait_for(
-                    replacement.hello.wait(), self.config.worker_timeout_s
-                )
-            except asyncio.TimeoutError:
-                logger.warning("reload: replacement worker never said hello")
-            if self._stopping:
-                return
-            old.state = "retiring"
-            try:  # same fork-window guard as _retire_newest
-                await asyncio.wait_for(old.hello.wait(), self.config.worker_timeout_s)
-            except asyncio.TimeoutError:
-                self._kill(old.pid, signal.SIGKILL)
-                continue
-            self._kill(old.pid, signal.SIGTERM)
-        self._gauge_workers()
-
-    async def _reap(self) -> None:
-        while True:
-            try:
-                pid, status = os.waitpid(-1, os.WNOHANG)
-            except ChildProcessError:
-                return
-            if pid == 0:
-                return
-            record = self._workers.pop(pid, None)
-            if record is None:
-                continue
-            if record.metrics_dump is not None:
-                # Keep the dead worker's final counters in /metrics.
-                self._departed_dumps.append(record.metrics_dump)
-            if (
-                not self._stopping
-                and record.state == "starting"
-                and os.waitstatus_to_exitcode(status) == _CHILD_FAILURE_STATUS
-            ):
-                # It raised before its hello; a respawn would fail the
-                # same way, forever. (A signal during boot still respawns.)
-                print(
-                    f"sww arbiter halting: worker {record.worker_id} pid {pid} "
-                    f"failed to boot (exit status {_CHILD_FAILURE_STATUS})",
-                    flush=True,
-                )
-                self._exit_status = _CHILD_FAILURE_STATUS
-                self._request_stop()
-            respawn = not self._stopping and record.state in ("starting", "live", "killed")
-            logger.info(
-                "reaped worker %d pid %d (state=%s, respawn=%s)",
-                record.worker_id,
-                pid,
-                record.state,
-                respawn,
-            )
-            if respawn:
-                self._restarts += 1
-                self._count("respawn", name="serving_worker_restarts_total",
-                            help="Workers respawned after unplanned exits")
-                await self._spawn(record.worker_id)
-            self._gauge_workers()
-
-    async def _murder_loop(self) -> None:
-        """SIGKILL workers whose heartbeat went stale (wedged loop)."""
-        interval = max(self.config.heartbeat_interval_s, 0.1)
-        while True:
-            await asyncio.sleep(interval)
-            now = time.monotonic()
-            for record in list(self._workers.values()):
-                if record.state not in ("starting", "live"):
-                    continue
-                if now - record.last_heartbeat > self.config.worker_timeout_s:
-                    logger.warning(
-                        "worker %d pid %d heartbeat stale (%.1fs); killing",
-                        record.worker_id,
-                        record.pid,
-                        now - record.last_heartbeat,
-                    )
-                    record.state = "killed"
-                    self._kill(record.pid, signal.SIGKILL)
-
-    async def _shutdown_fleet(self) -> None:
-        for record in self._workers.values():
-            self._kill(record.pid, signal.SIGTERM)
-        deadline = time.monotonic() + _DRAIN_WAIT_S
-        while self._workers and time.monotonic() < deadline:
-            await asyncio.sleep(0.05)
-            await self._reap()
-        for record in list(self._workers.values()):
-            logger.warning("worker pid %d ignored drain; SIGKILL", record.pid)
-            self._kill(record.pid, signal.SIGKILL)
-        while self._workers:
-            await asyncio.sleep(0.05)
-            await self._reap()
-
-    @staticmethod
-    def _kill(pid: int, sig: int) -> None:
-        try:
-            os.kill(pid, sig)
-        except ProcessLookupError:
-            pass
+            record.generation_sim_s = float(frame.get("generation_sim_s", record.generation_sim_s))
+            logger.info("worker %d pid %d leaving (%s)", record.worker_id, pid, frame.get("exit", "?"))
 
     # ------------------------------------------------------------------ #
     # Admin plane sources (read on an executor thread)
@@ -538,7 +354,7 @@ class Arbiter:
         dumps = list(self._departed_dumps)
         dumps.extend(
             record.metrics_dump
-            for record in list(self._workers.values())
+            for record in list(self.supervisor.workers.values())
             if record.metrics_dump is not None
         )
         merged = merge_registry_dumps(dumps)
@@ -550,7 +366,7 @@ class Arbiter:
     def healthz(self) -> dict:
         """The fleet's ``/healthz`` document: per-worker verdicts."""
         now = time.monotonic()
-        records = sorted(self._workers.values(), key=lambda r: r.worker_id)
+        records = sorted(self.supervisor.workers.values(), key=lambda r: r.worker_id)
         workers = []
         stale = 0
         for record in records:
@@ -575,7 +391,7 @@ class Arbiter:
             "workers": workers,
             "live": live,
             "stale": stale,
-            "restarts": self._restarts,
+            "restarts": self.supervisor.restarts,
             "uptime_s": round(now - self._started_at, 3),
         }
 
@@ -596,9 +412,9 @@ class Arbiter:
                     "connections": record.connections,
                     "generation_sim_s": record.generation_sim_s,
                 }
-                for record in sorted(self._workers.values(), key=lambda r: r.worker_id)
+                for record in sorted(self.supervisor.workers.values(), key=lambda r: r.worker_id)
             ],
-            "restarts": self._restarts,
+            "restarts": self.supervisor.restarts,
             "events_buffered": len(self._events),
             "timeseries_deltas": len(self._timeseries),
             "cache_tier": {
@@ -612,26 +428,6 @@ class Arbiter:
                 "flights": len(self.tier._flights),
             },
         }
-
-    # ------------------------------------------------------------------ #
-    # Master metrics
-    # ------------------------------------------------------------------ #
-
-    def _gauge_workers(self) -> None:
-        live = sum(1 for r in self._workers.values() if r.state in ("starting", "live"))
-        self.registry.gauge(
-            "serving_workers_size",
-            "Live workers under the arbiter",
-            layer="serving",
-        ).set(live)
-
-    def _count(
-        self,
-        operation: str,
-        name: str = "serving_heartbeats_total",
-        help: str = "Worker control-pipe heartbeats received",
-    ) -> None:
-        self.registry.counter(name, help, layer="serving", operation=operation).inc()
 
 
 class _Shipped:

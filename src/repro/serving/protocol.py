@@ -15,7 +15,7 @@ Frame types (all carry ``worker``, the sender's pid):
 * ``hello`` — first frame after fork: ``{worker_id, pid}``;
 * ``heartbeat`` — periodic liveness + cheap gauges (``requests``,
   ``inflight``, ``connections``, ``generation_sim_s``); the master's
-  murder loop SIGKILLs a worker whose last heartbeat is older than the
+  supervisor SIGKILLs a worker whose last heartbeat is older than the
   worker timeout;
 * ``metrics`` — full ``sww-metrics/1`` registry dump (replaces the
   previous one; the master merges the latest dump from every worker);

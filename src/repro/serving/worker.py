@@ -32,8 +32,9 @@ Each heartbeat interval the worker ships, over its control pipe:
 
 Frames are written on the event loop through an asyncio pipe transport,
 never through the thread pool that generation shares: a heartbeat then
-proves exactly what the master's murder loop tests — that this worker's
-event loop still turns — however many requests are blocked in the pool.
+proves exactly what the master's stale-heartbeat rule tests — that this
+worker's event loop still turns — however many requests are blocked in
+the pool.
 
 On SIGTERM the worker stops accepting at once, drains every live session via
 :meth:`~repro.sww.server.ServerSession.shutdown` (in-flight streams

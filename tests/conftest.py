@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.devices import LAPTOP, WORKSTATION
 from repro.genai.pipeline import GenerationPipeline
@@ -44,3 +45,8 @@ def workstation_pipeline() -> GenerationPipeline:
 @pytest.fixture(scope="session")
 def landscape_prompt() -> str:
     return "a landscape photograph of a snowcapped range above an alpine lake, in soft morning light with long shadows"
+
+
+# The supervision policy's long sweep (a separate CI job) runs with
+# ``--hypothesis-profile=sweep``; tier-1 keeps hypothesis' default count.
+settings.register_profile("sweep", max_examples=20_000, deadline=None, print_blob=True)

@@ -298,49 +298,6 @@ def test_worker_that_cannot_boot_halts_the_arbiter():
     assert done.stdout.rstrip().endswith("sww arbiter stopped")
 
 
-def test_kill9_during_boot_still_respawns():
-    """A signal is not a boot error: a worker killed before its hello is
-    respawned like any other."""
-    proc = ArbiterProcess(command=serve_whose_workers_first("time.sleep(2.0)"))
-    try:
-        victim = proc.worker_pids[0]
-        states = {w["pid"]: w["state"] for w in proc.admin_json("/debug/workers")["workers"]}
-        assert states[victim] == "starting"
-        os.kill(victim, signal.SIGKILL)
-        proc.wait_for(
-            lambda: proc.admin_json("/healthz")["restarts"] == 1,
-            timeout_s=10,
-            message="worker killed during boot was not respawned",
-        )
-        proc.wait_for(
-            lambda: {w["state"] for w in proc.admin_json("/debug/workers")["workers"]} == {"live"},
-            timeout_s=15,
-            message="respawned worker never booted",
-        )
-        assert proc.proc.poll() is None
-        assert victim not in _live_pids(proc.admin_json("/debug/workers"))
-    finally:
-        proc.close()
-
-
-def test_stale_heartbeat_kill_respawns_the_worker():
-    """A worker whose loop is wedged past ``--worker-timeout`` is SIGKILLed
-    and replaced: the fleet keeps its size."""
-    proc = ArbiterProcess(
-        ["--worker-timeout", "0.5"], command=serve_whose_workers_first("time.sleep(30.0)")
-    )
-    try:
-
-        def replaced():
-            doc = proc.admin_json("/debug/workers")
-            live = _live_pids(doc)
-            return doc["restarts"] >= 2 and len(live) == 2 and not live & set(proc.worker_pids)
-
-        proc.wait_for(replaced, timeout_s=10, message="wedged workers were never replaced")
-    finally:
-        proc.close()
-
-
 def test_heartbeats_do_not_wait_behind_a_blocked_thread_pool():
     """Every default-executor thread busy for 3 s (three worker timeouts)
     must not stop a worker's heartbeats: its event loop is free, and that

@@ -31,8 +31,8 @@ async def main():
     loop = asyncio.get_running_loop()
     seen = []
     loop.add_signal_handler(signal.SIGTERM, seen.append, "SIGTERM")
-    record = await Arbiter(ArbiterConfig(), runtime_factory=None)._spawn(0)
-    _pid, status = await loop.run_in_executor(None, os.waitpid, record.pid, 0)
+    pid = Arbiter(ArbiterConfig(), runtime_factory=None)._fork(0)
+    _pid, status = await loop.run_in_executor(None, os.waitpid, pid, 0)
     await asyncio.sleep(0.2)  # a wakeup byte, had one been written, is read by now
     print(os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGTERM, seen)
 

@@ -8,7 +8,8 @@ import pytest
 
 from repro.obs import MetricsRegistry, TimeSeriesSampler, dump_registry
 from repro.serving import arbiter as arbiter_module
-from repro.serving.arbiter import Arbiter, ArbiterConfig, _WorkerRecord
+from repro.serving.arbiter import Arbiter, ArbiterConfig
+from repro.serving.supervisor import Worker
 
 #: sha256 of each route's body for the shipments below, with the clock
 #: stopped: scrapers read these documents, so their bytes are pinned.
@@ -45,11 +46,12 @@ def master(monkeypatch):
     master.cache_address = ("127.0.0.1", 4242)
     master._started_at = 990.0
     master.registry.counter("serving_heartbeats_total", "hb", layer="serving", operation="heartbeat").inc(4)
+    # Both records first: the supervisor spawns for any worker it misses.
     for worker in (1, 0):
-        record = _WorkerRecord(
-            worker_id=worker, pid=100 + worker, pipe_fd=-1, spawned_at=995.0, last_heartbeat=998.5
+        master.supervisor.workers[100 + worker] = Worker(
+            worker_id=worker, pid=100 + worker, generation=0, spawned_at=995.0, last_heartbeat=998.5
         )
-        master._workers[record.pid] = record
+    for worker in (1, 0):
         dump, snapshot, events = _shipments(worker)
         for frame in (
             {"type": "hello"},
@@ -58,7 +60,7 @@ def master(monkeypatch):
             {"type": "timeseries", "snapshot": snapshot},
             {"type": "events", "events": list(reversed(events))},
         ):
-            master._handle_frame(record, frame)
+            master._handle_frame(100 + worker, frame)
     master._departed_dumps.append(_shipments(7)[0])
     return master
 
