@@ -134,7 +134,6 @@ def test_batched_throughput_vs_sequential(benchmark):
             ["batches executed", "-", stats.batches],
             ["mean batch size", "-", f"{stats.mean_batch:.1f}"],
             ["largest batch", "-", stats.largest_batch],
-            ["coalesced in flight", "-", stats.coalesced],
             ["saved simulated time", "-", f"{stats.saved_sim_s:.1f} s"],
         ],
     )
@@ -165,7 +164,6 @@ def test_batched_throughput_vs_sequential(benchmark):
         batches=stats.batches,
         mean_batch=round(stats.mean_batch, 3),
         largest_batch=stats.largest_batch,
-        coalesced=stats.coalesced,
         saved_sim_s=round(stats.saved_sim_s, 3),
         max_batch=MAX_BATCH,
         batch_wait_s=BATCH_WAIT_S,

@@ -24,8 +24,8 @@ unaffected: every batched output is byte-identical to the solo path, and
 a batch of one is identical in simulated time and energy too, so the
 cold Fig. 2 / Table 2 numbers never move.
 
-Single-flight composes with batching: duplicate content keys coalesce
-onto one in-flight future *before* admission, then distinct keys batch.
+The engine only batches: duplicate content keys coalesce before they
+reach it, onto the media generator's flight (with a cache attached).
 """
 
 from repro.batching.engine import (

@@ -11,9 +11,8 @@ start on the process-wide encode pool
 (:func:`repro.genai.image.encode_png_async`) so the next batch does not
 wait for compression.
 
-Admission composes with single-flight: a request submitted with a
-content key that is already in flight does not enter the queue at all —
-it shares the in-flight future and rides the leader's batch lane.
+The engine only batches: every request runs in a lane. Duplicates
+coalesce before admission, in :mod:`repro.sww.media_generator`.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ class EngineStats:
     """Cumulative admission/execution counters (lock-guarded by the engine)."""
 
     requests: int = 0
-    coalesced: int = 0
     batches: int = 0
     batched_items: int = 0
     largest_batch: int = 0
@@ -79,7 +77,6 @@ class _PendingRequest:
     seed: int | None
     slot: BatchSlot
     future: Future = field(default_factory=Future)
-    key: object | None = None
     enqueued_at: float = 0.0
 
 
@@ -115,7 +112,6 @@ class BatchingEngine:
         #: wide event can record which batch its generation rode.
         self._batch_seq = 0
         self._queue: deque[_PendingRequest] = deque()
-        self._inflight: dict[object, Future] = {}
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._closed = False
@@ -134,15 +130,11 @@ class BatchingEngine:
         height: int = 256,
         steps: int | None = None,
         seed: int | None = None,
-        key: object | None = None,
     ) -> Future:
         """Queue one image request; returns a future of :class:`ImageResult`.
 
         Validation happens at submit time so bad requests fail in the
-        caller, not on the dispatcher. ``key`` (any hashable — callers
-        pass the content-addressed :class:`~repro.gencache.GenerationKey`)
-        enables single-flight coalescing: a duplicate of an in-flight key
-        shares that request's future instead of entering the queue.
+        caller, not on the dispatcher.
         """
         if width < GRID or height < GRID:
             raise ValueError(f"minimum generatable size is {GRID}x{GRID}")
@@ -153,25 +145,18 @@ class BatchingEngine:
         with self._cond:
             if self._closed:
                 raise RuntimeError("BatchingEngine is closed")
-            if key is not None:
-                shared = self._inflight.get(key)
-                if shared is not None:
-                    self.stats.coalesced += 1
-                    self._count_request("coalesced")
-                    return shared
             pending = _PendingRequest(
-                model=model,
-                prompt=prompt,
-                seed=seed,
-                slot=slot,
-                key=key,
-                enqueued_at=time.perf_counter(),
+                model=model, prompt=prompt, seed=seed, slot=slot, enqueued_at=time.perf_counter()
             )
-            if key is not None:
-                self._inflight[key] = pending.future
             self._queue.append(pending)
             self.stats.requests += 1
-            self._count_request("admitted")
+            if self.registry.enabled:
+                self.registry.counter(
+                    "batching_requests_total",
+                    "Generation requests admitted to the batching engine",
+                    layer="batching",
+                    operation="admitted",
+                ).inc()
             self._cond.notify_all()
         return pending.future
 
@@ -183,10 +168,9 @@ class BatchingEngine:
         height: int = 256,
         steps: int | None = None,
         seed: int | None = None,
-        key: object | None = None,
     ) -> ImageResult:
         """Blocking convenience wrapper around :meth:`submit_image`."""
-        return self.submit_image(model, prompt, width, height, steps, seed, key).result()
+        return self.submit_image(model, prompt, width, height, steps, seed).result()
 
     # ----------------------------------------------------------- dispatcher
 
@@ -271,14 +255,12 @@ class BatchingEngine:
                 record.finish(error=type(exc).__name__)
                 for pending in group:
                     pending.future.set_exception(exc)
-                self._forget_keys(group)
                 return
             span.annotate(outcome="ok", share=share)
         record.set(sim_time_s=results[0].sim_time_s * size)
         record.finish(status=200)
         for pending, result in zip(group, results):
             pending.future.set_result(result)
-        self._forget_keys(group)
         solo_s = slot.steps * group[0].model.step_time(self.device, slot.width, slot.height)
         saved = (solo_s - results[0].sim_time_s) * size
         with self._lock:
@@ -292,12 +274,6 @@ class BatchingEngine:
         # idempotent, so a consumer asking first costs nothing).
         for result in results:
             result.png_future()
-
-    def _forget_keys(self, group: list[_PendingRequest]) -> None:
-        with self._lock:
-            for pending in group:
-                if pending.key is not None:
-                    self._inflight.pop(pending.key, None)
 
     # -------------------------------------------------------------- closing
 
@@ -317,15 +293,6 @@ class BatchingEngine:
         self.close()
 
     # ---------------------------------------------------------- observation
-
-    def _count_request(self, operation: str) -> None:
-        if self.registry.enabled:
-            self.registry.counter(
-                "batching_requests_total",
-                "Generation requests offered to the batching engine",
-                layer="batching",
-                operation=operation,
-            ).inc()
 
     def _observe_admission(self, group: list[_PendingRequest], now: float) -> None:
         if not self.registry.enabled:

@@ -236,7 +236,7 @@ class EdgeNode:
             edge_span.annotate(gencache="hit")
             return self.gencache.hit_time_s, 0.0, True
         edge_span.annotate(gencache="miss")
-        generation = self._materialise(item, gkey)
+        generation = self._materialise(item)
         self.gencache.insert(
             gkey,
             payload=generation.png_bytes(),
@@ -246,11 +246,11 @@ class EdgeNode:
         )
         return generation.sim_time_s, generation.energy_wh, False
 
-    def _materialise(self, item: CatalogItem, gkey=None):
+    def _materialise(self, item: CatalogItem):
         """Run one on-edge generation, micro-batched when an engine is set."""
         if self.engine is not None:
             return self.engine.generate_image(
-                self.model, item.prompt, item.width, item.height, self.steps, key=gkey
+                self.model, item.prompt, item.width, item.height, self.steps
             )
         return generate_image(
             self.model,

@@ -16,7 +16,7 @@ byte- and second-identical to the seed behaviour.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cdn.cache import CacheEntry, EdgeCache
 from repro.gencache.key import GenerationKey
@@ -42,6 +42,8 @@ class CachedGeneration:
     #: What the original (cold) generation cost in simulated seconds/Wh.
     sim_time_s: float
     energy_wh: float
+    #: The lookup rode another worker's flight (the tier answered ``coalesced``).
+    coalesced: bool = False
 
 
 @dataclass
@@ -50,8 +52,8 @@ class GenCacheStats:
 
     hits: int = 0
     misses: int = 0
-    #: Duplicates that rode a generation still in flight (a page item onto
-    #: a pending engine kernel; a tier lookup parked on another worker's).
+    #: Duplicates that rode a generation still in flight (an item onto its
+    #: media generator's flight; a tier lookup parked on another worker's).
     coalesced: int = 0
     insertions: int = 0
     rejected: int = 0

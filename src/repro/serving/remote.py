@@ -31,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import threading
+from dataclasses import replace
 
 from repro.gencache.store import HIT_LOOKUP_TIME_S, CachedGeneration, GenCacheStats
 from repro.http2.connection import H2Connection, Role
@@ -93,13 +94,13 @@ class RemoteGenerationCache:
         except ValueError as exc:
             self._degraded("decode", exc)
             return None
-        outcome = dict(response.headers).get(b"x-sww-cache", b"hit")
+        coalesced = dict(response.headers).get(b"x-sww-cache") == b"coalesced"
         with self._stats_lock:
-            if outcome == b"coalesced":
+            if coalesced:
                 self.stats.coalesced += 1
             else:
                 self.stats.hits += 1
-        return record
+        return replace(record, coalesced=True) if coalesced else record
 
     def insert(
         self,

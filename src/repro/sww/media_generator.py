@@ -27,16 +27,18 @@ hands the pixels to the shared PNG encode pool
 admits the image to the engine's window, so one thread fills a batch.
 :meth:`~MediaGenerator.complete` waits for what is outstanding.
 ``generate`` is the two back to back.
+With a cache attached it is also the process's one flight table, so
+every item lands in exactly one ledger outcome: hit, miss or coalesced.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.devices.profiles import DeviceProfile
-from repro.gencache import GenerationCache, GenerationKey, key_for_item
+from repro.gencache import CachedGeneration, GenerationCache, GenerationKey, key_for_item
 from repro.genai.image import encode_png_async
 from repro.genai.ollama_api import OllamaClient, OllamaEndpoint
 from repro.genai.pipeline import GenerationPipeline
@@ -77,13 +79,19 @@ class PendingGeneration:
     kernel: Future | None = None
     #: Where ``complete`` memoises an engine-backed result (None: no cache).
     key: GenerationKey | None = None
+    #: The flight for ``key`` this item leads; ``_book`` resolves it.
+    lead: Future | None = None
+    #: The flight this item joined instead; ``complete`` books it.
+    joined: Future | None = None
 
-    def settle(self) -> None:
-        """Wait until nothing this item started is still running; never raises."""
+    def settle(self, error: BaseException) -> None:
+        """Wait until nothing this item started still runs, then fail its unlanded lead; never raises."""
         if self.kernel is not None and self.kernel.exception() is None:  # blocks until done
             self.encode = self.kernel.result().png_future()
         if self.encode is not None:
             wait([self.encode])
+        if self.lead is not None and not self.lead.done():
+            self.lead.set_exception(error)
 
 
 class MediaGenerator:
@@ -119,6 +127,8 @@ class MediaGenerator:
         #: bytes); the client provides these before page processing.
         self.asset_sources: dict[str, bytes] = {}
         self._lock = threading.Lock()
+        #: Key → the future of its generation, while one is in flight here.
+        self._flights: dict[GenerationKey, Future] = {}
         # The Ollama endpoint reports energy via a last-call attribute, so
         # the text round-trip and its energy read must not interleave.
         self._text_lock = threading.Lock()
@@ -131,18 +141,11 @@ class MediaGenerator:
     def device(self) -> DeviceProfile:
         return self.pipeline.device
 
-    def content_key(self, item: GeneratedContent) -> GenerationKey | None:
-        """The item's content-addressed identity (None for upscale items,
-        whose inputs are not metadata-addressable)."""
-        return key_for_item(
-            item, self.pipeline.image_model.name, self.pipeline.text_model.name
-        )
-
     def cache_key(self, item: GeneratedContent) -> GenerationKey | None:
-        """Like :meth:`content_key`, but None when no cache is attached."""
+        """The item's content-addressed identity; None without a cache, or for an upscale item."""
         if self.cache is None:
             return None
-        return self.content_key(item)
+        return key_for_item(item, self.pipeline.image_model.name, self.pipeline.text_model.name)
 
     def generate(self, item: GeneratedContent) -> GenerationOutput:
         """Parse the item's metadata and invoke the right subroutine."""
@@ -157,20 +160,39 @@ class MediaGenerator:
         With an engine attached an image is only admitted here; its cost
         is known, and booked, when ``complete`` collects the batch.
 
-        Consults the generation cache first when one is attached: a hit
-        returns the memoised bytes at lookup cost and skips the
-        subroutine entirely.
+        With a cache attached, an item whose key is in flight here joins
+        that flight; otherwise it leads the key and consults the cache
+        (outside the lock: a tier lookup may park).
         """
         key = self.cache_key(item)
-        if key is not None:
-            hit = self._from_cache(key, item)
-            if hit is not None:
-                return PendingGeneration(hit)
+        if key is None:
+            return self._start(item)
+        with self._lock:
+            flight = self._flights.get(key)
+            if flight is not None:
+                return PendingGeneration(GenerationOutput(item, b"", "", 0.0, 0.0), joined=flight)
+            self._flights[key] = flight = Future()
+        flight.add_done_callback(lambda _flight: self._land(key))
+        try:
+            with self.pipeline.tracer.span("gencache.get", key=key.digest) as span:
+                record = self.cache.lookup(key)
+                span.annotate(outcome="hit" if record is not None else "miss")
+            if record is None:
+                annotate_current(gencache_outcome="miss")
+                return self._start(item, key, flight)
+            flight.set_result(record)
+            return PendingGeneration(self._reuse(item, record, record.coalesced))
+        except BaseException as exc:
+            if not flight.done():
+                flight.set_exception(exc)
+            raise
+
+    def _start(self, item: GeneratedContent, key: GenerationKey | None = None, lead=None) -> PendingGeneration:
         if item.content_type == ContentType.IMAGE:
             pending = self._generate_image(item)
         else:
             pending = PendingGeneration(self._generate_text(item))
-        pending.key = key
+        pending.key, pending.lead = key, lead
         if pending.kernel is None:
             if key is not None:
                 # The insert reads the bytes, so with a cache attached each
@@ -181,22 +203,31 @@ class MediaGenerator:
         return pending
 
     def complete(self, pending: PendingGeneration) -> GenerationOutput:
-        """Wait for what the item still has in flight; re-raises its error."""
+        """Wait for what the item still has in flight; re-raises its (or its leader's) error."""
+        if pending.joined is not None:
+            record, pending.joined = pending.joined.result(), None
+            self.cache.record_coalesced(record.sim_time_s, record.energy_wh)
+            pending.output = self._reuse(pending.output.item, record, coalesced=True)
+            return pending.output
         output = pending.output
         kernel = pending.kernel
-        if kernel is not None:
-            result = kernel.result()
-            pending.kernel = None
-            # The engine stamped the batch this generation rode onto the
-            # future before resolving it; surface it on the request event.
-            batch_id = getattr(kernel, "batch_id", None)
-            if batch_id is not None:
-                annotate_current(batch_id=batch_id, batch_size=getattr(kernel, "batch_size", 1))
-            output.sim_time_s, output.energy_wh = result.sim_time_s, result.energy_wh
-            pending.encode = result.png_future()
-        if pending.encode is not None:
-            encode, pending.encode = pending.encode, None
-            output.payload = encode.result()
+        try:
+            if kernel is not None:
+                result = kernel.result()
+                pending.kernel = None
+                # The engine stamped the batch this generation rode onto the
+                # future before resolving it; surface it on the request event.
+                batch_id = getattr(kernel, "batch_id", None)
+                if batch_id is not None:
+                    annotate_current(batch_id=batch_id, batch_size=getattr(kernel, "batch_size", 1))
+                output.sim_time_s, output.energy_wh = result.sim_time_s, result.energy_wh
+                pending.encode = result.png_future()
+            if pending.encode is not None:
+                encode, pending.encode = pending.encode, None
+                output.payload = encode.result()
+        except BaseException as exc:
+            pending.settle(exc)  # its joiners raise it too
+            raise
         if kernel is not None:
             self._book(pending)
         return output
@@ -212,19 +243,23 @@ class MediaGenerator:
                 sim_time_s=output.sim_time_s,
                 energy_wh=output.energy_wh,
             )
+            # Stored or not, the joiners get the generation.
+            record = CachedGeneration(pending.key, output.payload, output.text, output.sim_time_s, output.energy_wh)
+            pending.lead.set_result(record)
         self._account(output)
 
-    def _from_cache(self, key: GenerationKey, item: GeneratedContent) -> GenerationOutput | None:
-        """Try the content-addressed store; returns a hit output or None."""
-        tracer = self.pipeline.tracer
-        with tracer.span("gencache.get", key=key.digest) as span:
-            record = self.cache.lookup(key)
-            span.annotate(outcome="hit" if record is not None else "miss")
-        if record is None:
-            annotate_current(gencache_outcome="miss")
-            return None
-        annotate_current(gencache_outcome="hit")
-        add_current(gencache_hits=1)
+    def _land(self, key: GenerationKey) -> None:
+        with self._lock:
+            del self._flights[key]
+
+    def _reuse(self, item: GeneratedContent, record: CachedGeneration, coalesced: bool) -> GenerationOutput:
+        """Book an item answered at lookup cost: a hit, or a duplicate of a generation in flight."""
+        if coalesced:
+            annotate_current(gencache_outcome="coalesced")
+            add_current(gencache_coalesced=1)
+        else:
+            annotate_current(gencache_outcome="hit")
+            add_current(gencache_hits=1)
         output = GenerationOutput(
             item=item,
             payload=record.payload,
@@ -233,30 +268,7 @@ class MediaGenerator:
             energy_wh=0.0,
             asset_path=self._asset_path(item),
             cache_hit=True,
-        )
-        self._account(output, hit=True)
-        return output
-
-    def adopt_coalesced(self, item: GeneratedContent, leader: GenerationOutput) -> GenerationOutput:
-        """Rebind a leader's in-flight result to a coalesced duplicate.
-
-        The duplicate pays lookup cost, not step cost; the avoided cost is
-        booked against the cache's coalesced counters when a cache is
-        attached (single-flight works with or without one).
-        """
-        hit_time = self.cache.hit_time_s if self.cache is not None else 0.0
-        if self.cache is not None:
-            self.cache.record_coalesced(leader.sim_time_s, leader.energy_wh)
-        annotate_current(gencache_outcome="coalesced")
-        add_current(gencache_coalesced=1)
-        output = replace(
-            leader,
-            item=item,
-            sim_time_s=hit_time,
-            energy_wh=0.0,
-            asset_path=self._asset_path(item),
-            cache_hit=True,
-            coalesced=True,
+            coalesced=coalesced,
         )
         self._account(output, hit=True)
         return output
@@ -288,9 +300,7 @@ class MediaGenerator:
         # pipeline still accounts the invocation (preload/reload semantics
         # are a device property, not a batching one).
         self.pipeline.note_invocation()
-        kernel = self.engine.submit_image(
-            model, item.prompt, item.width, item.height, steps, seed, key=self.content_key(item)
-        )
+        kernel = self.engine.submit_image(model, item.prompt, item.width, item.height, steps, seed)
         return PendingGeneration(self._image_output(item), kernel=kernel)
 
     def _image_output(self, item: GeneratedContent, result=None) -> GenerationOutput:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from repro.html.dom import Document, Element, Text
 from repro.sww.content import CSS_CLASS, ContentError, ContentType, GeneratedContent
-from repro.gencache import GenerationKey
 from repro.sww.media_generator import GenerationOutput, MediaGenerator, PendingGeneration
 
 
@@ -96,37 +95,20 @@ class PageProcessor:
         Solo, each kernel runs inside ``begin`` and its PNG encode overlaps
         the kernels after it; with a batching engine ``begin`` only admits
         the image, so this one thread fills the engine's window. An item
-        whose content key matches an earlier item of this page that is
-        still waiting on the engine rides that kernel instead of starting
-        (checked before ``begin``, so the duplicate never touches the
-        cache and lands in exactly one ledger outcome). A kernel's or an
-        encode's exception leaves as itself, once nothing this page
-        started is still running.
+        whose key is in flight, from this page or another, joins that
+        flight in the generator. A kernel's or an encode's exception
+        leaves as itself, once nothing this page started is still running
+        and every flight it leads has failed.
         """
-        generator = self.generator
-        batched = generator.engine is not None
-        #: Per item: the handle it waits on, and whether that is another item's.
-        handles: list[tuple[PendingGeneration, bool]] = []
-        in_flight: dict[GenerationKey, PendingGeneration] = {}
+        handles: list[PendingGeneration] = []
         try:
             for item in items:
-                key = generator.content_key(item) if batched else None
-                leader = in_flight.get(key)
-                if leader is not None:
-                    handles.append((leader, True))
-                    continue
-                handle = generator.begin(item)
-                if key is not None and handle.kernel is not None:
-                    in_flight[key] = handle
-                handles.append((handle, False))
-            outputs = []
-            for item, (handle, rides) in zip(items, handles):
-                output = generator.complete(handle)
-                outputs.append(generator.adopt_coalesced(item, output) if rides else output)
-            return outputs
-        finally:
-            for handle, _rides in handles:
-                handle.settle()
+                handles.append(self.generator.begin(item))
+            return [self.generator.complete(handle) for handle in handles]
+        except BaseException as exc:
+            for handle in handles:
+                handle.settle(exc)
+            raise
 
     @staticmethod
     def _rewrite_image(element: Element, item: GeneratedContent, output: GenerationOutput) -> None:

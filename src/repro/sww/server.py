@@ -712,7 +712,7 @@ class ServerSession:
             # or waits runs off the loop so other streams — and other
             # connections — keep flowing; concurrent materialisations meet
             # in the page table, the BatchingEngine window and the
-            # gencache single-flight.
+            # media generator's flight.
             if request.route.answer is None:
                 self.driver.spawn(self._serve_off_loop(request))
                 return

@@ -68,20 +68,6 @@ def test_incompatible_requests_never_share_a_batch():
         engine.close()
 
 
-def test_inflight_key_coalesces_before_admission():
-    engine = _engine(max_wait_s=0.2)
-    try:
-        first = engine.submit_image(MODEL, "dup", key="k1")
-        second = engine.submit_image(MODEL, "dup", key="k1")
-        third = engine.submit_image(MODEL, "dup", key="k2")
-        assert second is first, "duplicate key must share the in-flight future"
-        assert third is not first
-        assert engine.stats.coalesced == 1
-        assert first.result(timeout=10).png_bytes() == third.result(timeout=10).png_bytes()
-    finally:
-        engine.close()
-
-
 def test_amortised_time_matches_curve():
     engine = _engine(alpha=0.15, max_wait_s=0.2)
     try:
@@ -146,8 +132,8 @@ def test_instruments_emitted():
     registry, tracer = MetricsRegistry(), Tracer()
     engine = BatchingEngine(LAPTOP, max_batch=4, max_wait_s=0.05, registry=registry, tracer=tracer)
     try:
-        engine.submit_image(MODEL, "observed", 64, 64, key="obs").result(timeout=10)
-        engine.submit_image(MODEL, "observed", 64, 64, key="obs2").result(timeout=10)
+        engine.submit_image(MODEL, "observed", 64, 64).result(timeout=10)
+        engine.submit_image(MODEL, "observed", 64, 64).result(timeout=10)
     finally:
         engine.close()
     text = to_prometheus(registry)

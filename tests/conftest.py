@@ -47,6 +47,7 @@ def landscape_prompt() -> str:
     return "a landscape photograph of a snowcapped range above an alpine lake, in soft morning light with long shadows"
 
 
-# The supervision policy's long sweep (a separate CI job) runs with
-# ``--hypothesis-profile=sweep``; tier-1 keeps hypothesis' default count.
+# The supervision policy's and the generation flight's long sweeps (a
+# separate CI job) run with ``--hypothesis-profile=sweep``; tier-1 keeps
+# hypothesis' default count.
 settings.register_profile("sweep", max_examples=20_000, deadline=None, print_blob=True)

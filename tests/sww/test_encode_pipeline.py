@@ -280,8 +280,9 @@ def test_engine_with_cache_misses_then_hits():
 @pytest.mark.parametrize("cached", [False, True], ids=["nocache", "cache"])
 @pytest.mark.parametrize("batched", [False, True], ids=["solo", "engine"])
 def test_duplicate_prompts_land_in_one_outcome_each(batched, cached):
-    """[A, A, B, A]: the cache dedupes into hits, the page only onto a
-    kernel still pending at the engine, and nothing dedupes solo."""
+    """[A, A, B, A]: the cache dedupes into hits solo and onto the
+    generator's flight while a kernel is pending at the engine; nothing
+    dedupes without a cache."""
     prompts = ["a lighthouse", "a lighthouse", "fishing boats", "a lighthouse"]
     reference_processor, html = _image_page(prompts)
     reference = reference_processor.process(parse_html(html))
@@ -298,16 +299,18 @@ def test_duplicate_prompts_land_in_one_outcome_each(batched, cached):
     assert payloads[0] == payloads[1] == payloads[3] != payloads[2]
     outcomes = [(output.cache_hit, output.coalesced) for output in report.outputs]
     generated, hit, rode = (False, False), (True, False), (True, True)
-    if batched:
+    if batched and cached:
         assert outcomes == [generated, rode, generated, rode]
-        assert engine.stats.requests == 2 and engine.stats.coalesced == 0
     elif cached:
         assert outcomes == [generated, hit, generated, hit]
     else:
         assert outcomes == [generated] * 4
-        assert report.sim_time_s == reference.sim_time_s
+        if not batched:
+            assert report.sim_time_s == reference.sim_time_s
     assert processor.generator.generated_count == 4
     assert processor.generator.pipeline.invocations == sum(o == generated for o in outcomes)
+    if batched:
+        assert engine.stats.requests == sum(o == generated for o in outcomes)
     if cached:
         stats = cache.stats
         assert (stats.hits, stats.coalesced) == ((0, 2) if batched else (2, 0))
@@ -386,6 +389,107 @@ class TestFailures:
         assert generator.generated_count == 3
         monkeypatch.setattr(generator, "begin", real_begin)
         assert len(processor.process(parse_html(html)).assets) == 6
+
+    @staticmethod
+    def _fault(monkeypatch, fault: str, boom: Exception, prompt: str = "a lighthouse") -> None:
+        """Make every batch that carries ``prompt`` raise ``boom``, in its
+        kernel or in its PNG encode."""
+        real_batch, real_encode = engine_module.generate_image_batch, image_module.encode_png
+        doomed = generate_image(SD3_MEDIUM, LAPTOP, prompt, 64, 64).pixels
+
+        def failing_batch(model, device, prompts, *args, **kwargs):
+            if fault == "kernel" and prompt in prompts:
+                raise boom
+            return real_batch(model, device, prompts, *args, **kwargs)
+
+        def failing_encode(pixels, *args, **kwargs):
+            if fault == "encode" and (pixels == doomed).all():
+                raise boom
+            return real_encode(pixels, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "generate_image_batch", failing_batch)
+        monkeypatch.setattr(image_module, "encode_png", failing_encode)
+
+    @pytest.mark.parametrize("fault", ["kernel", "encode"])
+    def test_a_same_page_joiner_raises_its_leaders_exception(self, monkeypatch, fault):
+        boom = RuntimeError(f"{fault} fault")
+        self._fault(monkeypatch, fault, boom)
+        cache = GenerationCache()
+        with BatchingEngine(LAPTOP, max_batch=2, max_wait_s=0.0) as engine:
+            processor, html = _image_page(["a lighthouse", "a lighthouse"], engine, cache)
+            generator = processor.generator
+            # What process() does with this page: begin both, then complete.
+            items = [item for _element, item in processor.find_items(parse_html(html))[0]]
+            lead, joiner = [generator.begin(item) for item in items]
+            for handle in (lead, joiner):
+                with pytest.raises(RuntimeError) as caught:
+                    generator.complete(handle)
+                assert caught.value is boom
+            with pytest.raises(RuntimeError) as caught:
+                processor.process(parse_html(html))
+            assert caught.value is boom
+        assert generator._flights == {}
+        assert (cache.stats.misses, cache.stats.coalesced, cache.stats.insertions) == (2, 0, 0)
+
+    @pytest.mark.parametrize("fault", ["kernel", "encode"])
+    def test_a_joiner_on_another_thread_raises_its_leaders_exception(self, monkeypatch, fault):
+        boom = RuntimeError(f"{fault} fault")
+        self._fault(monkeypatch, fault, boom)
+        with BatchingEngine(LAPTOP, max_batch=8, max_wait_s=0.2) as engine:
+            processor, html = _image_page(["a lighthouse"], engine, GenerationCache())
+            barrier, raised = threading.Barrier(2), []
+
+            def fetch():
+                barrier.wait()
+                try:
+                    processor.process(parse_html(html))
+                except RuntimeError as exc:
+                    raised.append(exc)
+
+            threads = [threading.Thread(target=fetch, daemon=True) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert engine.stats.requests == 1
+        assert len(raised) == 2 and all(exc is boom for exc in raised)
+        assert processor.generator._flights == {}
+
+    def test_a_page_that_fails_early_fails_the_lead_it_holds(self, monkeypatch):
+        # The page leads "a lighthouse", then the batch of its earlier item
+        # (another slot) fails: a request that joined the lighthouse must
+        # raise too, not wait for ever.
+        boom = RuntimeError("kernel fault on the first item")
+        self._fault(monkeypatch, "kernel", boom, prompt="fishing boats")
+        boats = GeneratedContent.image("fishing boats", name="boats", width=128, height=64)
+        lighthouse = GeneratedContent.image("a lighthouse", name="light", width=64, height=64)
+        page = f"<html><body>{serialize(boats.to_element())}{serialize(lighthouse.to_element())}</body></html>"
+        with BatchingEngine(LAPTOP, max_batch=8, max_wait_s=0.2) as engine:
+            generator = MediaGenerator(GenerationPipeline(LAPTOP), cache=GenerationCache(), engine=engine)
+            real_begin, leads, joined = generator.begin, threading.Event(), []
+
+            def begin(item):
+                handle = real_begin(item)
+                if item.name == "light":
+                    leads.set()
+                return handle
+
+            def join():
+                leads.wait(10)
+                try:
+                    joined.append(generator.complete(real_begin(lighthouse)))
+                except RuntimeError as exc:
+                    joined.append(exc)
+
+            monkeypatch.setattr(generator, "begin", begin)
+            joiner = threading.Thread(target=join, daemon=True)
+            joiner.start()
+            with pytest.raises(RuntimeError) as caught:
+                PageProcessor(generator).process(parse_html(page))
+            joiner.join(timeout=10)
+        assert caught.value is boom and joined == [boom]
+        assert generator._flights == {}
+        assert generator.cache.stats.insertions == 0
 
     def test_pooled_encode_runs_in_the_submitters_context(self, monkeypatch):
         marker: contextvars.ContextVar[str] = contextvars.ContextVar("marker", default="unset")
