@@ -2,8 +2,10 @@
 
 E12 modelled the CDN economics with byte accounting; this ablation runs
 the actual component: an edge proxy that is an SWW client upstream (pulls
-and caches prompt-form pages from the origin) and a server downstream
-(forwards prompts to capable clients, generates for naive ones). The
+and caches prompt-form pages from the origin over an in-memory HTTP/2
+pair) and a server downstream (forwards prompts to capable clients,
+generates for naive ones; requests reach it as direct
+``handle_request`` calls, not over HTTP/2). The
 §2.2 claim shows up as real traffic: prompt-sized upstream/storage
 unconditionally, media-sized last-hop egress only when the client is
 naive.
@@ -34,7 +36,7 @@ def run_proxy_day():
         response = proxy.handle_request(path, capable)
         assert response.status == 200
     # Naive clients then pull the generated media from the proxy.
-    for asset_path in list(proxy._asset_store):
+    for asset_path in list(proxy.server.store.assets):
         naive_asset_bytes += len(proxy.handle_request(asset_path, False).body)
     media_total = sum(p.account.original_media for p in pages)
     return proxy, naive_asset_bytes, media_total
@@ -45,7 +47,7 @@ def test_a8_edge_proxy(benchmark):
     stats = proxy.stats
 
     print_table(
-        "A8 / §2.2: the edge proxy over real HTTP/2 (2 pages, 6 requests)",
+        "A8 / §2.2: the edge proxy, upstream over in-memory HTTP/2 (2 pages, 6 requests)",
         ["metric", "value"],
         [
             ["upstream bytes (origin -> edge)", f"{stats.upstream_bytes:,} B (prompts only)"],

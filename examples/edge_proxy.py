@@ -32,7 +32,7 @@ def main() -> None:
         form = "prompts" if (b"x-sww-content", b"prompts") in response.headers else "generated media"
         print(f"  {who:15s} GET {path:26s} -> {len(response.body):>7,} B of {form}")
 
-    naive_media = sum(len(proxy.handle_request(p, False).body) for p in list(proxy._asset_store))
+    naive_media = sum(len(proxy.handle_request(p, False).body) for p in list(proxy.server.store.assets))
 
     stats = proxy.stats
     print("\n== proxy ledger")

@@ -43,7 +43,7 @@ from repro.genai.registry import (
     get_text_model,
 )
 from repro.http2 import H2Connection, SETTINGS_GEN_ABILITY
-from repro.obs import MetricsRegistry, Tracer, configure, logging_setup
+from repro.obs import MetricsRegistry, Tracer, logging_setup
 from repro.sww import (
     AssetResource,
     ContentType,
@@ -89,7 +89,6 @@ __all__ = [
     "SETTINGS_GEN_ABILITY",
     "MetricsRegistry",
     "Tracer",
-    "configure",
     "logging_setup",
     "GeneratedContent",
     "ContentType",

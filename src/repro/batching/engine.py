@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.devices.profiles import DeviceProfile
 from repro.genai.embeddings import GRID
 from repro.genai.image import ImageModel, ImageResult, batch_step_share, generate_image_batch
-from repro.obs import MetricsRegistry, Tracer, get_event_log, get_registry, get_tracer
+from repro.obs import NULL_EVENT_LOG, NULL_REGISTRY, NULL_TRACER, MetricsRegistry, Tracer
 
 #: Marginal simulated cost of one extra batch lane relative to a solo run.
 #: Calibrated so an accelerator-style diffusion batch of 8 lands at ~3.9×
@@ -102,10 +102,10 @@ class BatchingEngine:
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
         self.alpha = alpha
-        self.registry = registry if registry is not None else get_registry()
-        self.tracer = tracer if tracer is not None else get_tracer()
+        self.registry = registry if registry is not None else NULL_REGISTRY
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Wide-event log: one batch.execute event per realised batch.
-        self.events = events if events is not None else get_event_log()
+        self.events = events if events is not None else NULL_EVENT_LOG
         self.stats = EngineStats()
         #: Monotonic batch sequence; stamped on every waiter's future as
         #: ``future.batch_id`` / ``future.batch_size`` so the request-side

@@ -9,6 +9,7 @@ Two operating modes for the same catalog of media objects:
   generation (time + energy) before the materialised media is sent to the
   user. "This approach maintains the storage benefits, but loses data
   transmission benefits" — user-side egress is media-sized either way.
+Edges that memoise what they generate are :class:`repro.cdn.fleet.EdgeFleet`'s.
 """
 
 from __future__ import annotations
@@ -18,17 +19,17 @@ from dataclasses import dataclass, field
 from repro.devices.energy import transmission_energy_wh
 from repro.devices.profiles import DeviceProfile, WORKSTATION
 from repro.genai.image import generate_image
-from repro.genai.registry import DEFAULT_IMAGE_MODEL, ImageModel
+from repro.genai.registry import DEFAULT_IMAGE_MODEL
 from repro.cdn.cache import CacheEntry, EdgeCache
 from repro.metrics.compression import prompt_metadata_size
 from repro.obs import (
+    NULL_EVENT_LOG,
+    NULL_REGISTRY,
+    NULL_TRACER,
     MetricsRegistry,
     TraceContext,
     Tracer,
     encode_traceparent,
-    get_event_log,
-    get_registry,
-    get_tracer,
     parse_traceparent,
 )
 
@@ -72,7 +73,7 @@ class OriginCatalog:
 
     def fetch(self, key: str, traceparent: bytes | str | None = None) -> CatalogItem:
         """One edge→origin pull, joining the propagated trace if any."""
-        tracer = self.tracer if self.tracer is not None else get_tracer()
+        tracer = self.tracer if self.tracer is not None else NULL_TRACER
         ctx = parse_traceparent(traceparent)
         with tracer.span("origin.fetch", remote=ctx, key=key):
             return self.get(key)
@@ -97,9 +98,6 @@ class EdgeServeResult:
     #: On-edge generation cost (prompt mode only).
     generation_time_s: float = 0.0
     generation_energy_wh: float = 0.0
-    #: True when prompt-mode generation was answered by the shared
-    #: content-addressed generation cache (lookup cost, not step cost).
-    gencache_hit: bool = False
 
     @property
     def transmission_energy_wh(self) -> float:
@@ -119,12 +117,8 @@ class EdgeNode:
         cache_capacity_bytes: int,
         mode: str = "blob",
         device: DeviceProfile = WORKSTATION,
-        model: ImageModel = DEFAULT_IMAGE_MODEL,
-        steps: int = 15,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        gencache=None,
-        engine=None,
         events=None,
     ) -> None:
         if mode not in ("blob", "prompt"):
@@ -132,23 +126,12 @@ class EdgeNode:
         self.origin = origin
         self.cache = EdgeCache(cache_capacity_bytes)
         self.mode = mode
-        #: Optional :class:`~repro.batching.BatchingEngine`: prompt-mode
-        #: materialisations from concurrent user requests are admitted to
-        #: its micro-batching window instead of generating solo.
-        self.engine = engine
-        #: Optional :class:`~repro.gencache.GenerationCache`: prompt-mode
-        #: edges memoise materialised media under the same
-        #: content-addressed keys the client/server layers use, restoring
-        #: the "generate once, serve many" economics §2.2 gives up.
-        self.gencache = gencache
         self.device = device
-        self.model = model
-        self.steps = steps
-        #: Observability sinks (no-ops unless injected or configured).
-        self.registry = registry if registry is not None else get_registry()
-        self.tracer = tracer if tracer is not None else get_tracer()
+        #: Observability sinks (no-ops unless injected).
+        self.registry = registry if registry is not None else NULL_REGISTRY
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Wide-event log: one cdn.serve event per user request.
-        self.events = events if events is not None else get_event_log()
+        self.events = events if events is not None else NULL_EVENT_LOG
         self.results: list[EdgeServeResult] = []
 
     def serve(self, key: str, traceparent: bytes | str | TraceContext | None = None) -> EdgeServeResult:
@@ -182,19 +165,19 @@ class EdgeNode:
                     backbone = 0 if hit else item.prompt_bytes()
                     if not hit:
                         self.cache.put(CacheEntry(key, item.prompt_bytes(), kind="prompt"))
-                    # Every request regenerates at the edge (the paper's model)
-                    # unless a generation cache memoised the materialised media
-                    # under its content-addressed key.
+                    # Every request regenerates at the edge (the paper's model).
                     with record.bind():
-                        gen_time, gen_energy, gencache_hit = self._generate(item, edge_span)
+                        generation = generate_image(
+                            DEFAULT_IMAGE_MODEL, self.device, item.prompt, item.width, item.height,
+                            registry=self.registry, tracer=self.tracer,
+                        )
                     result = EdgeServeResult(
                         key=key,
                         cache_hit=hit,
                         backbone_bytes=backbone,
                         egress_bytes=item.media_bytes,
-                        generation_time_s=gen_time,
-                        generation_energy_wh=gen_energy,
-                        gencache_hit=gencache_hit,
+                        generation_time_s=generation.sim_time_s,
+                        generation_energy_wh=generation.energy_wh,
                     )
         except Exception as exc:
             record.finish(status=404 if isinstance(exc, KeyError) else 500, error=type(exc).__name__)
@@ -206,62 +189,14 @@ class EdgeNode:
             sim_time_s=result.generation_time_s,
             energy_wh=result.total_energy_wh,
             device=self.device.name,
-            model=self.model.name,
+            model=DEFAULT_IMAGE_MODEL.name,
         )
-        if result.gencache_hit:
-            record.set(gencache_outcome="hit", gencache_hits=1)
         record.finish(status=200)
         if self.registry.enabled:
             trace_id = edge_span.trace_id if edge_span.sampled else None
             self._count(result, trace_id or None)
         self.results.append(result)
         return result
-
-    def _generate(self, item: CatalogItem, edge_span) -> tuple[float, float, bool]:
-        """Materialise one prompt-mode item, via the gencache when attached.
-
-        Returns ``(sim_time_s, energy_wh, gencache_hit)``. Cache entries
-        are accounted at the catalog's modelled media size
-        (``item.media_bytes``) but carry the real PNG payload, so a cache
-        shared with the client/server layers is never poisoned.
-        """
-        if self.gencache is None:
-            generation = self._materialise(item)
-            return generation.sim_time_s, generation.energy_wh, False
-        from repro.gencache import image_key
-
-        gkey = image_key(self.model.name, item.prompt, item.width, item.height, steps=self.steps)
-        record = self.gencache.lookup(gkey)
-        if record is not None:
-            edge_span.annotate(gencache="hit")
-            return self.gencache.hit_time_s, 0.0, True
-        edge_span.annotate(gencache="miss")
-        generation = self._materialise(item)
-        self.gencache.insert(
-            gkey,
-            payload=generation.png_bytes(),
-            sim_time_s=generation.sim_time_s,
-            energy_wh=generation.energy_wh,
-            size_bytes=item.media_bytes,
-        )
-        return generation.sim_time_s, generation.energy_wh, False
-
-    def _materialise(self, item: CatalogItem):
-        """Run one on-edge generation, micro-batched when an engine is set."""
-        if self.engine is not None:
-            return self.engine.generate_image(
-                self.model, item.prompt, item.width, item.height, self.steps
-            )
-        return generate_image(
-            self.model,
-            self.device,
-            item.prompt,
-            item.width,
-            item.height,
-            self.steps,
-            registry=self.registry,
-            tracer=self.tracer,
-        )
 
     def _origin_pull(self, key: str, edge_span) -> CatalogItem:
         """The edge→origin hop on a cache miss, trace context re-injected.

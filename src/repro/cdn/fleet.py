@@ -54,7 +54,7 @@ from repro.devices.profiles import DeviceProfile, WORKSTATION
 from repro.genai.registry import DEFAULT_IMAGE_MODEL, ImageModel
 from repro.gencache import GenerationCache, GenerationKey, image_key
 from repro.gencache.store import GenCacheStats, HIT_LOOKUP_TIME_S
-from repro.obs import MetricsRegistry, get_registry
+from repro.obs import NULL_REGISTRY, MetricsRegistry
 
 #: Request outcomes, in cache-tier vocabulary order. ``edge`` and
 #: ``peer`` are hits, ``coalesced`` parked on an in-flight lead, and
@@ -174,7 +174,7 @@ class EdgeFleet:
             raise ValueError("fleet needs at least one edge")
         self.catalog = catalog
         self.config = config
-        self.registry = registry if registry is not None else get_registry()
+        self.registry = registry if registry is not None else NULL_REGISTRY
         self.ring = ring if ring is not None else HashRing(config.edge_names(), config.vnodes)
         self.router = router
         self.latency = router.latency

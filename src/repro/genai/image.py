@@ -33,7 +33,7 @@ from repro._util.hashing import stable_u64
 from repro.devices.profiles import DeviceProfile
 from repro.genai.embeddings import EMBED_DIM, GRID, embed_vector_to_blocks, text_embedding
 from repro.media.png import encode_png
-from repro.obs import MetricsRegistry, Tracer, get_registry, get_tracer
+from repro.obs import NULL_REGISTRY, NULL_TRACER, MetricsRegistry, Tracer
 
 DEFAULT_STEPS = 15  # Table 1 evaluates at 15 inference steps
 
@@ -301,8 +301,8 @@ def generate_image(
 ) -> ImageResult:
     """Run the simulated diffusion pipeline end to end."""
     steps = _resolve_steps(model, width, height, steps)
-    registry = registry if registry is not None else get_registry()
-    tracer = tracer if tracer is not None else get_tracer()
+    registry = registry if registry is not None else NULL_REGISTRY
+    tracer = tracer if tracer is not None else NULL_TRACER
 
     with tracer.span("genai.image", model=model.name, size=f"{width}x{height}", steps=steps) as gen_span:
         pixels = _render_item(model, prompt, width, height, steps, seed)
@@ -373,8 +373,8 @@ def generate_image_batch(
         seeds = [None] * count
     if len(seeds) != count:
         raise ValueError("seeds must match prompts length")
-    registry = registry if registry is not None else get_registry()
-    tracer = tracer if tracer is not None else get_tracer()
+    registry = registry if registry is not None else NULL_REGISTRY
+    tracer = tracer if tracer is not None else NULL_TRACER
 
     with tracer.span(
         "genai.image_batch",

@@ -3,7 +3,7 @@
 The paper's prototype reaches its text-to-text models "by sending requests
 to the Ollama API using the requests library" (§4.1). To mirror that access
 path without the real daemon, :class:`OllamaEndpoint` exposes the same
-request/response shapes (``/api/generate``, ``/api/tags``) as plain-Python
+request/response shape (``/api/generate``) as plain-Python
 calls, backed by the text simulator. :class:`OllamaClient` is the
 requests-style caller the media generator uses, so swapping in a real
 Ollama deployment means changing one constructor.
@@ -16,9 +16,9 @@ import re
 from dataclasses import dataclass
 
 from repro.devices.profiles import DeviceProfile, WORKSTATION
-from repro.genai.registry import TEXT_MODELS, get_text_model
+from repro.genai.registry import get_text_model
 from repro.genai.text import expand_text
-from repro.obs import MetricsRegistry, Tracer, get_registry, get_tracer
+from repro.obs import NULL_REGISTRY, NULL_TRACER, MetricsRegistry, Tracer
 
 _WORDS_RE = re.compile(r"(\d+)\s*words?", re.IGNORECASE)
 DEFAULT_TARGET_WORDS = 150
@@ -56,14 +56,10 @@ class OllamaEndpoint:
         tracer: Tracer | None = None,
     ) -> None:
         self.device = device
-        self.registry = registry if registry is not None else get_registry()
-        self.tracer = tracer if tracer is not None else get_tracer()
+        self.registry = registry if registry is not None else NULL_REGISTRY
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.requests_served = 0
         self.last_energy_wh = 0.0
-
-    def tags(self) -> dict:
-        """Equivalent of GET /api/tags — the installed model list."""
-        return {"models": [{"name": name, "model": name} for name in sorted(TEXT_MODELS)]}
 
     def generate(self, payload: dict) -> OllamaResponse:
         """Equivalent of POST /api/generate.
@@ -106,6 +102,3 @@ class OllamaClient:
             payload["options"] = options
         response = self.endpoint.generate(payload)
         return json.loads(response.to_json())
-
-    def list_models(self) -> list[str]:
-        return [entry["name"] for entry in self.endpoint.tags()["models"]]

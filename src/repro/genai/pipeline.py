@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from repro.devices.profiles import DeviceProfile
 from repro.genai.image import ImageModel, ImageResult, generate_image
 from repro.genai.registry import DEFAULT_IMAGE_MODEL, DEFAULT_TEXT_MODEL
-from repro.genai.text import TextModel, TextResult, expand_text
-from repro.obs import MetricsRegistry, Tracer, get_registry, get_tracer
+from repro.genai.text import TextResult, expand_text
+from repro.obs import NULL_REGISTRY, NULL_TRACER, MetricsRegistry, Tracer
 
 
 @dataclass(frozen=True)
@@ -57,21 +57,18 @@ class GenerationPipeline:
     def __init__(
         self,
         device: DeviceProfile,
-        image_model: ImageModel = DEFAULT_IMAGE_MODEL,
-        text_model: TextModel = DEFAULT_TEXT_MODEL,
         preloaded: bool = True,
-        load_cost: PipelineLoadCost | None = None,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         self.device = device
         #: Observability sinks, threaded into every generation call.
-        self.registry = registry if registry is not None else get_registry()
-        self.tracer = tracer if tracer is not None else get_tracer()
-        self.image_model = image_model
-        self.text_model = text_model
+        self.registry = registry if registry is not None else NULL_REGISTRY
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.image_model = DEFAULT_IMAGE_MODEL
+        self.text_model = DEFAULT_TEXT_MODEL
         self.preloaded = preloaded
-        self.load_cost = load_cost or PipelineLoadCost()
+        self.load_cost = PipelineLoadCost()
         self.invocations = 0
         self.reloads = 0
         self.overhead_time_s = 0.0
@@ -133,8 +130,3 @@ class GenerationPipeline:
             registry=self.registry,
             tracer=self.tracer,
         )
-
-    @property
-    def total_overhead(self) -> tuple[float, float]:
-        """(simulated seconds, Wh) spent on model loading so far."""
-        return self.overhead_time_s, self.overhead_energy_wh

@@ -26,7 +26,7 @@ from repro._util.rng import DeterministicRNG
 from repro.devices.profiles import DeviceProfile
 from repro.genai import vocab
 from repro.genai.embeddings import tokenize_words
-from repro.obs import MetricsRegistry, Tracer, get_registry, get_tracer
+from repro.obs import NULL_REGISTRY, NULL_TRACER, MetricsRegistry, Tracer
 
 #: Word count at which a model's ``base_time_s`` is defined (Table 2 row).
 REFERENCE_WORDS = 250
@@ -128,8 +128,8 @@ def expand_text(
     """Expand bullet-point ``prompt`` text into a ~``target_words`` passage."""
     if target_words <= 0:
         raise ValueError("target word count must be positive")
-    registry = registry if registry is not None else get_registry()
-    tracer = tracer if tracer is not None else get_tracer()
+    registry = registry if registry is not None else NULL_REGISTRY
+    tracer = tracer if tracer is not None else NULL_TRACER
     content_words = [w for w in tokenize_words(prompt) if len(w) > 3]
     rng = DeterministicRNG("text-expand", model.name, prompt, target_words)
 

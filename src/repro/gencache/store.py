@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.cdn.cache import CacheEntry, EdgeCache
 from repro.gencache.key import GenerationKey
-from repro.obs import MetricsRegistry, get_registry
+from repro.obs import NULL_REGISTRY, MetricsRegistry
 
 #: Default store capacity: holds a few thousand PNG-sized artifacts.
 DEFAULT_GENCACHE_BYTES = 64 * 1024 * 1024
@@ -86,7 +86,7 @@ class GenerationCache:
     ) -> None:
         self._store = EdgeCache(capacity_bytes)
         self.hit_time_s = hit_time_s
-        self.registry = registry if registry is not None else get_registry()
+        self.registry = registry if registry is not None else NULL_REGISTRY
         self.stats = GenCacheStats()
         self._lock = threading.Lock()
 

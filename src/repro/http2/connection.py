@@ -57,7 +57,7 @@ from repro.http2.priority import (
 )
 from repro.http2.settings import Setting, Settings
 from repro.http2.streams import H2Stream, StreamEvent, StreamState
-from repro.obs import MetricsRegistry, get_registry
+from repro.obs import NULL_REGISTRY, MetricsRegistry
 
 #: The client connection preface (RFC 9113 §3.4).
 CONNECTION_PREFACE = b"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n"
@@ -218,9 +218,8 @@ class H2Connection:
         control_flood_limit: int = 512,
     ) -> None:
         self.role = role
-        #: Observability sink; defaults to the process-wide registry
-        #: (a no-op unless :func:`repro.obs.configure` installed one).
-        self.registry = registry if registry is not None else get_registry()
+        #: Observability sink (a no-op unless injected).
+        self.registry = registry if registry is not None else NULL_REGISTRY
         self.local_gen_ability = gen_ability
         self._gen_ability_value = gen_ability_value if gen_ability_value is not None else (1 if gen_ability else 0)
         local_overrides = {

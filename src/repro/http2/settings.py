@@ -93,9 +93,6 @@ class Settings:
     def get(self, identifier: int, default: int = 0) -> int:
         return self._values.get(identifier, default)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self._values)
-
     @property
     def header_table_size(self) -> int:
         return self._values[Setting.HEADER_TABLE_SIZE]
@@ -157,13 +154,6 @@ class GenAbility:
     @property
     def supported(self) -> bool:
         return bool(self.value & GenCapability.GENERATE)
-
-    @property
-    def upscale_only(self) -> bool:
-        return bool(self.value & GenCapability.UPSCALE_ONLY) and not self.supported
-
-    def capabilities(self) -> GenCapability:
-        return GenCapability(self.value & int(max(GenCapability) * 2 - 1))
 
     def supports(self, capability: GenCapability) -> bool:
         if capability == GenCapability.NONE:

@@ -54,7 +54,7 @@ from repro.http2.census import Http2Census, WriterTally
 from repro.http2.connection import H2Connection
 from repro.http2.priority import DEFAULT_URGENCY, URGENCY_LEVELS, clamp_urgency
 from repro.http2.streams import StreamState
-from repro.obs import MetricsRegistry, get_registry
+from repro.obs import NULL_REGISTRY, MetricsRegistry
 
 
 @dataclass
@@ -111,7 +111,7 @@ class ConnectionWriter:
         starvation_interval: int = 8,
     ) -> None:
         self.conn = conn
-        self.registry = registry if registry is not None else get_registry()
+        self.registry = registry if registry is not None else NULL_REGISTRY
         self.starvation_interval = max(1, starvation_interval)
         self._queues: dict[int, _SendQueue] = {}
         #: Strict-priority buckets of stream ids, index = urgency. Within

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._util.rng import DeterministicRNG
 from repro.http2.settings import GenAbility, GenCapability
 from repro.media.video import STANDARD_LADDER, VideoLadder, VideoVariant
 
@@ -48,19 +47,6 @@ class MediaPlaylist:
     variant: VideoVariant
     segment_seconds: float
     segments: list[Segment]
-
-    def to_m3u8(self) -> str:
-        lines = [
-            "#EXTM3U",
-            "#EXT-X-VERSION:7",
-            f"#EXT-X-TARGETDURATION:{int(self.segment_seconds)}",
-            "#EXT-X-MEDIA-SEQUENCE:0",
-        ]
-        for segment in self.segments:
-            lines.append(f"#EXTINF:{segment.duration_s:.3f},")
-            lines.append(segment.path)
-        lines.append("#EXT-X-ENDLIST")
-        return "\n".join(lines) + "\n"
 
 
 class StreamingService:
@@ -113,11 +99,6 @@ class StreamingService:
         return self.ladder.serve_plan(
             target, client_framerate_boost=framerate, client_resolution_upscale=resolution
         )
-
-    def segment_bytes(self, segment: Segment, seed: str = "segment") -> bytes:
-        """Size-accurate synthetic payload for one segment."""
-        rng = DeterministicRNG("segment-bytes", seed, segment.path)
-        return rng.bytes(segment.size_bytes)
 
 
 @dataclass

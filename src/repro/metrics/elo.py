@@ -68,9 +68,6 @@ class EloLadder:
     def rating_of(self, name: str) -> float:
         return self.ratings[name].rating
 
-    def standings(self) -> list[tuple[str, float]]:
-        return sorted(((r.name, r.rating) for r in self.ratings.values()), key=lambda x: -x[1])
-
 
 @dataclass
 class ArenaResult:

@@ -12,8 +12,8 @@ measurements first-class instead of ad hoc per benchmark:
 Everything defaults to the no-op implementations (:data:`NULL_REGISTRY`,
 :data:`NULL_TRACER`), so instrumented hot paths cost one attribute check
 when observability is off. Components take ``registry=`` / ``tracer=``
-constructor arguments; when omitted they fall back to the process-wide
-defaults set with :func:`configure` (which the CLI uses).
+/ ``events=`` constructor arguments; when omitted they hold the no-op
+singletons.
 """
 
 from __future__ import annotations
@@ -113,40 +113,6 @@ from repro.obs.tracing import (
     stitch_spans,
 )
 
-#: Process-wide defaults, swapped by :func:`configure`.
-_default_registry: MetricsRegistry = NULL_REGISTRY
-_default_tracer: Tracer = NULL_TRACER
-_default_events: EventLog = NULL_EVENT_LOG
-
-
-def configure(
-    registry: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
-    events: EventLog | None = None,
-) -> None:
-    """Install process-wide default observability sinks.
-
-    Passing ``None`` for any sink resets it to the no-op singleton.
-    Explicit constructor injection always wins over these defaults.
-    """
-    global _default_registry, _default_tracer, _default_events
-    _default_registry = registry if registry is not None else NULL_REGISTRY
-    _default_tracer = tracer if tracer is not None else NULL_TRACER
-    _default_events = events if events is not None else NULL_EVENT_LOG
-
-
-def get_registry() -> MetricsRegistry:
-    return _default_registry
-
-
-def get_tracer() -> Tracer:
-    return _default_tracer
-
-
-def get_event_log() -> EventLog:
-    return _default_events
-
-
 _HANDLER_MARK = "_repro_obs_handler"
 DEFAULT_LOG_FORMAT = "%(levelname)-7s %(name)s: %(message)s"
 #: Sentinel for :func:`logging_setup`: one JSON object per line.
@@ -227,10 +193,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "DEFAULT_LOG_FORMAT",
     "JSON_LOG_FORMAT",
-    "configure",
-    "get_registry",
-    "get_tracer",
-    "get_event_log",
     "logging_setup",
     "EventLog",
     "NullEventLog",

@@ -56,6 +56,12 @@ _VOLATILE_FIELDS = frozenset(
 
 BUNDLE_FORMAT = "sww-incident/1"
 
+#: How many of the most recent wide events a bundle carries.
+RECENT_EVENTS = 256
+
+#: How many sampler ticks of timeseries delta a bundle carries.
+TIMESERIES_WINDOW_TICKS = 64
+
 
 class FlightRecorder:
     """Armed incident capture over the observability plane."""
@@ -65,29 +71,24 @@ class FlightRecorder:
         registry=None,
         events=None,
         tracer=None,
-        sampler=None,
         slo=None,
         server=None,
-        triggers=DEFAULT_TRIGGERS,
         capacity: int = 8,
-        recent_events: int = 256,
         stall_threshold_s: float = 0.05,
-        timeseries_window_ticks: int = 64,
     ) -> None:
         if capacity <= 0:
             raise ValueError("incident capacity must be positive")
         self.registry = registry
         self.events = events
         self.tracer = tracer
-        self.sampler = sampler
+        #: The timeseries sampler whose ticks poll the triggers; set by :meth:`attach`.
+        self.sampler = None
         self.slo = slo
         self.server = server
         self.capacity = capacity
-        self.recent_events = recent_events
         self.stall_threshold_s = stall_threshold_s
-        self.timeseries_window_ticks = timeseries_window_ticks
         self._lock = threading.Lock()
-        self._armed: set[str] = set(triggers)
+        self._armed: set[str] = set(DEFAULT_TRIGGERS)
         self._incidents: list[dict] = []
         self._seq = 0
 
@@ -186,7 +187,7 @@ class FlightRecorder:
             "events": [
                 event.to_dict()
                 for event in (
-                    self.events.events(last=self.recent_events)
+                    self.events.events(last=RECENT_EVENTS)
                     if self.events is not None
                     else []
                 )
@@ -215,7 +216,7 @@ class FlightRecorder:
     def _timeseries_delta(self) -> dict | None:
         if self.sampler is None:
             return None
-        since = max(0, self.sampler.last_tick - self.timeseries_window_ticks)
+        since = max(0, self.sampler.last_tick - TIMESERIES_WINDOW_TICKS)
         return self.sampler.snapshot(since=since if since > 0 else None)
 
     def _scheduler_state(self) -> dict | None:

@@ -383,10 +383,6 @@ class Tracer:
         with self._lock:
             return list(self._ring)
 
-    def find_trace(self, trace_id: str) -> list[Span]:
-        """Completed roots belonging to one trace, oldest first."""
-        return [span for span in self.roots() if span.trace_id == trace_id]
-
     def reset(self) -> None:
         with self._lock:
             self._ring.clear()

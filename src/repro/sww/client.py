@@ -34,7 +34,7 @@ from repro.http2.bdp import AdaptiveReceiveWindow, BdpEstimator
 from repro.http2.connection import H2Connection, Role
 from repro.http2.endpoint import ClientConnection, H2Response
 from repro.http2.transport import open_memory_pair, thread_loop
-from repro.obs import MetricsRegistry, Tracer, get_event_log, get_registry, get_tracer
+from repro.obs import NULL_EVENT_LOG, NULL_REGISTRY, NULL_TRACER, MetricsRegistry, Tracer
 from repro.sww.media_generator import MediaGenerator
 from repro.sww.page_processor import PageProcessor, ProcessReport
 from repro.sww.renderer import render_text
@@ -105,11 +105,11 @@ class GenerativeClient:
     ) -> None:
         self.device = device
         self.gen_ability = gen_ability
-        #: Observability sinks (no-ops unless injected or configured).
-        self.registry = registry if registry is not None else get_registry()
-        self.tracer = tracer if tracer is not None else get_tracer()
+        #: Observability sinks (no-ops unless injected).
+        self.registry = registry if registry is not None else NULL_REGISTRY
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Wide-event log: one client.fetch event per fetched page.
-        self.events = events if events is not None else get_event_log()
+        self.events = events if events is not None else NULL_EVENT_LOG
         #: §4.1: the image pipeline is preloaded once, not per invocation.
         self.pipeline = GenerationPipeline(device, registry=self.registry, tracer=self.tracer)
         #: Optional content-addressed result cache; shareable with other

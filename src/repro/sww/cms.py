@@ -55,10 +55,6 @@ class ContentManagementSystem:
             raise ValueError("content identifier cannot be empty")
         self._tags[identifier] = tag
 
-    def tag_many(self, identifiers: list[str], tag: ContentTag) -> None:
-        for identifier in identifiers:
-            self.tag(identifier, tag)
-
     def tag_for(self, identifier: str) -> ContentTag:
         """The effective tag: explicit flag, else template default, else
         GENERATABLE (the optimistic default for already-generic content)."""

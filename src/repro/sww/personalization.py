@@ -10,8 +10,7 @@
 
 Three pieces:
 
-* :class:`UserProfile` — the on-device signal (interests with weights,
-  plus an interaction history that the engagement model updates).
+* :class:`UserProfile` — the on-device signal (interests with weights).
 * :class:`PromptPersonalizer` — rewrites a page's prompts toward the
   user's interests, with a tunable ``intensity``; an engagement model
   scores how much the rewrite increases prompt↔profile alignment.
@@ -40,7 +39,6 @@ class UserProfile:
     user_id: str
     #: interest term -> weight in (0, 1].
     interests: dict[str, float] = field(default_factory=dict)
-    history: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         for term, weight in self.interests.items():
@@ -57,9 +55,6 @@ class UserProfile:
     def top_interests(self, count: int = 3) -> list[str]:
         ranked = sorted(self.interests.items(), key=lambda item: -item[1])
         return [term for term, _weight in ranked[:count]]
-
-    def record_view(self, prompt: str) -> None:
-        self.history.append(prompt)
 
 
 def engagement_score(prompt: str, profile: UserProfile) -> float:
@@ -106,10 +101,6 @@ class PersonalizationReport:
     diversity_before: float = 0.0
     diversity_after: float = 0.0
     blocked_by_guard: bool = False
-
-    @property
-    def engagement_lift(self) -> float:
-        return self.mean_engagement_after - self.mean_engagement_before
 
 
 @dataclass

@@ -9,10 +9,12 @@
 accounting-only view lives in :mod:`repro.cdn.edge`). It faces two ways:
 
 * **upstream** it is an SWW *client*: it advertises GEN_ABILITY to the
-  origin and receives prompt-form pages, caching them (prompt-sized);
-* **downstream** it is a *server* to whoever asks: capable clients get
-  the cached prompts forwarded verbatim (full SWW savings end-to-end);
-  naive clients get media the proxy generates on its own hardware.
+  origin over an in-memory HTTP/2 pair and stores the prompt-form pages it
+  receives (prompt-sized) in its own :class:`~repro.sww.server.SiteStore`;
+* **downstream** it is a :class:`~repro.sww.server.GenerativeServer` over
+  that store: capable clients get the stored prompts verbatim (full SWW
+  savings end-to-end); naive clients get media the edge generates on its
+  own hardware, once per page, and the generated assets it then holds.
 
 The proxy therefore preserves the storage benefit unconditionally and
 degrades gracefully to §2.2's "storage only" benefit exactly when the
@@ -24,11 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.devices.profiles import DeviceProfile, WORKSTATION
-from repro.genai.pipeline import GenerationPipeline
-from repro.html import parse_html, serialize
 from repro.sww.client import GenerativeClient, connect_in_memory
-from repro.sww.media_generator import MediaGenerator
-from repro.sww.page_processor import PageProcessor
 from repro.sww.server import GenerativeServer, PageResource, ServedResponse, SiteStore
 
 
@@ -60,100 +58,45 @@ class SwwEdgeProxy:
         device: DeviceProfile = WORKSTATION,
     ) -> None:
         self.device = device
-        # Upstream the proxy is a capable client that forwards prompts
-        # unexpanded (see _fetch_upstream).
+        # Upstream the proxy is a capable client that takes prompts
+        # unexpanded (see _pull).
         self._pair = connect_in_memory(GenerativeClient(device=device, gen_ability=True), origin)
-        self._pipeline = GenerationPipeline(device)
-        self._processor = PageProcessor(MediaGenerator(self._pipeline))
-        #: path → SWW HTML (the prompt-sized cache).
-        self._prompt_cache: dict[str, str] = {}
-        #: path → materialised (html, assets) for naive downstream clients.
-        self._materialised: dict[str, tuple[str, dict[str, bytes]]] = {}
-        #: asset path → PNG bytes the proxy generated.
-        self._asset_store: dict[str, bytes] = {}
+        #: Downstream: the edge's own server over the pages it has pulled.
+        self.server = GenerativeServer(SiteStore(), device=device)
         self.stats = ProxyStats()
 
-    # ------------------------------------------------------------------ #
-    # Upstream
-    # ------------------------------------------------------------------ #
+    def _pull(self, path: str) -> None:
+        """Store the page's prompt form from the origin, unless held.
 
-    def _fetch_upstream(self, path: str) -> str | None:
-        """Pull the prompt form from the origin (cached)."""
-        cached = self._prompt_cache.get(path)
-        if cached is not None:
+        A page the origin does not send as prompts is not stored, so the
+        edge's server answers it 404.
+        """
+        pages = self.server.store.pages
+        if path in pages:
             self.stats.hits += 1
-            return cached
+            return
         self.stats.misses += 1
-        # Fetch WITHOUT client-side generation: raw request, raw body.
+        # A raw request: the body stays in prompt form.
         response = self._pair.run(self._pair.client.request("GET", path))
         self.stats.upstream_bytes += len(response.body)
         if response.status != 200 or dict(response.headers).get(b"x-sww-content") != b"prompts":
-            return None
-        html = response.body.decode("utf-8", "replace")
-        self._prompt_cache[path] = html
-        self.stats.prompt_cache_bytes = sum(
-            len(value.encode("utf-8")) for value in self._prompt_cache.values()
-        )
-        return html
-
-    # ------------------------------------------------------------------ #
-    # Downstream
-    # ------------------------------------------------------------------ #
+            return
+        self.server.store.add_page(PageResource(path, response.body.decode("utf-8", "replace")))
+        self.stats.prompt_cache_bytes = sum(len(page.sww_html.encode("utf-8")) for page in pages.values())
 
     def handle_request(self, path: str, client_gen_ability: bool) -> ServedResponse:
         """Serve one downstream GET (same shape as GenerativeServer)."""
-        if path in self._asset_store:
-            data = self._asset_store[path]
-            response = ServedResponse(
-                200,
-                [(b":status", b"200"), (b"content-type", b"image/png"),
-                 (b"content-length", str(len(data)).encode())],
-                data,
-            )
-            self.stats.downstream_bytes += len(data)
-            return response
-        html = self._fetch_upstream(path)
-        if html is None:
-            body = b"not found"
-            return ServedResponse(
-                404, [(b":status", b"404"), (b"content-length", b"9")], body
-            )
-        if client_gen_ability:
-            body = html.encode("utf-8")
-            self.stats.downstream_bytes += len(body)
-            return ServedResponse(
-                200,
-                [
-                    (b":status", b"200"),
-                    (b"content-type", b"text/html; charset=utf-8"),
-                    (b"content-length", str(len(body)).encode()),
-                    (b"x-sww-content", b"prompts"),
-                ],
-                body,
-                None,
-            )
-        materialised = self._materialised.get(path)
-        if materialised is None:
-            document = parse_html(html)
-            report = self._processor.process(document)
-            materialised = (serialize(document), dict(report.assets))
-            self._materialised[path] = materialised
-            self._asset_store.update(report.assets)
-            self.stats.generations += report.generated_total
-            self.stats.generation_s += report.sim_time_s
-            self.stats.generation_wh += report.energy_wh
-        body = materialised[0].encode("utf-8")
-        self.stats.downstream_bytes += len(body)
-        return ServedResponse(
-            200,
-            [
-                (b":status", b"200"),
-                (b"content-type", b"text/html; charset=utf-8"),
-                (b"content-length", str(len(body)).encode()),
-            ],
-            body,
-            None,
-        )
+        if path not in self.server.store.assets:
+            self._pull(path)
+        response = self.server.handle_request(path, client_gen_ability)
+        if response.status == 200:
+            self.stats.downstream_bytes += len(response.body)
+        if response.memo == "miss":
+            # A response carries its page's cost, not its item count.
+            self.stats.generations = self.server._generator.generated_count
+            self.stats.generation_s += response.sim_time_s
+            self.stats.generation_wh += response.energy_wh
+        return response
 
 
 def build_origin(pages) -> GenerativeServer:

@@ -44,7 +44,7 @@ from repro.http2.endpoint import ServerConnection
 from repro.http2.errors import H2Error
 from repro.http2.transport import AsyncH2Transport, listen
 from repro.http2.writer import ConnectionWriter
-from repro.obs import MetricsRegistry, Tracer, get_event_log, get_registry, get_tracer
+from repro.obs import NULL_EVENT_LOG, NULL_REGISTRY, NULL_TRACER, MetricsRegistry, Tracer
 from repro.obs.events import annotate_current
 from repro.obs.propagation import TRACEPARENT_HEADER, parse_traceparent
 from repro.sww.capability import NegotiationOutcome, ServeMode, ServePolicy, decide_serve_mode
@@ -172,7 +172,6 @@ class GenerativeServer:
         gencache=None,
         engine=None,
         events=None,
-        recorder=None,
         memoise_pages: bool = True,
         max_concurrent_streams: int | None = None,
     ) -> None:
@@ -180,15 +179,16 @@ class GenerativeServer:
         self.device = device
         self.policy = policy or ServePolicy()
         self.gen_ability = gen_ability
-        #: Observability sinks (no-ops unless injected or configured).
-        self.registry = registry if registry is not None else get_registry()
-        self.tracer = tracer if tracer is not None else get_tracer()
+        #: Observability sinks (no-ops unless injected).
+        self.registry = registry if registry is not None else NULL_REGISTRY
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Wide-event log: one canonical record per served request,
-        #: annotated across layers (no-op unless injected or configured).
-        self.events = events if events is not None else get_event_log()
-        #: Optional incident flight recorder; pushed triggers
-        #: (protocol errors, generation failures) notify it directly.
-        self.recorder = recorder
+        #: annotated across layers (no-op unless injected).
+        self.events = events if events is not None else NULL_EVENT_LOG
+        #: Optional incident flight recorder, assigned once it is built;
+        #: pushed triggers (protocol errors, generation failures) notify it
+        #: directly.
+        self.recorder = None
         #: When serving a server-generated page, push the freshly
         #: generated media over HTTP/2 server push (RFC 9113 §8.4) instead
         #: of waiting for the naive client's follow-up GETs.

@@ -59,10 +59,6 @@ class TrafficProjection:
         return self.compressed_bytes / PB
 
     @property
-    def original_eb(self) -> float:
-        return self.original_bytes / EB
-
-    @property
     def monthly_energy_savings_mwh(self) -> float:
         """Transmission energy avoided per month at the 38 MWh/PB rate."""
         return transmission_energy_wh(self.original_bytes - self.compressed_bytes) / 1e6

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cdn.edge import CatalogItem, EdgeNode, OriginCatalog
 from repro.devices import WORKSTATION
+from repro.obs import EventLog
 
 
 @pytest.fixture
@@ -88,6 +89,36 @@ class TestPromptMode:
         blob_energy = sum(r.total_energy_wh for r in blob.results)
         prompt_energy = sum(r.total_energy_wh for r in prompt.results)
         assert prompt_energy > blob_energy
+
+
+class TestWideEvents:
+    def test_one_cdn_serve_event_per_request(self, catalog):
+        events = EventLog()
+        edge = EdgeNode(catalog, 10 * 32_768, mode="prompt", events=events)
+        results = [edge.serve("img-0"), edge.serve("img-0"), edge.serve("img-1")]
+        recorded = [event.to_dict() for event in events.events()]
+        assert [event["event"] for event in recorded] == ["cdn.serve"] * 3
+        assert events.open_count == 0
+        for event, result in zip(recorded, results):
+            assert event["status"] == 200
+            assert event["cache_key"] == result.key
+            assert event["serve_mode"] == "prompt"
+            assert event["cache_hit"] == result.cache_hit
+            assert event["backbone_bytes"] == result.backbone_bytes
+            assert event["egress_bytes"] == result.egress_bytes
+            assert event["sim_time_s"] == result.generation_time_s > 0
+            assert event["energy_wh"] == result.total_energy_wh
+            assert event["device"] == edge.device.name
+            assert event["model"] == "sd-3-medium"
+        assert [event["cache_hit"] for event in recorded] == [False, True, False]
+
+    def test_unknown_key_records_a_404(self, catalog):
+        events = EventLog()
+        edge = EdgeNode(catalog, 10 * 32_768, mode="blob", events=events)
+        with pytest.raises(KeyError):
+            edge.serve("nope")
+        (event,) = [event.to_dict() for event in events.events()]
+        assert event["status"] == 404 and event["error"] == "KeyError"
 
 
 class TestValidation:

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.cdn.fleet import EdgeFleet, FleetConfig, build_fleet_catalog
+from repro.cdn.fleet import TIERS, EdgeFleet, FleetConfig, build_fleet_catalog
 from repro.cdn.placement import HashRing
 from repro.cdn.router import FleetRouter, LatencyModel
 from repro.gencache.store import HIT_LOOKUP_TIME_S
-from repro.workloads.traffic import RegionSpec
+from repro.obs import MetricsRegistry
+from repro.workloads.session import OpenLoopSession
+from repro.workloads.traffic import RegionSpec, default_regions
 
 
 def make_fleet(edges=3, regions=2, items=12, **config_kwargs):
@@ -222,6 +224,32 @@ class TestAccountingInvariants:
         assert set(state["edges"]) == set(fleet.ring.nodes)
         assert state["tiers"]["generated"] == 1
         assert state["flights"] == 1
+
+
+class TestFleetMetrics:
+    def test_live_registry_agrees_with_the_replay(self):
+        """The cdn_fleet_* families, fed by a short open-loop tape, count
+        what the session's own aggregates count."""
+        registry = MetricsRegistry()
+        config = FleetConfig(edges=4, gencache_bytes=16 * 750_000)
+        ring = HashRing(config.edge_names(), config.vnodes)
+        regions = default_regions(4, rate_per_s=2.0)
+        fleet = EdgeFleet(
+            build_fleet_catalog(40), config, FleetRouter(regions, ring), ring=ring, registry=registry
+        )
+        stats = OpenLoopSession(fleet, regions, 20.0, seed=5).run()
+        assert stats.requests > 0
+        assert registry.total("cdn_fleet_requests_total") == stats.requests
+        families = {name: instruments for name, _kind, _help, instruments in registry.collect()}
+        tiers = {dict(inst.labels)["operation"] for inst in families["cdn_fleet_requests_total"]}
+        assert tiers <= set(TIERS)
+        for channel, total in (
+            ("egress", stats.egress_bytes),
+            ("peer", stats.peer_bytes),
+            ("shield", stats.shield_bytes),
+            ("origin", stats.origin_bytes),
+        ):
+            assert registry.value("cdn_fleet_bytes_total", layer="cdn", operation=channel) == total
 
 
 class TestConfigAndCatalog:

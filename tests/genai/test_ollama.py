@@ -11,14 +11,6 @@ def client() -> OllamaClient:
     return OllamaClient(OllamaEndpoint(WORKSTATION))
 
 
-class TestTags:
-    def test_lists_installed_models(self, client):
-        models = client.list_models()
-        assert "deepseek-r1-8b" in models
-        assert "llama-3.2" in models
-        assert models == sorted(models)
-
-
 class TestGenerate:
     def test_response_shape(self, client):
         response = client.post_generate(

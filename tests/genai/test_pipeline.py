@@ -30,11 +30,6 @@ class TestPreloading:
         pipeline.expand_text("- a point", 100)
         assert pipeline.reloads == 1
 
-    def test_overhead_tuple(self):
-        pipeline = GenerationPipeline(WORKSTATION)
-        seconds, energy = pipeline.total_overhead
-        assert seconds > 0 and energy > 0
-
 
 class TestLoadCost:
     def test_laptop_loads_slower_than_workstation(self):

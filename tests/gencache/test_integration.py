@@ -1,5 +1,5 @@
-"""Cross-layer integration: client, server fallback, and CDN edge all
-share one content-addressed cache."""
+"""Cross-layer integration: clients and the server fallback share one
+content-addressed cache; a prompt-mode CDN edge regenerates per request."""
 
 from repro.cdn.edge import CatalogItem, EdgeNode, OriginCatalog
 from repro.devices import LAPTOP, WORKSTATION
@@ -73,24 +73,10 @@ def _catalog():
     return catalog
 
 
-def test_edge_prompt_mode_memoises_generation():
-    cache = GenerationCache()
-    edge = EdgeNode(_catalog(), cache_capacity_bytes=1 << 20, mode="prompt", gencache=cache)
-    first = edge.serve("/media/scene-0.jpg")
-    second = edge.serve("/media/scene-0.jpg")
-    assert not first.gencache_hit and first.generation_time_s > 0.5
-    assert second.gencache_hit
-    assert second.generation_time_s == cache.hit_time_s
-    assert second.generation_energy_wh == 0.0
-    # Egress stays media-sized either way (§2.2: no transmission benefit).
-    assert second.egress_bytes == first.egress_bytes
-    # The store accounts the catalog's modelled media size.
-    assert cache.used_bytes == jpeg_size(256, 256)
-
-
 def test_edge_without_gencache_regenerates_every_request():
     edge = EdgeNode(_catalog(), cache_capacity_bytes=1 << 20, mode="prompt")
     first = edge.serve("/media/scene-0.jpg")
     second = edge.serve("/media/scene-0.jpg")
     assert first.generation_time_s == second.generation_time_s > 0.5
-    assert not first.gencache_hit and not second.gencache_hit
+    # Egress stays media-sized (§2.2: no transmission benefit).
+    assert second.egress_bytes == first.egress_bytes == jpeg_size(256, 256)

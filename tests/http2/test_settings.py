@@ -68,7 +68,7 @@ class TestSettingsState:
         settings = Settings()
         settings.update({0xAB: 7})
         assert settings.get(0xAB) == 7
-        assert settings.as_dict()[Setting.MAX_FRAME_SIZE] == DEFAULT_SETTINGS[Setting.MAX_FRAME_SIZE]
+        assert settings.max_frame_size == DEFAULT_SETTINGS[Setting.MAX_FRAME_SIZE]
 
     def test_gen_ability_nonzero_value_counts_as_support(self):
         settings = Settings()
@@ -89,7 +89,7 @@ class TestGenAbilityBitfield:
 
     def test_upscale_only(self):
         ability = GenAbility(int(GenCapability.UPSCALE_ONLY))
-        assert ability.upscale_only
+        assert ability.supports(GenCapability.UPSCALE_ONLY)
         assert not ability.supported
 
     def test_full_advertisement(self):

@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 
 from repro.batching import BatchingEngine
-from repro.cdn.edge import CatalogItem, EdgeNode, OriginCatalog
 from repro.devices import LAPTOP, WORKSTATION
-from repro.gencache import GenerationCache, image_key
 from repro.genai.image import generate_image, random_image
 from repro.genai.registry import get_image_model
 from repro.genai.upscale import ONE_STEP_SR, upscale_image
@@ -63,11 +61,3 @@ def test_every_producer_emits_the_one_encoding():
         batched = engine.submit_image(MODEL, PROMPT, 256, 256).result(timeout=30)
     assert np.array_equal(batched.pixels, result.pixels)
     assert batched.png_bytes() == expected
-
-    catalog = OriginCatalog()
-    catalog.add(CatalogItem(key="img", prompt=PROMPT, width=256, height=256, media_bytes=32_768))
-    gencache = GenerationCache()
-    edge = EdgeNode(catalog, 32_768, mode="prompt", device=WORKSTATION, gencache=gencache)
-    edge.serve("img")
-    stored = gencache.peek(image_key(edge.model.name, PROMPT, 256, 256, steps=edge.steps))
-    assert stored.payload == expected

@@ -35,19 +35,12 @@ class TestPlaylists:
     def test_media_playlist_segments(self, service):
         playlist = service.media_playlist("4K")
         assert len(playlist.segments) == int(600 // DEFAULT_SEGMENT_SECONDS)
-        m3u8 = playlist.to_m3u8()
-        assert "#EXT-X-ENDLIST" in m3u8
-        assert playlist.segments[0].path in m3u8
 
     def test_segment_sizes_match_bitrate(self, service):
         playlist = service.media_playlist("4K")
         segment = playlist.segments[0]
         expected = 7.0e9 * DEFAULT_SEGMENT_SECONDS / 3600
         assert segment.size_bytes == pytest.approx(expected, rel=0.01)
-
-    def test_segment_bytes_size_accurate(self, service):
-        segment = service.media_playlist("SD").segments[0]
-        assert len(service.segment_bytes(segment)) == segment.size_bytes
 
     def test_unknown_variant_raises(self, service):
         with pytest.raises(KeyError):

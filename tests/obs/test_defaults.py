@@ -18,49 +18,22 @@ from repro.obs import (
     NULL_REGISTRY,
     NULL_TRACER,
     EventLog,
-    MetricsRegistry,
-    Tracer,
-    configure,
-    get_event_log,
-    get_registry,
-    get_tracer,
     logging_setup,
 )
 from repro.sww.client import GenerativeClient, connect_in_memory
 from repro.sww.server import GenerativeServer, PageResource, SiteStore
 
 
-@pytest.fixture(autouse=True)
-def reset_defaults():
-    configure()
-    yield
-    configure()
-
-
 class TestProcessDefaults:
     def test_null_singletons_by_default(self):
-        assert get_registry() is NULL_REGISTRY
-        assert get_tracer() is NULL_TRACER
-
-    def test_configure_installs_and_resets(self):
-        reg, tracer, events = MetricsRegistry(), Tracer(), EventLog()
-        configure(registry=reg, tracer=tracer, events=events)
-        assert get_registry() is reg and get_tracer() is tracer
-        assert get_event_log() is events
-        configure()
-        assert get_registry() is NULL_REGISTRY and get_tracer() is NULL_TRACER
-        assert get_event_log() is NULL_EVENT_LOG
+        server = GenerativeServer(SiteStore())
+        assert server.registry is NULL_REGISTRY
+        assert server.tracer is NULL_TRACER
 
     def test_null_event_log_by_default(self):
-        assert get_event_log() is NULL_EVENT_LOG
+        assert GenerativeServer(SiteStore()).events is NULL_EVENT_LOG
+        assert GenerativeClient().events is NULL_EVENT_LOG
         assert not NULL_EVENT_LOG.enabled
-
-    def test_components_pick_up_configured_defaults(self):
-        reg, events = MetricsRegistry(), EventLog()
-        configure(registry=reg, events=events)
-        server = GenerativeServer(SiteStore())
-        assert server.registry is reg
-        assert server.events is events
 
 
 class TestNoOpEndToEnd:

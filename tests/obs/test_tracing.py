@@ -175,14 +175,6 @@ class TestTraceIdentity:
         assert tracer.current_context() is None
         assert tracer.current_trace_id() is None
 
-    def test_find_trace(self):
-        tracer = Tracer(ids=IdSource(seed=1))
-        with tracer.span("a") as a:
-            pass
-        with tracer.span("b"):
-            pass
-        assert tracer.find_trace(a.trace_id) == [a]
-
 
 class TestRemoteChildren:
     def test_remote_child_joins_senders_trace(self):

@@ -18,11 +18,6 @@ class TestTagging:
     def test_no_template_defaults_generatable(self):
         assert ContentManagementSystem().tag_for("x") == ContentTag.GENERATABLE
 
-    def test_tag_many(self):
-        cms = ContentManagementSystem()
-        cms.tag_many(["a", "b"], ContentTag.UNIQUE)
-        assert cms.tag_for("a") == cms.tag_for("b") == ContentTag.UNIQUE
-
     def test_empty_identifier_rejected(self):
         with pytest.raises(ValueError):
             ContentManagementSystem().tag("", ContentTag.UNIQUE)

@@ -51,7 +51,7 @@ class TestDownstreamNaive:
 
     def test_generated_assets_servable(self, proxy):
         proxy.handle_request("/blog/ridgeline-hike", client_gen_ability=False)
-        asset_paths = list(proxy._asset_store)
+        asset_paths = list(proxy.server.store.assets)
         assert asset_paths
         asset = proxy.handle_request(asset_paths[0], client_gen_ability=False)
         assert asset.status == 200
@@ -81,5 +81,5 @@ class TestSection22Economics:
         # Naive downstream page references media the client must now pull
         # from the proxy — the transmission benefit is gone on that hop.
         assert b"/generated/" in naive.body
-        total_media = sum(len(b) for b in proxy._asset_store.values())
+        total_media = sum(len(asset.data) for asset in proxy.server.store.assets.values())
         assert total_media > 20 * proxy.stats.prompt_cache_bytes

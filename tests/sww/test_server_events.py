@@ -143,11 +143,12 @@ class TestWriterErrorPaths:
 
 
 class TestConcurrentMode:
-    def _serve(self, scenario_body, **server_kwargs):
+    def _serve(self, scenario_body, recorder=None, **server_kwargs):
         """Run a TCP server + the given async client scenario."""
 
         async def scenario():
             server = GenerativeServer(_store(), **server_kwargs)
+            server.recorder = recorder
             listener = await server.serve_forever("127.0.0.1", 0)
             port = listener.sockets[0].getsockname()[1]
             try:

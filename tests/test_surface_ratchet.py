@@ -13,20 +13,24 @@ import inspect
 import pytest
 
 from repro.batching import BatchingEngine
+from repro.cdn.edge import EdgeNode
 from repro.cli import build_parser
+from repro.genai.pipeline import GenerationPipeline
 from repro.http2.endpoint import ClientConnection, ServerConnection
 from repro.http2.writer import ConnectionWriter
+from repro.obs import FlightRecorder
 from repro.serving import Arbiter, ArbiterConfig, CacheTierServer, RemoteGenerationCache
 from repro.sww.admin import AdminPlane
 from repro.sww.client import GenerativeClient
 from repro.sww.media_generator import MediaGenerator
 from repro.sww.page_processor import PageProcessor
+from repro.sww.proxy import SwwEdgeProxy
 from repro.sww.server import GenerativeServer
 
 CLI_ARGUMENTS_CEILING = 76
 INIT_PARAMETER_CEILINGS = {
     GenerativeClient: 9,
-    GenerativeServer: 14,
+    GenerativeServer: 13,
     ServerConnection: 2,
     ClientConnection: 3,
     PageProcessor: 2,
@@ -39,6 +43,10 @@ INIT_PARAMETER_CEILINGS = {
     ConnectionWriter: 3,
     BatchingEngine: 7,
     AdminPlane: 7,
+    SwwEdgeProxy: 2,
+    EdgeNode: 7,
+    FlightRecorder: 7,
+    GenerationPipeline: 4,
 }
 
 

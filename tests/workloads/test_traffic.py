@@ -29,7 +29,6 @@ class TestModel:
     def test_reduction_factor(self):
         projection = TrafficModel(1.0).project(50)
         assert projection.reduction_factor == pytest.approx(50)
-        assert projection.original_eb == pytest.approx(1.0)
 
     def test_incompressible_share_limits_savings(self):
         projection = TrafficModel(1.0, compressible_share=0.5).project(100)
