@@ -46,7 +46,6 @@ def record_bench(
     table: str,
     scenario: str,
     *,
-    wall_time_s: float | None = None,
     wire_bytes: int | None = None,
     compression_ratio: float | None = None,
     **extra,
@@ -55,18 +54,28 @@ def record_bench(
 
     Each benchmark table that calls this gets a top-level
     ``BENCH_<table>.json`` written after the session (see
-    :func:`dump_bench_trajectories`); CI uploads the files, so successive
-    PRs can be diffed measurement by measurement.
+    :func:`dump_bench_trajectories`). CI reruns the benchmarks and fails on
+    any ``git diff`` of those files, so record only what a rerun reproduces
+    byte for byte: simulated numbers and exact counts, never wall time
+    (wall-clock measurement lives in ``bench/``).
     """
     entry: dict = {}
-    if wall_time_s is not None:
-        entry["wall_time_s"] = round(float(wall_time_s), 6)
     if wire_bytes is not None:
         entry["wire_bytes"] = int(wire_bytes)
     if compression_ratio is not None:
         entry["compression_ratio"] = round(float(compression_ratio), 4)
     entry.update(extra)
     BENCH_TRAJECTORY.setdefault(table, {})[scenario] = entry
+
+
+def committed_bench(table: str) -> dict:
+    """The scenarios of the committed ``BENCH_<table>.json``.
+
+    The files are rewritten only after the session, so a gate against
+    another table reads the committed numbers; CI's ``git diff`` then
+    checks that this run reproduced them.
+    """
+    return json.loads((REPO_ROOT / f"BENCH_{table}.json").read_text())["scenarios"]
 
 
 def dump_bench_trajectories(root: Path | None = None) -> list[Path]:

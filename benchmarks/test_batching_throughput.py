@@ -8,14 +8,15 @@ scenario routes the same stream through one shared
 generations from concurrent pages group inside the admission window and
 pay the amortised cost ``(1 + α·(B−1))/B``.
 
-The comparison is on *simulated* pages per second — the deterministic
-quantity the amortisation curve governs — with wall time recorded for
-context. Output bytes are asserted identical between the scenarios, and
-the CI gate requires batched throughput ≥ 2× sequential
-(``BENCH_batch.json``).
+The comparison is on *simulated* pages per second, the quantity the
+amortisation curve governs. Output bytes are asserted identical between
+the scenarios, and the gate requires batched throughput ≥ 2× sequential.
+``BENCH_batch.json`` records the sequential row only: which of the eight
+threads' generations share a batch is decided by the engine's wall-clock
+admission window, so the batched numbers can move between reruns
+(12 batches in one, 13 in another) and are asserted but not recorded.
 """
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 from _shared import print_table, record_bench
@@ -90,17 +91,15 @@ def run_session(engine: BatchingEngine | None):
             )
         return outputs
 
-    start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=USERS) as pool:
         per_lane = list(pool.map(run_lane, range(USERS)))
-    wall_s = time.perf_counter() - start
     fetches = [entry for lane in per_lane for entry in lane]
     sim_s = sum(seconds for _path, seconds, _assets in fetches)
     assets: dict[str, dict[str, bytes]] = {}
     for path, _seconds, page_assets in fetches:
         assets.setdefault(path, page_assets)
         assert assets[path] == page_assets, f"non-deterministic bytes for {path}"
-    return wall_s, sim_s, len(fetches), assets
+    return sim_s, len(fetches), assets
 
 
 def run_both():
@@ -115,8 +114,8 @@ def run_both():
 
 def test_batched_throughput_vs_sequential(benchmark):
     sequential, batched, stats = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    seq_wall, seq_sim, seq_pages, seq_assets = sequential
-    bat_wall, bat_sim, bat_pages, bat_assets = batched
+    seq_sim, seq_pages, seq_assets = sequential
+    bat_sim, bat_pages, bat_assets = batched
     assert seq_pages == bat_pages == REQUESTS
 
     seq_rate = seq_pages / seq_sim
@@ -127,7 +126,6 @@ def test_batched_throughput_vs_sequential(benchmark):
         f"Batching: {REQUESTS}-request Zipf stream, {USERS} concurrent users",
         ["metric", "sequential (seed)", f"batched (window {MAX_BATCH})"],
         [
-            ["wall time", f"{seq_wall:.2f} s", f"{bat_wall:.2f} s"],
             ["simulated generation", f"{seq_sim:.1f} s", f"{bat_sim:.1f} s"],
             ["pages / simulated s", f"{seq_rate:.4f}", f"{bat_rate:.4f}"],
             ["throughput speedup", "-", f"{speedup:.2f}x"],
@@ -148,23 +146,7 @@ def test_batched_throughput_vs_sequential(benchmark):
     record_bench(
         "batch",
         "sequential",
-        wall_time_s=seq_wall,
         generation_sim_s=round(seq_sim, 3),
         pages=seq_pages,
         pages_per_sim_s=round(seq_rate, 6),
-    )
-    record_bench(
-        "batch",
-        "batched",
-        wall_time_s=bat_wall,
-        generation_sim_s=round(bat_sim, 3),
-        pages=bat_pages,
-        pages_per_sim_s=round(bat_rate, 6),
-        speedup=round(speedup, 3),
-        batches=stats.batches,
-        mean_batch=round(stats.mean_batch, 3),
-        largest_batch=stats.largest_batch,
-        saved_sim_s=round(stats.saved_sim_s, 3),
-        max_batch=MAX_BATCH,
-        batch_wait_s=BATCH_WAIT_S,
     )

@@ -9,8 +9,8 @@ ring's aggregate capacity covers the working set *because* consistent
 hashing partitions ownership instead of replicating everywhere.
 
 Each fleet replays the identical tape twice (the gencache warm-replay
-discipline); the warm pass is the measured row. Gates (CI-enforced via
-``BENCH_fleet.json``):
+discipline); the warm pass is the measured row. Gates (asserted here;
+``BENCH_fleet.json`` records the numbers):
 
 * combined edge+peer+coalesced hit rate ≥ 80% at fleet size 16;
 * origin traffic at fleet 16 at most 1/5 of the single edge's (≥ 5×
@@ -20,11 +20,8 @@ discipline); the warm pass is the measured row. Gates (CI-enforced via
   hashing rebalance contract).
 
 The simulation is a discrete-event replay over deterministic seeded
-streams — every number here except ``wall_time_s`` is reproducible
-bit-for-bit across runs.
+streams — every number here is reproducible bit-for-bit across runs.
 """
-
-import time
 
 from _shared import print_table, record_bench
 
@@ -57,11 +54,9 @@ def run_fleet(edges: int):
     router = FleetRouter(regions, ring)
     fleet = EdgeFleet(catalog, config, router, ring=ring)
     session = OpenLoopSession(fleet, regions, DURATION_S, seed=SEED)
-    begin = time.perf_counter()
     cold = session.run()
     warm = session.run()
-    wall_s = time.perf_counter() - begin
-    return {"fleet": fleet, "cold": cold, "warm": warm, "wall_s": wall_s}
+    return {"fleet": fleet, "cold": cold, "warm": warm}
 
 
 def rebalance_share() -> float:
@@ -116,7 +111,7 @@ def test_fleet_scaling(benchmark):
     assert warm[1].tier_count("peer") == 0
     assert warm[16].tier_count("peer") > 0
 
-    # The CI gates.
+    # The gates.
     assert full.fleet_hit_rate >= HIT_RATE_GATE, (
         f"fleet-16 combined hit rate {full.fleet_hit_rate:.3f} below {HIT_RATE_GATE}"
     )
@@ -134,7 +129,6 @@ def test_fleet_scaling(benchmark):
         record_bench(
             "fleet",
             f"edges_{edges}",
-            wall_time_s=results[edges]["wall_s"],
             requests=stats.requests,
             fleet_hit_rate=round(stats.fleet_hit_rate, 6),
             tier_edge=stats.tier_count("edge"),

@@ -130,7 +130,6 @@ def test_gencache_warm_vs_cold(benchmark):
     record_bench(
         "gencache",
         "cold",
-        wall_time_s=cold_wall,
         generation_sim_s=round(cold_sim, 3),
         cache_hits=cold_hits,
         coalesced=cold_coalesced,
@@ -138,7 +137,6 @@ def test_gencache_warm_vs_cold(benchmark):
     record_bench(
         "gencache",
         "warm",
-        wall_time_s=warm_wall,
         generation_sim_s=round(warm_sim, 3),
         cache_hits=warm_hits,
         coalesced=warm_coalesced,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import statistics
 
-from _shared import print_table, record_bench, within
+from _shared import print_table, record_bench
 from repro.http2.bdp import AdaptiveReceiveWindow, BdpEstimator
 from repro.http2.connection import DataReceived, H2Connection, RequestReceived, Role
 from repro.http2.frames import DataFrame, parse_frames
@@ -343,4 +343,4 @@ class TestBdpAdaptiveWindows:
         assert steady_recovery >= 0.90, (
             f"adaptive steady-state at {steady_recovery:.1%} of the oracle window (gate: 90%)"
         )
-        within(vs_small, 5.0, 1e9, "adaptive speedup over the 64 KiB default")
+        assert vs_small >= 5.0, f"adaptive only {vs_small:.1f}x over the 64 KiB default (gate: 5x)"

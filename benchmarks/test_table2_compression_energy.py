@@ -9,8 +9,6 @@ Paper's Table 2 (SD 3 Medium + DeepSeek-R1 8B):
     Text (250 words)   1250     649      1.93   32 s/0.01Wh  13.0 s/0.51Wh
 """
 
-import time
-
 import pytest
 from _shared import BENCH_REGISTRY, print_table, record_bench
 
@@ -50,9 +48,7 @@ def run_table2():
 
 
 def test_table2(benchmark):
-    start = time.perf_counter()
     rows = benchmark.pedantic(run_table2, rounds=1, iterations=1)
-    wall_time_s = time.perf_counter() - start
     for label, m in rows.items():
         record_bench(
             "table2",
@@ -61,7 +57,6 @@ def test_table2(benchmark):
             laptop_sim_s=round(m[3], 3),
             workstation_sim_s=round(m[5], 3),
         )
-    record_bench("table2", "harness", wall_time_s=wall_time_s)
 
     print_table(
         "Table 2 (paper / measured)",

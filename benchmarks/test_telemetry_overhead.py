@@ -8,7 +8,10 @@ sampling every thread, and an admin client polling ``/metrics``,
 ``/healthz`` and ``/debug/timeseries`` on the admin listener throughout.
 
 The acceptance bar: the full plane costs at most 5 % of throughput
-(pages per simulated generation second). The run also writes the
+(pages per simulated generation second), against both the registry-only
+arm and ``BENCH_server_concurrency.json``'s concurrent_8 scenario. Its
+ticks, polls, profiler samples and fired incidents follow the wall clock,
+so they are asserted or printed but not recorded. The run also writes the
 artifacts CI uploads — ``benchmarks/artifacts/profile.collapsed`` (the
 flamegraph input) and ``benchmarks/artifacts/timeseries.json`` (the
 sww-timeseries/1 ring at the end of the load).
@@ -16,10 +19,9 @@ sww-timeseries/1 ring at the end of the load).
 
 import asyncio
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 
-from _shared import ARTIFACT_DIR, print_table, record_bench
+from _shared import ARTIFACT_DIR, committed_bench, print_table, record_bench
 from test_server_concurrency import (
     BATCH_WAIT_S,
     CLIENTS,
@@ -139,11 +141,9 @@ def run_load(telemetry: bool):
             async def run_client(lane: int):
                 return await clients[lane].fetch_many_tcp("127.0.0.1", port, lanes[lane])
 
-            start = time.perf_counter()
             per_client = await asyncio.wait_for(
                 asyncio.gather(*(run_client(i) for i in range(CLIENTS))), timeout=600
             )
-            wall_s = time.perf_counter() - start
 
             if plane is not None:
                 # One tick and one poll after the load so the artifacts
@@ -157,7 +157,7 @@ def run_load(telemetry: bool):
                 captured["healthz"] = await admin_fetch_json(
                     "127.0.0.1", admin_port, "/healthz"
                 )
-            return wall_s, per_client
+            return per_client
         finally:
             for task in (poll_task, sampling):
                 if task is not None:
@@ -169,7 +169,7 @@ def run_load(telemetry: bool):
                     await each.wait_closed()
 
     try:
-        wall_s, per_client = asyncio.run(scenario())
+        per_client = asyncio.run(scenario())
     finally:
         engine.close()
     if telemetry:
@@ -188,7 +188,6 @@ def run_load(telemetry: bool):
         captured["events_recorded"] = len(events.events()) + events.dropped
         captured["open_events"] = events.open_count
     return {
-        "wall_s": wall_s,
         "sim_s": sim_s,
         "pages": pages,
         "pages_per_sim_s": PAGES / sim_s,
@@ -217,7 +216,6 @@ def test_telemetry_plane_overhead(benchmark):
         f"Telemetry plane: {CLIENTS} clients x {PAGES_PER_CLIENT} pages under full observation",
         ["metric", "registry only", "full plane"],
         [
-            ["wall time", f"{baseline['wall_s']:.2f} s", f"{telemetry['wall_s']:.2f} s"],
             ["simulated generation", f"{baseline['sim_s']:.1f} s", f"{telemetry['sim_s']:.1f} s"],
             ["pages / simulated s", f"{baseline['pages_per_sim_s']:.4f}", f"{telemetry['pages_per_sim_s']:.4f}"],
             ["throughput retained", "-", f"{ratio:.1%}"],
@@ -235,6 +233,7 @@ def test_telemetry_plane_overhead(benchmark):
     assert telemetry["admin_polls"] >= 1
     assert telemetry["timeseries"]["tick"] >= 1
     assert profile.sample_count > 0
+    assert telemetry["timeseries"]["format"] == "sww-timeseries/1"
     assert "sww_request_seconds" in json.dumps(telemetry["timeseries"])
 
     # Every request that began a wide event finished it — no leaked ring
@@ -253,16 +252,20 @@ def test_telemetry_plane_overhead(benchmark):
     )
     (ARTIFACT_DIR / "events.jsonl").write_text(telemetry["events_jsonl"])
 
-    # The 5% throughput gate (also enforced in CI against
-    # BENCH_server_concurrency.json's concurrent_8 scenario).
+    # The 5% throughput gate, against the registry-only arm and against
+    # the scheduler benchmark's own concurrent_8 numbers.
     assert ratio >= OVERHEAD_GATE, (
         f"telemetry plane cost {1 - ratio:.1%} of throughput (gate: 5%)"
+    )
+    concurrent_8 = committed_bench("server_concurrency")["concurrent_8"]
+    vs_scheduler = telemetry["pages_per_sim_s"] / concurrent_8["pages_per_sim_s"]
+    assert vs_scheduler >= OVERHEAD_GATE, (
+        f"full plane at {vs_scheduler:.1%} of the scheduler benchmark's concurrent_8"
     )
 
     record_bench(
         "telemetry",
         "registry_only",
-        wall_time_s=baseline["wall_s"],
         generation_sim_s=round(baseline["sim_s"], 3),
         pages=PAGES,
         pages_per_sim_s=round(baseline["pages_per_sim_s"], 6),
@@ -270,18 +273,13 @@ def test_telemetry_plane_overhead(benchmark):
     record_bench(
         "telemetry",
         "full_plane",
-        wall_time_s=telemetry["wall_s"],
         generation_sim_s=round(telemetry["sim_s"], 3),
         pages=PAGES,
         pages_per_sim_s=round(telemetry["pages_per_sim_s"], 6),
         throughput_retained=round(ratio, 4),
-        admin_polls=telemetry["admin_polls"],
-        profiler_samples=profile.sample_count,
-        sampler_ticks=telemetry["timeseries"]["tick"] + 1,
         clients=CLIENTS,
         wide_events=telemetry["events_recorded"],
         open_events=telemetry["open_events"],
-        incidents=len(telemetry["recorder"].incidents()),
     )
 
 
@@ -365,7 +363,7 @@ def test_injected_fast_burn_produces_a_deterministic_bundle():
     # Same seed, same tape → same signature, across independent stacks.
     sig_first = bundle_signature(bundle)
     sig_second = bundle_signature(second["incidents"][0])
-    assert sig_first == sig_second
+    assert sig_first and sig_first == sig_second
 
     # Export the bundle the way `sww incidents export` would, so CI can
     # pick it up alongside events.jsonl.

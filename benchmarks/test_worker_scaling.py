@@ -28,7 +28,7 @@ import subprocess
 import sys
 import time
 
-from _shared import print_table, record_bench
+from _shared import committed_bench, print_table, record_bench
 
 from repro.devices import LAPTOP
 from repro.sww.admin import admin_fetch
@@ -180,16 +180,13 @@ def run_scaling(workers: int):
         ["--worker-connections", "1"],
     )
     try:
-        start = time.perf_counter()
         arbiter.fetch_all(paths)
-        wall_s = time.perf_counter() - start
         rows = arbiter.settled_workers(expect_requests=UNIFORM_PAGES)
     finally:
         arbiter.close()
     per_worker = [float(w["generation_sim_s"]) for w in rows]
     return {
         "workers": workers,
-        "wall_s": wall_s,
         "makespan_sim_s": max(per_worker),
         "total_sim_s": sum(per_worker),
         "requests": [int(w["requests"]) for w in rows],
@@ -228,14 +225,13 @@ def test_worker_scaling_and_shared_tier(benchmark):
 
     print_table(
         f"Worker scaling: {UNIFORM_PAGES} equal-cost pages, naive clients",
-        ["fleet", "makespan (sim)", "speedup", "total gen (sim)", "wall", "requests/worker"],
+        ["fleet", "makespan (sim)", "speedup", "total gen (sim)", "requests/worker"],
         [
             [
                 f"{row['workers']}w",
                 f"{row['makespan_sim_s']:.1f} s",
                 f"{base / row['makespan_sim_s']:.2f}x",
                 f"{row['total_sim_s']:.1f} s",
-                f"{row['wall_s']:.2f} s",
                 "/".join(str(r) for r in sorted(row["requests"], reverse=True)),
             ]
             for row in scaling
@@ -263,7 +259,8 @@ def test_worker_scaling_and_shared_tier(benchmark):
         assert row["total_sim_s"] <= 1.10 * scaling[0]["total_sim_s"], row
         assert sum(row["requests"]) == UNIFORM_PAGES
 
-    # The scaling gates (docs/PERFORMANCE.md).
+    # The scaling gates (docs/PERFORMANCE.md). The makespan follows which
+    # worker wins each accept, so it is asserted here but not recorded.
     speedup = {row["workers"]: base / row["makespan_sim_s"] for row in scaling}
     assert speedup[2] >= 1.8, f"2-worker speedup {speedup[2]:.2f}x < 1.8x"
     assert speedup[4] >= 3.0, f"4-worker speedup {speedup[4]:.2f}x < 3.0x"
@@ -271,26 +268,10 @@ def test_worker_scaling_and_shared_tier(benchmark):
     # The shared tier absorbs cross-worker repeats like the in-process
     # cache absorbs same-process ones: hit rate within five points of
     # the BENCH_gencache.json warm scenario.
-    reference = 0.75
-    bench_path = os.path.join(os.path.dirname(__file__), "..", "BENCH_gencache.json")
-    if os.path.exists(bench_path):
-        with open(bench_path) as handle:
-            recorded = json.load(handle)["scenarios"].get("warm", {}).get("hit_rate")
-        if recorded:
-            reference = float(recorded)
+    reference = committed_bench("gencache")["warm"]["hit_rate"]
     assert tier["hit_rate"] >= 0.70, f"tier hit rate {tier['hit_rate']:.2f} < 0.70"
     assert abs(tier["hit_rate"] - reference) <= 0.05, (tier["hit_rate"], reference)
 
-    for row in scaling:
-        record_bench(
-            "workers",
-            f"fleet-{row['workers']}",
-            wall_time_s=row["wall_s"],
-            makespan_sim_s=round(row["makespan_sim_s"], 3),
-            total_sim_s=round(row["total_sim_s"], 3),
-            speedup=round(base / row["makespan_sim_s"], 4),
-            requests=sorted(row["requests"], reverse=True),
-        )
     record_bench(
         "workers",
         "tier-warm-zipf",

@@ -171,6 +171,7 @@ class EdgeNode:
                             DEFAULT_IMAGE_MODEL, self.device, item.prompt, item.width, item.height,
                             registry=self.registry, tracer=self.tracer,
                         )
+                    record.set(device=self.device.name, model=DEFAULT_IMAGE_MODEL.name)
                     result = EdgeServeResult(
                         key=key,
                         cache_hit=hit,
@@ -188,8 +189,6 @@ class EdgeNode:
             egress_bytes=result.egress_bytes,
             sim_time_s=result.generation_time_s,
             energy_wh=result.total_energy_wh,
-            device=self.device.name,
-            model=DEFAULT_IMAGE_MODEL.name,
         )
         record.finish(status=200)
         if self.registry.enabled:

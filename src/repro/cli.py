@@ -298,7 +298,11 @@ def cmd_convert(args: argparse.Namespace) -> int:
     from repro.sww.cms import ContentManagementSystem
     from repro.sww.conversion import PageConverter, PromptInverter
 
-    source = sys.stdin.read() if args.input == "-" else open(args.input, encoding="utf-8").read()
+    if args.input == "-":
+        source = sys.stdin.read()
+    else:
+        with open(args.input, encoding="utf-8") as handle:
+            source = handle.read()
     document = parse_html(source)
     cms = (
         ContentManagementSystem.for_template(args.template)

@@ -10,7 +10,8 @@ mechanisms, in one loop of events → policy → actions: SIGCHLD (reaped with
 ``waitpid``), control-pipe ``hello``/``heartbeat`` frames, SIGTERM, SIGINT,
 SIGTTIN, SIGTTOU, SIGHUP and a ``call_later`` tick every heartbeat
 interval become events; the actions it carries out are ``fork`` (each
-answered with a ``forked`` event), ``os.kill`` and halting with a status.
+answered with a ``forked`` event, or ``fork-failed`` when ``os.fork``
+raises), ``os.kill`` and halting with a status.
 
 The master also hosts, on its own event loop:
 
@@ -189,7 +190,11 @@ class Arbiter:
                                 "serving_worker_restarts_total", "Workers respawned after unplanned exits",
                                 layer="serving", operation="respawn",
                             ).inc()
-                        events.append(("forked", worker_id, self._fork(worker_id)))
+                        try:
+                            events.append(("forked", worker_id, self._fork(worker_id)))
+                        except OSError as exc:
+                            logger.warning("fork of worker %d failed: %s", worker_id, exc)
+                            events.append(("fork-failed", worker_id))
                     case ("kill", pid, name):
                         logger.info("%s to worker pid %d", name, pid)
                         try:
@@ -239,13 +244,20 @@ class Arbiter:
         return sock
 
     def _fork(self, worker_id: int) -> int:
-        """Fork one worker; the parent reads its control pipe, the child serves."""
+        """Fork one worker; the parent reads its control pipe, the child serves.
+
+        Raises ``OSError`` when the pipe or the fork fails, with no fd left open.
+        """
         read_fd, write_fd = os.pipe()
         signal.pthread_sigmask(signal.SIG_BLOCK, _MASTER_SIGNALS)
         try:
             pid = os.fork()
             if pid == 0:
                 self._child(worker_id, read_fd, write_fd)  # never returns
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
         finally:
             signal.pthread_sigmask(signal.SIG_UNBLOCK, _MASTER_SIGNALS)
         os.close(write_fd)

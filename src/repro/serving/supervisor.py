@@ -8,8 +8,9 @@ policy reads no clock (``now`` is a parameter) and touches no process,
 so every decision can be replayed as a list of events. Both are tagged
 tuples:
 
-* events — ``("forked", worker_id, pid)`` (the arbiter's answer to a
-  spawn), ``("hello", pid)``, ``("heartbeat", pid)``,
+* events — ``("forked", worker_id, pid)`` or ``("fork-failed",
+  worker_id)`` (the arbiter's answer to a spawn), ``("hello", pid)``,
+  ``("heartbeat", pid)``,
   ``("exited", pid, status)`` (minus the signal number for a signalled
   exit), ``("signal", name)`` for SIGTERM, SIGINT, SIGTTIN, SIGTTOU and
   SIGHUP, and ``("tick",)``;
@@ -33,6 +34,10 @@ After every event one rule runs:
   same worker id, except exit status 70 before the hello (the worker
   could not build its server, and would fail the same way again), which
   halts the fleet;
+* **fork failure** — a spawn whose fork failed is dropped with its id.
+  Until a fork succeeds again, the policy makes at most one fork attempt
+  per tick, and none in the step that saw the failure; an exit in that
+  time is not respawned under its id, the next tick's spawn replaces it;
 * **stale** — a worker not yet signalled whose last heartbeat is older
   than the worker timeout gets SIGKILL, and is respawned unless it was
   retiring;
@@ -86,6 +91,8 @@ class Supervisor:
         self.exit_status = 0
         self.restarts = 0
         self._unforked: set[int] = set()  # worker ids spawned, pid not yet known
+        #: Forks left before the next tick: None while forks succeed.
+        self._fork_budget: int | None = None
         self._next_id = 0
         self._stop_at = 0.0
         self._reason = ""
@@ -97,7 +104,13 @@ class Supervisor:
         match event:
             case ("forked", worker_id, pid):
                 self._unforked.discard(worker_id)
+                self._fork_budget = None
                 self.workers[pid] = Worker(worker_id, pid, self.generation, now, now)
+            case ("fork-failed", worker_id):
+                self._unforked.discard(worker_id)
+                self._fork_budget = 0
+            case ("tick",) if self._fork_budget is not None:
+                self._fork_budget = 1
             case ("hello" | "heartbeat" as kind, pid) if pid in self.workers:
                 worker = self.workers[pid]
                 worker.last_heartbeat = now
@@ -131,8 +144,9 @@ class Supervisor:
             self._reason = f"worker {worker.worker_id} pid {worker.pid} failed to boot (exit status {BOOT_FAILURE})"
             self._stop(now)
             return
-        self.restarts += 1
-        self._spawn(worker.worker_id, out, restart=True)
+        if self._fork_budget != 0:
+            self.restarts += 1
+            self._spawn(worker.worker_id, out, restart=True)
 
     def _kill_stale(self, now: float, out: list) -> None:
         for worker in self.workers.values():
@@ -147,13 +161,14 @@ class Supervisor:
             current = [w for w in active if w.generation == self.generation]
             booting = len(self._unforked) + sum(w.state == "starting" for w in current)
             rolling = len(current) < len(active)
+            can_fork = self._fork_budget != 0
             if len(active) + len(self._unforked) > self.size and not booting:
                 victim = max(active, key=lambda w: (w.generation < self.generation, w.worker_id))
                 booted = victim.state == "live"
                 victim.state = "retiring"
                 if booted:
                     self._kill(victim, "SIGTERM", out)
-            elif len(current) + len(self._unforked) < self.size and not (rolling and booting):
+            elif len(current) + len(self._unforked) < self.size and not (rolling and booting) and can_fork:
                 self._spawn(self._next_id, out)
                 self._next_id += 1
             else:
@@ -175,6 +190,8 @@ class Supervisor:
             out.append(("halt", self.exit_status, self._reason))
 
     def _spawn(self, worker_id: int, out: list, restart: bool = False) -> None:
+        if self._fork_budget is not None:
+            self._fork_budget -= 1
         self._unforked.add(worker_id)
         out.append(("spawn", worker_id, restart))
 

@@ -112,6 +112,15 @@ class TestWideEvents:
             assert event["model"] == "sd-3-medium"
         assert [event["cache_hit"] for event in recorded] == [False, True, False]
 
+    def test_a_blob_mode_event_names_no_model(self, catalog):
+        events = EventLog()
+        edge = EdgeNode(catalog, 10 * 32_768, mode="blob", events=events)
+        result = edge.serve("img-0")
+        (event,) = [event.to_dict() for event in events.events()]
+        assert event["status"] == 200 and event["serve_mode"] == "blob"
+        assert event["egress_bytes"] == result.egress_bytes
+        assert "model" not in event and "device" not in event
+
     def test_unknown_key_records_a_404(self, catalog):
         events = EventLog()
         edge = EdgeNode(catalog, 10 * 32_768, mode="blob", events=events)

@@ -2,13 +2,18 @@
 
 Nothing here forks: :class:`FakeShell` carries out the policy's actions
 the way :class:`~repro.serving.arbiter.Arbiter` does — a spawn is answered
-at once with a ``forked`` event and a fresh pid — and the test decides when
-a process says hello, heartbeats or exits, and what the clock reads.
+at once with a ``forked`` event and a fresh pid, or with ``fork-failed``
+while ``fork_fails`` is set — and the test decides when a process says
+hello, heartbeats or exits, and what the clock reads.
 """
+
+import errno
+import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serving.arbiter import Arbiter, ArbiterConfig
 from repro.serving.supervisor import BOOT_FAILURE, DRAIN_WAIT_S, Supervisor
 
 TIMEOUT_S = 30.0
@@ -24,6 +29,7 @@ class FakeShell:
         self.signalled: dict[int, str] = {}
         self.greeted: set[int] = set()
         self.halts: list[tuple] = []
+        self.fork_fails = False
         self._next_pid = 100
 
     def step(self, *event, after_s: float = 0.0) -> list[tuple]:
@@ -34,7 +40,9 @@ class FakeShell:
             actions = self.supervisor.step(events.pop(0), self.now)
             taken.extend(actions)
             for action in actions:
-                if action[0] == "spawn":
+                if action[0] == "spawn" and self.fork_fails:
+                    events.append(("fork-failed", action[1]))
+                elif action[0] == "spawn":
                     live_ids = set(self.alive.values())
                     assert action[1] not in live_ids, f"id {action[1]} spawned twice"
                     pid, self._next_pid = self._next_pid, self._next_pid + 1
@@ -250,6 +258,65 @@ def test_a_crash_while_stopping_is_not_respawned():
     assert shell.exit(second, 0) == [("halt", 0, "")]
 
 
+def test_a_failed_fork_is_retried_once_per_tick_under_a_new_id():
+    shell = FakeShell(size=2)
+    shell.fork_fails = True
+    # Both fail; neither is retried in the step that saw it fail.
+    assert shell.step("tick") == [("spawn", 0, False), ("spawn", 1, False)]
+    assert shell.step("signal", "SIGTTIN") == []
+    # Then one attempt per tick.
+    assert shell.step("tick", after_s=1.0) == [("spawn", 2, False)]
+    shell.fork_fails = False
+    # The first fork that succeeds lifts the limit: the fleet fills at once.
+    assert shell.step("tick", after_s=1.0) == [("spawn", 3, False), ("spawn", 4, False), ("spawn", 5, False)]
+    shell.settle()
+    assert shell.serving() == 3
+
+
+def test_a_crash_while_forks_fail_is_replaced_at_the_next_tick():
+    shell = FakeShell()
+    shell.boot()
+    first, second = shell.pids()
+    shell.fork_fails = True
+    assert shell.exit(first, -9) == [("spawn", 0, True)]
+    assert shell.exit(second, -9) == []
+    shell.fork_fails = False
+    assert shell.step("tick", after_s=1.0) == [("spawn", 2, False), ("spawn", 3, False)]
+    assert shell.supervisor.restarts == 1
+
+
+def test_the_arbiter_answers_a_raising_fork_with_fork_failed(monkeypatch):
+    """EAGAIN from ``os.fork``: both pipe ends are closed, the policy drops
+    the spawn, and each tick makes one more attempt."""
+    pipes, forks = [], []
+
+    def pipe():
+        fds = real_pipe()
+        pipes.extend(fds)
+        return fds
+
+    def fork():
+        forks.append(1)
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    real_pipe = os.pipe
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    arbiter = Arbiter(ArbiterConfig(workers=2), runtime_factory=None)
+    arbiter._dispatch(("tick",))
+    assert len(forks) == 2  # the first tick spawns both workers
+    arbiter._dispatch(("tick",))
+    assert len(forks) == 3
+    assert not arbiter.supervisor.workers
+    for fd in pipes:
+        try:
+            os.fstat(fd)
+        except OSError as exc:
+            assert exc.errno == errno.EBADF
+        else:
+            raise AssertionError(f"pipe fd {fd} left open")
+
+
 # ---------------------------------------------------------------------- #
 # Properties over random event sequences
 # ---------------------------------------------------------------------- #
@@ -263,6 +330,7 @@ operations = st.lists(
         st.tuples(st.just("exit"), st.integers(0, 7), st.sampled_from([0, 1, BOOT_FAILURE, -9, -15])),
         st.tuples(st.just("signal"), st.sampled_from(SIGNALS)),
         st.tuples(st.just("tick"), st.floats(0.0, 40.0)),
+        st.tuples(st.just("forks-fail"), st.booleans()),
     ),
     max_size=40,
 )
@@ -279,6 +347,8 @@ def _run(shell: FakeShell, ops) -> bool:
             shell.step("signal", op[1])
         elif op[0] == "tick":
             shell.step("tick", after_s=op[1])
+        elif op[0] == "forks-fail":
+            shell.fork_fails = op[1]
         elif pids:
             pid = pids[op[1] % len(pids)]
             if op[0] == "hello" and pid not in shell.greeted:
@@ -289,8 +359,9 @@ def _run(shell: FakeShell, ops) -> bool:
                 record = shell.supervisor.workers[pid]
                 was_stopping = shell.supervisor.stopping
                 boot_failure = record.state == "starting" and op[2] == BOOT_FAILURE
+                forks_held = shell.supervisor._fork_budget == 0  # a fork failed since the last tick
                 actions = shell.exit(pid, op[2])
-                if not was_stopping and record.state != "retiring" and not boot_failure:
+                if not was_stopping and record.state != "retiring" and not boot_failure and not forks_held:
                     assert ("spawn", record.worker_id, True) in actions, "unordered exit not respawned"
                 stop_ordered |= boot_failure and not was_stopping
         for halt in shell.halts:
@@ -317,6 +388,7 @@ class TestProperties:
         if _run(shell, [op for op in ops if op[:2] not in (("signal", "SIGTERM"), ("signal", "SIGINT"))]):
             return  # a boot failure halts instead
         supervisor = shell.supervisor
+        shell.fork_fails = False
 
         def converged() -> bool:
             return len(shell.alive) == supervisor.size and all(

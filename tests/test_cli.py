@@ -1,8 +1,10 @@
 """Tests for the sww command-line interface."""
 
 import asyncio
+import gc
 import io
 import sys
+import warnings
 
 import pytest
 
@@ -188,6 +190,15 @@ class TestConvert:
         src.write_text(self.HTML)
         assert main(["convert", str(src), str(dst)]) == 0
         assert "generated-content" in dst.read_text()
+
+    def test_convert_closes_its_input(self, tmp_path, capsys):
+        src = tmp_path / "in.html"
+        src.write_text(self.HTML)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main(["convert", str(src), str(tmp_path / "out.html")]) == 0
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
     def test_convert_news_template_keeps_unique(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(self.HTML))

@@ -18,6 +18,9 @@ connection itself costs: the asyncio tasks its two ends run.
 Then a generative page (ROADMAP item 3(b)): one cold capable fetch of the
 bench's ``pageload_generative`` page, whose work is parsing and
 generating, not serving; and one micro-batch through the batching engine.
+And a traditional page (ROADMAP items 2 and 3(b)): one naive load of the
+bench's ``pageload_traditional`` page and its 49 thumbnails, whose work is
+moving 1.4 MB of stored bytes through HTTP/2.
 
 Last, the shared cache tier (ROADMAP items 3(b) and 13): one first touch
 and one hit of a ``zipf_views_w2`` image through a worker's
@@ -39,13 +42,21 @@ from repro.genai.image import generate_image
 from repro.genai.registry import get_image_model
 from repro.http2.connection import H2Connection, Role
 from repro.http2.endpoint import ClientConnection, ServerConnection
+from repro.http2.frames import Frame
+from repro.http2.hpack import HpackEncoder
 from repro.http2.transport import AsyncH2Transport
 from repro.obs import EventLog, MetricsRegistry, Tracer
 from repro.serving.cachetier import CacheTierServer
 from repro.serving.remote import RemoteGenerationCache
 from repro.sww.client import GenerativeClient, connect_in_memory
 from repro.sww.server import GenerativeServer, PageResource, SiteStore
-from repro.workloads import build_harbour_gallery, build_news_article, build_uniform_pages
+from repro.workloads import (
+    build_harbour_gallery,
+    build_news_article,
+    build_uniform_pages,
+    build_wikimedia_landscape_page,
+)
+from repro.workloads.corpus import populate_traditional_assets
 
 MEMO_HIT_CEILINGS = {
     "executor_submissions": 0,
@@ -246,6 +257,52 @@ def test_cold_generative_page_costs_no_more_than_it_did(monkeypatch):
     for name, ceiling in GENERATIVE_PAGE_CEILINGS.items():
         assert counts[name] <= ceiling, f"{name}: {counts[name]} per cold page, ceiling {ceiling}"
     assert counts["png_encodes"] == 6, "the counting wrappers missed the encodes"
+
+
+#: One naive load of ``/wiki/search/landscape`` over the in-memory pair,
+#: settings exchange included: the page, then its 49 thumbnails (1.4 MB)
+#: as concurrent streams on the same connection, both ends counted.
+TRADITIONAL_PAGE_CEILINGS = {
+    # Socket writes asked for, both ends. Most are credit: the client
+    # returns window per DATA frame, and the server's turn that reads it
+    # sends what the window now allows (ROADMAP item 2 targets ≤ 30).
+    "transport_flushes": 64,
+    "frames_serialised": 304,
+    # One header block per request and one per response.
+    "hpack_encodes": 100,
+    # The page's only: stored thumbnails are answered without the rule.
+    "serve_mode_decisions": 1,
+}
+
+
+def test_traditional_page_costs_no_more_than_it_did(monkeypatch):
+    page = build_wikimedia_landscape_page()
+    store = SiteStore()
+    store.add_page(PageResource(page.path, page.sww_html, page.traditional_html))
+    populate_traditional_assets(store, page)
+    thumbs = sorted(path for path in store.assets if path.startswith("/thumbs/"))
+    assert len(thumbs) == 49
+    counts = dict.fromkeys(TRADITIONAL_PAGE_CEILINGS, 0)
+    client = GenerativeClient(device=LAPTOP, gen_ability=False)
+
+    async def load(connection):
+        responses = [await connection.request("GET", page.path)]
+        responses += await asyncio.gather(*(connection.request("GET", path) for path in thumbs))
+        return responses
+
+    with monkeypatch.context() as patch:
+        _counting(patch, AsyncH2Transport, "flush", counts, "transport_flushes")
+        _counting(patch, Frame, "serialize", counts, "frames_serialised")
+        _counting(patch, HpackEncoder, "encode", counts, "hpack_encodes")
+        decisions = _count_calls(patch, SERVE_MODE_COUNTED)
+        pair = connect_in_memory(client, GenerativeServer(store))
+        responses = pair.run(load(pair.client))
+        counts["serve_mode_decisions"] = len(decisions)
+    pair.close()
+    assert [response.status for response in responses] == [200] * 50
+    assert sum(len(response.body) for response in responses[1:]) > 1_300_000
+    for name, ceiling in TRADITIONAL_PAGE_CEILINGS.items():
+        assert counts[name] <= ceiling, f"{name}: {counts[name]} per traditional page, ceiling {ceiling}"
 
 
 #: One ``BatchingEngine`` batch of four distinct prompts: one batched
