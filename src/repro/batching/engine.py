@@ -107,6 +107,8 @@ class BatchingEngine:
         #: Wide-event log: one batch.execute event per realised batch.
         self.events = events if events is not None else NULL_EVENT_LOG
         self.stats = EngineStats()
+        #: Size of the most recent batch, for ``batching_efficiency``.
+        self._last_batch = 0
         #: Monotonic batch sequence; stamped on every waiter's future as
         #: ``future.batch_id`` / ``future.batch_size`` so the request-side
         #: wide event can record which batch its generation rode.
@@ -119,6 +121,7 @@ class BatchingEngine:
             target=self._dispatch_loop, name="batch-dispatch", daemon=True
         )
         self._dispatcher.start()
+        self.registry.source(self)
 
     # ------------------------------------------------------------ admission
 
@@ -150,13 +153,6 @@ class BatchingEngine:
             )
             self._queue.append(pending)
             self.stats.requests += 1
-            if self.registry.enabled:
-                self.registry.counter(
-                    "batching_requests_total",
-                    "Generation requests admitted to the batching engine",
-                    layer="batching",
-                    operation="admitted",
-                ).inc()
             self._cond.notify_all()
         return pending.future
 
@@ -268,7 +264,15 @@ class BatchingEngine:
             self.stats.batched_items += size
             self.stats.largest_batch = max(self.stats.largest_batch, size)
             self.stats.saved_sim_s += saved
-        self._observe_execution(size, saved)
+            self._last_batch = size
+        if self.registry.enabled:
+            self.registry.histogram(
+                "batching_batch_size",
+                "Realised micro-batch sizes",
+                buckets=_SIZE_BUCKETS,
+                layer="batching",
+                operation="execute",
+            ).observe(size)
         # Pipeline the PNG encodes: the dispatcher moves on to the next
         # window while the shared pool compresses (png_future is
         # idempotent, so a consumer asking first costs nothing).
@@ -307,33 +311,24 @@ class BatchingEngine:
         for pending in group:
             wait_hist.observe(now - pending.enqueued_at)
 
-    def _observe_execution(self, size: int, saved: float) -> None:
-        if not self.registry.enabled:
-            return
-        self.registry.histogram(
-            "batching_batch_size",
-            "Realised micro-batch sizes",
-            buckets=_SIZE_BUCKETS,
-            layer="batching",
-            operation="execute",
-        ).observe(size)
-        self.registry.counter(
-            "batching_batches_total",
-            "Micro-batches executed",
-            layer="batching",
-            operation="execute",
-        ).inc()
-        self.registry.counter(
-            "batching_saved_sim_seconds_total",
-            "Simulated seconds saved by amortisation vs solo runs",
-            layer="batching",
-            operation="execute",
-        ).inc(saved)
-        # Speedup of the last batch: B / (1 + α(B−1)); 1.0 means no
-        # amortisation happened (solo batches).
-        self.registry.gauge(
-            "batching_efficiency",
-            "Throughput speedup of the most recent batch vs solo execution",
-            layer="batching",
-            operation="execute",
-        ).set(size / (1.0 + self.alpha * (size - 1)))
+    def samples(self, out, _owner) -> None:
+        """The engine's stats, when its registry is scraped."""
+        stats = self.stats
+        out.counter(
+            "batching_requests_total", "Generation requests admitted to the batching engine",
+            stats.requests, layer="batching", operation="admitted",
+        )
+        out.counter(
+            "batching_batches_total", "Micro-batches executed", stats.batches, layer="batching", operation="execute"
+        )
+        out.counter(
+            "batching_saved_sim_seconds_total", "Simulated seconds saved by amortisation vs solo runs",
+            stats.saved_sim_s, counted=stats.batches > 0, layer="batching", operation="execute",
+        )
+        if self._last_batch:
+            # Speedup of the last batch: B / (1 + α(B−1)); 1.0 means no
+            # amortisation happened (solo batches).
+            out.gauge(
+                "batching_efficiency", "Throughput speedup of the most recent batch vs solo execution",
+                self._last_batch / (1.0 + self.alpha * (self._last_batch - 1)), layer="batching", operation="execute",
+            )

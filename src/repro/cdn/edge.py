@@ -133,6 +133,15 @@ class EdgeNode:
         #: Wide-event log: one cdn.serve event per user request.
         self.events = events if events is not None else NULL_EVENT_LOG
         self.results: list[EdgeServeResult] = []
+        #: Served requests by cache outcome, backbone and egress bytes,
+        #: generations and their energy, and origin pulls: plain tallies
+        #: the registry reads when it is scraped.
+        self._requests = {"hit": 0, "miss": 0}
+        self._bytes = {"backbone": 0, "egress": 0}
+        self._generated = 0
+        self._energy_wh = 0.0
+        self._pulls = 0
+        self.registry.source(self)
 
     def serve(self, key: str, traceparent: bytes | str | TraceContext | None = None) -> EdgeServeResult:
         """Serve one user request for ``key``.
@@ -191,68 +200,59 @@ class EdgeNode:
             energy_wh=result.total_energy_wh,
         )
         record.finish(status=200)
-        if self.registry.enabled:
-            trace_id = edge_span.trace_id if edge_span.sampled else None
-            self._count(result, trace_id or None)
+        self._requests["hit" if hit else "miss"] += 1
+        self._bytes["backbone"] += result.backbone_bytes
+        self._bytes["egress"] += result.egress_bytes
+        if result.generation_energy_wh:
+            self._generated += 1
+            self._energy_wh += result.generation_energy_wh
+            if self.registry.enabled:
+                trace_id = edge_span.trace_id if edge_span.sampled else None
+                self.registry.histogram(
+                    "cdn_generation_seconds",
+                    "On-edge generation time per request (prompt mode)",
+                    layer="cdn",
+                    operation=self.mode,
+                ).observe(result.generation_time_s, trace_id=trace_id or None)
         self.results.append(result)
         return result
 
-    def _origin_pull(self, key: str, edge_span) -> CatalogItem:
-        """The edge→origin hop on a cache miss, trace context re-injected.
-
-        The hop carries an RFC 9218 priority matching its payload class:
-        a prompt-mode pull is a tiny metadata fetch (agent class, urgency
-        0 — it must never queue behind media on a shared backbone
-        connection), a blob-mode pull is bulk media (below-the-fold class,
-        urgency 5, incremental).
-        """
+    @property
+    def _pull_urgency(self) -> int:
+        """The RFC 9218 urgency of the edge→origin hop, matching its
+        payload class: a prompt-mode pull is a tiny metadata fetch (agent
+        class, urgency 0 — it must never queue behind media on a shared
+        backbone connection), a blob-mode pull is bulk media
+        (below-the-fold class, urgency 5, incremental)."""
         from repro.sww.priorities import AGENT, BELOW_FOLD
 
-        priority = AGENT if self.mode == "prompt" else BELOW_FOLD
-        edge_span.annotate(pull_urgency=priority.urgency)
-        if self.registry.enabled:
-            self.registry.counter(
-                "cdn_origin_pulls_total",
-                "Origin pulls by the RFC 9218 urgency they are fetched at",
-                layer="cdn",
-                operation=f"u{priority.urgency}",
-            ).inc()
+        return (AGENT if self.mode == "prompt" else BELOW_FOLD).urgency
+
+    def _origin_pull(self, key: str, edge_span) -> CatalogItem:
+        """The edge→origin hop on a cache miss, trace context re-injected."""
+        edge_span.annotate(pull_urgency=self._pull_urgency)
+        self._pulls += 1
         header = encode_traceparent(edge_span.context) if edge_span.trace_id else None
         return self.origin.fetch(key, traceparent=header)
 
-    def _count(self, result: EdgeServeResult, trace_id: str | None = None) -> None:
-        """Cache/byte/energy accounting for one served request."""
-        self.registry.counter(
-            "cdn_requests_total",
-            "Edge requests, by cache outcome",
-            layer="cdn",
-            operation="hit" if result.cache_hit else "miss",
-        ).inc()
-        self.registry.counter(
-            "cdn_bytes_total",
-            "Bytes moved by the edge, backbone (origin pull) vs egress (to user)",
-            layer="cdn",
-            operation="backbone",
-        ).inc(result.backbone_bytes)
-        self.registry.counter(
-            "cdn_bytes_total",
-            "Bytes moved by the edge, backbone (origin pull) vs egress (to user)",
-            layer="cdn",
-            operation="egress",
-        ).inc(result.egress_bytes)
-        if result.generation_energy_wh:
-            self.registry.counter(
-                "cdn_generation_energy_wh_total",
-                "On-edge generation energy (prompt mode)",
-                layer="cdn",
-                operation=self.mode,
-            ).inc(result.generation_energy_wh)
-            self.registry.histogram(
-                "cdn_generation_seconds",
-                "On-edge generation time per request (prompt mode)",
-                layer="cdn",
-                operation=self.mode,
-            ).observe(result.generation_time_s, trace_id=trace_id)
+    def samples(self, out, _owner) -> None:
+        """The edge's tallies, when its registry is scraped."""
+        for outcome, count in self._requests.items():
+            out.counter("cdn_requests_total", "Edge requests, by cache outcome", count, layer="cdn", operation=outcome)
+        served = sum(self._requests.values())
+        for channel, count in self._bytes.items():
+            out.counter(
+                "cdn_bytes_total", "Bytes moved by the edge, backbone (origin pull) vs egress (to user)",
+                count, counted=served > 0, layer="cdn", operation=channel,
+            )
+        out.counter(
+            "cdn_generation_energy_wh_total", "On-edge generation energy (prompt mode)",
+            self._energy_wh, counted=self._generated > 0, layer="cdn", operation=self.mode,
+        )
+        out.counter(
+            "cdn_origin_pulls_total", "Origin pulls by the RFC 9218 urgency they are fetched at",
+            self._pulls, layer="cdn", operation=f"u{self._pull_urgency}",
+        )
 
     # ------------------------------------------------------------------ #
     # Aggregates

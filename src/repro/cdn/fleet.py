@@ -54,7 +54,7 @@ from repro.devices.profiles import DeviceProfile, WORKSTATION
 from repro.genai.registry import DEFAULT_IMAGE_MODEL, ImageModel
 from repro.gencache import GenerationCache, GenerationKey, image_key
 from repro.gencache.store import GenCacheStats, HIT_LOOKUP_TIME_S
-from repro.obs import NULL_REGISTRY, MetricsRegistry
+from repro.obs import NULL_REGISTRY, Histogram, MetricsRegistry
 
 #: Request outcomes, in cache-tier vocabulary order. ``edge`` and
 #: ``peer`` are hits, ``coalesced`` parked on an in-flight lead, and
@@ -194,6 +194,15 @@ class EdgeFleet:
         self._profiles: dict[str, _ItemProfile] = {}
         self._last_time_s = float("-inf")
         self.results_served = 0
+        #: Bytes moved by channel and the requests that reached the
+        #: origin: plain tallies the registry reads when it is scraped.
+        self._moved = {"egress": 0, "peer": 0, "shield": 0, "origin": 0}
+        self._origin_transfers = 0
+        self.registry.source(self)
+        #: The latency histogram per tier and the queue histogram, looked
+        #: up in the registry on first use only.
+        self._latency_histograms: dict[str, Histogram] = {}
+        self._queue_histogram: Histogram | None = None
 
     # ------------------------------------------------------------------ #
     # Item cost model
@@ -424,48 +433,50 @@ class EdgeFleet:
     def _finish(self, result: FleetServeResult) -> FleetServeResult:
         self.tier_counts[result.tier] += 1
         self.results_served += 1
+        moved = self._moved
+        moved["egress"] += result.egress_bytes
+        moved["peer"] += result.peer_bytes
+        moved["shield"] += result.shield_bytes
+        if result.origin_bytes:
+            moved["origin"] += result.origin_bytes
+            self._origin_transfers += 1
         if self.registry.enabled:
-            self._count(result)
+            self._observe(result)
         return result
 
-    def _count(self, result: FleetServeResult) -> None:
-        self.registry.counter(
-            "cdn_fleet_requests_total",
-            "Fleet requests, by serving tier",
-            layer="cdn",
-            operation=result.tier,
-        ).inc()
-        self.registry.histogram(
-            "cdn_fleet_latency_seconds",
-            "User-perceived latency per fleet request, by serving tier",
-            layer="cdn",
-            operation=result.tier,
-        ).observe(result.latency_s)
+    def _observe(self, result: FleetServeResult) -> None:
+        latency = self._latency_histograms.get(result.tier)
+        if latency is None:
+            latency = self._latency_histograms[result.tier] = self.registry.histogram(
+                "cdn_fleet_latency_seconds",
+                "User-perceived latency per fleet request, by serving tier",
+                layer="cdn",
+                operation=result.tier,
+            )
+        latency.observe(result.latency_s)
         if result.queue_s > 0:
-            self.registry.histogram(
-                "cdn_fleet_queue_seconds",
-                "Time spent queued behind other generations at an edge",
-                layer="cdn",
-            ).observe(result.queue_s)
-        if result.origin_bytes:
-            self.registry.counter(
-                "cdn_fleet_origin_pulls_total",
-                "Media/prompt transfers that reached the origin",
-                layer="cdn",
-            ).inc()
-        for operation, amount in (
-            ("egress", result.egress_bytes),
-            ("peer", result.peer_bytes),
-            ("shield", result.shield_bytes),
-            ("origin", result.origin_bytes),
-        ):
-            if amount:
-                self.registry.counter(
-                    "cdn_fleet_bytes_total",
-                    "Bytes moved by the fleet, by channel",
+            if self._queue_histogram is None:
+                self._queue_histogram = self.registry.histogram(
+                    "cdn_fleet_queue_seconds",
+                    "Time spent queued behind other generations at an edge",
                     layer="cdn",
-                    operation=operation,
-                ).inc(amount)
+                )
+            self._queue_histogram.observe(result.queue_s)
+
+    def samples(self, out, _owner) -> None:
+        """The fleet's tallies, when its registry is scraped."""
+        for tier, count in self.tier_counts.items():
+            out.counter(
+                "cdn_fleet_requests_total", "Fleet requests, by serving tier", count, layer="cdn", operation=tier
+            )
+        out.counter(
+            "cdn_fleet_origin_pulls_total", "Media/prompt transfers that reached the origin",
+            self._origin_transfers, layer="cdn",
+        )
+        for channel, count in self._moved.items():
+            out.counter(
+                "cdn_fleet_bytes_total", "Bytes moved by the fleet, by channel", count, layer="cdn", operation=channel
+            )
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -68,6 +68,26 @@ class GenCacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.requests if self.requests else 0.0
 
+    def samples(self, out, cache: "GenerationCache | None") -> None:
+        """The ``gencache_*`` families of the cache these stats belong to,
+        when its registry is scraped; ``used_bytes`` only while it lives."""
+        lookups = "Generation-cache lookups by outcome"
+        out.counter("gencache_hits_total", lookups, self.hits, layer="gencache", operation="hit")
+        out.counter("gencache_misses_total", lookups, self.misses, layer="gencache", operation="miss")
+        out.counter("gencache_coalesced_total", lookups, self.coalesced, layer="gencache", operation="coalesced")
+        out.counter(
+            "gencache_saved_sim_seconds_total", "Simulated generation seconds avoided by cache hits/coalescing",
+            self.saved_sim_seconds, layer="gencache",
+        )
+        out.counter(
+            "gencache_saved_energy_wh_total", "Simulated generation energy avoided by cache hits/coalescing",
+            self.saved_energy_wh, layer="gencache",
+        )
+        if cache is not None and self.insertions + self.rejected:
+            out.gauge(
+                "gencache_used_bytes", "Bytes held by the generation-result store", cache.used_bytes, layer="gencache"
+            )
+
 
 class GenerationCache:
     """Thread-safe content-addressed LRU over generation results.
@@ -89,6 +109,7 @@ class GenerationCache:
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.stats = GenCacheStats()
         self._lock = threading.Lock()
+        self.registry.source(self.stats, self)
 
     # ------------------------------------------------------------------ #
     # Lookup / insert
@@ -104,15 +125,12 @@ class GenerationCache:
             entry = self._store.get(key.digest)
             if entry is None:
                 self.stats.misses += 1
-                self._count("miss")
                 return None
             record: CachedGeneration = entry.payload
             self.stats.hits += 1
             saved_s = max(0.0, record.sim_time_s - self.hit_time_s)
             self.stats.saved_sim_seconds += saved_s
             self.stats.saved_energy_wh += record.energy_wh
-            self._count("hit")
-            self._count_saved(saved_s, record.energy_wh)
         return record
 
     def insert(
@@ -140,12 +158,6 @@ class GenerationCache:
                 self.stats.insertions += 1
             else:
                 self.stats.rejected += 1
-            if self.registry.enabled:
-                self.registry.gauge(
-                    "gencache_used_bytes",
-                    "Bytes held by the generation-result store",
-                    layer="gencache",
-                ).set(self._store.used_bytes)
         return ok
 
     def peek(self, key: GenerationKey, touch: bool = False) -> CachedGeneration | None:
@@ -173,8 +185,6 @@ class GenerationCache:
             saved_s = max(0.0, saved_sim_s - self.hit_time_s)
             self.stats.saved_sim_seconds += saved_s
             self.stats.saved_energy_wh += saved_energy_wh
-            self._count("coalesced")
-            self._count_saved(saved_s, saved_energy_wh)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -202,38 +212,3 @@ class GenerationCache:
     def clear(self) -> None:
         with self._lock:
             self._store.clear()
-
-    # ------------------------------------------------------------------ #
-    # Metrics plumbing
-    # ------------------------------------------------------------------ #
-
-    def _count(self, outcome: str) -> None:
-        if not self.registry.enabled:
-            return
-        name = {
-            "hit": "gencache_hits_total",
-            "miss": "gencache_misses_total",
-            "coalesced": "gencache_coalesced_total",
-        }[outcome]
-        self.registry.counter(
-            name,
-            "Generation-cache lookups by outcome",
-            layer="gencache",
-            operation=outcome,
-        ).inc()
-
-    def _count_saved(self, saved_s: float, saved_wh: float) -> None:
-        if not self.registry.enabled:
-            return
-        if saved_s > 0:
-            self.registry.counter(
-                "gencache_saved_sim_seconds_total",
-                "Simulated generation seconds avoided by cache hits/coalescing",
-                layer="gencache",
-            ).inc(saved_s)
-        if saved_wh > 0:
-            self.registry.counter(
-                "gencache_saved_energy_wh_total",
-                "Simulated generation energy avoided by cache hits/coalescing",
-                layer="gencache",
-            ).inc(saved_wh)

@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.http2 import frames
-from repro.http2.census import Http2Census, WireTally
+from repro.http2.census import WireTally
 from repro.http2.errors import (
     CompressionError,
     ErrorCode,
@@ -260,9 +260,8 @@ class H2Connection:
         self._goaway_received = False
         #: Frames and bytes each way, in plain ints; the registry reads
         #: them when it is scraped (:mod:`repro.http2.census`).
-        self.tally = WireTally()
-        if self.registry.enabled:
-            self.registry.collector(Http2Census).track_engine(self)
+        self.tally = WireTally((self.encoder.table, self.decoder.table))
+        self.registry.source(self.tally, self)
 
     # ------------------------------------------------------------------ #
     # Outbound API

@@ -50,7 +50,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.http2.census import Http2Census, WriterTally
+from repro.http2.census import WriterTally
 from repro.http2.connection import H2Connection
 from repro.http2.priority import DEFAULT_URGENCY, URGENCY_LEVELS, clamp_urgency
 from repro.http2.streams import StreamState
@@ -130,8 +130,7 @@ class ConnectionWriter:
         #: Queued body bytes not yet sent, kept as a running sum so a
         #: scrape on another thread reads one int.
         self._pending_bytes = 0
-        if self.registry.enabled:
-            self.registry.collector(Http2Census).track_writer(self)
+        self.registry.source(self.tally, self)
 
     # ------------------------------------------------------------------ #
     # Queue management

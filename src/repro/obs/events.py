@@ -234,7 +234,10 @@ class EventLog:
         self._open = 0
         #: Finished events evicted by ring overflow (never reset by reads).
         self.dropped = 0
-        self._registry = registry
+        #: Finished events by type; the registry reads these when scraped.
+        self._recorded = dict.fromkeys(_EVENT_TYPES, 0)
+        if registry is not None:
+            registry.source(self)
         #: When set (multi-worker serving), every event carries a ``worker``
         #: field so merged jsonl streams sort deterministically by
         #: ``(worker, seq)`` and never collide across workers.
@@ -268,21 +271,17 @@ class EventLog:
             self._open -= 1
             if self._ring.maxlen is not None and len(self._ring) == self._ring.maxlen:
                 self.dropped += 1
-                if self._registry is not None and self._registry.enabled:
-                    self._registry.counter(
-                        "obs_events_dropped_total",
-                        "Finished wide events evicted from the bounded ring",
-                        layer="obs",
-                        operation="evicted",
-                    ).inc()
             self._ring.append(event)
-        if self._registry is not None and self._registry.enabled:
-            self._registry.counter(
-                "obs_events_total",
-                "Wide events recorded, by event type",
-                layer="obs",
-                operation=event.fields.get("event", "unknown"),
-            ).inc()
+            self._recorded[event.fields["event"]] += 1
+
+    def samples(self, out, _owner) -> None:
+        """The log's counts, when its registry is scraped."""
+        for event, count in self._recorded.items():
+            out.counter("obs_events_total", "Wide events recorded, by event type", count, layer="obs", operation=event)
+        out.counter(
+            "obs_events_dropped_total", "Finished wide events evicted from the bounded ring",
+            self.dropped, layer="obs", operation="evicted",
+        )
 
     def events(self, last: int | None = None) -> list[WideEvent]:
         """Finished events, oldest first (``last`` trims to the newest N)."""

@@ -18,8 +18,10 @@ Design constraints (DESIGN.md-grade, enforced by tests):
 from __future__ import annotations
 
 import bisect
+import itertools
 import threading
-from typing import Iterator
+import weakref
+from typing import Iterator, NamedTuple
 
 #: Default histogram bucket upper bounds, in (simulated) seconds. Spans
 #: HPACK micro-operations through laptop-scale page generation (~310 s).
@@ -197,6 +199,36 @@ class Histogram:
 
 Instrument = Counter | Gauge | Histogram
 
+#: Collected sources are folded away once this many are registered (then
+#: at twice the number that survived), so tracking stays amortised O(1).
+_PRUNE_FLOOR = 64
+
+
+class _Row(NamedTuple):
+    cls: type
+    name: str
+    help: str
+    labels: dict
+    value: float
+    #: A count (kept and rebased) rather than a level.
+    total: bool
+    key: tuple[str, LabelKey]
+
+
+class Samples(list):
+    """The rows a scrape-time source reports (:meth:`MetricsRegistry.source`)."""
+
+    def counter(self, name: str, help: str, value: float, counted: bool | None = None, **labels: str) -> None:
+        """A count. It exists once it has ``counted`` something (by default
+        once it is above zero), as a counter incremented in place did."""
+        if value > 0 if counted is None else counted:
+            self.append(_Row(Counter, name, help, labels, value, True, (name, _label_key(labels))))
+
+    def gauge(self, name: str, help: str, value: float, running: bool = False, **labels: str) -> None:
+        """A level; with ``running=True`` a count that is exported as a
+        gauge, kept and rebased like a counter."""
+        self.append(_Row(Gauge, name, help, labels, value, running, (name, _label_key(labels))))
+
 
 class MetricsRegistry:
     """Get-or-create store of labeled instruments.
@@ -215,8 +247,18 @@ class MetricsRegistry:
         #: Call-site spelling -> instrument, filled only under ``_lock`` with
         #: what the registration path returned (see :meth:`_get`).
         self._memo: dict[tuple, Instrument] = {}
-        #: The one scrape-time collector (see :meth:`collector`).
-        self._collector = None
+        #: Scrape-time sources (see :meth:`source`): key -> (tally, owner
+        #: ref, or None when the tally is its own owner).
+        self._sources_lock = threading.Lock()
+        self._sources: dict[int, tuple[object, weakref.ref | None]] = {}
+        self._source_keys = itertools.count()
+        self._prune_at = _PRUNE_FLOOR
+        #: Per sourced ``(name, labels)``: the row that last spelled it, the
+        #: totals collected sources left behind less the live totals at the
+        #: last :meth:`reset`, and the totals that reset rebased.
+        self._spellings: dict[tuple[str, LabelKey], _Row] = {}
+        self._base: dict[tuple[str, LabelKey], float] = {}
+        self._rebased: set[tuple[str, LabelKey]] = set()
 
     # ------------------------------------------------------------------ #
     # Instrument accessors
@@ -249,14 +291,21 @@ class MetricsRegistry:
             memoise = all(type(value) is str for value in labels.values())
         except TypeError:  # an unhashable label value or bucket list
             memoise = False
-        key = (name, _label_key(labels))
+        # A family a source reports is read first, so the instrument
+        # handed out holds its current value.
+        self._read_sources()
+        return self._instrument(cls, name, help, (name, _label_key(labels)), args, spelling if memoise else None)
+
+    def _instrument(
+        self, cls: type, name: str, help: str, key: tuple[str, LabelKey], args: tuple = (), spelling=None
+    ) -> Instrument:
         with self._lock:
             self._register_family(name, cls.kind, help)
             instrument = self._instruments.get(key)
             if instrument is None:
                 instrument = cls(name, key[1], *args)
                 self._instruments[key] = instrument
-            if memoise:
+            if spelling is not None:
                 self._memo[spelling] = instrument
             return instrument
 
@@ -269,34 +318,72 @@ class MetricsRegistry:
         elif help and not existing[1]:
             self._families[name] = (kind, help)
 
-    def collector(self, factory):
-        """The registry's one scrape-time collector, made by ``factory()``
-        on first use.
+    def source(self, tally, owner=None) -> None:
+        """Read ``tally`` whenever this registry is read.
 
-        State a component already holds (queue depths, byte tallies) is
-        read when the registry is, not copied into instruments on every
-        change: :meth:`snapshot`, :meth:`collect`, :meth:`value`,
-        :meth:`total` and :meth:`count` first call the collector's
-        ``samples()`` under its ``lock`` and set each ``(cls, name, help,
-        labels, value)`` it yields as that instrument's value. :meth:`reset`
-        calls its ``reset()``. Readers run on any thread, so ``samples()``
-        may read only what another thread can read safely while the owner
-        mutates it.
+        A component that already keeps a count or a level registers it
+        here instead of copying each change into an instrument:
+        :meth:`snapshot`, :meth:`collect`, :meth:`value`, :meth:`total`
+        and :meth:`count` first call ``tally.samples(out, owner)`` for
+        every source, sum each ``(name, labels)`` row over them and set
+        the sums as the instruments' values. ``out`` is a
+        :class:`Samples`: a count is a total (``out.counter``), a level is
+        not (``out.gauge``). Two rules make a total read this way read as
+        one pushed into a counter:
+
+        * it never goes down when its owner is collected. The registry
+          holds ``tally`` strongly and ``owner`` weakly; once ``owner`` is
+          gone it reads the tally one last time with ``owner=None``, keeps
+          its totals and forgets the source, whose levels drop out. Without
+          ``owner`` the tally is its own owner and lives with the registry;
+        * :meth:`reset` rebases every total to zero.
+
+        Readers run on any thread, so ``samples()`` reads only what another
+        thread can read safely while the owner mutates it (ints, and
+        containers whose keys do not change).
         """
-        with self._lock:
-            if self._collector is None:
-                self._collector = factory()
-            return self._collector
+        record = (tally, weakref.ref(owner) if owner is not None else None)
+        with self._sources_lock:
+            self._sources[next(self._source_keys)] = record
+            if len(self._sources) >= self._prune_at:
+                self._rows()
+                self._prune_at = max(_PRUNE_FLOOR, 2 * len(self._sources))
 
-    def _run_collector(self) -> None:
-        collector = self._collector
-        if collector is None:
+    def _rows(self) -> Samples:
+        """The live sources' rows; folds the totals of every collected
+        source into the base. Under ``_sources_lock``."""
+        rows = Samples()
+        for key, (tally, ref) in list(self._sources.items()):
+            owner = tally if ref is None else ref()
+            if owner is not None:
+                tally.samples(rows, owner)
+                continue
+            del self._sources[key]
+            final = Samples()
+            tally.samples(final, None)
+            for row in final:
+                if row.total:
+                    self._base[row.key] = self._base.get(row.key, 0) + row.value
+                    self._spellings[row.key] = row
+        return rows
+
+    def _read_sources(self) -> None:
+        if not self._sources and not self._spellings:
             return
         # One scrape at a time: a slower concurrent scrape must not write
         # back an older value over a newer one.
-        with collector.lock:
-            for cls, name, help, labels, value in collector.samples():
-                instrument = self._get(cls, name, help, labels)
+        with self._sources_lock:
+            rows = self._rows()
+            sums = dict(self._base)
+            for row in rows:
+                sums[row.key] = sums.get(row.key, 0) + row.value
+                self._spellings[row.key] = row
+            for key, row in self._spellings.items():
+                value = sums.get(key, 0)
+                # A total rebased to zero is not shown again until it counts.
+                if row.total and not value and key in self._rebased:
+                    continue
+                instrument = self._instrument(row.cls, row.name, row.help, key)
                 with instrument._lock:
                     instrument._value = float(value)
 
@@ -306,7 +393,7 @@ class MetricsRegistry:
 
     def collect(self) -> Iterator[tuple[str, str, str, list[Instrument]]]:
         """Yield ``(name, kind, help, instruments)`` sorted by name/labels."""
-        self._run_collector()
+        self._read_sources()
         with self._lock:
             families = sorted(self._families.items())
             instruments = dict(self._instruments)
@@ -324,7 +411,7 @@ class MetricsRegistry:
         ``count``). Exporters and the time-series sampler read snapshots,
         never live instruments.
         """
-        self._run_collector()
+        self._read_sources()
         snap = MetricsRegistry()
         with self._lock:
             snap._families = dict(self._families)
@@ -334,18 +421,18 @@ class MetricsRegistry:
 
     def value(self, name: str, **labels: str) -> float:
         """One instrument's value (histograms report their sum); 0 if absent."""
-        self._run_collector()
+        self._read_sources()
         instrument = self._instruments.get((name, _label_key(labels)))
         return instrument.value if instrument is not None else 0.0
 
     def total(self, name: str) -> float:
         """Sum a family's value across every label combination."""
-        self._run_collector()
+        self._read_sources()
         return sum(inst.value for (n, _), inst in self._instruments.items() if n == name)
 
     def count(self, name: str) -> int:
         """Total histogram observation count across a family's label sets."""
-        self._run_collector()
+        self._read_sources()
         return sum(
             inst.count
             for (n, _), inst in self._instruments.items()
@@ -356,10 +443,16 @@ class MetricsRegistry:
         return len(self._instruments)
 
     def reset(self) -> None:
-        collector = self._collector
-        if collector is not None:
-            with collector.lock:
-                collector.reset()
+        with self._sources_lock:
+            rows = self._rows()
+            # Levels stay; a total is spelled again once a source reports it.
+            self._spellings = {key: row for key, row in self._spellings.items() if not row.total}
+            self._base = {}
+            for row in rows:
+                if row.total:
+                    self._base[row.key] = self._base.get(row.key, 0) - row.value
+                    self._spellings[row.key] = row
+            self._rebased = set(self._base)
         with self._lock:
             self._families.clear()
             self._instruments.clear()
@@ -418,8 +511,8 @@ class NullRegistry(MetricsRegistry):
     def histogram(self, name: str, help: str = "", buckets=DEFAULT_BUCKETS, **labels: str):  # type: ignore[override]
         return _NULL_INSTRUMENT
 
-    def collector(self, factory):  # type: ignore[override]
-        return None
+    def source(self, tally, owner=None) -> None:
+        pass
 
 
 #: Process-wide no-op singleton; safe to share between every component.

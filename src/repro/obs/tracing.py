@@ -84,7 +84,6 @@ class TailSampler:
         self.slow_k = slow_k
         self.baseline_rate = baseline_rate
         self._ids = ids if ids is not None else IdSource()
-        self._registry = registry
         self._lock = threading.Lock()
         #: seq -> (class, span); dict order is arrival order.
         self._retained: dict[int, tuple[str, Span]] = {}
@@ -95,6 +94,8 @@ class TailSampler:
         self.kept: dict[str, int] = {KEEP_ERROR: 0, KEEP_SLOW: 0, KEEP_BASELINE: 0}
         self.dropped = 0
         self.evicted = 0
+        if registry is not None:
+            registry.source(self)
 
     @staticmethod
     def has_error(span: "Span") -> bool:
@@ -112,11 +113,9 @@ class TailSampler:
             kind = self._classify(span, seq)
             if kind is None:
                 self.dropped += 1
-                self._count("obs_traces_dropped_total", "tail")
                 return None
             self._retained[seq] = (kind, span)
             self.kept[kind] += 1
-            self._count("obs_traces_kept_total", kind)
             while len(self._retained) > self.capacity:
                 self._evict_one()
             return kind
@@ -139,7 +138,6 @@ class TailSampler:
                 if demoted_seq in self._retained:
                     del self._retained[demoted_seq]
                     self.evicted += 1
-                    self._count("obs_traces_dropped_total", "tail-evicted")
                 return KEEP_SLOW
         if self._ids.sample(self.baseline_rate):
             return KEEP_BASELINE
@@ -166,19 +164,19 @@ class TailSampler:
         if kind == KEEP_SLOW:
             self._stale.add(seq)
         self.evicted += 1
-        self._count("obs_traces_dropped_total", "tail-evicted")
 
-    def _count(self, name: str, operation: str) -> None:
-        if self._registry is None or not self._registry.enabled:
-            return
-        help_text = (
-            "Completed roots kept by tail sampling, by retention class"
-            if name == "obs_traces_kept_total"
-            else "Completed root spans evicted from the tracer ring buffer"
-        )
-        self._registry.counter(
-            name, help_text, layer="obs", operation=operation
-        ).inc()
+    def samples(self, out, _owner) -> None:
+        """The sampler's counts, when its registry is scraped."""
+        for kind, count in self.kept.items():
+            out.counter(
+                "obs_traces_kept_total", "Completed roots kept by tail sampling, by retention class",
+                count, layer="obs", operation=kind,
+            )
+        for operation, count in (("tail", self.dropped), ("tail-evicted", self.evicted)):
+            out.counter(
+                "obs_traces_dropped_total", "Completed root spans evicted from the tracer ring buffer",
+                count, layer="obs", operation=operation,
+            )
 
     def spans(self) -> list["Span"]:
         """Retained roots, oldest first."""
@@ -339,14 +337,15 @@ class Tracer:
         #: Head-based sampling probability for locally started roots;
         #: remote children always inherit the sender's decision instead.
         self.sample_rate = sample_rate
-        #: Completed roots evicted by ring overflow (never reset by reads).
+        #: Completed roots evicted by ring overflow, or dropped by the
+        #: tail sampler (never reset by reads).
         self.dropped_roots = 0
-        #: Optional metrics sink for the eviction counter.
-        self._registry = registry
         #: Tail-based retention policy: when set, completed roots route
         #: through it instead of the oldest-first ring (leave
         #: ``sample_rate`` at 1.0 so the tail sees every root).
         self.tail = tail
+        if registry is not None:
+            registry.source(self)
 
     def span(self, name: str, remote: TraceContext | None = None, **attributes) -> Span:
         """Open a span; pass ``remote=`` to join a propagated trace."""
@@ -367,14 +366,16 @@ class Tracer:
         with self._lock:
             if self._ring.maxlen is not None and len(self._ring) == self._ring.maxlen:
                 self.dropped_roots += 1
-                if self._registry is not None and self._registry.enabled:
-                    self._registry.counter(
-                        "obs_traces_dropped_total",
-                        "Completed root spans evicted from the tracer ring buffer",
-                        layer="obs",
-                        operation="evicted",
-                    ).inc()
             self._ring.append(span)
+
+    def samples(self, out, _owner) -> None:
+        """The ring's evictions, when the registry is scraped; a tail
+        sampler reports its own."""
+        if self.tail is None:
+            out.counter(
+                "obs_traces_dropped_total", "Completed root spans evicted from the tracer ring buffer",
+                self.dropped_roots, layer="obs", operation="evicted",
+            )
 
     def roots(self) -> list[Span]:
         """Completed root spans, oldest first (tail-retained when enabled)."""

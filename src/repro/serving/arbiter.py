@@ -109,6 +109,7 @@ class Arbiter:
         self.runtime_factory = runtime_factory
         self.supervisor = Supervisor(config.workers, config.worker_timeout_s)
         self.registry = MetricsRegistry()
+        self.registry.source(self)
         self.tier = CacheTierServer(config.cache_capacity_bytes, registry=self.registry)
         self._listen_sock: socket.socket | None = None
         self._departed_dumps: deque[dict] = deque(maxlen=64)
@@ -117,6 +118,8 @@ class Arbiter:
         self._readers: set[asyncio.Task] = set()
         self._master_fds: set[int] = set()
         self._started_at = 0.0
+        #: The next tick's timer; the first tick boots the fleet.
+        self._ticker: asyncio.TimerHandle | None = None
         # Imported here: repro.sww.admin imports this package's h2util.
         from repro.sww.admin import AdminPlane
 
@@ -177,11 +180,10 @@ class Arbiter:
 
     def _dispatch(self, event: tuple) -> None:
         """Step the policy with ``event`` and carry out its actions."""
-        events, changed = [event], False
+        events = [event]
         while events:
             event = events.pop(0)
             actions = self.supervisor.step(event, time.monotonic())
-            changed = changed or bool(actions) or event[0] == "exited"
             for action in actions:
                 match action:
                     case ("spawn", worker_id, restart):
@@ -205,9 +207,13 @@ class Arbiter:
                         if reason:
                             print(f"sww arbiter halting: {reason}", flush=True)
                         self._halted.set_result(status)
-        if changed:
+
+    def samples(self, out, _owner) -> None:
+        """The live workers, read from the policy when the master registry
+        is scraped, once the first tick has booted the fleet."""
+        if self._ticker is not None:
             live = sum(w.state in ("starting", "live") for w in self.supervisor.workers.values())
-            self.registry.gauge("serving_workers_size", "Live workers under the arbiter", layer="serving").set(live)
+            out.gauge("serving_workers_size", "Live workers under the arbiter", live, layer="serving")
 
     def _tick(self) -> None:
         self._ticker = asyncio.get_running_loop().call_later(

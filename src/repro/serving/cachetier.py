@@ -145,6 +145,8 @@ class CacheTierServer:
         self.registry = registry
         self.flight_timeout_s = flight_timeout_s
         self._flights: dict[str, _Flight] = {}
+        if registry is not None:
+            registry.source(self)
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -190,7 +192,6 @@ class CacheTierServer:
                     )
                 # Miss (counted by lookup): this requester leads.
                 self._flights[digest] = _Flight(self.flight_timeout_s)
-                self._gauge_flights()
                 return MiniResponse(
                     status=404, body=b"", content_type=_BYTES, headers=[(_OUTCOME, b"lead")]
                 )
@@ -229,7 +230,6 @@ class CacheTierServer:
                 body=request.body, content_type=_BYTES, headers=[(_OUTCOME, b"coalesced"), *forwarded]
             )
             flight.published.set()
-        self._gauge_flights()
         return MiniResponse(status=204, body=b"", content_type=_BYTES)
 
     # ------------------------------------------------------------------ #
@@ -249,10 +249,14 @@ class CacheTierServer:
                 operation=operation,
             ).inc()
 
-    def _gauge_flights(self) -> None:
-        if self.registry is not None and self.registry.enabled:
-            self.registry.gauge(
+    def samples(self, out, _owner) -> None:
+        """The tier's flight depth, when its registry is scraped: there
+        once a lookup has led (a miss) or a generation was published."""
+        stats = self.cache.stats
+        if stats.misses + stats.insertions + stats.rejected:
+            out.gauge(
                 "gencache_tier_flights_depth",
                 "Cross-worker generations currently in flight at the tier",
+                len(self._flights),
                 layer="gencache",
-            ).set(len(self._flights))
+            )

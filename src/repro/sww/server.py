@@ -226,9 +226,21 @@ class GenerativeServer:
         self._pages_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self.requests_served = 0
+        #: What the server answered, tallied under ``_stats_lock`` and read
+        #: when the registry is scraped: requests by outcome, body bytes by
+        #: kind, page-memo outcomes and generative fallbacks by reason.
+        self._outcomes = dict.fromkeys(("not-found", "asset", *(mode.value for mode in ServeMode)), 0)
+        self._body_bytes = {"prompts": 0, "media": 0}
+        self._memo_outcomes = {"hit": 0, "coalesced": 0, "miss": 0}
+        self._fallbacks = {"negotiation": 0, "no-prompts": 0, "policy": 0, "models": 0}
         #: Live sessions, for the admin plane's /debug/streams and
         #: /healthz views. Weak so closed connections vanish on GC.
         self._sessions: "weakref.WeakSet[ServerSession]" = weakref.WeakSet()
+        #: Whether a session has served a request stream, and the worst
+        #: event-loop stall any session's probe saw (None until one ran).
+        self._streams_served = False
+        self._worst_stall_s: float | None = None
+        self.registry.source(self)
 
     # ------------------------------------------------------------------ #
     # Request logic (sans-io)
@@ -259,11 +271,13 @@ class GenerativeServer:
         already made it (the asyncio session routes a request to choose
         where it runs); without it the request is routed here.
         """
-        with self._stats_lock:
-            self.requests_served += 1
         started = time.perf_counter()
         if route is None:
             route = self._route(path, client_gen_ability, client_models)
+        with self._stats_lock:
+            self.requests_served += 1
+            if route.fallback is not None:
+                self._fallbacks[route.fallback] += 1
         with self.tracer.span("server.request", remote=trace_context, page=path) as span:
             self._note_route(route)
             response = route.answer if route.answer is not None else self._produce(route)
@@ -333,7 +347,9 @@ class GenerativeServer:
             # The client can generate, but not this page's modalities:
             # materialise server-side instead. Only the parse can tell, so
             # the fallback is noted here.
-            self._note_fallback("models")
+            annotate_current(fallback_reason="models")
+            with self._stats_lock:
+                self._fallbacks["models"] += 1
             logger.info("page %s incompatible with client models; generating server-side", page.path)
         return self._generated(*self._claim(page))
 
@@ -366,17 +382,7 @@ class GenerativeServer:
             return
         annotate_current(client_gen_ability=route.client_gen_ability, device=self.device.name)
         if route.fallback is not None:
-            self._note_fallback(route.fallback)
-
-    def _note_fallback(self, reason: str) -> None:
-        annotate_current(fallback_reason=reason)
-        if self.registry.enabled:
-            self.registry.counter(
-                "sww_fallbacks_total",
-                "Requests that could not be served generatively, by reason",
-                layer="sww",
-                operation=reason,
-            ).inc()
+            annotate_current(fallback_reason=route.fallback)
 
     def _note_outcome(self, response: ServedResponse, trace_id: str, started: float) -> None:
         """The outcome's facts, written once after the work."""
@@ -392,32 +398,21 @@ class GenerativeServer:
             fields["trace_id"] = trace_id
         if fields:
             annotate_current(**fields)
+        if response.status == 404:
+            outcome = "not-found"
+        elif response.mode is None:
+            outcome = "asset"
+        else:
+            outcome = response.mode.value
+        kind = "prompts" if response.mode is ServeMode.GENERATIVE else "media"
+        with self._stats_lock:
+            self._outcomes[outcome] += 1
+            self._body_bytes[kind] += len(response.body)
+            if response.memo is not None:
+                self._memo_outcomes[response.memo] += 1
         registry = self.registry
         if not registry.enabled:
             return
-        if response.memo is not None:
-            registry.counter(
-                "sww_materialise_cache_total",
-                "Server-side materialisation cache lookups",
-                layer="sww",
-                operation=response.memo,
-            ).inc()
-        if response.status == 404:
-            operation = "not-found"
-        elif response.mode is None:
-            operation = "asset"
-        else:
-            operation = response.mode.value
-        registry.counter(
-            "sww_requests_total", "Requests served, by outcome", layer="sww", operation=operation
-        ).inc()
-        kind = "prompts" if response.mode is ServeMode.GENERATIVE else "media"
-        registry.counter(
-            "sww_body_bytes_total",
-            "Response body bytes, prompts vs materialised media",
-            layer="sww",
-            operation=kind,
-        ).inc(len(response.body))
         # Real wall-clock (not simulated) service time: the latency the
         # SLO layer and `sww top` quantiles are computed over.
         registry.histogram(
@@ -426,6 +421,38 @@ class GenerativeServer:
             layer="sww",
             operation="serve",
         ).observe(time.perf_counter() - started, trace_id=self.tracer.current_trace_id())
+
+    def samples(self, out, _owner) -> None:
+        """The server's tallies, when its registry is scraped."""
+        for outcome, count in self._outcomes.items():
+            out.counter("sww_requests_total", "Requests served, by outcome", count, layer="sww", operation=outcome)
+        # A response counts its body even when it is empty.
+        prompts = self._outcomes[ServeMode.GENERATIVE.value]
+        for kind, served in (("prompts", prompts), ("media", sum(self._outcomes.values()) - prompts)):
+            out.counter(
+                "sww_body_bytes_total", "Response body bytes, prompts vs materialised media",
+                self._body_bytes[kind], counted=served > 0, layer="sww", operation=kind,
+            )
+        for memo, count in self._memo_outcomes.items():
+            out.counter(
+                "sww_materialise_cache_total", "Server-side materialisation cache lookups",
+                count, layer="sww", operation=memo,
+            )
+        for reason, count in self._fallbacks.items():
+            out.counter(
+                "sww_fallbacks_total", "Requests that could not be served generatively, by reason",
+                count, layer="sww", operation=reason,
+            )
+        if self._streams_served:
+            out.gauge(
+                "sww_server_inflight_streams", "Request streams currently being served by the stream scheduler",
+                sum(session.inflight for session in self.sessions()), layer="sww", operation="serve",
+            )
+        if self._worst_stall_s is not None:
+            out.gauge(
+                "sww_server_loop_stall_max_seconds", "Worst event-loop stall observed while serving",
+                self._worst_stall_s, layer="sww", operation="loop",
+            )
 
     def _materialise(self, page: PageResource) -> _PageEntry:
         """The page's :meth:`_claim` without its memo outcome."""
@@ -558,8 +585,11 @@ class GenerativeServer:
         )
 
     def sessions(self) -> list["ServerSession"]:
-        """Live (not yet collected) sessions, for the admin plane."""
-        return list(self._sessions)
+        """Live (not yet collected) sessions, for the admin plane and
+        scrapes. Copying the weak set's references is one C-level call, so
+        another thread may ask while the event loop adds a session."""
+        sessions = (ref() for ref in list(self._sessions.data))
+        return [session for session in sessions if session is not None]
 
     async def handle_connection(self, transport: AsyncH2Transport) -> None:
         """Serve one accepted TCP connection, whose engine came from
@@ -589,7 +619,6 @@ class _Request:
     route: _Route
     #: The request's wide event.
     record: object
-    inflight: object = None
 
 
 class ServerSession:
@@ -619,6 +648,10 @@ class ServerSession:
         self.transport = "tcp"
         #: Peak event-loop stall the probe observed on this connection.
         self.max_stall_s = 0.0
+        #: The stall probe's pending timer and its histogram
+        #: (:meth:`_start_stall_probe`).
+        self._probe: asyncio.TimerHandle | None = None
+        self._stall_histogram = None
         server._sessions.add(self)
 
     @property
@@ -678,13 +711,13 @@ class ServerSession:
         calls, so the stall probe, which times a loop that runs all along,
         stays off there."""
         self.transport = transport
-        probe_task = asyncio.create_task(self._stall_probe()) if transport == "tcp" else None
+        if transport == "tcp":
+            self._start_stall_probe()
         try:
             await self.driver.run(self._dispatch)
         finally:
-            if probe_task is not None:
-                probe_task.cancel()
-                await asyncio.wait([probe_task])
+            if self._probe is not None:
+                self._probe.cancel()
 
     async def shutdown(self, timeout_s: float = 30.0) -> None:
         """Server-initiated graceful close (worker drain path): in-flight
@@ -737,26 +770,16 @@ class ServerSession:
                 )
 
     def _open(self, event: RequestReceived) -> _Request:
-        """Parse and route a request and start its accounting: the
-        inflight gauge and its wide event."""
+        """Parse and route a request and begin its wide event."""
         path, authority, client_models, trace_context = self._parse_request(event)
-        request = _Request(
+        self.server._streams_served = True
+        return _Request(
             event.stream_id, authority, trace_context,
             self.server._route(path, self.conn.gen_ability_negotiated, client_models),
             self.server.events.begin(
                 "server.request", path=path, stream_id=event.stream_id, transport=self.transport
             ),
         )
-        registry = self.server.registry
-        if registry.enabled:
-            request.inflight = registry.gauge(
-                "sww_server_inflight_streams",
-                "Request streams currently being served by the stream scheduler",
-                layer="sww",
-                operation="serve",
-            )
-            request.inflight.inc()
-        return request
 
     async def _serve_off_loop(self, request: _Request) -> None:
         """A request that may block: its own task, its work on the executor."""
@@ -765,8 +788,6 @@ class ServerSession:
             response = await loop.run_in_executor(None, self._handle, request)
         except asyncio.CancelledError:
             # Drain timed out under this stream: the wide event still closes.
-            if request.inflight is not None:
-                request.inflight.dec()
             request.record.finish(error="cancelled")
             raise
         except Exception as exc:
@@ -788,8 +809,6 @@ class ServerSession:
     def _respond(self, request: _Request, response: ServedResponse) -> bool:
         """Send HEADERS and queue the body on the writer; False when the
         connection or the stream closed under the response."""
-        if request.inflight is not None:
-            request.inflight.dec()
         record = request.record
         driver = self.driver
         if driver.closed:
@@ -814,17 +833,14 @@ class ServerSession:
 
     def _handle(self, request: _Request) -> ServedResponse:
         route = request.route
-        with self.server.tracer.span(
-            "server.stream", remote=request.trace_context, page=route.path, stream=request.stream_id
-        ):
-            with request.record.bind():
-                return self.server.handle_request(
-                    route.path,
-                    route.client_gen_ability,
-                    route.client_models,
-                    request.trace_context,
-                    route=route,
-                )
+        with request.record.bind():
+            return self.server.handle_request(
+                route.path,
+                route.client_gen_ability,
+                route.client_models,
+                request.trace_context,
+                route=route,
+            )
 
     def debug_state(self) -> dict:
         """Live connection state for the admin plane's ``/debug/streams``."""
@@ -838,41 +854,39 @@ class ServerSession:
             "writer": self.driver.writer.debug_state(),
         }
 
-    async def _stall_probe(self) -> None:
+    def _start_stall_probe(self) -> None:
         """Sample event-loop responsiveness while the connection lives.
 
-        A sleep that oversleeps by Δ means something held the loop for ~Δ
-        (an on-loop answer that blocks shows here at its full length); the
-        stream scheduler must stay under the 50 ms acceptance bar.
+        A chain of 20 ms timers: one that fires late by Δ means something
+        held the loop for ~Δ (an on-loop answer that blocks shows here at
+        its full length); the stream scheduler must stay under the 50 ms
+        acceptance bar.
         """
-        loop = asyncio.get_running_loop()
-        registry = self.server.registry
-        histogram = gauge = None
-        if registry.enabled:
-            histogram = registry.histogram(
+        server = self.server
+        if server.registry.enabled:
+            self._stall_histogram = server.registry.histogram(
                 "sww_server_loop_stall_seconds",
                 "Observed event-loop scheduling delay while serving",
                 buckets=_STALL_BUCKETS,
                 layer="sww",
                 operation="loop",
             )
-            gauge = registry.gauge(
-                "sww_server_loop_stall_max_seconds",
-                "Worst event-loop stall observed while serving",
-                layer="sww",
-                operation="loop",
-            )
-        while True:
-            before = loop.time()
-            await asyncio.sleep(_STALL_PROBE_INTERVAL_S)
-            if self.draining:
-                # The connection is on its way out: whatever holds the
-                # loop from here on is not this connection being served.
-                return
-            stall = max(0.0, loop.time() - before - _STALL_PROBE_INTERVAL_S)
-            if stall > self.max_stall_s:
-                self.max_stall_s = stall
-            if histogram is not None:
-                histogram.observe(stall)
-            if gauge is not None and self.max_stall_s > gauge.value:
-                gauge.set(self.max_stall_s)
+        if server._worst_stall_s is None:
+            server._worst_stall_s = 0.0
+        self._arm_stall_probe(asyncio.get_running_loop())
+
+    def _arm_stall_probe(self, loop: asyncio.AbstractEventLoop) -> None:
+        self._probe = loop.call_later(_STALL_PROBE_INTERVAL_S, self._stall_probe_fired, loop, loop.time())
+
+    def _stall_probe_fired(self, loop: asyncio.AbstractEventLoop, armed_at: float) -> None:
+        if self.draining:
+            # The connection is on its way out: whatever holds the loop
+            # from here on is not this connection being served.
+            return
+        stall = max(0.0, loop.time() - armed_at - _STALL_PROBE_INTERVAL_S)
+        if stall > self.max_stall_s:
+            self.max_stall_s = stall
+            self.server._worst_stall_s = max(self.server._worst_stall_s, stall)
+        if self._stall_histogram is not None:
+            self._stall_histogram.observe(stall)
+        self._arm_stall_probe(loop)

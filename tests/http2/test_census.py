@@ -9,7 +9,7 @@ import threading
 import time
 import weakref
 
-from repro.http2.census import FRAME_TYPE_NAMES, Http2Census
+from repro.http2.census import FRAME_TYPE_NAMES, WireTally
 from repro.http2.connection import H2Connection, RequestReceived, Role
 from repro.http2.transport import InMemoryTransportPair, thread_loop
 from repro.http2.writer import ConnectionWriter
@@ -98,9 +98,9 @@ class TestGaugesSumOverConnections:
         assert registry.value("http2_hpack_evictions", operation="decoder", **HTTP2) == evictions
 
     def test_null_registry_ignores_the_collector(self):
-        assert NULL_REGISTRY.collector(Http2Census) is None
         pair = server_pair(NULL_REGISTRY)
         respond(pair, ConnectionWriter(pair.server.conn, registry=NULL_REGISTRY), 10)
+        assert not NULL_REGISTRY._sources
         assert len(NULL_REGISTRY) == 0
         assert pair.server.conn.bytes_sent > 0
 
@@ -187,8 +187,8 @@ class TestCountersUnderChurn:
                 for key, value in before.items():
                     assert after.get(key, 0) >= value, f"{key} went down: {value} -> {after.get(key)}"
         assert http2_counters(registry) == expected_counters(tallies)
-        census = registry.collector(Http2Census)
-        assert not census._engines, "dead engines were not folded into the retired totals"
+        engines_tracked = [tally for tally, _owner in registry._sources.values() if isinstance(tally, WireTally)]
+        assert not engines_tracked, "dead engines were not folded into the retired totals"
 
         registry.reset()
         assert http2_counters(registry) == {}

@@ -182,8 +182,8 @@ def test_exception_on_the_loop_still_answers_500_and_closes_up():
 def test_loop_and_executor_routes_record_the_same_event_and_spans():
     """The route is not observable: the same memo hit, once served on the
     loop and once forced through the executor, leaves equal wide-event
-    fields and an equally shaped ``server.stream`` → ``server.request``
-    fragment rooted at the client's ``traceparent``."""
+    fields and an equally shaped ``server.request`` fragment, the server's
+    one span per stream, rooted at the client's ``traceparent``."""
     store, _page_a, page_b = _store()
     events, tracer = EventLog(), Tracer()
     server = GenerativeServer(store, events=events, tracer=tracer, registry=MetricsRegistry())
@@ -218,11 +218,10 @@ def test_loop_and_executor_routes_record_the_same_event_and_spans():
     assert on_loop["gencache_outcome"] == "hit"
 
     def shape(span) -> tuple:
-        attributes = {k: v for k, v in span.attributes.items() if k != "stream"}
         remote = span.remote_parent.span_id if span.remote_parent is not None else None
-        return (span.name, span.trace_id, remote, attributes, [shape(c) for c in span.children])
+        return (span.name, span.trace_id, remote, span.attributes, [shape(c) for c in span.children])
 
     first, second = (shape(root) for root in tracer.roots())
     assert first == second
-    assert first[:3] == ("server.stream", context.trace_id, context.span_id)
-    assert [child[0] for child in first[4]] == ["server.request"]
+    assert first[:3] == ("server.request", context.trace_id, context.span_id)
+    assert first[4] == []

@@ -22,9 +22,12 @@ And a traditional page (ROADMAP items 2 and 3(b)): one naive load of the
 bench's ``pageload_traditional`` page and its 49 thumbnails, whose work is
 moving 1.4 MB of stored bytes through HTTP/2.
 
-Last, the shared cache tier (ROADMAP items 3(b) and 13): one first touch
+Then the shared cache tier (ROADMAP items 3(b) and 13): one first touch
 and one hit of a ``zipf_views_w2`` image through a worker's
 ``RemoteGenerationCache``.
+
+Last, the edge fleet (ROADMAP items 3(b) and 7): one ``fleet_replay``
+request with a live registry.
 """
 
 import asyncio
@@ -37,6 +40,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import repro.obs.metrics as metrics
 from repro.batching import BatchingEngine
+from repro.cdn.fleet import EdgeFleet, FleetConfig, build_fleet_catalog
+from repro.cdn.placement import HashRing
+from repro.cdn.router import FleetRouter
 from repro.devices import LAPTOP, WORKSTATION
 from repro.genai.image import generate_image
 from repro.genai.registry import get_image_model
@@ -57,14 +63,22 @@ from repro.workloads import (
     build_wikimedia_landscape_page,
 )
 from repro.workloads.corpus import populate_traditional_assets
+from repro.workloads.session import OpenLoopSession
+from repro.workloads.traffic import default_regions
 
 MEMO_HIT_CEILINGS = {
     "executor_submissions": 0,
     "threads_started": 0,
     "label_key_sorts": 0,
-    # 46 while the writer's and HPACK gauges were set on every change and
-    # every frame counted through the registry; ROADMAP item 7.
-    "registry_lookups": 7,
+    # The request-time histogram, the one distribution a hit pushes. 46
+    # while the writer's and HPACK gauges were set on every change and
+    # every frame counted through the registry, 7 while the server, its
+    # sessions and the event log pushed copies of their own tallies;
+    # ROADMAP item 7.
+    "registry_lookups": 1,
+    # The server's one span per request stream, ``server.request``; 2
+    # while a ``server.stream`` span wrapped it.
+    "spans_started": 1,
     # Tasks spawned per hit: 1 while every request stream was a task.
     "stream_tasks": 0,
     # Socket writes asked for, both ends: the client's request, the
@@ -84,10 +98,11 @@ MEMO_HIT_CEILINGS = {
     "http2_bytes_retained": 112,
     # Tasks created for the connection over its whole life, both ends,
     # per-stream ones (ServerConnection.spawn) aside: asyncio's accept
-    # task, the server session's task and its stall probe. 5 while each
-    # end read a stream pair: those three plus the server's writer task
-    # and the client's reader task.
-    "connection_tasks": 3,
+    # task and the server session's task. 3 while the stall probe was a
+    # task rather than a chain of timers, 5 while each end read a stream
+    # pair: those three plus the server's writer task and the client's
+    # reader task.
+    "connection_tasks": 2,
     # Calls of the serving rule (capability.decide_serve_mode) per hit: 2
     # while the session asked whether a request could be answered from
     # memory and the handler then decided again.
@@ -154,6 +169,7 @@ def test_warm_memo_hit_costs_no_more_than_it_did(monkeypatch):
             _counting(patch, threading.Thread, "start", counts, "threads_started")
             _counting(patch, metrics, "_label_key", counts, "label_key_sorts")
             _counting(patch, MetricsRegistry, "_get", counts, "registry_lookups")
+            _counting(patch, Tracer, "span", counts, "spans_started")
             _counting(patch, ServerConnection, "spawn", counts, "stream_tasks")
             _counting(patch, AsyncH2Transport, "flush", counts, "transport_flushes")
             decisions = _count_calls(patch, SERVE_MODE_COUNTED)
@@ -404,3 +420,33 @@ def test_tier_first_touch_and_hit_cost_no_more_than_they_did(monkeypatch):
     for name, ceiling in TIER_CEILINGS.items():
         assert counts[name] <= ceiling, f"{name}: {counts[name]} per tier op, ceiling {ceiling}"
     assert counts["hit_body_bytes"] == len(payload), "the counting wrapper missed the hit"
+
+
+#: One request through a 4-edge ``EdgeFleet`` with a live registry, over
+#: the second pass of an open-loop tape (the first pass resolves every
+#: histogram the tape observes).
+FLEET_REQUEST_CEILINGS = {
+    # The fleet's counts are read when the registry is scraped and its
+    # histograms are looked up once; 1-2 while every request pushed its
+    # tier, byte and origin counters and looked its histograms up.
+    "registry_lookups": 0,
+}
+
+
+def test_fleet_request_costs_no_more_than_it_did(monkeypatch):
+    registry = MetricsRegistry()
+    config = FleetConfig(edges=4, gencache_bytes=16 * 750_000)
+    ring = HashRing(config.edge_names(), config.vnodes)
+    regions = default_regions(4, rate_per_s=2.0)
+    fleet = EdgeFleet(build_fleet_catalog(40), config, FleetRouter(regions, ring), ring=ring, registry=registry)
+    session = OpenLoopSession(fleet, regions, 20.0, seed=5)
+    session.run()
+    counts = dict.fromkeys(FLEET_REQUEST_CEILINGS, 0)
+    with monkeypatch.context() as patch:
+        _counting(patch, MetricsRegistry, "_get", counts, "registry_lookups")
+        stats = session.run()
+    assert stats.requests > 0
+    assert registry.total("cdn_fleet_requests_total") == 2 * stats.requests, "the registry missed a request"
+    for name, ceiling in FLEET_REQUEST_CEILINGS.items():
+        per_request = counts[name] / stats.requests
+        assert per_request <= ceiling, f"{name}: {per_request} per fleet request, ceiling {ceiling}"
