@@ -6,10 +6,11 @@ compatible request that arrives within ``max_wait_s`` (up to
 ``max_batch``). Compatibility is the batch slot — same model, device,
 step count, resolution and content type — because a simulated batch
 step prices the whole group at one resolution and step count. Groups
-execute serially on the dispatcher (one accelerator), while PNG encodes
-start on the process-wide encode pool
-(:func:`repro.genai.image.encode_png_async`) so the next batch does not
-wait for compression.
+execute serially on the dispatcher (one accelerator). The engine encodes
+no PNG: the caller chooses each result's effort, and
+:class:`repro.sww.media_generator.MediaGenerator` starts a sent result's
+encode on the process-wide pool from a done-callback, so the next batch
+does not wait for compression.
 
 The engine only batches: every request runs in a lane. Duplicates
 coalesce before admission, in :mod:`repro.sww.media_generator`.
@@ -273,11 +274,6 @@ class BatchingEngine:
                 layer="batching",
                 operation="execute",
             ).observe(size)
-        # Pipeline the PNG encodes: the dispatcher moves on to the next
-        # window while the shared pool compresses (png_future is
-        # idempotent, so a consumer asking first costs nothing).
-        for result in results:
-            result.png_future()
 
     # -------------------------------------------------------------- closing
 

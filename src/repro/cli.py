@@ -612,7 +612,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         return _stats_watch(args)
     page = PAGES[args.page]()
     registry = MetricsRegistry()
-    tracer = Tracer()
+    tracer = Tracer(ids=IdSource(1))
     store = _build_store([args.page])
     print(f"measuring one capable and one naive fetch of {page.path}...", file=sys.stderr)
     # One cache shared by the capable client and the server's fallback

@@ -2,9 +2,16 @@
 
 Implements the PNG container (signature, IHDR/IDAT/IEND chunks, CRC-32),
 zlib-compressed scanlines, and the five standard scanline filters. The
-encoder picks a filter per row with the standard minimum-sum-of-absolute-
-differences heuristic; the decoder reverses any filter, so images produced
-by other encoders (colour type 2, bit depth 8, no interlace) also decode.
+decoder reverses any filter, so images produced by other encoders (colour
+type 2, bit depth 8, no interlace) also decode.
+
+There are two encoders, and a PNG's effort follows where its bytes go.
+:func:`encode_png` picks a filter per row with the standard minimum-sum-of-
+absolute-differences heuristic and deflates at :data:`DEFLATE_LEVEL`: it
+writes every PNG that is sent or stored (response bodies, cache entries).
+:func:`encode_png_stored` writes filter NONE on every row and stored
+deflate blocks: it is for images that never leave the process that made
+them, where compression buys nothing (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
-#: The one deflate effort every PNG in the repo is written at, chosen by
+#: The deflate effort of every PNG that is sent or stored, chosen by
 #: measurement (docs/PERFORMANCE.md): filtered scanlines of generated
 #: images are ``[noise, 0, small]`` byte triples, so deflate's hash chains
 #: are long and zlib's default 6 walks 128 probes per position where level
@@ -49,17 +56,28 @@ def _paeth(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out.astype(np.uint8)
 
 
-def encode_png(pixels: np.ndarray, compress_level: int = DEFLATE_LEVEL) -> bytes:
-    """Encode an (H, W, 3) uint8 array as PNG bytes."""
+def _scanlines(pixels: np.ndarray) -> np.ndarray:
+    """The (H, W*3) rows of a validated (H, W, 3) uint8 image."""
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3) RGB array, got shape {pixels.shape}")
     if pixels.dtype != np.uint8:
         raise ValueError(f"expected uint8 pixels, got {pixels.dtype}")
     height, width, _ = pixels.shape
-    bpp = 3
+    return np.ascontiguousarray(pixels).reshape(height, width * 3)
 
-    raw = np.ascontiguousarray(pixels).reshape(height, width * bpp)
-    stride = width * bpp
+
+def _png_file(width: int, height: int, idat: bytes) -> bytes:
+    ihdr = struct.pack(">LLBBBBB", width, height, 8, 2, 0, 0, 0)
+    return b"".join(
+        (PNG_SIGNATURE, *_chunk(b"IHDR", ihdr), *_chunk(b"IDAT", idat), *_chunk(b"IEND", b""))
+    )
+
+
+def encode_png(pixels: np.ndarray, compress_level: int = DEFLATE_LEVEL) -> bytes:
+    """Encode an (H, W, 3) uint8 array as PNG bytes."""
+    raw = _scanlines(pixels)
+    height, stride = raw.shape
+    bpp = 3
     # The encoder restricts itself to NONE/SUB/UP: all three decode with
     # vectorised numpy (SUB is a mod-256 prefix sum), so our own files
     # decode fast; AVERAGE/PAETH remain supported on decode for externally
@@ -89,11 +107,22 @@ def encode_png(pixels: np.ndarray, compress_level: int = DEFLATE_LEVEL) -> bytes
         rows = best == filter_type
         body[rows] = candidates[filter_type][rows]
 
-    ihdr = struct.pack(">LLBBBBB", width, height, 8, 2, 0, 0, 0)
-    idat = zlib.compress(filtered, compress_level)
-    return b"".join(
-        (PNG_SIGNATURE, *_chunk(b"IHDR", ihdr), *_chunk(b"IDAT", idat), *_chunk(b"IEND", b""))
-    )
+    return _png_file(pixels.shape[1], height, zlib.compress(filtered, compress_level))
+
+
+def encode_png_stored(pixels: np.ndarray) -> bytes:
+    """Encode an (H, W, 3) uint8 array as a PNG that is not compressed.
+
+    Every row carries filter NONE and the zlib stream holds stored blocks
+    (level 0), so the encode is a copy and two checksums: no filter search,
+    no match finding. The file is about four times :func:`encode_png`'s and
+    decodes to the same pixels, so it is for images that stay in-process.
+    """
+    raw = _scanlines(pixels)
+    height, stride = raw.shape
+    filtered = np.zeros((height, stride + 1), dtype=np.uint8)
+    filtered[:, 1:] = raw
+    return _png_file(pixels.shape[1], height, zlib.compress(filtered, 0))
 
 
 def png_dimensions(data: bytes) -> tuple[int, int]:

@@ -192,9 +192,10 @@ class GenerativeClient:
         try:
             with record.bind():
                 if self._generates(result):
-                    # Generate → rewrite (§5.2).
+                    # Generate → rewrite (§5.2). The images stay in this
+                    # process, so only what a cache keeps is deflated.
                     with self.tracer.span("client.generate", page=path) as span:
-                        result.report = self.processor.process(result.document)
+                        result.report = self.processor.process(result.document, local=True)
                         if span.trace_id:
                             record.set(trace_id=span.trace_id)
                     raw_manifests = dict(response.headers).get(b"x-sww-manifests")

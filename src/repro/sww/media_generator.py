@@ -29,6 +29,15 @@ admits the image to the engine's window, so one thread fills a batch.
 ``generate`` is the two back to back.
 With a cache attached it is also the process's one flight table, so
 every item lands in exactly one ledger outcome: hit, miss or coalesced.
+
+An image's PNG effort follows where its bytes go, and :meth:`MediaGenerator._encode`
+is the one place it is chosen. Bytes that are sent or stored — a server's
+response body, anything inserted into a cache — are ``encode_png(pixels)``
+at ``DEFLATE_LEVEL`` on the shared pool. Bytes the caller keeps in-process
+(``begin(item, local=True)``: a client's own page, with no cache to keep
+them) are written stored (:func:`repro.media.png.encode_png_stored`),
+inline on the calling thread: deflating them would change neither what the
+user sees nor what the network carries.
 """
 
 from __future__ import annotations
@@ -39,10 +48,11 @@ from dataclasses import dataclass
 
 from repro.devices.profiles import DeviceProfile
 from repro.gencache import CachedGeneration, GenerationCache, GenerationKey, key_for_item
-from repro.genai.image import encode_png_async
+from repro.genai.image import ImageResult, encode_png_async
 from repro.genai.ollama_api import OllamaClient, OllamaEndpoint
 from repro.genai.pipeline import GenerationPipeline
 from repro.genai.registry import get_image_model, get_text_model
+from repro.media.png import encode_png_stored
 from repro.obs.events import add_current, annotate_current
 from repro.sww.content import ContentType, GeneratedContent
 
@@ -83,11 +93,15 @@ class PendingGeneration:
     lead: Future | None = None
     #: The flight this item joined instead; ``complete`` books it.
     joined: Future | None = None
+    #: True when the image's bytes stay in this process and no cache keeps
+    #: them: its PNG is written stored, inline (see ``MediaGenerator._encode``).
+    local: bool = False
 
     def settle(self, error: BaseException) -> None:
         """Wait until nothing this item started still runs, then fail its unlanded lead; never raises."""
         if self.kernel is not None and self.kernel.exception() is None:  # blocks until done
-            self.encode = self.kernel.result().png_future()
+            if not self.local:
+                self.encode = self.kernel.result().png_future()
         if self.encode is not None:
             wait([self.encode])
         if self.lead is not None and not self.lead.done():
@@ -151,7 +165,7 @@ class MediaGenerator:
         """Parse the item's metadata and invoke the right subroutine."""
         return self.complete(self.begin(item))
 
-    def begin(self, item: GeneratedContent) -> PendingGeneration:
+    def begin(self, item: GeneratedContent, local: bool = False) -> PendingGeneration:
         """Start the item; an image's PNG encode is left in flight.
 
         Solo, everything simulated — RNG draws, seconds, energy, counters,
@@ -163,10 +177,14 @@ class MediaGenerator:
         With a cache attached, an item whose key is in flight here joins
         that flight; otherwise it leads the key and consults the cache
         (outside the lock: a tier lookup may park).
+
+        ``local`` is the caller's word that the item's bytes stay in this
+        process; an image nothing will insert into a cache is then written
+        stored, not deflated.
         """
         key = self.cache_key(item)
         if key is None:
-            return self._start(item)
+            return self._start(item, local=local)
         with self._lock:
             flight = self._flights.get(key)
             if flight is not None:
@@ -179,7 +197,7 @@ class MediaGenerator:
                 span.annotate(outcome="hit" if record is not None else "miss")
             if record is None:
                 annotate_current(gencache_outcome="miss")
-                return self._start(item, key, flight)
+                return self._start(item, key, flight, local)
             flight.set_result(record)
             return PendingGeneration(self._reuse(item, record, record.coalesced))
         except BaseException as exc:
@@ -187,9 +205,13 @@ class MediaGenerator:
                 flight.set_exception(exc)
             raise
 
-    def _start(self, item: GeneratedContent, key: GenerationKey | None = None, lead=None) -> PendingGeneration:
+    def _start(
+        self, item: GeneratedContent, key: GenerationKey | None = None, lead=None, local: bool = False
+    ) -> PendingGeneration:
         if item.content_type == ContentType.IMAGE:
-            pending = self._generate_image(item)
+            # What a cache keeps stays deflated: it may be shared with a
+            # server, which sends it on.
+            pending = self._generate_image(item, local and key is None)
         else:
             pending = PendingGeneration(self._generate_text(item))
         pending.key, pending.lead = key, lead
@@ -221,7 +243,7 @@ class MediaGenerator:
                 if batch_id is not None:
                     annotate_current(batch_id=batch_id, batch_size=getattr(kernel, "batch_size", 1))
                 output.sim_time_s, output.energy_wh = result.sim_time_s, result.energy_wh
-                pending.encode = result.png_future()
+                self._encode(pending, result)
             if pending.encode is not None:
                 encode, pending.encode = pending.encode, None
                 output.payload = encode.result()
@@ -285,9 +307,26 @@ class MediaGenerator:
     def _asset_path(item: GeneratedContent) -> str:
         return f"/generated/{item.name}.png" if item.content_type == ContentType.IMAGE else ""
 
-    def _generate_image(self, item: GeneratedContent) -> PendingGeneration:
+    @staticmethod
+    def _encode(pending: PendingGeneration, result) -> None:
+        """Write or start the image's PNG at the effort its destination calls for.
+
+        Sent or stored bytes are ``encode_png(pixels)``, started on the
+        shared pool (an engine result's own memoised encode, which its
+        kernel's done-callback may have started already); bytes that stay
+        in-process are written stored, inline, since that is cheaper than
+        a hop through the pool.
+        """
+        if pending.local:
+            pending.output.payload = encode_png_stored(result.pixels)
+        elif isinstance(result, ImageResult):
+            pending.encode = result.png_future()
+        else:
+            pending.encode = encode_png_async(result.pixels)
+
+    def _generate_image(self, item: GeneratedContent, local: bool) -> PendingGeneration:
         if item.upscale_src is not None:
-            return self._upscale_image(item)
+            return self._upscale_image(item, local)
         model = get_image_model(item.model) if item.model else self.pipeline.image_model
         steps, seed = item.metadata.get("steps"), item.metadata.get("seed")
         annotate_current(model=model.name, steps=steps or model.default_steps)
@@ -295,13 +334,19 @@ class MediaGenerator:
             result = self.pipeline.generate_image(
                 item.prompt, item.width, item.height, steps, seed, model=model
             )
-            return PendingGeneration(self._image_output(item, result), result.png_future())
+            pending = PendingGeneration(self._image_output(item, result), local=local)
+            self._encode(pending, result)
+            return pending
         # Micro-batched path: admit to the engine's window and return. The
         # pipeline still accounts the invocation (preload/reload semantics
         # are a device property, not a batching one).
         self.pipeline.note_invocation()
         kernel = self.engine.submit_image(model, item.prompt, item.width, item.height, steps, seed)
-        return PendingGeneration(self._image_output(item), kernel=kernel)
+        if not local:
+            # Sent bytes are encoded while the engine runs its next batch,
+            # as the solo path encodes while the next kernel runs.
+            kernel.add_done_callback(_start_encode)
+        return PendingGeneration(self._image_output(item), kernel=kernel, local=local)
 
     def _image_output(self, item: GeneratedContent, result=None) -> GenerationOutput:
         """An image output whose payload (and, without ``result``, cost) arrives later."""
@@ -314,7 +359,7 @@ class MediaGenerator:
             asset_path=self._asset_path(item),
         )
 
-    def _upscale_image(self, item: GeneratedContent) -> PendingGeneration:
+    def _upscale_image(self, item: GeneratedContent, local: bool) -> PendingGeneration:
         """§2.2 upscale path: small stored original → large local image."""
         from repro.genai.upscale import ONE_STEP_SR, upscale_image
         from repro.media.png import decode_png
@@ -326,7 +371,9 @@ class MediaGenerator:
             )
         pixels = decode_png(source)
         result = upscale_image(ONE_STEP_SR, self.device, pixels, item.scale)
-        return PendingGeneration(self._image_output(item, result), encode_png_async(result.pixels))
+        pending = PendingGeneration(self._image_output(item, result), local=local)
+        self._encode(pending, result)
+        return pending
 
     def _generate_text(self, item: GeneratedContent) -> GenerationOutput:
         model_name = item.model or self.pipeline.text_model.name
@@ -349,3 +396,9 @@ class MediaGenerator:
             sim_time_s=seconds,
             energy_wh=energy,
         )
+
+
+def _start_encode(kernel: Future) -> None:
+    """Start a collected engine result's PNG encode on the shared pool."""
+    if kernel.exception() is None:
+        kernel.result().png_future()

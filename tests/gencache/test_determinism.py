@@ -3,11 +3,16 @@
 The simulators derive their default seed from the generation inputs, so
 the same ``(model, prompt, seed, steps, resolution)`` always produces the
 same PNG. These tests pin the property end to end: through the cache
-(hits) and around it (no cache).
+(hits) and around it (no cache). A client with a cache writes what the
+cache keeps, ``encode_png(pixels)``; one without writes its images stored,
+so across the two the pixels are what must agree.
 """
+
+import numpy as np
 
 from repro.devices import LAPTOP
 from repro.gencache import GenerationCache
+from repro.media.png import decode_png
 from repro.sww.client import GenerativeClient, connect_in_memory
 from repro.sww.server import GenerativeServer, PageResource, SiteStore
 from repro.workloads import build_travel_blog
@@ -32,13 +37,17 @@ def test_cache_hit_bytes_identical_to_regeneration():
     again, _ = _assets_and_html(_fetch(GenerativeClient(device=LAPTOP), page))
     assert baseline == again
 
-    # Through the cache: a warm re-fetch serves the same bytes from hits.
+    # Through the cache: a warm re-fetch serves the same bytes from hits
+    # as the cold fetch that generated them, and the no-cache pixels.
     cached_client = GenerativeClient(device=LAPTOP, gencache=GenerationCache())
-    _fetch(cached_client, page)
+    cold, _ = _assets_and_html(_fetch(cached_client, page))
     warm = _fetch(cached_client, page)
     warm_assets, warm_html = _assets_and_html(warm)
     assert warm.report.cache_hits == warm.report.generated_total
-    assert warm_assets == baseline
+    assert warm_assets == cold
+    assert warm_assets.keys() == baseline.keys()
+    for path, payload in warm_assets.items():
+        assert np.array_equal(decode_png(payload), decode_png(baseline[path])), path
     assert warm_html == baseline_html
 
 

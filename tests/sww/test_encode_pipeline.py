@@ -15,8 +15,9 @@ import contextvars
 import os
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
 
+import numpy as np
 import pytest
 
 import repro.batching.engine as engine_module
@@ -30,7 +31,7 @@ from repro.genai.pipeline import GenerationPipeline
 from repro.genai.registry import SD3_MEDIUM
 from repro.html import parse_html
 from repro.html.serializer import serialize
-from repro.media.png import encode_png
+from repro.media.png import decode_png, encode_png, encode_png_stored
 from repro.obs import MetricsRegistry
 from repro.sww.client import GenerativeClient, connect_in_memory
 from repro.sww.content import GeneratedContent
@@ -157,8 +158,9 @@ def test_pipelined_page_equals_inline_reference(site, monkeypatch):
 
 @pytest.mark.parametrize("site", ["gallery", "fig2"])
 def test_tiny_cache_sees_the_serial_hit_miss_eviction_sequence(site, monkeypatch):
-    # Room for about two 256² PNGs: every page overflows it.
-    capacity = 2 * len(_fetch(site)["assets"][0][1]) + 1024
+    # Room for about two 256² PNGs as the cache keeps them (deflated):
+    # every page overflows it.
+    capacity = 2 * len(_fetch(site, DEFAULT_GENCACHE_BYTES)["assets"][0][1]) + 1024
     pipelined = _fetch(site, capacity)
     _use_encoder(monkeypatch, _encode_inline)
     reference = _fetch(site, capacity)
@@ -171,14 +173,28 @@ def test_tiny_cache_sees_the_serial_hit_miss_eviction_sequence(site, monkeypatch
 
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_bytes_do_not_depend_on_engine_or_cache(site):
+    """Pixels never do; bytes follow the destination. A client without a
+    cache keeps its images, written stored; with a cache every image the
+    cache keeps is ``encode_png(pixels)`` (upscale items have no key, so
+    nothing keeps them)."""
     reference = _fetch(site)
+    for path, payload in reference["assets"]:
+        assert payload == encode_png_stored(decode_png(payload)), path
     for max_batch in (None, 1, 8):
         for cache_bytes in (None, DEFAULT_GENCACHE_BYTES):
             if max_batch is None and cache_bytes is None:
                 continue
             page = _fetch(site, cache_bytes, max_batch)
             assert page["final_html"] == reference["final_html"], (max_batch, cache_bytes)
-            assert page["assets"] == reference["assets"], (max_batch, cache_bytes)
+            if cache_bytes is None:
+                assert page["assets"] == reference["assets"], (max_batch, cache_bytes)
+                continue
+            assert [path for path, _ in page["assets"]] == [path for path, _ in reference["assets"]]
+            for (path, payload), (_, local) in zip(page["assets"], reference["assets"]):
+                pixels = decode_png(local)
+                assert np.array_equal(decode_png(payload), pixels), (path, max_batch)
+                kept = encode_png_stored(pixels) if site == "upscale" else encode_png(pixels)
+                assert payload == kept, (path, max_batch)
 
 
 class _CountingEncoder:
@@ -261,6 +277,33 @@ def test_one_thread_fills_the_engine_window():
         assert (engine.stats.batches, engine.stats.largest_batch) == (1, 6)
     assert list(report.assets.items()) == list(solo.assets.items())
     assert report.sim_time_s < solo.sim_time_s  # amortised: one batch of six
+
+
+@pytest.mark.parametrize("local", [False, True], ids=["sent", "local"])
+def test_the_engine_path_encodes_at_the_destinations_effort(monkeypatch, local):
+    """A sent result's encode starts on the pool once its batch lands,
+    before the page collects it; a local result is never deflated, not
+    even by ``settle``, and is written stored when collected."""
+    encoder = _CountingEncoder()
+    monkeypatch.setattr(image_module, "encode_png", encoder)
+    with _full_window(2) as engine:
+        processor, html = _image_page(["a lighthouse", "fishing boats"], engine)
+        generator = processor.generator
+        items = [item for _element, item in processor.find_items(parse_html(html))[0]]
+        handles = [generator.begin(item, local) for item in items]
+        wait([handle.kernel for handle in handles], timeout=10)
+        deadline = time.monotonic() + 10  # done-callbacks run just after the waiters wake
+        while encoder.calls < (0 if local else 2) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert encoder.calls == (0 if local else 2)
+        for handle in handles:
+            handle.settle(RuntimeError("abandoned"))
+        assert encoder.calls == (0 if local else 2)
+        payloads = [generator.complete(handle).payload for handle in handles]
+    assert encoder.calls == (0 if local else 2)
+    for item, payload in zip(items, payloads):
+        pixels = generate_image(SD3_MEDIUM, LAPTOP, item.prompt, 64, 64).pixels
+        assert payload == (encode_png_stored(pixels) if local else encode_png(pixels))
 
 
 def test_engine_with_cache_misses_then_hits():
@@ -375,11 +418,11 @@ class TestFailures:
         generator = processor.generator
         real_begin, begun = generator.begin, []
 
-        def begin(item):
+        def begin(item, *args):
             if len(begun) == 3:
                 raise RuntimeError("kernel failed on item 3")
             begun.append(item.name)
-            return real_begin(item)
+            return real_begin(item, *args)
 
         monkeypatch.setattr(generator, "begin", begin)
         with pytest.raises(RuntimeError, match="kernel failed on item 3"):
@@ -468,8 +511,8 @@ class TestFailures:
             generator = MediaGenerator(GenerationPipeline(LAPTOP), cache=GenerationCache(), engine=engine)
             real_begin, leads, joined = generator.begin, threading.Event(), []
 
-            def begin(item):
-                handle = real_begin(item)
+            def begin(item, *args):
+                handle = real_begin(item, *args)
                 if item.name == "light":
                     leads.set()
                 return handle

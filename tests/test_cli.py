@@ -110,6 +110,18 @@ class TestStats:
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert any(r["name"] == "sww_requests_total" for r in records)
 
+    def test_wire_bytes_are_the_same_every_run(self, capsys):
+        """The client's trace ids are seeded, so its ``traceparent`` (and
+        that header's HPACK length) is the same on every run."""
+        import json
+
+        readings = []
+        for _ in range(2):
+            assert main(["stats", "--page", "wikimedia", "--format", "jsonl"]) == 0
+            records = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+            readings.append([r for r in records if r["name"] == "http2_wire_bytes_total"])
+        assert readings[0] and readings[0] == readings[1]
+
     def test_table_output(self, capsys):
         assert main(["stats", "--page", "news", "--device", "workstation", "--format", "table"]) == 0
         out = capsys.readouterr().out

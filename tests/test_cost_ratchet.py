@@ -15,9 +15,11 @@ left in either engine's table, and the bytes allocated inside
 ``repro/http2/`` that are still live, per hit. One asks what the
 connection itself costs: the asyncio tasks its two ends run.
 
-Then a generative page (ROADMAP item 3(b)): one cold capable fetch of the
-bench's ``pageload_generative`` page, whose work is parsing and
-generating, not serving; and one micro-batch through the batching engine.
+Then a generative page (ROADMAP items 3(b) and 16): one cold capable fetch
+of the bench's ``pageload_generative`` page, whose work is parsing and
+generating, not serving, solo and through a batching engine; the same page
+materialised by the server for a naive client; and one micro-batch through
+the batching engine.
 And a traditional page (ROADMAP items 2 and 3(b)): one naive load of the
 bench's ``pageload_traditional`` page and its 49 thumbnails, whose work is
 moving 1.4 MB of stored bytes through HTTP/2.
@@ -223,19 +225,24 @@ def test_warm_memo_hit_costs_no_more_than_it_did(monkeypatch):
 #: in-memory pair: the server's model negotiation and the client each
 #: parse the page once, each image is generated and encoded once, and the
 #: server applies its serving rule once (2 while it decided on the event
-#: loop and again in the executor).
+#: loop and again in the executor). The images stay in the client, so
+#: none is deflated: 6 while each was written at ``DEFLATE_LEVEL``.
 GENERATIVE_PAGE_CEILINGS = {
     "html_parses": 2,
     "image_generations": 6,
     "png_encodes": 6,
+    "deflating_encodes": 0,
     "serve_mode_decisions": 1,
 }
 #: What each row counts: every call of these functions, wherever a
-#: ``repro`` module imported them by name.
+#: ``repro`` module imported them by name. ``encode_png`` is wrapped twice
+#: (for the second row the first row's wrapper is what the modules hold),
+#: so one of its calls counts in both rows.
 GENERATIVE_PAGE_COUNTED = {
     "html_parses": ("repro.html.parser", ("parse_html",)),
     "image_generations": ("repro.genai.image", ("generate_image", "generate_image_batch")),
-    "png_encodes": ("repro.media.png", ("encode_png",)),
+    "png_encodes": ("repro.media.png", ("encode_png", "encode_png_stored")),
+    "deflating_encodes": ("repro.media.png", ("encode_png",)),
     **SERVE_MODE_COUNTED,
 }
 
@@ -259,20 +266,42 @@ def _count_calls(monkeypatch, counted: dict) -> list[str]:
     return calls
 
 
-def test_cold_generative_page_costs_no_more_than_it_did(monkeypatch):
+def _cold_generative_page(monkeypatch, engine=None, gen_ability=True) -> Counter:
+    """Count one cold fetch of the gallery page on a fresh client."""
     page = build_harbour_gallery()
     store = SiteStore()
     store.add_page(PageResource(page.path, page.sww_html))
     server = GenerativeServer(store)
-    client = GenerativeClient(device=LAPTOP)
+    client = GenerativeClient(device=LAPTOP, gen_ability=gen_ability, engine=engine)
     pair = connect_in_memory(client, server)
     calls = _count_calls(monkeypatch, GENERATIVE_PAGE_COUNTED)
     result = client.fetch_via_pair(pair, page.path)
-    assert result.status == 200 and result.report.generated_images == 6
-    counts = Counter(calls)
+    pair.close()
+    assert result.status == 200 and result.sww_mode == gen_ability
+    assert (result.report.generated_images if gen_ability else result.received_html.count("<img")) == 6
+    return Counter(calls)
+
+
+def test_cold_generative_page_costs_no_more_than_it_did(monkeypatch):
+    counts = _cold_generative_page(monkeypatch)
     for name, ceiling in GENERATIVE_PAGE_CEILINGS.items():
         assert counts[name] <= ceiling, f"{name}: {counts[name]} per cold page, ceiling {ceiling}"
     assert counts["png_encodes"] == 6, "the counting wrappers missed the encodes"
+
+
+def test_cold_generative_page_through_an_engine_costs_no_more_than_it_did(monkeypatch):
+    # The engine encodes nothing itself; the client's images stay stored.
+    with BatchingEngine(LAPTOP, max_batch=8) as engine:
+        counts = _cold_generative_page(monkeypatch, engine)
+    for name, ceiling in GENERATIVE_PAGE_CEILINGS.items():
+        assert counts[name] <= ceiling, f"{name}: {counts[name]} per batched cold page, ceiling {ceiling}"
+    assert counts["png_encodes"] == 6, "the counting wrappers missed the encodes"
+
+
+def test_materialised_page_deflates_every_image_it_sends(monkeypatch):
+    """Not a ceiling: bytes that cross the wire stay ``encode_png(pixels)``."""
+    counts = _cold_generative_page(monkeypatch, gen_ability=False)
+    assert (counts["png_encodes"], counts["deflating_encodes"]) == (6, 6)
 
 
 #: One naive load of ``/wiki/search/landscape`` over the in-memory pair,
