@@ -156,9 +156,7 @@ class EdgeNode:
         ctx = traceparent if isinstance(traceparent, (TraceContext, type(None))) else parse_traceparent(traceparent)
         record = self.events.begin("cdn.serve", cache_key=key, serve_mode=self.mode)
         try:
-            with self.tracer.span("cdn.serve", remote=ctx, key=key, mode=self.mode) as edge_span:
-                if edge_span.trace_id:
-                    record.set(trace_id=edge_span.trace_id)
+            with record.bind(), self.tracer.span("cdn.serve", remote=ctx, key=key, mode=self.mode) as edge_span:
                 cached = self.cache.get(key)
                 hit = cached is not None
                 item = self.origin.get(key) if hit else self._origin_pull(key, edge_span)
@@ -175,11 +173,10 @@ class EdgeNode:
                     if not hit:
                         self.cache.put(CacheEntry(key, item.prompt_bytes(), kind="prompt"))
                     # Every request regenerates at the edge (the paper's model).
-                    with record.bind():
-                        generation = generate_image(
-                            DEFAULT_IMAGE_MODEL, self.device, item.prompt, item.width, item.height,
-                            registry=self.registry, tracer=self.tracer,
-                        )
+                    generation = generate_image(
+                        DEFAULT_IMAGE_MODEL, self.device, item.prompt, item.width, item.height,
+                        registry=self.registry, tracer=self.tracer,
+                    )
                     record.set(device=self.device.name, model=DEFAULT_IMAGE_MODEL.name)
                     result = EdgeServeResult(
                         key=key,

@@ -9,8 +9,7 @@ answer. The runtime alone decides:
   is *settled* once the peer's SETTINGS arrived and ours were
   acknowledged, within a timeout;
 * **credit return** — every received DATA frame is acknowledged through
-  :meth:`H2Connection.acknowledge_received_data`; a BDP tuner plugs in
-  at that one point;
+  :meth:`H2Connection.acknowledge_received_data`;
 * **the writer** — bodies leave through a ``ConnectionWriter`` that the
   transport pumps at the end of every read turn, so the turn's one flush
   carries what the turn queued; a body finished off the loop asks for the
@@ -30,7 +29,6 @@ import asyncio
 from collections.abc import Callable, Coroutine, Iterable
 from dataclasses import dataclass, field
 
-from repro.http2.bdp import AdaptiveReceiveWindow
 from repro.http2.connection import (
     AbuseDetected,
     ConnectionTerminated,
@@ -189,13 +187,10 @@ class ClientConnection:
     All methods are loop-confined.
     """
 
-    def __init__(
-        self, transport: AsyncH2Transport, authority: str, tuner: AdaptiveReceiveWindow | None = None
-    ) -> None:
+    def __init__(self, transport: AsyncH2Transport, authority: str) -> None:
         self.conn = transport.conn
         self.transport = transport
         self.authority = authority
-        self._tuner = tuner
         #: Request bodies go out within flow-control credit, like responses;
         #: the transport pumps it when fresh credit arrives.
         self._writer = transport.writer = ConnectionWriter(self.conn)
@@ -208,17 +203,10 @@ class ClientConnection:
         transport.run(self._on_event).add_done_callback(self._ended)
 
     @classmethod
-    async def open(
-        cls,
-        host: str,
-        port: int,
-        conn: H2Connection,
-        authority: str | None = None,
-        tuner: AdaptiveReceiveWindow | None = None,
-    ) -> "ClientConnection":
+    async def open(cls, host: str, port: int, conn: H2Connection, authority: str | None = None) -> "ClientConnection":
         """Dial, send the preface and start reading."""
         transport = await open_tcp_pair(host, port, conn)
-        return cls(transport, authority if authority is not None else host, tuner)
+        return cls(transport, authority if authority is not None else host)
 
     @property
     def closed(self) -> bool:
@@ -291,12 +279,7 @@ class ClientConnection:
             if exchange is not None:
                 exchange.body += event.data
             if event.flow_controlled_length > 0:
-                if self._tuner is not None:
-                    # Same credit return, plus the rate estimate and any
-                    # window growth the path has earned.
-                    self._tuner.on_data(event.stream_id, event.flow_controlled_length)
-                else:
-                    self.conn.acknowledge_received_data(event.flow_controlled_length, event.stream_id)
+                self.conn.acknowledge_received_data(event.flow_controlled_length, event.stream_id)
         elif isinstance(event, ResponseReceived):
             exchange = self._exchanges.get(event.stream_id)
             if exchange is not None and exchange.owner is None:

@@ -22,9 +22,13 @@ Design points:
   its first call only; layered error handling (server handler, writer,
   ``finally`` blocks) may all call it without double-emitting.
 * **Cross-layer annotation without plumbing.** The layer that *owns* a
-  request binds its event to the current thread (``with event.bind():``);
-  inner layers (gencache, batching metadata, the materialise path) call
-  :func:`annotate_current`, which is a no-op when no event is bound.
+  request binds its event to the current context (``with event.bind():``),
+  held in a :class:`~contextvars.ContextVar`, so the binding follows the
+  request's thread or asyncio task; inner layers (gencache, batching
+  metadata, the materialise path) call :func:`annotate_current`, which is
+  a no-op when no event is bound. The first span the request opens while
+  its event is bound gives the event its ``trace_id``
+  (:mod:`repro.obs.tracing`).
 * **Export.** ``to_jsonl`` (one JSON object per line) and
   ``to_columnar`` (same shape as the timeseries plane: a field-major
   document a future multi-worker arbiter can merge cheaply).
@@ -40,6 +44,7 @@ import re
 import threading
 import time
 from collections import deque
+from contextvars import ContextVar
 from typing import Iterable
 
 #: Format tag stamped on columnar exports.
@@ -103,27 +108,18 @@ EVENT_FIELDS: dict[str, str] = {
 
 _EVENT_TYPES = ("server.request", "client.fetch", "cdn.serve", "batch.execute")
 
-#: Module-level binding stack: the innermost event bound on *this thread*.
+#: The innermost event bound in the current context (thread or task).
 #: Module-level (not per-log) so inner layers need no handle on the log.
-_ACTIVE = threading.local()
-
-
-def _active_stack() -> list["WideEvent"]:
-    stack = getattr(_ACTIVE, "stack", None)
-    if stack is None:
-        stack = []
-        _ACTIVE.stack = stack
-    return stack
+_CURRENT: ContextVar["WideEvent | None"] = ContextVar("repro.obs.events.current", default=None)
 
 
 def current_event() -> "WideEvent | None":
-    """The innermost wide event bound on this thread, if any."""
-    stack = _active_stack()
-    return stack[-1] if stack else None
+    """The innermost wide event bound in the current context, if any."""
+    return _CURRENT.get()
 
 
 def annotate_current(**fields) -> None:
-    """Annotate the current thread's bound event; no-op when none."""
+    """Annotate the current context's bound event; no-op when none."""
     event = current_event()
     if event is not None:
         event.set(**fields)
@@ -137,21 +133,19 @@ def add_current(**fields) -> None:
 
 
 class _Binding:
-    """``with event.bind():`` — pushes the event as the thread's current."""
+    """``with event.bind():`` — the event is the context's current one."""
 
-    __slots__ = ("_event",)
+    __slots__ = ("_event", "_token")
 
     def __init__(self, event: "WideEvent") -> None:
         self._event = event
 
     def __enter__(self) -> "WideEvent":
-        _active_stack().append(self._event)
+        self._token = _CURRENT.set(self._event)
         return self._event
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        stack = _active_stack()
-        if stack and stack[-1] is self._event:
-            stack.pop()
+        _CURRENT.reset(self._token)
 
 
 class WideEvent:
@@ -186,7 +180,7 @@ class WideEvent:
         return self
 
     def bind(self) -> _Binding:
-        """Bind as the current thread's event for the ``with`` body."""
+        """Bind as the current context's event for the ``with`` body."""
         return _Binding(self)
 
     @property

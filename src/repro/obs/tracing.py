@@ -6,11 +6,17 @@ A :class:`Tracer` hands out context-manager :class:`Span` objects::
         ...
         sp.annotate(assets=len(report.assets))
 
-Timing uses ``time.perf_counter``. Spans nest through a per-thread stack,
-so a span opened while another is active becomes its child; completed
-*root* spans land in a bounded ring buffer (old traces fall off rather
-than growing memory — the tracer can be left attached to a long-running
-server, and evictions are counted rather than silent). The
+Timing uses ``time.perf_counter``. Each tracer keeps its innermost open
+span in a :class:`~contextvars.ContextVar`, so spans nest within one
+context — a thread, or an asyncio task — and a span opened while another
+of the same tracer is open there becomes its child. Concurrent requests
+on one event loop each keep their own tree; a new thread starts with no
+open span. A span opened while a wide event is bound
+(:mod:`repro.obs.events`) gives that event its ``trace_id`` unless it has
+one, so a request's first span is the one source of its trace id.
+Completed *root* spans land in a bounded ring buffer (old traces fall off
+rather than growing memory — the tracer can be left attached to a
+long-running server, and evictions are counted rather than silent). The
 :data:`NULL_TRACER` default makes every ``with`` a no-op.
 
 Every recorded span carries W3C-shaped identifiers (a 16-byte trace-id
@@ -29,8 +35,10 @@ import heapq
 import threading
 import time
 from collections import deque
+from contextvars import ContextVar
 from typing import Iterable
 
+from repro.obs.events import current_event
 from repro.obs.propagation import IdSource, TraceContext
 
 #: Tail-retention classes, in keep-priority order (error never evicted
@@ -211,6 +219,7 @@ class Span:
         "_tracer",
         "_parent",
         "_remote",
+        "_token",
     )
 
     def __init__(
@@ -254,8 +263,8 @@ class Span:
         return self
 
     def __enter__(self) -> "Span":
-        stack = self._tracer._stack()
-        local_parent = stack[-1] if stack else None
+        tracer = self._tracer
+        local_parent = tracer._current.get()
         remote = self._remote
         if remote is not None and (local_parent is None or local_parent.trace_id != remote.trace_id):
             # True cross-process hop: detach from any unrelated local span
@@ -273,12 +282,15 @@ class Span:
                 self.trace_id = local_parent.trace_id
                 self.sampled = local_parent.sampled
             else:
-                self.trace_id = self._tracer._ids.trace_id()
-                self.sampled = self._tracer._ids.sample(self._tracer.sample_rate)
-        self.span_id = self._tracer._ids.span_id()
+                self.trace_id = tracer._ids.trace_id()
+                self.sampled = tracer._ids.sample(tracer.sample_rate)
+        self.span_id = tracer._ids.span_id()
         if self._parent is not None and self.sampled:
             self._parent.children.append(self)
-        stack.append(self)
+        event = current_event()
+        if event is not None:
+            event.fields.setdefault("trace_id", self.trace_id)
+        self._token = tracer._current.set(self)
         self.start = time.perf_counter()
         return self
 
@@ -286,9 +298,8 @@ class Span:
         self.end = time.perf_counter()
         if exc_type is not None:
             self.attributes.setdefault("error", exc_type.__name__)
-        stack = self._tracer._stack()
-        if stack and stack[-1] is self:
-            stack.pop()
+        # The token's own var: Tracer.reset() may have swapped the tracer's.
+        self._token.var.reset(self._token)
         if self._parent is None and self.sampled:
             self._tracer._record(self)
 
@@ -331,7 +342,9 @@ class Tracer:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError("sample_rate must be in [0, 1]")
         self._ring: deque[Span] = deque(maxlen=capacity)
-        self._local = threading.local()
+        #: The innermost open span in the current context. One var per
+        #: tracer: a span never becomes another tracer's local parent.
+        self._current: ContextVar[Span | None] = ContextVar("repro.obs.tracing.current", default=None)
         self._lock = threading.Lock()
         self._ids = ids if ids is not None else IdSource()
         #: Head-based sampling probability for locally started roots;
@@ -350,13 +363,6 @@ class Tracer:
     def span(self, name: str, remote: TraceContext | None = None, **attributes) -> Span:
         """Open a span; pass ``remote=`` to join a propagated trace."""
         return Span(self, name, attributes, remote=remote)
-
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
 
     def _record(self, span: Span) -> None:
         if self.tail is not None:
@@ -389,12 +395,11 @@ class Tracer:
             self._ring.clear()
         if self.tail is not None:
             self.tail.reset()
-        self._local = threading.local()
+        self._current = ContextVar("repro.obs.tracing.current", default=None)
 
     @property
     def current(self) -> Span | None:
-        stack = self._stack()
-        return stack[-1] if stack else None
+        return self._current.get()
 
     def current_context(self) -> TraceContext | None:
         """The active span's propagation context (None when idle)."""

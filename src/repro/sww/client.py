@@ -21,7 +21,6 @@ from __future__ import annotations
 import asyncio
 import logging
 import threading
-import time
 import weakref
 from collections.abc import Coroutine, Sequence
 from dataclasses import dataclass, field
@@ -30,7 +29,6 @@ from repro.devices.profiles import DeviceProfile, LAPTOP
 from repro.genai.pipeline import GenerationPipeline
 from repro.html import parse_html, serialize
 from repro.html.dom import Document
-from repro.http2.bdp import AdaptiveReceiveWindow, BdpEstimator
 from repro.http2.connection import H2Connection, Role
 from repro.http2.endpoint import ClientConnection, H2Response
 from repro.http2.transport import open_memory_pair, thread_loop
@@ -43,9 +41,6 @@ from repro.sww.server import ServerSession
 logger = logging.getLogger("repro.sww.client")
 
 HeaderList = list[tuple[bytes, bytes]]
-
-#: Seed RTT for the BDP estimator before real samples arrive.
-_RTT_SEED_S = 0.05
 
 
 @dataclass
@@ -194,10 +189,8 @@ class GenerativeClient:
                 if self._generates(result):
                     # Generate → rewrite (§5.2). The images stay in this
                     # process, so only what a cache keeps is deflated.
-                    with self.tracer.span("client.generate", page=path) as span:
+                    with self.tracer.span("client.generate", page=path):
                         result.report = self.processor.process(result.document, local=True)
-                        if span.trace_id:
-                            record.set(trace_id=span.trace_id)
                     raw_manifests = dict(response.headers).get(b"x-sww-manifests")
                     if raw_manifests and self.trust_authority is not None:
                         self._verify_outputs(result, raw_manifests)
@@ -386,15 +379,7 @@ class GenerativeClient:
         collect every response (and pushed asset), close, finish each page."""
         with self.tracer.span("client.connect", host=host, port=port):
             conn = self.new_connection()
-            tuner = AdaptiveReceiveWindow(
-                conn,
-                BdpEstimator(
-                    time.monotonic,
-                    rtt_s=_RTT_SEED_S,
-                    min_window=conn.local_settings.initial_window_size,
-                ),
-            )
-            client = await ClientConnection.open(host, port, conn, tuner=tuner)
+            client = await ClientConnection.open(host, port, conn)
         try:
             with self.tracer.span("client.negotiate") as negotiate_span:
                 # §5.2 ordering: the real settings exchange — the server's
@@ -427,8 +412,9 @@ class InMemoryPair:
     engine as ``.conn``.
 
     :meth:`run` drives a coroutine to completion on the loop of the thread
-    that made the pair (:func:`~repro.http2.transport.thread_loop`), so
-    spans stay on the caller's thread-local tracer stack. :meth:`close`,
+    that made the pair (:func:`~repro.http2.transport.thread_loop`), in a
+    copy of the caller's context, so its spans nest under the caller's
+    open span. :meth:`close`,
     or dropping the pair, closes the client end; the server session then
     drains as after a socket's EOF.
     """

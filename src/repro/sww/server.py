@@ -278,10 +278,10 @@ class GenerativeServer:
             self.requests_served += 1
             if route.fallback is not None:
                 self._fallbacks[route.fallback] += 1
-        with self.tracer.span("server.request", remote=trace_context, page=path) as span:
+        with self.tracer.span("server.request", remote=trace_context, page=path):
             self._note_route(route)
             response = route.answer if route.answer is not None else self._produce(route)
-        self._note_outcome(response, span.trace_id, started)
+            self._note_outcome(response, started)
         return response
 
     def _route(
@@ -384,8 +384,9 @@ class GenerativeServer:
         if route.fallback is not None:
             annotate_current(fallback_reason=route.fallback)
 
-    def _note_outcome(self, response: ServedResponse, trace_id: str, started: float) -> None:
-        """The outcome's facts, written once after the work."""
+    def _note_outcome(self, response: ServedResponse, started: float) -> None:
+        """The outcome's facts, written once after the work, inside the
+        request's span: its latency exemplar is that span's trace."""
         fields = {}
         if response.memo in ("hit", "coalesced"):
             # A miss keeps the generation layer's own per-item outcome.
@@ -394,8 +395,6 @@ class GenerativeServer:
             fields.update(sim_time_s=response.sim_time_s, energy_wh=response.energy_wh)
         if response.mode is not None:
             fields["serve_mode"] = response.mode.value
-        if trace_id:
-            fields["trace_id"] = trace_id
         if fields:
             annotate_current(**fields)
         if response.status == 404:

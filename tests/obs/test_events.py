@@ -1,6 +1,7 @@
-"""Wide-event unit tests: schema strictness, idempotent finish, thread
+"""Wide-event unit tests: schema strictness, idempotent finish, per-context
 binding, the bounded ring, and both export shapes."""
 
+import asyncio
 import json
 import threading
 
@@ -109,6 +110,28 @@ class TestBinding:
         assert seen == [None]
         record.finish()
 
+    def test_tasks_binding_across_awaits_keep_their_own_annotations(self):
+        """Two requests on one event loop, each bound across ``await``s:
+        whichever resumes first annotates its own event, not the other's."""
+        log = EventLog()
+        first, second = log.begin("server.request"), log.begin("server.request")
+
+        async def request(record, path):
+            with record.bind():
+                await asyncio.sleep(0)
+                annotate_current(path=path)
+                add_current(gencache_hits=1)
+                await asyncio.sleep(0)
+                return current_event() is record
+
+        async def main():
+            mine = await asyncio.gather(request(first, "/a"), request(second, "/b"))
+            return mine, current_event()
+
+        mine, after = asyncio.run(main())
+        assert mine == [True, True] and after is None
+        assert (first.fields["path"], first.fields["gencache_hits"]) == ("/a", 1)
+        assert (second.fields["path"], second.fields["gencache_hits"]) == ("/b", 1)
 
 class TestEventLog:
     def test_seq_is_monotonic(self):

@@ -1,11 +1,14 @@
 """Unit tests for the span tracer."""
 
+import asyncio
+import sys
 import threading
 
 import pytest
 
 from repro.obs import (
     NULL_TRACER,
+    EventLog,
     IdSource,
     MetricsRegistry,
     NullTracer,
@@ -121,6 +124,102 @@ class TestThreadIsolation:
         main = next(s for s in tracer.roots() if s.name == "main-root")
         assert main.children == []
 
+
+
+class TestContextIsolation:
+    def test_tasks_on_one_loop_keep_their_own_trees(self):
+        """Two requests awaiting inside their spans on one event loop: each
+        child nests under its own task's root, never the other's."""
+        tracer = Tracer()
+
+        async def request(name):
+            with tracer.span(name):
+                await asyncio.sleep(0)
+                with tracer.span(f"{name}.child"):
+                    await asyncio.sleep(0)
+            return tracer.current
+
+        async def main():
+            left = await asyncio.gather(request("a"), request("b"))
+            return left, tracer.current
+
+        left, after = asyncio.run(main())
+        assert left == [None, None] and after is None
+        trees = {root.name: [child.name for child in root.children] for root in tracer.roots()}
+        assert trees == {"a": ["a.child"], "b": ["b.child"]}
+
+    def test_threads_sharing_a_tracer_keep_their_own_trees(self):
+        """More threads than cores, switching as often as the interpreter
+        allows, each nesting spans on one tracer."""
+        tracer = Tracer()
+
+        def work(n):
+            for _ in range(50):
+                with tracer.span(f"t{n}"):
+                    with tracer.span(f"t{n}.child"):
+                        pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        roots = tracer.roots()
+        assert len(roots) == 400
+        assert all([child.name for child in root.children] == [f"{root.name}.child"] for root in roots)
+
+    def test_a_span_never_parents_another_tracers_span(self):
+        """Tracers standing for separate processes share one thread."""
+        client, server = Tracer(), Tracer()
+        with client.span("client.fetch"):
+            with server.span("server.request"):
+                assert client.current.name == "client.fetch"
+                assert server.current.name == "server.request"
+        assert [root.name for root in server.roots()] == ["server.request"]
+        assert client.roots()[0].children == []
+
+    def test_reset_while_a_span_is_open(self):
+        tracer = Tracer()
+        with tracer.span("open"):
+            tracer.reset()
+            assert tracer.current is None
+            with tracer.span("after-reset"):
+                pass
+        assert tracer.current is None
+        assert [root.name for root in tracer.roots()] == ["after-reset", "open"]
+
+
+class TestEventTraceId:
+    def test_first_span_under_a_bound_event_gives_it_its_trace_id(self):
+        tracer, other = Tracer(), Tracer()
+        record = EventLog().begin("server.request")
+        with record.bind():
+            with tracer.span("server.request") as first:
+                with other.span("unrelated-root") as second:
+                    pass
+        assert second.trace_id != first.trace_id
+        assert record.fields["trace_id"] == first.trace_id
+
+    def test_an_event_keeps_the_trace_id_it_has(self):
+        tracer = Tracer()
+        record = EventLog().begin("server.request", trace_id="ab" * 16)
+        with record.bind(), tracer.span("server.request"):
+            pass
+        assert record.fields["trace_id"] == "ab" * 16
+
+    def test_unbound_and_null_spans_write_no_event(self):
+        record = EventLog().begin("server.request")
+        with Tracer().span("before-bind"):
+            pass
+        with record.bind(), NULL_TRACER.span("null"):
+            pass
+        assert "trace_id" not in record.fields
 
 class TestNullTracer:
     def test_disabled_and_recordless(self):

@@ -53,7 +53,7 @@ from repro.http2.endpoint import ClientConnection, ServerConnection
 from repro.http2.frames import Frame
 from repro.http2.hpack import HpackEncoder
 from repro.http2.transport import AsyncH2Transport
-from repro.obs import EventLog, MetricsRegistry, Tracer
+from repro.obs import EventLog, MetricsRegistry, TailSampler, Tracer
 from repro.serving.cachetier import CacheTierServer
 from repro.serving.remote import RemoteGenerationCache
 from repro.sww.client import GenerativeClient, connect_in_memory
@@ -306,7 +306,9 @@ def test_materialised_page_deflates_every_image_it_sends(monkeypatch):
 
 #: One naive load of ``/wiki/search/landscape`` over the in-memory pair,
 #: settings exchange included: the page, then its 49 thumbnails (1.4 MB)
-#: as concurrent streams on the same connection, both ends counted.
+#: as concurrent streams on the same connection, both ends counted. The
+#: server's registry, tracer and event log are built as ``sww serve``
+#: builds them.
 TRADITIONAL_PAGE_CEILINGS = {
     # Socket writes asked for, both ends. Most are credit: the client
     # returns window per DATA frame, and the server's turn that reads it
@@ -317,6 +319,11 @@ TRADITIONAL_PAGE_CEILINGS = {
     "hpack_encodes": 100,
     # The page's only: stored thumbnails are answered without the rule.
     "serve_mode_decisions": 1,
+    # One ``server.request`` span and one wide event per request stream,
+    # plus the page's materialisation for a naive client on a fresh
+    # server: ``server.materialise`` and a ``genai.image`` per thumbnail.
+    "spans_started": 100,
+    "events_begun": 50,
 }
 
 
@@ -329,6 +336,13 @@ def test_traditional_page_costs_no_more_than_it_did(monkeypatch):
     assert len(thumbs) == 49
     counts = dict.fromkeys(TRADITIONAL_PAGE_CEILINGS, 0)
     client = GenerativeClient(device=LAPTOP, gen_ability=False)
+    registry = MetricsRegistry()
+    server = GenerativeServer(
+        store,
+        registry=registry,
+        tracer=Tracer(registry=registry, tail=TailSampler(registry=registry)),
+        events=EventLog(registry=registry),
+    )
 
     async def load(connection):
         responses = [await connection.request("GET", page.path)]
@@ -339,13 +353,16 @@ def test_traditional_page_costs_no_more_than_it_did(monkeypatch):
         _counting(patch, AsyncH2Transport, "flush", counts, "transport_flushes")
         _counting(patch, Frame, "serialize", counts, "frames_serialised")
         _counting(patch, HpackEncoder, "encode", counts, "hpack_encodes")
+        _counting(patch, Tracer, "span", counts, "spans_started")
+        _counting(patch, EventLog, "begin", counts, "events_begun")
         decisions = _count_calls(patch, SERVE_MODE_COUNTED)
-        pair = connect_in_memory(client, GenerativeServer(store))
+        pair = connect_in_memory(client, server)
         responses = pair.run(load(pair.client))
         counts["serve_mode_decisions"] = len(decisions)
     pair.close()
     assert [response.status for response in responses] == [200] * 50
     assert sum(len(response.body) for response in responses[1:]) > 1_300_000
+    assert len(server.events.events()) == 50, "the counting wrappers missed an event"
     for name, ceiling in TRADITIONAL_PAGE_CEILINGS.items():
         assert counts[name] <= ceiling, f"{name}: {counts[name]} per traditional page, ceiling {ceiling}"
 
@@ -459,6 +476,10 @@ FLEET_REQUEST_CEILINGS = {
     # histograms are looked up once; 1-2 while every request pushed its
     # tier, byte and origin counters and looked its histograms up.
     "registry_lookups": 0,
+    # The fleet opens no span and begins no wide event yet (ROADMAP item
+    # 7's events for the metrics-only tiers raise these in their own diff).
+    "spans_started": 0,
+    "events_begun": 0,
 }
 
 
@@ -473,6 +494,8 @@ def test_fleet_request_costs_no_more_than_it_did(monkeypatch):
     counts = dict.fromkeys(FLEET_REQUEST_CEILINGS, 0)
     with monkeypatch.context() as patch:
         _counting(patch, MetricsRegistry, "_get", counts, "registry_lookups")
+        _counting(patch, Tracer, "span", counts, "spans_started")
+        _counting(patch, EventLog, "begin", counts, "events_begun")
         stats = session.run()
     assert stats.requests > 0
     assert registry.total("cdn_fleet_requests_total") == 2 * stats.requests, "the registry missed a request"

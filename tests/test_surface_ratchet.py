@@ -32,7 +32,7 @@ INIT_PARAMETER_CEILINGS = {
     GenerativeClient: 9,
     GenerativeServer: 13,
     ServerConnection: 2,
-    ClientConnection: 3,
+    ClientConnection: 2,
     PageProcessor: 2,
     MediaGenerator: 3,
     # A config object's fields are options too (dataclass __init__).
