@@ -176,47 +176,52 @@ def _content_vector(prompt: str, fidelity: float, seed: int) -> np.ndarray:
 
 
 def render_content(vector: np.ndarray, width: int, height: int, seed: int) -> np.ndarray:
-    """Render a content vector into an (H, W, 3) image.
+    """Render a content vector into an (H, W, 3) image, H and W ≥ GRID.
 
     The red channel carries the vector as per-block means (recoverable by
     :func:`repro.genai.embeddings.image_embedding`); green and blue carry
     decorative gradients and mean-preserving texture so the output looks
     like an image rather than a barcode.
+
+    Everything is written into the one output array: a wash is one column
+    or one row broadcast, and the texture is added to the block plane in
+    place, through a view of the draw by block row. The draw fixes the
+    bytes, so its generator, shape, dtype and call order do not change; it
+    is the kernel's floor.
     """
     plane = embed_vector_to_blocks(vector)  # (GRID, GRID) uint8
     bh = max(1, height // GRID)
     bw = max(1, width // GRID)
-    red = np.repeat(np.repeat(plane, bh, axis=0), bw, axis=1)
-    red = red[:height, :width]
-    # Pad if the size is not divisible by GRID (repeat edge blocks).
-    if red.shape[0] < height or red.shape[1] < width:
-        red = np.pad(
-            red,
-            ((0, height - red.shape[0]), (0, width - red.shape[1])),
-            mode="edge",
-        )
+    gh, gw = GRID * bh, GRID * bw
+    out = np.empty((height, width, 3), dtype=np.uint8)
 
     rng = np.random.default_rng(seed ^ 0x5EED)
-    ys = np.linspace(0, 2 * np.pi, height)[:, None]
-    xs = np.linspace(0, 2 * np.pi, width)[None, :]
+    ys = np.linspace(0, 2 * np.pi, height)
+    xs = np.linspace(0, 2 * np.pi, width)
     phase_y, phase_x = rng.uniform(0, 2 * np.pi, 2)
     # Smooth low-frequency washes: cheap to compress, decorative to look at.
-    green = (127.5 * (1 + np.sin(ys * rng.integers(1, 4) + phase_y)) * np.ones((1, width))).astype(np.uint8)
-    blue = (127.5 * (1 + np.sin(xs * rng.integers(1, 3) + phase_x)) * np.ones((height, 1))).astype(np.uint8)
+    out[:, :, 1] = (127.5 * (1 + np.sin(ys * rng.integers(1, 4) + phase_y))).astype(np.uint8)[:, None]
+    out[:, :, 2] = (127.5 * (1 + np.sin(xs * rng.integers(1, 3) + phase_x))).astype(np.uint8)
 
     # Mean-preserving per-block texture on the red channel: visual variety
-    # without disturbing the block means the metric recovers.
+    # without disturbing the block means the metric recovers. ``rows`` is
+    # the grid as (block row, row within it, column).
+    row_plane = np.repeat(plane, bw, axis=1)  # (GRID, gw)
+    rows = row_plane[:, None, :]
     if bh >= 2 and bw >= 2:
-        texture = rng.integers(-3, 4, size=(height, width)).astype(np.int16)
-        gh, gw = (height // GRID) * GRID, (width // GRID) * GRID
-        sub = texture[:gh, :gw].reshape(GRID, gh // GRID, GRID, gw // GRID)
-        sub -= sub.mean(axis=(1, 3), keepdims=True).astype(np.int16)
-        texture[:gh, :gw] = sub.reshape(gh, gw)
-        texture[gh:, :] = 0
-        texture[:, gw:] = 0
-        red = np.clip(red.astype(np.int16) + texture, 0, 255).astype(np.uint8)
-
-    return np.stack([red, green, blue], axis=2)
+        texture = rng.integers(-3, 4, size=(height, width))
+        rows = texture[:gh, :gw].reshape(GRID, bh, gw)
+        sums = rows.sum(axis=1).reshape(GRID, GRID, bw).sum(axis=2)
+        # Each block's mean, truncated toward zero.
+        means = np.sign(sums) * (np.abs(sums) // (bh * bw))
+        rows += (row_plane - np.repeat(means, bw, axis=1))[:, None, :]
+        np.clip(rows, 0, 255, out=rows)
+    out[:gh, :gw, 0].reshape(GRID, bh, gw)[...] = rows
+    # Past the grid, rows and columns repeat the edge blocks, untextured.
+    out[gh:, :gw, 0] = row_plane[-1]
+    out[:gh, gw:, 0] = np.repeat(plane[:, -1], bh)[:, None]
+    out[gh:, gw:, 0] = plane[-1, -1]
+    return out
 
 
 def _resolve_steps(model: ImageModel, width: int, height: int, steps: int | None) -> int:

@@ -38,10 +38,6 @@ def parse_html(source: str) -> Document:
     """Parse HTML text into a :class:`~repro.html.dom.Document`."""
     document = Document()
     stack: list = [document]
-
-    def open_elements() -> list[Element]:
-        return [node for node in stack[1:] if isinstance(node, Element)]
-
     for token in tokenize(source):
         top = stack[-1]
         if isinstance(token, DoctypeToken):

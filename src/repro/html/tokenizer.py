@@ -76,33 +76,29 @@ def decode_entities(text: str) -> str:
     if "&" not in text:
         return text
     out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
+    start = 0  # where the run not yet copied begins
+    i = text.find("&")
+    while i != -1:
         end = text.find(";", i + 1)
-        if end == -1 or end - i > 12:
-            out.append(ch)
-            i += 1
-            continue
-        body = text[i + 1 : end]
-        if body.startswith("#"):
-            try:
-                code = int(body[2:], 16) if body[1:2] in ("x", "X") else int(body[1:])
-                out.append(chr(code))
-                i = end + 1
+        if end != -1 and end - i <= 12:
+            body = text[i + 1 : end]
+            decoded = None
+            if body.startswith("#"):
+                try:
+                    code = int(body[2:], 16) if body[1:2] in ("x", "X") else int(body[1:])
+                    decoded = chr(code)
+                except (ValueError, OverflowError):
+                    pass
+            else:
+                decoded = _ENTITY_MAP.get(body)
+            if decoded is not None:
+                out.append(text[start:i])
+                out.append(decoded)
+                start = end + 1
+                i = text.find("&", start)
                 continue
-            except (ValueError, OverflowError):
-                pass
-        elif body in _ENTITY_MAP:
-            out.append(_ENTITY_MAP[body])
-            i = end + 1
-            continue
-        out.append(ch)
-        i += 1
+        i = text.find("&", i + 1)
+    out.append(text[start:])
     return "".join(out)
 
 

@@ -116,3 +116,53 @@ class TestRandomImage:
         prompts = [f"a photograph of scene {i} with mountains and water" for i in range(6)]
         scores = [clip_score(p, random_image(224, 224, i)) for i, p in enumerate(prompts)]
         assert 0.05 < float(np.mean(scores)) < 0.13
+
+
+def _render_content_oracle(vector, width, height, seed):
+    """``render_content`` as first written, with full-frame temporaries:
+    the reference the in-place kernel must match byte for byte."""
+    from repro.genai.embeddings import GRID, embed_vector_to_blocks
+
+    plane = embed_vector_to_blocks(vector)
+    bh = max(1, height // GRID)
+    bw = max(1, width // GRID)
+    red = np.repeat(np.repeat(plane, bh, axis=0), bw, axis=1)
+    red = red[:height, :width]
+    if red.shape[0] < height or red.shape[1] < width:
+        red = np.pad(red, ((0, height - red.shape[0]), (0, width - red.shape[1])), mode="edge")
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    ys = np.linspace(0, 2 * np.pi, height)[:, None]
+    xs = np.linspace(0, 2 * np.pi, width)[None, :]
+    phase_y, phase_x = rng.uniform(0, 2 * np.pi, 2)
+    green = (127.5 * (1 + np.sin(ys * rng.integers(1, 4) + phase_y)) * np.ones((1, width))).astype(np.uint8)
+    blue = (127.5 * (1 + np.sin(xs * rng.integers(1, 3) + phase_x)) * np.ones((height, 1))).astype(np.uint8)
+    if bh >= 2 and bw >= 2:
+        texture = rng.integers(-3, 4, size=(height, width)).astype(np.int16)
+        gh, gw = (height // GRID) * GRID, (width // GRID) * GRID
+        sub = texture[:gh, :gw].reshape(GRID, gh // GRID, GRID, gw // GRID)
+        sub -= sub.mean(axis=(1, 3), keepdims=True).astype(np.int16)
+        texture[:gh, :gw] = sub.reshape(gh, gw)
+        texture[gh:, :] = 0
+        texture[:, gw:] = 0
+        red = np.clip(red.astype(np.int16) + texture, 0, 255).astype(np.uint8)
+    return np.stack([red, green, blue], axis=2)
+
+
+class TestRenderContentOracle:
+    """The kernel writes one output array in place; its bytes are the
+    oracle's for every size at or above the grid, multiples of it or not."""
+
+    SIZES = [(16, 16), (17, 17), (31, 31), (32, 32), (64, 64), (100, 37), (192, 192), (256, 256), (512, 384)]
+
+    @pytest.mark.parametrize("width, height", SIZES, ids=[f"{w}x{h}" for w, h in SIZES])
+    def test_matches_the_full_frame_formula(self, width, height):
+        from repro.genai.image import _content_vector, render_content
+
+        for seed in range(50):
+            # Vectors as generation makes them, over the fidelity range.
+            vector = _content_vector(f"prompt {seed}", 0.05 + 0.93 * seed / 49, seed)
+            got = render_content(vector, width, height, seed)
+            want = _render_content_oracle(vector, width, height, seed)
+            assert got.shape == want.shape == (height, width, 3) and got.dtype == np.uint8
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes(), f"seed {seed}"

@@ -1,6 +1,9 @@
 """Tests for the HTML tokenizer."""
 
+from hypothesis import given, strategies as st
+
 from repro.html.tokenizer import (
+    _ENTITY_MAP,
     CommentToken,
     DoctypeToken,
     TagToken,
@@ -116,3 +119,57 @@ class TestEdgeCases:
     def test_closing_tag_with_whitespace_junk(self):
         tokens = tokenize("<p>x</p >")
         assert tokens[-1].closing
+
+
+def _decode_entities_oracle(text: str) -> str:
+    """``decode_entities`` as first written, one character at a time."""
+    if "&" not in text:
+        return text
+    out: list[str] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch != "&":
+            out.append(ch)
+            i += 1
+            continue
+        end = text.find(";", i + 1)
+        if end == -1 or end - i > 12:
+            out.append(ch)
+            i += 1
+            continue
+        body = text[i + 1 : end]
+        if body.startswith("#"):
+            try:
+                code = int(body[2:], 16) if body[1:2] in ("x", "X") else int(body[1:])
+                out.append(chr(code))
+                i = end + 1
+                continue
+            except (ValueError, OverflowError):
+                pass
+        elif body in _ENTITY_MAP:
+            out.append(_ENTITY_MAP[body])
+            i = end + 1
+            continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+#: Fragments that make entity-shaped text likely: references valid and
+#: not, unterminated ones, numbers out of range and long bodies.
+_FRAGMENTS = st.sampled_from(
+    ["&", ";", "#", "x", "X", "amp", "quot", "lt", "nbsp", "apos", "bogus", "&#", "&#x", "&amp;", "&quot;",
+     "&#39;", "&#x1F600;", "&#xZZ;", "&#-1;", "&#1114112;", "&#99999999999999999999;", "0", "7", "f",
+     "a long run of text", " ", "é", "<", "\n"]
+)
+
+
+class TestDecodeEntitiesOracle:
+    @given(st.lists(st.one_of(_FRAGMENTS, st.text(max_size=4)), max_size=24).map("".join))
+    def test_matches_the_character_loop(self, text):
+        assert decode_entities(text) == _decode_entities_oracle(text)
+
+    def test_gallery_metadata(self):
+        text = "{&quot;height&quot;:256,&quot;name&quot;:&quot;gallery-00&quot;,&quot;width&quot;:256}"
+        assert decode_entities(text) == '{"height":256,"name":"gallery-00","width":256}'

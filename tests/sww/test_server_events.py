@@ -73,6 +73,56 @@ class TestSerialMode:
         assert events.open_count == 0
 
 
+    @pytest.mark.parametrize(
+        "path, gen_ability, route",
+        [("/nope", False, "read turn"), (PAGE, True, "executor")],
+        ids=["read-turn", "executor"],
+    )
+    def test_500_log_line_joins_its_event(self, monkeypatch, path, gen_ability, route):
+        import io
+        import json
+        import logging
+
+        from repro.http2.endpoint import ServerConnection
+        from repro.obs import Tracer, _JsonLogFormatter
+
+        events = EventLog()
+        server = GenerativeServer(_store(), events=events, tracer=Tracer())
+
+        def raising(*args, **kwargs):
+            raise ValueError("synthetic outcome failure")
+
+        # Raises inside the request's span, on either route.
+        monkeypatch.setattr(server, "_note_outcome", raising)
+        spawned = []
+        spawn = ServerConnection.spawn
+
+        def recorded_spawn(driver, coro):
+            spawned.append(coro)
+            return spawn(driver, coro)
+
+        monkeypatch.setattr(ServerConnection, "spawn", recorded_spawn)
+        stream = io.StringIO()
+        handler = logging.StreamHandler(stream)
+        handler.setFormatter(_JsonLogFormatter())
+        logger = logging.getLogger("repro.sww.server")
+        logger.addHandler(handler)
+        try:
+            client = GenerativeClient(device=LAPTOP, gen_ability=gen_ability)
+            pair = connect_in_memory(client, server)
+            assert client.fetch_via_pair(pair, path).status == 500
+            pair.close()
+        finally:
+            logger.removeHandler(handler)
+        assert len(spawned) == (route == "executor")
+        (event,) = events.events()
+        lines = [json.loads(line) for line in stream.getvalue().splitlines()]
+        (line,) = [line for line in lines if "responding 500" in line["message"]]
+        assert event.fields["status"] == 500 and event.fields["trace_id"]
+        assert (line["trace_id"], line["seq"]) == (event.fields["trace_id"], event.fields["seq"])
+        assert line["error"] == "ValueError"
+
+
 REQUEST = [
     (b":method", b"GET"),
     (b":scheme", b"https"),

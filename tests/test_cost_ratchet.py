@@ -17,9 +17,10 @@ connection itself costs: the asyncio tasks its two ends run.
 
 Then a generative page (ROADMAP items 3(b) and 16): one cold capable fetch
 of the bench's ``pageload_generative`` page, whose work is parsing and
-generating, not serving, solo and through a batching engine; the same page
-materialised by the server for a naive client; and one micro-batch through
-the batching engine.
+generating, not serving, solo and through a batching engine; one warm
+capable fetch of it, which the server answers from its negotiation table;
+the same page materialised by the server for a naive client; and one
+micro-batch through the batching engine.
 And a traditional page (ROADMAP items 2 and 3(b)): one naive load of the
 bench's ``pageload_traditional`` page and its 49 thumbnails, whose work is
 moving 1.4 MB of stored bytes through HTTP/2.
@@ -266,24 +267,33 @@ def _count_calls(monkeypatch, counted: dict) -> list[str]:
     return calls
 
 
-def _cold_generative_page(monkeypatch, engine=None, gen_ability=True) -> Counter:
-    """Count one cold fetch of the gallery page on a fresh client."""
+def _generative_page(monkeypatch, engine=None, gen_ability=True, warm=False) -> Counter:
+    """Count one fetch of the gallery page on a fresh client: a cold one,
+    or, when ``warm``, one after another client with the same models
+    fetched the page from the same server."""
     page = build_harbour_gallery()
     store = SiteStore()
     store.add_page(PageResource(page.path, page.sww_html))
     server = GenerativeServer(store)
+    if warm:
+        earlier = GenerativeClient(device=LAPTOP)
+        pair = connect_in_memory(earlier, server)
+        earlier.fetch_via_pair(pair, page.path)
+        pair.close()
     client = GenerativeClient(device=LAPTOP, gen_ability=gen_ability, engine=engine)
     pair = connect_in_memory(client, server)
     calls = _count_calls(monkeypatch, GENERATIVE_PAGE_COUNTED)
+    submissions = dict(executor_submissions=0)
+    _counting(monkeypatch, ThreadPoolExecutor, "submit", submissions, "executor_submissions")
     result = client.fetch_via_pair(pair, page.path)
     pair.close()
     assert result.status == 200 and result.sww_mode == gen_ability
     assert (result.report.generated_images if gen_ability else result.received_html.count("<img")) == 6
-    return Counter(calls)
+    return Counter(calls) + Counter(submissions)
 
 
 def test_cold_generative_page_costs_no_more_than_it_did(monkeypatch):
-    counts = _cold_generative_page(monkeypatch)
+    counts = _generative_page(monkeypatch)
     for name, ceiling in GENERATIVE_PAGE_CEILINGS.items():
         assert counts[name] <= ceiling, f"{name}: {counts[name]} per cold page, ceiling {ceiling}"
     assert counts["png_encodes"] == 6, "the counting wrappers missed the encodes"
@@ -292,15 +302,37 @@ def test_cold_generative_page_costs_no_more_than_it_did(monkeypatch):
 def test_cold_generative_page_through_an_engine_costs_no_more_than_it_did(monkeypatch):
     # The engine encodes nothing itself; the client's images stay stored.
     with BatchingEngine(LAPTOP, max_batch=8) as engine:
-        counts = _cold_generative_page(monkeypatch, engine)
+        counts = _generative_page(monkeypatch, engine)
     for name, ceiling in GENERATIVE_PAGE_CEILINGS.items():
         assert counts[name] <= ceiling, f"{name}: {counts[name]} per batched cold page, ceiling {ceiling}"
     assert counts["png_encodes"] == 6, "the counting wrappers missed the encodes"
 
 
+#: One warm capable fetch of the same page: the server negotiated these
+#: models for it on an earlier fetch and answers from the page's
+#: negotiation table inside the read turn. The client's parse is the only
+#: one; 2 parses and 1 executor submission while every capable request
+#: negotiated again in the executor.
+WARM_GENERATIVE_PAGE_CEILINGS = {
+    "html_parses": 1,
+    "executor_submissions": 0,
+    "serve_mode_decisions": 1,
+    "image_generations": 6,
+    "png_encodes": 6,
+    "deflating_encodes": 0,
+}
+
+
+def test_warm_generative_page_costs_no_more_than_it_did(monkeypatch):
+    counts = _generative_page(monkeypatch, warm=True)
+    for name, ceiling in WARM_GENERATIVE_PAGE_CEILINGS.items():
+        assert counts[name] <= ceiling, f"{name}: {counts[name]} per warm page, ceiling {ceiling}"
+    assert (counts["html_parses"], counts["png_encodes"]) == (1, 6), "the counting wrappers missed a call"
+
+
 def test_materialised_page_deflates_every_image_it_sends(monkeypatch):
     """Not a ceiling: bytes that cross the wire stay ``encode_png(pixels)``."""
-    counts = _cold_generative_page(monkeypatch, gen_ability=False)
+    counts = _generative_page(monkeypatch, gen_ability=False)
     assert (counts["png_encodes"], counts["deflating_encodes"]) == (6, 6)
 
 
