@@ -118,7 +118,3 @@ class EdgeCache:
     def clear(self) -> None:
         self._entries.clear()
         self._used = 0
-
-    def lru_keys(self) -> list[str]:
-        """Keys from least- to most-recently used (for tests/diagnostics)."""
-        return list(self._entries)

@@ -151,10 +151,6 @@ class ImageResult:
                 self._png_future = encode_png_async(self.pixels)
             return self._png_future
 
-    def png_bytes(self) -> bytes:
-        """The pixels as real PNG bytes, encoded once (see :meth:`png_future`)."""
-        return self.png_future().result()
-
 
 def _content_vector(prompt: str, fidelity: float, seed: int) -> np.ndarray:
     """Mix the prompt embedding with model noise at the target cosine.

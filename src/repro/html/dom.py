@@ -103,12 +103,6 @@ class _Container(Node):
     def find_by_class(self, class_name: str) -> list["Element"]:
         return self.find_all(lambda el: class_name in el.classes)
 
-    def find_first(self, predicate: Callable[["Element"], bool]) -> "Element | None":
-        for node in self.iter():
-            if isinstance(node, Element) and predicate(node):
-                return node
-        return None
-
     def text_content(self) -> str:
         """Concatenated text of all descendants."""
         parts = [node.text for node in self.iter() if isinstance(node, Text)]

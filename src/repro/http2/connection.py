@@ -62,6 +62,12 @@ from repro.obs import NULL_REGISTRY, MetricsRegistry
 #: The client connection preface (RFC 9113 §3.4).
 CONNECTION_PREFACE = b"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n"
 
+#: Most bytes one header section may take on the wire: each of its HEADERS
+#: and CONTINUATION frames is charged its frame header plus its block, so a
+#: flood of empty CONTINUATIONs is bounded too (python-hyper/h2's default
+#: header-list bound).
+MAX_HEADER_SECTION = 65_536
+
 HeaderList = list[tuple[bytes, bytes]]
 
 class Role(enum.Enum):
@@ -184,7 +190,8 @@ class StreamRefused(Event):
 @dataclass
 class AbuseDetected(Event):
     """Abusive peer behaviour crossed a limit and the connection is being
-    torn down with ENHANCE_YOUR_CALM (rapid reset, SETTINGS/PING floods)."""
+    torn down with ENHANCE_YOUR_CALM (rapid reset, SETTINGS/PING floods,
+    an oversized header section)."""
 
     kind: str = ""
     count: int = 0
@@ -255,7 +262,11 @@ class H2Connection:
         self._recv_buffer = b""
         self._preface_pending = role == Role.SERVER
         self._next_stream_id = 1 if role == Role.CLIENT else 2
-        self._expect_continuation: tuple[int, bytearray, bool] | None = None
+        #: An open header section: stream id, block so far, END_STREAM, cost.
+        self._expect_continuation: tuple[int, bytearray, bool, int] | None = None
+        #: Cleared when a header section is refused undecoded: the HPACK
+        #: context is then out of step with the peer's, so nothing more is read.
+        self._reading = True
         self._goaway_sent = False
         self._goaway_received = False
         #: Frames and bytes each way, in plain ints; the registry reads
@@ -503,8 +514,10 @@ class H2Connection:
     def receive_data(self, data: bytes) -> list[Event]:
         """Feed received bytes; returns the protocol events they produced."""
         self.tally.bytes_received += len(data)
-        self._recv_buffer += data
         events: list[Event] = []
+        if not self._reading:
+            return events
+        self._recv_buffer += data
         if self._preface_pending:
             if len(self._recv_buffer) < len(CONNECTION_PREFACE):
                 if not CONNECTION_PREFACE.startswith(self._recv_buffer):
@@ -519,6 +532,8 @@ class H2Connection:
         )
         for frame in parsed:
             events.extend(self._handle_frame(frame))
+            if not self._reading:
+                break
         return events
 
     # ------------------------------------------------------------------ #
@@ -734,7 +749,9 @@ class H2Connection:
         if frame.stream_id == 0:
             raise ProtocolError("HEADERS on stream 0")
         if not frame.end_headers:
-            self._expect_continuation = (frame.stream_id, bytearray(frame.header_block), frame.end_stream)
+            block = frame.header_block
+            cost = frames.FRAME_HEADER_LENGTH + len(block)
+            self._expect_continuation = (frame.stream_id, bytearray(block), frame.end_stream, cost)
             return []
         try:
             headers = self.decoder.decode(frame.header_block)
@@ -753,12 +770,17 @@ class H2Connection:
     def _handle_continuation(self, frame: ContinuationFrame) -> list[Event]:
         if self._expect_continuation is None:
             raise ProtocolError("CONTINUATION without preceding HEADERS")
-        stream_id, buffer, end_stream = self._expect_continuation
+        stream_id, buffer, end_stream, cost = self._expect_continuation
         if frame.stream_id != stream_id:
             raise ProtocolError("CONTINUATION on wrong stream")
+        cost += frames.FRAME_HEADER_LENGTH + len(frame.header_block)
+        if cost > MAX_HEADER_SECTION:
+            self._expect_continuation = None
+            self._reading = False
+            return self._abuse("continuation-flood", cost)
         buffer += frame.header_block
         if not frame.end_headers:
-            self._expect_continuation = (stream_id, buffer, end_stream)
+            self._expect_continuation = (stream_id, buffer, end_stream, cost)
             return []
         self._expect_continuation = None
         headers = self.decoder.decode(bytes(buffer))

@@ -129,15 +129,3 @@ def trace_wire(data: bytes, label: str = "", decode_headers: bool = False) -> st
     if rest:
         lines.append(f"{prefix}TRAILING       {len(rest)} undecoded bytes")
     return "\n".join(lines)
-
-
-def frame_census(data: bytes) -> dict[str, int]:
-    """Count frames by type name in a byte stream (preface tolerated)."""
-    if data.startswith(CONNECTION_PREFACE):
-        data = data[len(CONNECTION_PREFACE) :]
-    frames, _rest = parse_frames(data)
-    census: dict[str, int] = {}
-    for frame in frames:
-        name = type(frame).__name__.replace("Frame", "").upper()
-        census[name] = census.get(name, 0) + 1
-    return census

@@ -53,12 +53,3 @@ class FlowControlWindow:
         if new_value > MAX_WINDOW:
             raise FlowControlError("SETTINGS window adjustment overflows")
         self._available = new_value
-
-    def deficit(self, target: int) -> int:
-        """Credit needed to bring the window up to ``target`` (≥ 0).
-
-        Used by the adaptive tuner to compute WINDOW_UPDATE catch-up
-        grants after a SETTINGS resize; clamped so the grant can never
-        push the window past 2^31-1.
-        """
-        return max(0, min(target, MAX_WINDOW) - self._available)

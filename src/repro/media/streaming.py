@@ -7,7 +7,7 @@
     the video server generation abilities before content is sent."
 
 This module implements the streaming shape those protocols share —
-a master playlist of variants, media playlists of fixed-duration
+a ladder of variants, media playlists of fixed-duration
 segments, segment GETs — with the SWW twist: the server picks the variant
 to *ship* from the client's advertised GEN_ABILITY video bits, expecting
 the client to reconstruct the requested rendition (frame-rate boosting
@@ -64,16 +64,6 @@ class StreamingService:
         self.duration_s = duration_s
         self.segment_seconds = segment_seconds
         self._playlists: dict[str, MediaPlaylist] = {}
-
-    def master_playlist(self) -> str:
-        lines = ["#EXTM3U", "#EXT-X-VERSION:7"]
-        for variant in self.ladder.variants:
-            lines.append(
-                f"#EXT-X-STREAM-INF:BANDWIDTH={int(variant.bits_per_second)},"
-                f'RESOLUTION={variant.width}x{variant.height},FRAME-RATE={variant.fps}'
-            )
-            lines.append(f"/video/{variant.name}/playlist.m3u8")
-        return "\n".join(lines) + "\n"
 
     def media_playlist(self, variant_name: str) -> MediaPlaylist:
         playlist = self._playlists.get(variant_name)

@@ -29,10 +29,6 @@ class VideoVariant:
     def bytes_per_hour(self) -> int:
         return int(self.gb_per_hour * GB)
 
-    @property
-    def bits_per_second(self) -> float:
-        return self.bytes_per_hour * 8 / 3600
-
     def at_fps(self, fps: int) -> "VideoVariant":
         """Derive a variant at a different frame rate.
 

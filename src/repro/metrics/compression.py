@@ -33,11 +33,6 @@ def prompt_metadata_size(metadata: dict) -> int:
     return len(json.dumps(metadata, separators=(",", ":")).encode("utf-8"))
 
 
-def worst_case_image_metadata_size() -> int:
-    """The paper's 428-byte worst-case image metadata budget."""
-    return WORST_CASE_IMAGE_METADATA
-
-
 @dataclass
 class SizeAccount:
     """Tallies original vs. SWW wire/storage bytes for a page or corpus."""

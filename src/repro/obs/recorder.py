@@ -100,16 +100,6 @@ class FlightRecorder:
         with self._lock:
             return set(self._armed)
 
-    def rearm(self, kind: str | None = None) -> None:
-        """Re-arm one trigger (or all) after a capture disarmed it."""
-        with self._lock:
-            if kind is None:
-                self._armed.update(DEFAULT_TRIGGERS)
-            elif kind not in DEFAULT_TRIGGERS:
-                raise ValueError(f"unknown trigger {kind!r}")
-            else:
-                self._armed.add(kind)
-
     def _take(self, kind: str) -> bool:
         """Atomically consume an armed trigger; False when not armed."""
         with self._lock:

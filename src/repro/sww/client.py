@@ -67,10 +67,6 @@ class FetchResult:
     verifications: dict = field(default_factory=dict)
 
     @property
-    def untrusted_items(self) -> list[str]:
-        return [name for name, result in self.verifications.items() if not result.trusted]
-
-    @property
     def final_html(self) -> str:
         return serialize(self.document)
 

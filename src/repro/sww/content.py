@@ -180,25 +180,6 @@ class GeneratedContent:
         return int(self.metadata.get("scale", 1))
 
     @classmethod
-    def upscaled_image(
-        cls,
-        descriptor: str,
-        src: str,
-        scale: int,
-        name: str = "upscaled",
-    ) -> "GeneratedContent":
-        """Construct a §2.2 upscale item.
-
-        The server stores only the small original at ``src``; the client
-        fetches it and upscales by ``scale`` locally. ``descriptor``
-        doubles as the prompt field (alt text / verification anchor).
-        """
-        return cls(
-            ContentType.IMAGE,
-            {"prompt": descriptor, "name": name, "upscale_src": src, "scale": scale},
-        )
-
-    @classmethod
     def text(
         cls,
         prompt: str,

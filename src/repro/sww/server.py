@@ -482,10 +482,6 @@ class GenerativeServer:
                 self._worst_stall_s, layer="sww", operation="loop",
             )
 
-    def _materialise(self, page: PageResource) -> _PageEntry:
-        """The page's :meth:`_claim` without its memo outcome."""
-        return self._claim(page)[1]
-
     def _claim(self, page: PageResource) -> tuple[str, _PageEntry]:
         """Server-side generation (prompts → media) through the page table,
         with the memo outcome.

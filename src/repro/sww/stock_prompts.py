@@ -101,20 +101,3 @@ class StockPromptLibrary:
 
     def catalog_bytes(self) -> int:
         return sum(entry.size_bytes() for entry in self._entries.values())
-
-
-def build_demo_library(count: int = 40, seed: str = "stock") -> StockPromptLibrary:
-    """A demo catalog built from the shared landscape prompt bank."""
-    from repro.workloads.corpus import landscape_prompts
-
-    library = StockPromptLibrary()
-    for index, prompt in enumerate(landscape_prompts(count, seed)):
-        library.add(
-            StockPrompt(
-                prompt_id=f"stock-{index:04d}",
-                prompt=prompt,
-                license="royalty-free",
-                tags=("landscape",),
-            )
-        )
-    return library

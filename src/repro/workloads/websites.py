@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from repro._util.rng import DeterministicRNG
 from repro.media.jpeg_model import jpeg_size, text_block_size
-from repro.metrics.compression import prompt_metadata_size
 
 #: Template mix modelled on the paper's adoption discussion. ``generatable``
 #: is the fraction of each site's content bytes eligible for conversion;
@@ -40,10 +39,6 @@ class SyntheticPage:
     @property
     def total_bytes(self) -> int:
         return sum(b for b, _g in self.media_items) + sum(b for b, _g in self.text_items)
-
-    @property
-    def generatable_bytes(self) -> int:
-        return sum(b for b, g in self.media_items if g) + sum(b for b, g in self.text_items if g)
 
     def converted_bytes(self, image_metadata: int = 300, text_ratio: float = 3.0) -> int:
         """Page size after SWW conversion of its generatable items."""
@@ -198,11 +193,3 @@ def adoption_sweep(corpus: list[SyntheticSite], stages: list[float]) -> list[Ado
             )
         )
     return snapshots
-
-
-def typical_image_metadata_bytes(seed: str = "meta") -> int:
-    """A representative image-metadata size from the shared prompt bank."""
-    from repro.workloads.corpus import landscape_prompts
-
-    prompt = landscape_prompts(1, seed)[0]
-    return prompt_metadata_size({"prompt": prompt, "name": "image", "width": 512, "height": 512})

@@ -19,6 +19,7 @@ from repro.genai.registry import get_image_model
 from repro.sww.client import GenerativeClient, connect_in_memory
 from repro.sww.server import GenerativeServer, PageResource, SiteStore
 from repro.workloads import build_travel_blog
+from tests.helpers import png_bytes
 
 MODEL = get_image_model("sd-3-medium")
 
@@ -43,7 +44,7 @@ def test_any_admission_order_any_max_batch():
                     result = future.result(timeout=10)
                     want = reference[prompt]
                     assert np.array_equal(result.pixels, want.pixels), (max_batch, order)
-                    assert result.png_bytes() == want.png_bytes()
+                    assert png_bytes(result) == png_bytes(want)
                     # The metrics-relevant embedding: what CLIP-style
                     # scoring recovers from the delivered pixels.
                     assert (

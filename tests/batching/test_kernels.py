@@ -16,6 +16,7 @@ from repro.genai.image import (
     generate_image_batch,
 )
 from repro.genai.registry import get_image_model
+from tests.helpers import png_bytes
 
 MODEL = get_image_model("sd-3-medium")
 
@@ -37,7 +38,7 @@ def test_pixels_and_png_byte_identical(batch_size):
     batch = generate_image_batch(MODEL, LAPTOP, PROMPTS[:batch_size], 256, 256, alpha=0.15)
     for s, b in zip(solo, batch):
         assert np.array_equal(s.pixels, b.pixels)
-        assert s.png_bytes() == b.png_bytes()
+        assert png_bytes(s) == png_bytes(b)
         assert (s.prompt, s.model, s.device, s.steps) == (b.prompt, b.model, b.device, b.steps)
 
 

@@ -5,6 +5,21 @@ import pytest
 from repro.cdn.cache import CacheEntry, EdgeCache
 
 
+def eviction_order(cache: EdgeCache, keys: str) -> list[str]:
+    """The cached ``keys`` (all the cache holds) from least- to most-recently
+    used, read by evicting them one at a time: a probe one byte larger than
+    the free space evicts exactly the LRU entry. Empties the cache of them."""
+    order = []
+    remaining = [key for key in keys if key in cache]
+    while remaining:
+        held = sum(cache.peek(key).size_bytes for key in remaining)
+        cache.put(CacheEntry("probe", cache.capacity_bytes - held + 1))
+        (victim,) = [key for key in remaining if key not in cache]
+        order.append(victim)
+        remaining.remove(victim)
+    return order
+
+
 class TestBasics:
     def test_put_get(self):
         cache = EdgeCache(1000)
@@ -84,12 +99,12 @@ class TestRejection:
         cache = EdgeCache(100)
         cache.put(CacheEntry("a", 60))
         cache.put(CacheEntry("b", 30))
-        before_keys, before_used = cache.lru_keys(), cache.used_bytes
+        before_used = cache.used_bytes
         assert not cache.try_put(CacheEntry("big", 101))
         assert cache.stats.rejected == 1
-        assert cache.lru_keys() == before_keys
         assert cache.used_bytes == before_used
         assert cache.stats.evictions == 0
+        assert eviction_order(cache, "ab") == ["a", "b"]
 
     def test_oversized_replace_keeps_existing_entry(self):
         """Rejecting an oversized update must not drop the old entry."""
@@ -117,23 +132,22 @@ class TestRejection:
 
 class TestRecency:
     def test_get_touches_recency_exactly_once(self):
-        cache = EdgeCache(1000)
-        for key in "abc":
-            cache.put(CacheEntry(key, 10))
-        assert cache.lru_keys() == ["a", "b", "c"]
-        cache.get("a")
-        assert cache.lru_keys() == ["b", "c", "a"]
         # A second get of the same key leaves the relative order of the
         # other entries unchanged.
-        cache.get("a")
-        assert cache.lru_keys() == ["b", "c", "a"]
+        for gets, order in (("", ["a", "b", "c"]), ("a", ["b", "c", "a"]), ("aa", ["b", "c", "a"])):
+            cache = EdgeCache(1000)
+            for key in "abc":
+                cache.put(CacheEntry(key, 10))
+            for key in gets:
+                cache.get(key)
+            assert eviction_order(cache, "abc") == order
 
     def test_get_miss_does_not_touch_recency(self):
         cache = EdgeCache(1000)
         for key in "ab":
             cache.put(CacheEntry(key, 10))
         cache.get("nope")
-        assert cache.lru_keys() == ["a", "b"]
+        assert eviction_order(cache, "ab") == ["a", "b"]
 
     def test_peek_touches_nothing(self):
         cache = EdgeCache(1000)
@@ -142,8 +156,8 @@ class TestRecency:
         before = (cache.stats.hits, cache.stats.misses)
         assert cache.peek("a").size_bytes == 10
         assert cache.peek("nope") is None
-        assert cache.lru_keys() == ["a", "b"]
         assert (cache.stats.hits, cache.stats.misses) == before
+        assert eviction_order(cache, "ab") == ["a", "b"]
 
 
 class TestPromptVsBlobCapacity:

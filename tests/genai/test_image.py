@@ -7,6 +7,7 @@ from repro.devices import LAPTOP, WORKSTATION
 from repro.genai.image import generate_image, random_image
 from repro.genai.registry import DALLE3, SD3_MEDIUM, SD21, SD35_MEDIUM
 from repro.metrics.clip import clip_score
+from tests.helpers import png_bytes
 
 
 class TestGeneration:
@@ -41,8 +42,8 @@ class TestGeneration:
 
     def test_png_bytes_cached_and_valid(self):
         result = generate_image(SD3_MEDIUM, WORKSTATION, "a fjord", 32, 32, 15)
-        assert result.png_bytes() is result.png_bytes()
-        assert result.png_bytes().startswith(b"\x89PNG")
+        assert png_bytes(result) is png_bytes(result)
+        assert png_bytes(result).startswith(b"\x89PNG")
 
 
 class TestTiming:

@@ -1,4 +1,4 @@
-"""Regression: ``ImageResult.png_bytes()`` must encode exactly once.
+"""Regression: ``ImageResult.png_future()`` must encode exactly once.
 
 Before the fix, two pool workers could race the ``_png_cache is None``
 check and both run the encoder (the batching engine pipelines encodes on
@@ -15,6 +15,7 @@ import repro.genai.image as image_module
 from repro.devices import LAPTOP
 from repro.genai.image import generate_image
 from repro.genai.registry import get_image_model
+from tests.helpers import png_bytes
 
 
 def test_png_bytes_encodes_once_under_contention(monkeypatch):
@@ -33,7 +34,7 @@ def test_png_bytes_encodes_once_under_contention(monkeypatch):
 
     def hammer():
         started.wait()
-        outputs.append(result.png_bytes())
+        outputs.append(png_bytes(result))
 
     threads = [threading.Thread(target=hammer) for _ in range(8)]
     for thread in threads:

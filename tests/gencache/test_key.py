@@ -5,6 +5,7 @@ import pickle
 
 from repro.gencache import GenerationKey, image_key, key_for_item, text_key
 from repro.sww.content import GeneratedContent
+from tests.helpers import upscaled_image
 
 
 def test_equal_inputs_equal_digest():
@@ -77,7 +78,7 @@ def test_item_model_overrides_the_default():
 
 
 def test_upscale_items_are_uncacheable():
-    item = GeneratedContent.upscaled_image("a pier at dusk", "/thumbs/pier.jpg", 4)
+    item = upscaled_image("a pier at dusk", "/thumbs/pier.jpg", 4)
     assert key_for_item(item, "img", "txt") is None
 
 

@@ -32,11 +32,6 @@ class TestTraversal:
         assert doc.find_by_class("extra")[0].id == "g1"
         assert doc.find_by_class("generated") == []  # no partial match
 
-    def test_find_first(self):
-        doc = small_tree()
-        assert doc.find_first(lambda e: e.tag == "p") is not None
-        assert doc.find_first(lambda e: e.tag == "table") is None
-
     def test_text_content(self):
         doc = small_tree()
         assert doc.text_content() == "inner"

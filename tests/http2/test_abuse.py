@@ -1,8 +1,14 @@
 """Abuse containment: MAX_CONCURRENT_STREAMS enforcement (REFUSED_STREAM),
-rapid-reset accounting (CVE-2023-44487), and control-frame flood limits."""
+rapid-reset accounting (CVE-2023-44487), control-frame flood limits and
+the header-section bound (CONTINUATION floods)."""
 
+import pytest
+
+from repro.devices import WORKSTATION
 from repro.http2.connection import (
+    MAX_HEADER_SECTION,
     AbuseDetected,
+    ConnectionTerminated,
     H2Connection,
     RequestReceived,
     Role,
@@ -10,10 +16,12 @@ from repro.http2.connection import (
     StreamReset,
 )
 from repro.http2.errors import ErrorCode
-from repro.http2.frames import PingFrame, SettingsFrame
+from repro.http2.frames import ContinuationFrame, HeadersFrame, PingFrame, SettingsFrame
 from repro.http2.settings import Setting
 from repro.http2.transport import InMemoryTransportPair
 from repro.obs import MetricsRegistry
+from repro.sww.client import GenerativeClient, connect_in_memory
+from repro.sww.server import GenerativeServer, SiteStore
 
 REQUEST = [
     (b":method", b"GET"),
@@ -168,3 +176,62 @@ class TestControlFloods:
         terms = [e for e in pair.client.events if isinstance(e, ConnectionTerminated)]
         assert len(terms) == 1
         assert terms[0].debug_data == b"ping-flood"
+
+
+def counting_decoder(monkeypatch, conn: H2Connection) -> list[int]:
+    """Record the size of every block ``conn`` HPACK-decodes."""
+    decoded: list[int] = []
+    decode = conn.decoder.decode
+
+    def counting(block):
+        decoded.append(len(block))
+        return decode(block)
+
+    monkeypatch.setattr(conn.decoder, "decode", counting)
+    return decoded
+
+
+class TestHeaderSectionBound:
+    def test_empty_continuation_flood_is_never_decoded(self, monkeypatch):
+        pair = make_pair()
+        server = pair.server.conn
+        decoded = counting_decoder(monkeypatch, server)
+        frames = [HeadersFrame(stream_id=1, end_stream=True, end_headers=False)]
+        frames += [ContinuationFrame(stream_id=1)] * (MAX_HEADER_SECTION // 9)
+        frames.append(ContinuationFrame(stream_id=1, header_block=b"\x82", end_headers=True))
+        events = server.receive_data(b"".join(f.serialize() for f in frames))
+        pair.pump()
+
+        # The first frame past the bound ends the section: 7 282 frame headers.
+        assert [e for e in events if isinstance(e, AbuseDetected)] == [
+            AbuseDetected(kind="continuation-flood", count=9 * (MAX_HEADER_SECTION // 9 + 1))
+        ]
+        assert not any(isinstance(e, RequestReceived) for e in events)
+        assert decoded == []
+        terms = [e for e in pair.client.events if isinstance(e, ConnectionTerminated)]
+        assert [(t.error_code, t.debug_data) for t in terms] == [
+            (ErrorCode.ENHANCE_YOUR_CALM, b"continuation-flood")
+        ]
+        # Nothing more is read from a peer whose header block was refused.
+        assert server.receive_data(PingFrame(data=b"\0" * 8).serialize()) == []
+
+    def test_oversized_request_through_the_server_ends_in_enhance_your_calm(self, monkeypatch):
+        server = GenerativeServer(SiteStore())
+        pair = connect_in_memory(GenerativeClient(device=WORKSTATION), server)
+        decoded = counting_decoder(monkeypatch, pair.server.conn)
+        headers = [
+            (b":method", b"GET"),
+            (b":path", b"/"),
+            (b":scheme", b"https"),
+            (b":authority", b"sww.example"),
+            (b"x-pad", b"\xff" * MAX_HEADER_SECTION),
+        ]
+
+        async def flood():
+            answer = pair.client.submit(headers)
+            await pair.client.flush()
+            with pytest.raises(ConnectionError, match=f"error code {int(ErrorCode.ENHANCE_YOUR_CALM)}"):
+                await answer
+
+        pair.run(flood())
+        assert decoded == []

@@ -221,6 +221,49 @@ class TestFlowControlIntegration:
         assert resets[0].error_code == ErrorCode.REFUSED_STREAM
 
 
+class TestSettingsWindowMirror:
+    @staticmethod
+    def open_request(window: int) -> tuple[InMemoryTransportPair, int]:
+        """A client advertising a ``window``-byte receive window, one GET open."""
+        pair = InMemoryTransportPair(
+            H2Connection(Role.CLIENT, gen_ability=True, initial_window_size=window),
+            H2Connection(Role.SERVER, gen_ability=True),
+        )
+        pair.handshake()
+        stream_id = pair.client.conn.get_next_available_stream_id()
+        pair.client.conn.send_headers(stream_id, [(b":method", b"GET"), (b":path", b"/")], end_stream=True)
+        pair.pump()
+        return pair, stream_id
+
+    def test_update_settings_rebases_local_stream_receive_windows(self):
+        """§6.9.2: when we raise INITIAL_WINDOW_SIZE, the peer treats every
+        open stream's send window as grown by the delta — our per-stream
+        receive accounting must mirror that or legitimate DATA looks like
+        an overrun."""
+        window = 10_000
+        pair, stream_id = self.open_request(window)
+        inbound = pair.client.conn.streams[stream_id].inbound_window
+        before = inbound.available
+
+        pair.client.conn.update_settings({Setting.INITIAL_WINDOW_SIZE: window * 3})
+        assert inbound.available == before + window * 2
+
+        # And the peer can actually use the grown window without tripping
+        # the client's flow-control accounting.
+        pair.pump()
+        pair.server.conn.send_headers(stream_id, [(b":status", b"200")])
+        pair.server.conn.send_data(stream_id, b"d" * (window * 2))
+        pair.pump()  # would raise FlowControlError if the mirror was missing
+        received = sum(len(e.data) for e in pair.client.events if isinstance(e, DataReceived))
+        assert received == window * 2
+
+    def test_shrink_applies_negative_delta(self):
+        pair, stream_id = self.open_request(30_000)
+        inbound = pair.client.conn.streams[stream_id].inbound_window
+        pair.client.conn.update_settings({Setting.INITIAL_WINDOW_SIZE: 10_000})
+        assert inbound.available == 10_000
+
+
 class TestByteAccounting:
     def test_bytes_sent_and_received_match(self, h2_pair):
         conn = h2_pair.client.conn

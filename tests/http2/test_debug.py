@@ -1,7 +1,7 @@
 """Tests for the wire tracer."""
 
 from repro.http2.connection import H2Connection, Role
-from repro.http2.debug import describe_frame, frame_census, trace_wire
+from repro.http2.debug import describe_frame, trace_wire
 from repro.http2.frames import (
     ContinuationFrame,
     DataFrame,
@@ -96,23 +96,3 @@ class TestTraceWire:
 
     def test_tracing_never_raises_on_junk(self):
         trace_wire(b"\xff" * 50)  # must not raise
-
-
-class TestFrameCensus:
-    def test_census_counts(self):
-        client = H2Connection(Role.CLIENT, gen_ability=True)
-        client.initiate_connection()
-        census = frame_census(client.data_to_send())
-        assert census["SETTINGS"] == 1
-        assert census["WINDOWUPDATE"] == 1
-
-    def test_census_of_full_exchange(self):
-        client = H2Connection(Role.CLIENT, gen_ability=True)
-        server = H2Connection(Role.SERVER, gen_ability=True)
-        pair = InMemoryTransportPair(client, server)
-        pair.handshake()
-        sid = client.get_next_available_stream_id()
-        client.send_headers(sid, [(b":method", b"GET"), (b":path", b"/")], end_stream=True)
-        wire = client.data_to_send()
-        census = frame_census(wire)
-        assert census == {"HEADERS": 1}

@@ -112,8 +112,8 @@ class TestCreditReturn:
         assert response.body == hashlib.sha256(body).hexdigest().encode()
 
     def test_response_larger_than_a_small_stream_window_plain_replenisher(self):
-        """No BDP tuner: the plain rule alone (connection window always,
-        stream window while open) carries a body 64 stream windows long."""
+        """The plain rule alone (connection window always, stream window
+        while open) carries a body 64 stream windows long."""
         body = b"\xa5" * (256 * 1024)
 
         async def blob(driver, stream_id, path, received):

@@ -10,7 +10,14 @@ import struct
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.http2.connection import CONNECTION_PREFACE, H2Connection, Role
+from repro.http2.connection import (
+    CONNECTION_PREFACE,
+    MAX_HEADER_SECTION,
+    AbuseDetected,
+    H2Connection,
+    RequestReceived,
+    Role,
+)
 from repro.http2.errors import (
     CompressionError,
     ErrorCode,
@@ -20,7 +27,15 @@ from repro.http2.errors import (
     ProtocolError,
     StreamError,
 )
-from repro.http2.frames import DataFrame, SettingsFrame, parse_frames
+from repro.http2.frames import (
+    ContinuationFrame,
+    DataFrame,
+    GoAwayFrame,
+    HeadersFrame,
+    SettingsFrame,
+    parse_frames,
+)
+from repro.http2.hpack import HpackEncoder
 from repro.http2.transport import InMemoryTransportPair
 
 
@@ -146,6 +161,47 @@ class TestByteStreamFuzz:
         frames, rest = parse_frames(wire + junk)
         assert len(frames) == len(payloads)
         assert rest == junk or len(rest) <= len(junk)
+
+
+class TestHeaderSectionBound:
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.one_of(st.integers(0, 2_000), st.integers(60_000, 70_000)),
+        st.lists(st.integers(0, 16_384), max_size=8),
+        st.one_of(st.integers(0, 50), st.integers(7_000, 7_500)),
+    )
+    def test_section_decodes_or_ends_in_enhance_your_calm(self, pad, sizes, empties):
+        """HEADERS without END_HEADERS, then CONTINUATIONs of random sizes
+        (empty ones included): the block decodes when its frames fit the
+        bound, else the connection ends in ENHANCE_YOUR_CALM undecoded."""
+        headers = [(b":method", b"GET"), (b":path", b"/"), (b"x-pad", b"p" * pad)]
+        block = HpackEncoder(use_huffman=False).encode(headers)
+        fragments = []
+        for size in sizes:
+            fragments.append(block[:size])
+            block = block[size:]
+        fragments += [block[i : i + 16_384] for i in range(0, len(block), 16_384)]
+        fragments[-1:-1] = [b""] * empties
+        frames = [HeadersFrame(stream_id=1, header_block=fragments[0], end_stream=True, end_headers=False)]
+        frames += [ContinuationFrame(stream_id=1, header_block=f) for f in fragments[1:]]
+        frames.append(ContinuationFrame(stream_id=1, end_headers=True))
+        cost = sum(9 + len(f.header_block) for f in frames)
+
+        server = fresh_server()
+        events = []
+        try:
+            for f in frames:
+                events += server.receive_data(f.serialize())
+                section = server._expect_continuation
+                assert section is None or len(section[1]) <= MAX_HEADER_SECTION
+        except H2Error:
+            pass  # typed protocol failure: acceptable
+        if cost <= MAX_HEADER_SECTION:
+            assert [e.headers for e in events if isinstance(e, RequestReceived)] == [headers]
+        else:
+            assert [e.kind for e in events if isinstance(e, AbuseDetected)] == ["continuation-flood"]
+            (goaway,) = [f for f in parse_frames(server.data_to_send())[0] if isinstance(f, GoAwayFrame)]
+            assert goaway.error_code == ErrorCode.ENHANCE_YOUR_CALM
 
 
 class TestSettingsEdgeCases:

@@ -28,7 +28,7 @@ class TestTrustedFlow:
         assert result.sww_mode
         # Three image items on the blog; all verified, all trusted.
         assert len(result.verifications) == 3
-        assert result.untrusted_items == []
+        assert all(v.trusted for v in result.verifications.values())
         assert all(v.signature_valid for v in result.verifications.values())
 
     def test_whole_wikimedia_page_verifies(self):
@@ -36,7 +36,7 @@ class TestTrustedFlow:
         client, _server, pair = trusted_pair(page)
         result = client.fetch_via_pair(pair, page.path)
         assert len(result.verifications) == 10
-        assert result.untrusted_items == []
+        assert all(v.trusted for v in result.verifications.values())
 
     def test_wrong_client_key_rejects_everything(self):
         page = build_travel_blog()
@@ -48,7 +48,8 @@ class TestTrustedFlow:
         )
         pair = connect_in_memory(client, server)
         result = client.fetch_via_pair(pair, page.path)
-        assert len(result.untrusted_items) == 3
+        assert len(result.verifications) == 3
+        assert not any(v.trusted for v in result.verifications.values())
         assert all(not v.signature_valid for v in result.verifications.values())
 
     def test_untrusting_server_sends_no_manifests(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.media.png import PNG_SIGNATURE, decode_png, encode_png, png_dimensions
+from tests.helpers import png_bytes
 
 
 def gradient_image(height: int, width: int) -> np.ndarray:
@@ -74,7 +75,7 @@ class TestDecode:
         from repro.genai.registry import SD3_MEDIUM
 
         result = generate_image(SD3_MEDIUM, WORKSTATION, "a fjord", 64, 64, 15)
-        assert np.array_equal(decode_png(result.png_bytes()), result.pixels)
+        assert np.array_equal(decode_png(png_bytes(result)), result.pixels)
 
 
 class TestExternalFilters:

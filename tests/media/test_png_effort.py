@@ -16,6 +16,7 @@ from repro.genai.image import generate_image, random_image
 from repro.genai.registry import get_image_model
 from repro.genai.upscale import ONE_STEP_SR, upscale_image
 from repro.media.png import decode_png, encode_png
+from tests.helpers import png_bytes
 
 MODEL = get_image_model("sd-3-medium")
 PROMPT = "a harbour at dawn with fishing boats and gulls"
@@ -55,9 +56,9 @@ def test_level_one_would_break_the_bound():
 def test_every_producer_emits_the_one_encoding():
     result = generate_image(MODEL, WORKSTATION, PROMPT, 256, 256)
     expected = encode_png(result.pixels)
-    assert result.png_bytes() == expected
+    assert png_bytes(result) == expected
 
     with BatchingEngine(WORKSTATION, max_batch=2, max_wait_s=0.0) as engine:
         batched = engine.submit_image(MODEL, PROMPT, 256, 256).result(timeout=30)
     assert np.array_equal(batched.pixels, result.pixels)
-    assert batched.png_bytes() == expected
+    assert png_bytes(batched) == expected

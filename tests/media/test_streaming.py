@@ -20,18 +20,6 @@ def service() -> StreamingService:
 
 
 class TestPlaylists:
-    def test_master_lists_all_variants(self, service):
-        master = service.master_playlist()
-        for name in ("4K", "FHD", "HD", "SD"):
-            assert f"/video/{name}/playlist.m3u8" in master
-        assert master.startswith("#EXTM3U")
-
-    def test_master_carries_bandwidth_and_resolution(self, service):
-        master = service.master_playlist()
-        assert "RESOLUTION=3840x2160" in master
-        assert "FRAME-RATE=60" in master
-        assert "BANDWIDTH=" in master
-
     def test_media_playlist_segments(self, service):
         playlist = service.media_playlist("4K")
         assert len(playlist.segments) == int(600 // DEFAULT_SEGMENT_SECONDS)

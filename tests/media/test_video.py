@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.media.video import STANDARD_LADDER, VideoLadder, VideoVariant
+from repro.media.video import STANDARD_LADDER, VideoLadder
 
 
 class TestPaperAnchors:
@@ -26,10 +26,6 @@ class TestPaperAnchors:
 
 
 class TestVariant:
-    def test_bits_per_second(self):
-        v = VideoVariant("t", 1920, 1080, 60, 3.6)
-        assert v.bits_per_second == pytest.approx(3.6e9 * 8 / 3600)
-
     def test_at_fps_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             STANDARD_LADDER[0].at_fps(0)

@@ -7,7 +7,6 @@ from repro.metrics.compression import (
     WORST_CASE_IMAGE_METADATA,
     compression_ratio,
     prompt_metadata_size,
-    worst_case_image_metadata_size,
 )
 
 
@@ -28,7 +27,6 @@ class TestWorstCaseBudget:
         """Table 2 footnote: '400B to the prompt, 20B to the Name, and 4B
         to each height and width' = 428 B."""
         assert WORST_CASE_IMAGE_METADATA == 428
-        assert worst_case_image_metadata_size() == 428
 
     def test_table2_worst_case_ratios(self):
         """Table 2's compression column uses the 428 B budget."""

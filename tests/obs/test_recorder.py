@@ -58,27 +58,18 @@ class TestArming:
         assert recorder.note(TRIGGER_GENERATION_FAILURE, "again") is None
         assert len(recorder.incidents()) == 1
 
-    def test_rearm_restores_one_trigger(self):
-        recorder = FlightRecorder()
-        recorder.note(TRIGGER_PROTOCOL_ERROR, "goaway")
-        recorder.rearm(TRIGGER_PROTOCOL_ERROR)
-        assert recorder.note(TRIGGER_PROTOCOL_ERROR, "goaway-2") is not None
-        assert len(recorder.incidents()) == 2
-
-    def test_rearm_without_kind_restores_all(self):
+    def test_every_trigger_fires_once(self):
         recorder = FlightRecorder()
         for kind in DEFAULT_TRIGGERS:
-            recorder.note(kind, "x")
+            assert recorder.note(kind, "x") is not None
         assert recorder.armed() == set()
-        recorder.rearm()
-        assert recorder.armed() == set(DEFAULT_TRIGGERS)
+        assert all(recorder.note(kind, "again") is None for kind in DEFAULT_TRIGGERS)
+        assert len(recorder.incidents()) == len(DEFAULT_TRIGGERS)
 
     def test_unknown_trigger_rejected(self):
         recorder = FlightRecorder()
         with pytest.raises(ValueError, match="unknown trigger"):
             recorder.note("disk-full")
-        with pytest.raises(ValueError, match="unknown trigger"):
-            recorder.rearm("disk-full")
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -170,9 +161,8 @@ class TestBundles:
 
     def test_capacity_bounds_retained_incidents(self):
         recorder = FlightRecorder(capacity=2)
-        for i in range(4):
-            recorder.note(TRIGGER_GENERATION_FAILURE, f"f{i}")
-            recorder.rearm(TRIGGER_GENERATION_FAILURE)
+        for kind in DEFAULT_TRIGGERS:
+            recorder.note(kind, "x")
         ids = [b["incident"] for b in recorder.incidents()]
         assert ids == ["incident-3", "incident-4"]
 

@@ -39,6 +39,7 @@ from repro.sww.media_generator import MediaGenerator
 from repro.sww.page_processor import PageProcessor
 from repro.sww.server import AssetResource, GenerativeServer, PageResource, SiteStore
 from repro.workloads import build_harbour_gallery, build_wikimedia_landscape_page
+from tests.helpers import png_bytes, upscaled_image
 
 
 def _corpus_site(page) -> tuple[SiteStore, str]:
@@ -53,9 +54,9 @@ def _upscale_site() -> tuple[SiteStore, str]:
     for index in range(3):
         prompt = f"the author's own photo of fjord number {index}"
         src = f"/thumbs/fjord-{index}.png"
-        thumb = generate_image(SD3_MEDIUM, WORKSTATION, prompt, 64, 64, 15).png_bytes()
+        thumb = png_bytes(generate_image(SD3_MEDIUM, WORKSTATION, prompt, 64, 64, 15))
         store.add_asset(AssetResource(src, thumb, "image/png"))
-        item = GeneratedContent.upscaled_image(prompt, src, scale=2, name=f"fjord-{index}")
+        item = upscaled_image(prompt, src, scale=2, name=f"fjord-{index}")
         parts.append(serialize(item.to_element()))
     store.add_page(PageResource("/p", f"<html><body>{''.join(parts)}</body></html>"))
     return store, "/p"

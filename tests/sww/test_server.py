@@ -159,7 +159,7 @@ class TestMaterialiseSingleFlight:
         def fetch(i):
             try:
                 barrier.wait(timeout=10)
-                results[i] = server._materialise(page)
+                results[i] = server._claim(page)[1]
             except Exception as exc:  # pragma: no cover - surfaced below
                 errors.append(exc)
 
@@ -191,9 +191,9 @@ class TestMaterialiseSingleFlight:
 
         monkeypatch.setattr(server, "_materialise_cold", flaky_cold)
         with pytest.raises(RuntimeError):
-            server._materialise(page)
+            server._claim(page)[1]
         # The failed flight must not wedge the path: a retry generates.
-        html, assets, gen_time, _energy = server._materialise(page)
+        html, assets, gen_time, _energy = server._claim(page)[1]
         assert "/generated/" in html
         assert gen_time > 0
         assert len(calls) == 2
@@ -201,8 +201,8 @@ class TestMaterialiseSingleFlight:
     def test_repeat_materialise_hits_cache(self):
         server, path = self._make_server()
         page = server.store.pages[path]
-        first = server._materialise(page)
-        second = server._materialise(page)
+        first = server._claim(page)[1]
+        second = server._claim(page)[1]
         assert second[0] == first[0]
         assert second[2] == 0.0  # cached repeat is free
 

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.sww.stock_prompts import (
-    StockPrompt,
-    StockPromptLibrary,
-    build_demo_library,
-)
+from repro.sww.stock_prompts import StockPrompt, StockPromptLibrary
+from repro.workloads.corpus import landscape_prompts
 
 
 @pytest.fixture
@@ -69,9 +66,17 @@ class TestSearch:
         assert library.best_match("quarterly financial derivatives report") is None
 
 
+def landscape_library(count: int) -> StockPromptLibrary:
+    """A catalog built from the shared landscape prompt bank."""
+    library = StockPromptLibrary()
+    for index, prompt in enumerate(landscape_prompts(count, "stock")):
+        library.add(StockPrompt(f"stock-{index:04d}", prompt, tags=("landscape",)))
+    return library
+
+
 class TestDemoLibrary:
     def test_builds_with_dedup(self):
-        library = build_demo_library(30)
+        library = landscape_library(30)
         # The landscape bank has limited scene/detail combinations, so
         # some generated prompts collide semantically and are deduped.
         assert len(library) + library.rejected_duplicates == 30
@@ -80,7 +85,7 @@ class TestDemoLibrary:
     def test_converter_style_reuse(self):
         """The §4.2 hook: an image description finds a stock prompt whose
         reuse beats lossy inversion."""
-        library = build_demo_library(30)
+        library = landscape_library(30)
         description = "a waterfall in a mossy basalt gorge in soft morning light"
         match = library.best_match(description)
         assert match is not None
@@ -92,7 +97,7 @@ class TestDemoLibrary:
         from repro.sww.content import GeneratedContent
         from repro.sww.conversion import PageConverter
 
-        library = build_demo_library(30)
+        library = landscape_library(30)
         html = (
             '<body><img src="/x.jpg" alt="a waterfall in a mossy basalt '
             'gorge in soft morning light" width="256" height="256"></body>'

@@ -12,14 +12,15 @@ from repro.media.png import decode_png
 from repro.sww.client import GenerativeClient, connect_in_memory
 from repro.sww.content import ContentError, ContentType, GeneratedContent
 from repro.sww.server import AssetResource, GenerativeServer, PageResource, SiteStore
+from tests.helpers import png_bytes, upscaled_image
 
 DESCRIPTOR = "the author's own photo of a quiet fjord at dawn"
 
 
 def make_site() -> tuple[SiteStore, bytes]:
     """A page with one upscale item; the server stores the small PNG."""
-    thumb = generate_image(SD3_MEDIUM, WORKSTATION, DESCRIPTOR, 128, 128, 15).png_bytes()
-    item = GeneratedContent.upscaled_image(DESCRIPTOR, "/thumbs/fjord.png", scale=4, name="fjord")
+    thumb = png_bytes(generate_image(SD3_MEDIUM, WORKSTATION, DESCRIPTOR, 128, 128, 15))
+    item = upscaled_image(DESCRIPTOR, "/thumbs/fjord.png", scale=4, name="fjord")
     html = f"<html><body>{serialize(item.to_element())}</body></html>"
     store = SiteStore()
     store.add_page(PageResource("/p", html))
@@ -29,15 +30,15 @@ def make_site() -> tuple[SiteStore, bytes]:
 
 class TestContentModel:
     def test_factory_fields(self):
-        item = GeneratedContent.upscaled_image("a photo", "/t.png", 2)
+        item = upscaled_image("a photo", "/t.png", 2)
         assert item.content_type == ContentType.IMAGE
         assert item.upscale_src == "/t.png" and item.scale == 2
 
     def test_scale_bounds_validated(self):
         with pytest.raises(ContentError):
-            GeneratedContent.upscaled_image("a photo", "/t.png", 5)
+            upscaled_image("a photo", "/t.png", 5)
         with pytest.raises(ContentError):
-            GeneratedContent.upscaled_image("a photo", "/t.png", 1)
+            upscaled_image("a photo", "/t.png", 1)
 
     def test_src_and_scale_must_pair(self):
         with pytest.raises(ContentError):
@@ -111,7 +112,7 @@ class TestEndToEnd:
         assert len(thumb) < jpeg_size(512, 512)
 
     def test_missing_thumb_raises_clearly(self):
-        item = GeneratedContent.upscaled_image(DESCRIPTOR, "/thumbs/gone.png", 2, name="x")
+        item = upscaled_image(DESCRIPTOR, "/thumbs/gone.png", 2, name="x")
         html = f"<body>{serialize(item.to_element())}</body>"
         store = SiteStore()
         store.add_page(PageResource("/p", html))  # asset NOT stored
@@ -138,7 +139,7 @@ class TestEndToEnd:
             "<body>"
             + serialize(generated.to_element())
             + serialize(
-                GeneratedContent.upscaled_image(DESCRIPTOR, "/thumbs/fjord.png", 2, name="up").to_element()
+                upscaled_image(DESCRIPTOR, "/thumbs/fjord.png", 2, name="up").to_element()
             )
             + "</body>"
         )

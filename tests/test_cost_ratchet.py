@@ -68,6 +68,7 @@ from repro.workloads import (
 from repro.workloads.corpus import populate_traditional_assets
 from repro.workloads.session import OpenLoopSession
 from repro.workloads.traffic import default_regions
+from tests.helpers import png_bytes
 
 MEMO_HIT_CEILINGS = {
     "executor_submissions": 0,
@@ -424,7 +425,7 @@ def test_engine_batch_costs_no_more_than_it_did(monkeypatch):
         futures = [engine.submit_image(model, prompt, 64, 64) for prompt in prompts]
         results = [future.result(timeout=30) for future in futures]
         for result in results:
-            result.png_bytes()
+            png_bytes(result)
     assert {future.batch_size for future in futures} == {len(prompts)}
     counts = Counter(calls)
     for name, ceiling in ENGINE_BATCH_CEILINGS.items():
@@ -455,7 +456,7 @@ class _Key:
 def test_tier_first_touch_and_hit_cost_no_more_than_they_did(monkeypatch):
     prompt = build_uniform_pages(3)[0].prompts[0]
     image = generate_image(get_image_model("sd-3-medium"), WORKSTATION, prompt, 192, 192)
-    payload = image.png_bytes()
+    payload = png_bytes(image)
     counts = dict.fromkeys(TIER_CEILINGS, 0)
     exchanges: list[tuple[str, int, int]] = []  # (method, request body, response body)
     tier = CacheTierServer()

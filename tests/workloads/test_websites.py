@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.workloads.websites import (
-    TEMPLATE_PROFILES,
-    adoption_sweep,
-    build_web_corpus,
-    typical_image_metadata_bytes,
-)
+from repro.metrics.compression import WORST_CASE_IMAGE_METADATA, prompt_metadata_size
+from repro.workloads.corpus import landscape_prompts
+from repro.workloads.websites import TEMPLATE_PROFILES, SyntheticPage, adoption_sweep, build_web_corpus
+
+
+def generatable_bytes(page: SyntheticPage) -> int:
+    return sum(size for size, generatable in page.media_items + page.text_items if generatable)
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +37,10 @@ class TestCorpus:
         news = [s for s in corpus if s.template == "news"]
         galleries = [s for s in corpus if s.template == "gallery"]
         if news and galleries:
-            news_frac = sum(s.pages[0].generatable_bytes for s in news) / sum(
+            news_frac = sum(generatable_bytes(s.pages[0]) for s in news) / sum(
                 s.pages[0].total_bytes for s in news
             )
-            gallery_frac = sum(s.pages[0].generatable_bytes for s in galleries) / sum(
+            gallery_frac = sum(generatable_bytes(s.pages[0]) for s in galleries) / sum(
                 s.pages[0].total_bytes for s in galleries
             )
             assert gallery_frac > news_frac
@@ -57,7 +58,7 @@ class TestPageModel:
 
     def test_conversion_only_touches_generatable(self, corpus):
         page = corpus[0].pages[0]
-        unique_bytes = page.total_bytes - page.generatable_bytes
+        unique_bytes = page.total_bytes - generatable_bytes(page)
         assert page.converted_bytes() >= unique_bytes
 
 
@@ -103,5 +104,6 @@ class TestAdoptionSweep:
 
 class TestMetadataAnchor:
     def test_typical_metadata_prompt_scale(self):
-        size = typical_image_metadata_bytes()
-        assert 150 < size < 428  # between measured average and worst case
+        prompt = landscape_prompts(1, "meta")[0]
+        size = prompt_metadata_size({"prompt": prompt, "name": "image", "width": 512, "height": 512})
+        assert 150 < size < WORST_CASE_IMAGE_METADATA  # between measured average and worst case
